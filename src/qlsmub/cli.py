@@ -3,15 +3,14 @@
 Exit codes: 0 when the checked property holds or the artifact was built,
 1 when a check finds a violation, 2 for malformed input or usage errors.
 Reports print as text by default; ``--format json-report`` emits a canonical
-JSON document instead.  ``--jobs`` (or the QLSMUB_JOBS environment variable)
-bounds the worker pool of the commutator sweep.
+JSON document instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,71 +62,48 @@ from .ueb import (
 )
 
 
-def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get("QLSMUB_JOBS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise serialize.SerializeError(f"QLSMUB_JOBS is not an integer: {env!r}") from exc
-    return 1
+@dataclass(frozen=True)
+class Outcome:
+    """What a command found: the verdict, its report fields and text lines.
+
+    ``artifact``, when set, is the document the command built.  It goes to
+    ``--out`` (the report then goes to stdout) or, without ``--out``, to
+    stdout in place of the report.
+    """
+
+    ok: bool
+    fields: dict
+    lines: list[str]
+    artifact: dict | None = None
 
 
-def _emit_report(args, report: dict, lines: list[str]) -> None:
-    if args.format == "json-report":
-        payload = serialize.dumps(report)
-    else:
-        payload = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+class Rejected(Exception):
+    """An input that parsed but failed validation.
+
+    Reported as ``reason`` (json-report) or ``line`` (text) on stdout, never
+    at ``--out``, with exit code 1.
+    """
+
+    def __init__(self, reason: str, line: str):
+        super().__init__(reason)
+        self.reason = reason
+        self.line = line
 
 
-def _emit_artifact(args, doc: dict, report: dict, lines: list[str]) -> None:
-    # Artifact goes to --out when given, otherwise to stdout; a status report
-    # accompanies it only when the artifact went to a file.
-    if args.out:
-        serialize.save_path(args.out, doc)
-        _emit_report_to_stdout(args, report, lines)
-    else:
-        sys.stdout.write(serialize.dumps(doc))
-
-
-def _emit_report_to_stdout(args, report: dict, lines: list[str]) -> None:
-    if args.format == "json-report":
-        sys.stdout.write(serialize.dumps(report))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+def _require(result, kind: type, label: str):
+    """``result`` if it is a ``kind``, else reject it as ``label: result``."""
+    if not isinstance(result, kind):
+        raise Rejected(str(result), f"{label}: {result}")
+    return result
 
 
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _load_grid(path: str):
-    return serialize.grid_from_doc(serialize.load_path(path))
-
-
-def _load_latin(path: str):
-    return serialize.latin_from_doc(serialize.load_path(path))
-
-
-def _load_matrix(path: str):
-    return serialize.matrix_from_doc(serialize.load_path(path))
-
-
 def _load_basis(path: str) -> BipartiteBasis:
     n, states = serialize.basis_from_doc(serialize.load_path(path))
     return BipartiteBasis(n, states)
-
-
-def _load_ueb_members(path: str) -> np.ndarray:
-    return serialize.matrix_list_from_doc(serialize.load_path(path))
 
 
 def _load_family(path: str, tol: float):
@@ -136,160 +112,122 @@ def _load_family(path: str, tol: float):
     for idx, mat in enumerate(members):
         result = validate_hadamard(mat, tol)
         if not isinstance(result, HadamardMatrix):
-            return None, f"family member {idx}: {result}"
+            reason = f"family member {idx}: {result}"
+            raise Rejected(reason, f"INVALID family: {reason}")
         validated.append(result)
     try:
-        return hadamard_family(validated), None
+        return hadamard_family(validated)
     except ValueError as exc:
-        return None, str(exc)
+        raise Rejected(str(exc), f"INVALID family: {exc}") from exc
+
+
+def _built(basis: BipartiteBasis, **fields) -> Outcome:
+    doc = serialize.basis_doc(basis.n, basis.states)
+    line = f"built {basis.n ** 2} states of order {basis.n}"
+    return Outcome(True, {**fields, "n": basis.n}, [line], doc)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_validate_qls(args) -> int:
-    grid = _load_grid(args.grid)
+def _cmd_validate_qls(args) -> Outcome:
+    grid = serialize.grid_from_doc(serialize.load_path(args.grid))
     result = validate_qls(grid, args.tol)
-    ok = isinstance(result, QuantumLatinSquare)
-    report = {"command": "validate-qls", "ok": ok, "n": grid.n, "tol": args.tol}
-    if ok:
-        lines = [f"valid quantum Latin square of order {grid.n} (tol {args.tol:g})"]
-    else:
-        report.update(
-            line=result.line,
-            index=result.index,
-            pair=list(result.pair),
-            value=_complex_pair(result.value),
+    fields = {"n": grid.n, "tol": args.tol}
+    if isinstance(result, QuantumLatinSquare):
+        return Outcome(
+            True, fields, [f"valid quantum Latin square of order {grid.n} (tol {args.tol:g})"]
         )
-        lines = [f"INVALID: {result}"]
-    _emit_report(args, report, lines)
-    return 0 if ok else 1
+    fields.update(
+        line=result.line,
+        index=result.index,
+        pair=list(result.pair),
+        value=_complex_pair(result.value),
+    )
+    return Outcome(False, fields, [f"INVALID: {result}"])
 
 
-def _cmd_validate_hadamard(args) -> int:
-    mat = _load_matrix(args.matrix)
+def _cmd_validate_hadamard(args) -> Outcome:
+    mat = serialize.matrix_from_doc(serialize.load_path(args.matrix))
     result = validate_hadamard(mat, args.tol)
-    ok = isinstance(result, HadamardMatrix)
-    report = {
-        "command": "validate-hadamard",
-        "ok": ok,
-        "n": int(mat.shape[0]),
-        "tol": args.tol,
-    }
-    if ok:
-        lines = [f"valid complex Hadamard matrix of order {mat.shape[0]} (tol {args.tol:g})"]
-    else:
-        report.update(
-            constraint=result.constraint,
-            indices=list(result.indices),
-            value=_complex_pair(result.value),
+    fields = {"n": int(mat.shape[0]), "tol": args.tol}
+    if isinstance(result, HadamardMatrix):
+        return Outcome(
+            True,
+            fields,
+            [f"valid complex Hadamard matrix of order {mat.shape[0]} (tol {args.tol:g})"],
         )
-        lines = [f"INVALID: {result.constraint} violated: {result}"]
-    _emit_report(args, report, lines)
-    return 0 if ok else 1
+    fields.update(
+        constraint=result.constraint,
+        indices=list(result.indices),
+        value=_complex_pair(result.value),
+    )
+    return Outcome(False, fields, [f"INVALID: {result.constraint} violated: {result}"])
 
 
-def _cmd_check_weak_orth(args) -> int:
-    qg = _load_grid(args.grid_q)
-    pg = _load_grid(args.grid_p)
+def _cmd_check_weak_orth(args) -> Outcome:
+    qg = serialize.grid_from_doc(serialize.load_path(args.grid_q))
+    pg = serialize.grid_from_doc(serialize.load_path(args.grid_p))
     result = weak_orth_witness(qg, pg, args.tol)
-    ok = isinstance(result, WeakOrthWitness)
-    report = {"command": "check-weak-orth", "ok": ok, "n": qg.n, "tol": args.tol}
-    if ok:
-        report["table"] = result.table.tolist()
+    fields = {"n": qg.n, "tol": args.tol}
+    if isinstance(result, WeakOrthWitness):
+        fields["table"] = result.table.tolist()
         lines = ["weakly orthogonal; witness table (rows of first vs rows of second):"]
         lines += ["  " + " ".join(str(int(x)) for x in row) for row in result.table]
-    else:
-        report.update(
-            q_row=result.q_row,
-            p_row=result.p_row,
-            kind=result.kind,
-            column=result.column,
-            value=None if result.value is None else _complex_pair(result.value),
-        )
-        lines = [f"NOT weakly orthogonal: {result}"]
-    _emit_report(args, report, lines)
-    return 0 if ok else 1
+        return Outcome(True, fields, lines)
+    fields.update(
+        q_row=result.q_row,
+        p_row=result.p_row,
+        kind=result.kind,
+        column=result.column,
+        value=None if result.value is None else _complex_pair(result.value),
+    )
+    return Outcome(False, fields, [f"NOT weakly orthogonal: {result}"])
 
 
-def _cmd_check_orth(args) -> int:
-    a = _load_latin(args.latin_a)
-    b = _load_latin(args.latin_b)
+def _cmd_check_orth(args) -> Outcome:
+    a = serialize.latin_from_doc(serialize.load_path(args.latin_a))
+    b = serialize.latin_from_doc(serialize.load_path(args.latin_b))
     ok = are_orthogonal(a, b)
-    report = {"command": "check-orth", "ok": ok, "n": a.n}
-    lines = ["orthogonal" if ok else "NOT orthogonal: repeated ordered symbol pair"]
-    _emit_report(args, report, lines)
-    return 0 if ok else 1
+    return Outcome(
+        ok, {"n": a.n}, ["orthogonal" if ok else "NOT orthogonal: repeated ordered symbol pair"]
+    )
 
 
-def _cmd_check_left_orth(args) -> int:
-    a = _load_latin(args.latin_a)
-    b = _load_latin(args.latin_b)
+def _cmd_check_left_orth(args) -> Outcome:
+    a = serialize.latin_from_doc(serialize.load_path(args.latin_a))
+    b = serialize.latin_from_doc(serialize.load_path(args.latin_b))
     ok = are_left_orthogonal(a, b)
-    report = {"command": "check-left-orth", "ok": ok, "n": a.n}
-    lines = ["left orthogonal" if ok else "NOT left orthogonal"]
-    _emit_report(args, report, lines)
-    return 0 if ok else 1
+    return Outcome(ok, {"n": a.n}, ["left orthogonal" if ok else "NOT left orthogonal"])
 
 
-def _cmd_left_conj(args) -> int:
-    latin = _load_latin(args.latin)
-    conj = left_conjugate(latin)
-    doc = serialize.latin_doc(conj)
-    report = {"command": "left-conj", "ok": True, "n": latin.n}
-    _emit_artifact(args, doc, report, [f"left conjugate of order {latin.n} written"])
-    return 0
+def _cmd_left_conj(args) -> Outcome:
+    latin = serialize.latin_from_doc(serialize.load_path(args.latin))
+    doc = serialize.latin_doc(left_conjugate(latin))
+    return Outcome(True, {"n": latin.n}, [f"left conjugate of order {latin.n} written"], doc)
 
 
-def _cmd_build_meb(args) -> int:
-    grid = _load_grid(args.grid)
-    result = validate_qls(grid, args.tol)
-    if not isinstance(result, QuantumLatinSquare):
-        _emit_report_to_stdout(
-            args,
-            {"command": "build-meb", "ok": False, "reason": str(result)},
-            [f"INVALID grid: {result}"],
-        )
-        return 1
-    family, err = _load_family(args.family, args.tol)
-    if family is None:
-        _emit_report_to_stdout(
-            args,
-            {"command": "build-meb", "ok": False, "reason": err},
-            [f"INVALID family: {err}"],
-        )
-        return 1
-    basis = qls_meb(result, family)
-    doc = serialize.basis_doc(basis.n, basis.states)
-    report = {"command": "build-meb", "ok": True, "n": basis.n, "states": basis.n**2}
-    _emit_artifact(args, doc, report, [f"built {basis.n ** 2} states of order {basis.n}"])
-    return 0
+def _cmd_build_meb(args) -> Outcome:
+    grid = serialize.grid_from_doc(serialize.load_path(args.grid))
+    qls = _require(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID grid")
+    family = _load_family(args.family, args.tol)
+    basis = qls_meb(qls, family)
+    return _built(basis, states=basis.n**2)
 
 
-def _cmd_build_lbw(args) -> int:
-    latin = _load_latin(args.latin)
-    result = validate_hadamard(_load_matrix(args.matrix), args.tol)
-    if not isinstance(result, HadamardMatrix):
-        _emit_report_to_stdout(
-            args,
-            {"command": "build-lbw", "ok": False, "reason": str(result)},
-            [f"INVALID matrix: {result}"],
-        )
-        return 1
-    basis = lbw_meb(latin, result)
-    doc = serialize.basis_doc(basis.n, basis.states)
-    report = {"command": "build-lbw", "ok": True, "n": basis.n, "states": basis.n**2}
-    _emit_artifact(args, doc, report, [f"built {basis.n ** 2} states of order {basis.n}"])
-    return 0
+def _cmd_build_lbw(args) -> Outcome:
+    latin = serialize.latin_from_doc(serialize.load_path(args.latin))
+    mat = serialize.matrix_from_doc(serialize.load_path(args.matrix))
+    hadamard = _require(validate_hadamard(mat, args.tol), HadamardMatrix, "INVALID matrix")
+    basis = lbw_meb(latin, hadamard)
+    return _built(basis, states=basis.n**2)
 
 
-def _cmd_check_mub(args) -> int:
+def _cmd_check_mub(args) -> Outcome:
     a = _load_basis(args.basis_a)
     b = _load_basis(args.basis_b)
     rep = check_mub(a, b, args.tol)
-    report = {
-        "command": "check-mub",
-        "ok": rep.passed,
+    fields = {
         "dim": rep.dim,
         "min_sq": rep.min_sq,
         "max_sq": rep.max_sq,
@@ -302,77 +240,56 @@ def _cmd_check_mub(args) -> int:
         f"mean {rep.mean_sq:.12g}, target {1.0 / rep.dim:.12g}",
         "mutually unbiased" if rep.passed else "NOT mutually unbiased",
     ]
-    _emit_report(args, report, lines)
-    return 0 if rep.passed else 1
+    return Outcome(rep.passed, fields, lines)
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> Outcome:
     if args.to_ueb:
         basis = _load_basis(args.to_ueb)
         try:
             u = meb_to_ueb(basis, args.tol)
         except ValueError as exc:
-            _emit_report_to_stdout(
-                args,
-                {"command": "dual", "ok": False, "reason": str(exc)},
-                [f"FAILED: {exc}"],
-            )
-            return 1
-        doc = serialize.matrix_list_doc(u.members)
-        report = {"command": "dual", "ok": True, "direction": "to-ueb", "n": u.n}
-        _emit_artifact(args, doc, report, [f"extracted {len(u)} unitaries of order {u.n}"])
-        return 0
-    members = _load_ueb_members(args.to_meb)
-    result = validate_ueb(members, args.tol)
-    if not isinstance(result, UnitaryErrorBasis):
-        _emit_report_to_stdout(
-            args,
-            {"command": "dual", "ok": False, "reason": str(result)},
-            [f"INVALID unitary error basis: {result}"],
+            raise Rejected(str(exc), f"FAILED: {exc}") from exc
+        return Outcome(
+            True,
+            {"direction": "to-ueb", "n": u.n},
+            [f"extracted {len(u)} unitaries of order {u.n}"],
+            serialize.matrix_list_doc(u.members),
         )
-        return 1
-    basis = ueb_to_meb(result)
-    doc = serialize.basis_doc(basis.n, basis.states)
-    report = {"command": "dual", "ok": True, "direction": "to-meb", "n": basis.n}
-    _emit_artifact(args, doc, report, [f"built {basis.n ** 2} states of order {basis.n}"])
-    return 0
+    members = serialize.matrix_list_from_doc(serialize.load_path(args.to_meb))
+    u = _require(
+        validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
+    )
+    return _built(ueb_to_meb(u), direction="to-meb")
 
 
-def _cmd_check_ueb(args) -> int:
-    members = _load_ueb_members(args.ueb)
+def _cmd_check_ueb(args) -> Outcome:
+    members = serialize.matrix_list_from_doc(serialize.load_path(args.ueb))
     result = validate_ueb(members, args.tol)
-    ok = isinstance(result, UnitaryErrorBasis)
-    report = {"command": "check-ueb", "ok": ok, "tol": args.tol}
-    if ok:
-        report["n"] = result.n
-        lines = [f"valid unitary error basis of order {result.n} ({len(result)} members)"]
-    else:
-        report.update(
-            kind=result.kind,
-            index=result.index,
-            pair=None if result.pair is None else list(result.pair),
+    fields = {"tol": args.tol}
+    if isinstance(result, UnitaryErrorBasis):
+        fields["n"] = result.n
+        return Outcome(
+            True, fields, [f"valid unitary error basis of order {result.n} ({len(result)} members)"]
         )
-        lines = [f"INVALID: {result}"]
-    _emit_report(args, report, lines)
-    return 0 if ok else 1
+    fields.update(
+        kind=result.kind,
+        index=result.index,
+        pair=None if result.pair is None else list(result.pair),
+    )
+    return Outcome(False, fields, [f"INVALID: {result}"])
 
 
-def _cmd_check_mu_ueb(args) -> int:
+def _cmd_check_mu_ueb(args) -> Outcome:
     loaded = []
     for path in (args.ueb_a, args.ueb_b):
-        result = validate_ueb(_load_ueb_members(path), args.tol)
+        members = serialize.matrix_list_from_doc(serialize.load_path(path))
+        result = validate_ueb(members, args.tol)
         if not isinstance(result, UnitaryErrorBasis):
-            _emit_report_to_stdout(
-                args,
-                {"command": "check-mu-ueb", "ok": False, "reason": f"{path}: {result}"},
-                [f"INVALID unitary error basis {path}: {result}"],
-            )
-            return 1
+            raise Rejected(f"{path}: {result}", f"INVALID unitary error basis {path}: {result}")
         loaded.append(result)
     rep = check_mu_ueb(loaded[0], loaded[1], args.tol)
-    report = {
-        "command": "check-mu-ueb",
-        "ok": rep.passed,
+    fields = {
         "dim": rep.dim,
         "min_sq": rep.min_sq,
         "max_sq": rep.max_sq,
@@ -385,27 +302,19 @@ def _cmd_check_mu_ueb(args) -> int:
     lines = [
         f"dim {rep.dim}: normalized |tr|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
         f"target {1.0 / rep.dim:.12g}",
-        f"raw |tr|^2 range [{report['raw_trace_sq_min']:.12g}, {report['raw_trace_sq_max']:.12g}]",
+        f"raw |tr|^2 range [{fields['raw_trace_sq_min']:.12g}, {fields['raw_trace_sq_max']:.12g}]",
         "mutually unbiased" if rep.passed else "NOT mutually unbiased",
     ]
-    _emit_report(args, report, lines)
-    return 0 if rep.passed else 1
+    return Outcome(rep.passed, fields, lines)
 
 
-def _cmd_monomial_obstruction(args) -> int:
-    members = _load_ueb_members(args.ueb)
-    result = validate_ueb(members, args.tol)
-    if not isinstance(result, UnitaryErrorBasis):
-        _emit_report_to_stdout(
-            args,
-            {"command": "monomial-obstruction", "ok": False, "reason": str(result)},
-            [f"INVALID unitary error basis: {result}"],
-        )
-        return 1
-    rep = monomial_obstruction(result, args.threshold, jobs=_resolve_jobs(args))
-    report = {
-        "command": "monomial-obstruction",
-        "ok": not rep.obstructed,
+def _cmd_monomial_obstruction(args) -> Outcome:
+    members = serialize.matrix_list_from_doc(serialize.load_path(args.ueb))
+    u = _require(
+        validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
+    )
+    rep = monomial_obstruction(u, args.threshold)
+    fields = {
         "mu": rep.mu,
         "normalizer_index": rep.normalizer_index,
         "worst_pair": list(rep.worst_pair),
@@ -423,11 +332,10 @@ def _cmd_monomial_obstruction(args) -> int:
             else f"no obstruction above threshold {rep.threshold:g}"
         ),
     ]
-    _emit_report(args, report, lines)
-    return 1 if rep.obstructed else 0
+    return Outcome(not rep.obstructed, fields, lines)
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args) -> Outcome:
     try:
         obj = fixture(args.name)
     except KeyError as exc:
@@ -440,47 +348,29 @@ def _cmd_fixtures(args) -> int:
         doc = serialize.vector_list_doc(np.stack(obj))
     else:
         doc = serialize.grid_doc(obj)
-    report = {"command": "fixtures", "ok": True, "name": args.name, "kind": doc["kind"]}
-    _emit_artifact(args, doc, report, [f"fixture {args.name} ({doc['kind']}) written"])
-    return 0
+    line = f"fixture {args.name} ({doc['kind']}) written"
+    return Outcome(True, {"name": args.name, "kind": doc["kind"]}, [line], doc)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> Outcome:
     if args.what == "latin":
         result = enumerate_latin(args.order)
         recount = count_latin_by_columns(args.order)
-        ok = result.count == recount
-        report = {
-            "command": "search",
-            "what": "latin",
-            "ok": ok,
-            "order": args.order,
-            "count": result.count,
-            "recount": recount,
-        }
-        lines = [
-            f"order {args.order}: {result.count} Latin squares "
-            f"(column-major recount {recount})"
-        ]
-        _emit_report(args, report, lines)
-        return 0 if ok else 1
+        return Outcome(
+            result.count == recount,
+            {"what": "latin", "order": args.order, "count": result.count, "recount": recount},
+            [f"order {args.order}: {result.count} Latin squares (column-major recount {recount})"],
+        )
     if args.what == "orth-pairs":
         pairs = find_orthogonal_pairs(args.order)
-        report = {
-            "command": "search",
-            "what": "orth-pairs",
-            "ok": True,
-            "order": args.order,
-            "count": len(pairs),
-        }
-        lines = [f"order {args.order}: {len(pairs)} ordered orthogonal pairs"]
-        _emit_report(args, report, lines)
-        return 0
+        return Outcome(
+            True,
+            {"what": "orth-pairs", "order": args.order, "count": len(pairs)},
+            [f"order {args.order}: {len(pairs)} ordered orthogonal pairs"],
+        )
     rep = cross_validate_lemma16(args.order, args.tol)
-    report = {
-        "command": "search",
+    fields = {
         "what": "lemma16",
-        "ok": rep.consistent,
         "order": rep.order,
         "pairs_checked": rep.pairs_checked,
         "positives": rep.positives,
@@ -491,24 +381,18 @@ def _cmd_search(args) -> int:
         f"{rep.positives} weakly orthogonal, "
         f"{len(rep.disagreements)} disagreements between the three routes"
     ]
-    _emit_report(args, report, lines)
-    return 0 if rep.consistent else 1
+    return Outcome(rep.consistent, fields, lines)
 
 
-def _cmd_reproduce_appendix_c(args) -> int:
+def _cmd_reproduce_appendix_c(args) -> Outcome:
     tol = args.tol
     family = constant_family(hadamard_9_corrected())
     bases = []
     for name, grid in (("P", paper_p_grid()), ("Q", paper_q_grid())):
-        result = validate_qls(grid, tol)
-        if not isinstance(result, QuantumLatinSquare):
-            _emit_report_to_stdout(
-                args,
-                {"command": "reproduce-appendix-c", "ok": False, "reason": str(result)},
-                [f"grid {name} failed validation: {result}"],
-            )
-            return 1
-        bases.append(qls_meb(result, family))
+        qls = _require(
+            validate_qls(grid, tol), QuantumLatinSquare, f"grid {name} failed validation"
+        )
+        bases.append(qls_meb(qls, family))
     a, b = bases
     orthonormal = is_orthonormal_basis(a, tol) and is_orthonormal_basis(b, tol)
     entangled = all(
@@ -516,9 +400,7 @@ def _cmd_reproduce_appendix_c(args) -> int:
     )
     rep = check_mub(a, b, tol)
     ok = orthonormal and entangled and rep.passed
-    report = {
-        "command": "reproduce-appendix-c",
-        "ok": ok,
+    fields = {
         "dim": rep.dim,
         "overlaps": rep.dim * rep.dim,
         "min_sq": rep.min_sq,
@@ -536,30 +418,10 @@ def _cmd_reproduce_appendix_c(args) -> int:
         f"max {rep.max_sq:.12g}, target {1.0 / rep.dim:.12g}",
         "PASS" if ok else "FAIL",
     ]
-    _emit_report(args, report, lines)
-    return 0 if ok else 1
+    return Outcome(ok, fields, lines)
 
 
 # ---------------------------------------------------------------- parser
-
-
-def _add_common(p: argparse.ArgumentParser, threshold: bool = False) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance")
-    if threshold:
-        p.add_argument(
-            "--threshold",
-            type=float,
-            default=OBSTRUCTION_THRESHOLD,
-            help="obstruction threshold on the commutator norm",
-        )
-    p.add_argument("--jobs", type=int, default=None, help="worker threads")
-    p.add_argument("--out", default=None, help="write the artifact or report here")
-    p.add_argument(
-        "--format",
-        choices=("text", "json-report"),
-        default="text",
-        help="report rendering",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,101 +434,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate-qls", help="row/column orthonormality of a grid")
-    p.add_argument("grid")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_validate_qls)
+    def command(name, fn, help, *positionals, tol=True, artifact=False):
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance")
+        out_help = "the artifact here; the report goes to stdout" if artifact else "the report here"
+        p.add_argument("--out", default=None, help="write " + out_help)
+        p.add_argument(
+            "--format", choices=("text", "json-report"), default="text", help="report rendering"
+        )
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("validate-hadamard", help="Hadamard axioms of a matrix")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_validate_hadamard)
-
-    p = sub.add_parser("check-weak-orth", help="weak orthogonality witness of two grids")
-    p.add_argument("grid_q")
-    p.add_argument("grid_p")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check_weak_orth)
-
-    p = sub.add_parser("check-orth", help="orthogonality of two Latin squares")
-    p.add_argument("latin_a")
-    p.add_argument("latin_b")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check_orth)
-
-    p = sub.add_parser("check-left-orth", help="orthogonality of the left conjugates")
-    p.add_argument("latin_a")
-    p.add_argument("latin_b")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check_left_orth)
-
-    p = sub.add_parser("left-conj", help="left conjugate of a Latin square")
-    p.add_argument("latin")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_left_conj)
-
-    p = sub.add_parser("build-meb", help="entangled basis from grid + Hadamard family")
-    p.add_argument("grid")
-    p.add_argument("family")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_build_meb)
-
-    p = sub.add_parser("build-lbw", help="entangled basis from Latin square + Hadamard")
-    p.add_argument("latin")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_build_lbw)
-
-    p = sub.add_parser("check-mub", help="mutual unbiasedness of two bases")
-    p.add_argument("basis_a")
-    p.add_argument("basis_b")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check_mub)
-
-    p = sub.add_parser("dual", help="convert between entangled bases and unitary error bases")
+    command("validate-qls", _cmd_validate_qls, "row/column orthonormality of a grid", "grid")
+    command("validate-hadamard", _cmd_validate_hadamard, "Hadamard axioms of a matrix", "matrix")
+    command("check-weak-orth", _cmd_check_weak_orth, "weak orthogonality witness of two grids",
+            "grid_q", "grid_p")
+    command("check-orth", _cmd_check_orth, "orthogonality of two Latin squares",
+            "latin_a", "latin_b", tol=False)
+    command("check-left-orth", _cmd_check_left_orth, "orthogonality of the left conjugates",
+            "latin_a", "latin_b", tol=False)
+    command("left-conj", _cmd_left_conj, "left conjugate of a Latin square",
+            "latin", tol=False, artifact=True)
+    command("build-meb", _cmd_build_meb, "entangled basis from grid + Hadamard family",
+            "grid", "family", artifact=True)
+    command("build-lbw", _cmd_build_lbw, "entangled basis from Latin square + Hadamard",
+            "latin", "matrix", artifact=True)
+    command("check-mub", _cmd_check_mub, "mutual unbiasedness of two bases", "basis_a", "basis_b")
+    p = command("dual", _cmd_dual, "convert between entangled bases and unitary error bases",
+                artifact=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--to-ueb", metavar="BASIS")
     group.add_argument("--to-meb", metavar="UEB")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_dual)
-
-    p = sub.add_parser("check-ueb", help="unitary error basis axioms")
-    p.add_argument("ueb")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check_ueb)
-
-    p = sub.add_parser("check-mu-ueb", help="mutual unbiasedness of two unitary error bases")
-    p.add_argument("ueb_a")
-    p.add_argument("ueb_b")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check_mu_ueb)
-
-    p = sub.add_parser(
-        "monomial-obstruction",
-        help="commutator sweep of lcm powers; exits 1 when an obstruction is found",
-    )
-    p.add_argument("ueb")
-    _add_common(p, threshold=True)
-    p.set_defaults(fn=_cmd_monomial_obstruction)
-
-    p = sub.add_parser("fixtures", help="emit a bundled reference object")
+    command("check-ueb", _cmd_check_ueb, "unitary error basis axioms", "ueb")
+    command("check-mu-ueb", _cmd_check_mu_ueb, "mutual unbiasedness of two unitary error bases",
+            "ueb_a", "ueb_b")
+    p = command("monomial-obstruction", _cmd_monomial_obstruction,
+                "commutator sweep of lcm powers; exits 1 when an obstruction is found", "ueb")
+    p.add_argument("--threshold", type=float, default=OBSTRUCTION_THRESHOLD,
+                   help="obstruction threshold on the commutator norm")
+    p = command("fixtures", _cmd_fixtures, "emit a bundled reference object",
+                tol=False, artifact=True)
     p.add_argument("action", choices=("emit",))
     p.add_argument("name", help=f"one of: {', '.join(FIXTURE_NAMES)}")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fixtures)
-
-    p = sub.add_parser("search", help="exhaustive small-order searches")
+    p = command("search", _cmd_search, "exhaustive small-order searches")
     p.add_argument("what", choices=("latin", "orth-pairs", "lemma16"))
     p.add_argument("order", type=int)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_search)
-
-    p = sub.add_parser(
-        "reproduce-appendix-c",
-        help="rebuild the bundled order-9 pair and verify all cross overlaps",
-    )
-    _add_common(p)
-    p.set_defaults(fn=_cmd_reproduce_appendix_c)
+    command("reproduce-appendix-c", _cmd_reproduce_appendix_c,
+            "rebuild the bundled order-9 pair and verify all cross overlaps")
 
     return parser
 
@@ -679,10 +496,29 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
-    except serialize.SerializeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        out = args.out
+        try:
+            outcome = args.fn(args)
+        except Rejected as exc:
+            # a rejection is reported on stdout and never written to --out
+            outcome, out = Outcome(False, {"reason": exc.reason}, [exc.line]), None
+        if outcome.artifact is not None and not out:
+            payload = serialize.dumps(outcome.artifact)  # in place of the report
+        else:
+            if outcome.artifact is not None:
+                serialize.save_path(out, outcome.artifact)
+                out = None  # the report then goes to stdout
+            report = {"command": args.command, "ok": outcome.ok, **outcome.fields}
+            if args.format == "json-report":
+                payload = serialize.dumps(report)
+            else:
+                payload = "\n".join(outcome.lines) + "\n"
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        return 0 if outcome.ok else 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,9 +47,9 @@ class HadamardViolation:
     """First failed constraint of a candidate matrix.
 
     constraint: "shape", "unimodular", "row-orthogonality" or
-    "column-orthogonality".  ``indices`` locates the offending entry (for
-    unimodularity) or the offending row/column pair; ``value`` is the measured
-    entry or inner product.
+    "column-orthogonality".  ``indices`` is the shape of a non-square or empty
+    matrix, the offending entry (for unimodularity) or the offending
+    row/column pair; ``value`` is the measured entry or inner product.
     """
 
     constraint: str
@@ -57,6 +57,9 @@ class HadamardViolation:
     value: complex
 
     def __str__(self) -> str:
+        if self.constraint == "shape":
+            rows, cols = self.indices
+            return f"matrix of shape {self.indices} is {'empty' if rows == cols else 'not square'}"
         if self.constraint == "unimodular":
             return (
                 f"entry {self.indices} has modulus {abs(self.value):.6g}, expected 1"

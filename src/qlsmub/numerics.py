@@ -131,31 +131,3 @@ def frobenius_distance(a, b) -> float:
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     return float(np.linalg.norm(x - y))
-
-
-def is_density_matrix(m, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian, unit trace, positive semidefinite (within tol).
-
-    Positivity is screened with the Gershgorin bound first; only when that
-    bound is inconclusive is a Hermitian eigenvalue call made.
-    """
-    arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        return False
-    if np.abs(arr - arr.conj().T).max() > tol:
-        return False
-    if abs(np.trace(arr) - 1.0) > tol:
-        return False
-    diag = np.real(np.diag(arr))
-    radii = np.abs(arr).sum(axis=1) - np.abs(np.diag(arr))
-    if np.min(diag - radii) >= -tol:
-        return True
-    return bool(np.linalg.eigvalsh(arr).min() >= -tol)
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary (QR of a complex Ginibre matrix)."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

@@ -11,7 +11,6 @@ label (i, j) sits at index i*n + j, matching the basis layout in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -207,28 +206,22 @@ class ObstructionReport:
     threshold: float
 
 
-def _commutator_norms(powers: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
-    out = []
-    for i, j in pairs:
-        comm = powers[i] @ powers[j] - powers[j] @ powers[i]
-        out.append(float(np.linalg.norm(comm)))
-    return out
-
-
 def monomial_obstruction(
     u: UnitaryErrorBasis,
     threshold: float = OBSTRUCTION_THRESHOLD,
     normalizer: int = 0,
-    jobs: int = 1,
 ) -> ObstructionReport:
     """Sweep all pairwise commutators of mu-th powers of the translated basis.
 
     ``normalizer`` picks the member whose inverse right-translates the basis
-    before powering.  The worst pair is selected by norm with lexicographic
-    tie-break, so the result does not depend on ``jobs``.
+    before powering.  The worst pair is selected by norm; among equal norms
+    the lexicographically first pair wins.  Order 1 has a single member and
+    no pair to sweep, so it raises ValueError.
     """
     n = u.n
     count = n * n
+    if n < 2:
+        raise ValueError(f"the obstruction sweep needs order >= 2, got order {n}")
     if not 0 <= normalizer < count:
         raise ValueError(f"normalizer index {normalizer} out of range 0..{count - 1}")
     mu = lcm_up_to(n)
@@ -238,23 +231,11 @@ def monomial_obstruction(
     for s in range(count):
         powers[s] = mat_power(translated[s], mu)
 
-    pairs = list(combinations(range(count), 2))
-    if jobs > 1 and len(pairs) > 1:
-        chunk = max(1, math.ceil(len(pairs) / (jobs * 4)))
-        chunks = [pairs[c : c + chunk] for c in range(0, len(pairs), chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            norm_chunks = list(
-                pool.map(lambda ch: _commutator_norms(powers, ch), chunks)
-            )
-        norms = [x for ch in norm_chunks for x in ch]
-    else:
-        norms = _commutator_norms(powers, pairs)
-
-    worst_pair = pairs[0]
-    worst_norm = norms[0]
-    for pair, norm in zip(pairs, norms):
-        if norm > worst_norm:
-            worst_pair, worst_norm = pair, norm
+    worst_pair, worst_norm = None, 0.0
+    for i, j in combinations(range(count), 2):
+        norm = float(np.linalg.norm(powers[i] @ powers[j] - powers[j] @ powers[i]))
+        if worst_pair is None or norm > worst_norm:
+            worst_pair, worst_norm = (i, j), norm
     i, j = worst_pair
     comm = powers[i] @ powers[j] - powers[j] @ powers[i]
     return ObstructionReport(

@@ -289,7 +289,7 @@ def _oracle_commutator_sweep(u: UnitaryErrorBasis, mu: int):
 
 def test_criterion_08_monomiality_obstruction():
     start = time.perf_counter()
-    report = monomial_obstruction(fixture_ueb(), jobs=8)
+    report = monomial_obstruction(fixture_ueb())
     elapsed = time.perf_counter() - start
 
     oracle_pair, oracle_norm, oracle_sample = _oracle_commutator_sweep(

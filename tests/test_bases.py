@@ -23,7 +23,6 @@ from qlsmub.hadamard import (
     random_hadamard,
     validate_hadamard,
 )
-from qlsmub.numerics import random_unitary
 from qlsmub.search import enumerate_latin
 from qlsmub.squares import (
     LatinSquare,
@@ -31,6 +30,8 @@ from qlsmub.squares import (
     left_conjugate,
     validate_qls,
 )
+
+from helpers import random_unitary
 
 CYCLIC2 = LatinSquare([[0, 1], [1, 0]])
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qlsmub import serialize
-from qlsmub.cli import main
+from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import constant_family, fourier
 from qlsmub.squares import (
@@ -235,6 +235,23 @@ def test_build_lbw(order3, capsys):
     code, out, _ = run(capsys, "build-lbw", order3["latin"], not_hadamard)
     assert code == 1 and "INVALID matrix" in out
 
+    not_square = write_matrix(tmp, "ns.json", np.ones((2, 3)))
+    code, out, _ = run(capsys, "build-lbw", order3["latin"], not_square)
+    assert code == 1
+    assert out == "INVALID matrix: matrix of shape (2, 3) is not square\n"
+
+    code, out, _ = run(capsys, "validate-hadamard", not_square, "--format", "json-report")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "validate-hadamard",
+        "ok": False,
+        "n": 2,
+        "tol": 1e-9,
+        "constraint": "shape",
+        "indices": [2, 3],
+        "value": [0.0, 0.0],
+    }
+
 
 # ----------------------------------------------------------------- duality
 
@@ -313,21 +330,12 @@ def test_monomial_obstruction_exit_codes(tmp_path, capsys):
     assert "no obstruction" in out
 
 
-def test_monomial_obstruction_jobs_flag_and_env(tmp_path, capsys, monkeypatch):
-    clean = shift_multiply_ueb(
-        validate_qls(computational_grid(CYCLIC3)), constant_family(fourier(3))
-    )
-    path = write_ueb(tmp_path, "clean.json", clean.members)
-
-    assert run(capsys, "monomial-obstruction", path, "--jobs", "2")[0] == 0
-
-    monkeypatch.setenv("QLSMUB_JOBS", "3")
-    assert run(capsys, "monomial-obstruction", path)[0] == 0
-
-    monkeypatch.setenv("QLSMUB_JOBS", "zebra")
-    code, _, err = run(capsys, "monomial-obstruction", path)
-    assert code == 2
-    assert "QLSMUB_JOBS" in err
+def test_monomial_obstruction_rejects_order_one(tmp_path, capsys):
+    path = write_ueb(tmp_path, "one.json", np.ones((1, 1, 1), dtype=complex))
+    assert run(capsys, "check-ueb", path)[0] == 0  # a valid basis, just too small
+    code, out, err = run(capsys, "monomial-obstruction", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "order >= 2" in err
 
 
 def test_monomial_obstruction_threshold_flag(tmp_path, capsys):
@@ -406,3 +414,95 @@ def test_usage_errors_exit_two(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# ----------------------------------------------------------------- routing
+
+# Positional arguments that parse for each command; the files need not exist.
+PARSED_ARGV = {
+    "validate-qls": ["g.json"],
+    "validate-hadamard": ["h.json"],
+    "check-weak-orth": ["q.json", "p.json"],
+    "check-orth": ["a.json", "b.json"],
+    "check-left-orth": ["a.json", "b.json"],
+    "left-conj": ["a.json"],
+    "build-meb": ["g.json", "f.json"],
+    "build-lbw": ["a.json", "h.json"],
+    "check-mub": ["a.json", "b.json"],
+    "dual": ["--to-ueb", "b.json"],
+    "check-ueb": ["u.json"],
+    "check-mu-ueb": ["u.json", "v.json"],
+    "monomial-obstruction": ["u.json"],
+    "fixtures": ["emit", "paper-P"],
+    "search": ["latin", "3"],
+    "reproduce-appendix-c": [],
+}
+WITHOUT_TOL = ("check-orth", "check-left-orth", "left-conj", "fixtures")
+# The commutator sweep's thread count, removed with its thread pool.
+REMOVED_OPTION = "--jobs"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-report"])
+@pytest.mark.parametrize(
+    "command, label",
+    [
+        ("build-meb", "INVALID grid"),
+        ("build-lbw", "INVALID matrix"),
+        ("dual", "INVALID unitary error basis"),
+    ],
+)
+def test_rejected_artifact_reports_on_stdout_and_writes_no_file(
+    order3, capsys, command, label, fmt
+):
+    tmp = order3["dir"]
+    if command == "build-meb":
+        argv = [write_grid(tmp, "pp.json", fixture("paper-P-printed")), order3["family"]]
+    elif command == "build-lbw":
+        argv = [order3["latin"], write_matrix(tmp, "nh.json", np.eye(3))]
+    else:
+        short = np.stack([np.eye(2, dtype=complex)] * 3)
+        argv = ["--to-meb", write_ueb(tmp, "short.json", short)]
+    out_path = tmp / "artifact.json"
+    code, out, _ = run(capsys, command, *argv, "--out", str(out_path), "--format", fmt)
+    assert code == 1
+    assert not out_path.exists()
+    if fmt == "text":
+        assert out.startswith(label + ": ") and out.count("\n") == 1
+    else:
+        doc = json.loads(out)
+        assert set(doc) == {"command", "ok", "reason"}
+        assert doc["command"] == command and doc["ok"] is False
+        assert out == serialize.dumps(doc)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-report"])
+@pytest.mark.parametrize("second, code", [(TWISTED3, 0), (CYCLIC3, 1)])
+def test_report_goes_to_out_and_nothing_to_stdout(tmp_path, capsys, second, code, fmt):
+    a = write_latin(tmp_path, "a.json", CYCLIC3)
+    b = write_latin(tmp_path, "b.json", second)
+    out_path = tmp_path / "report.txt"
+    result = run(capsys, "check-orth", a, b, "--out", str(out_path), "--format", fmt)
+    assert result == (code, "", "")
+    if fmt == "text":
+        expected = "orthogonal\n" if code == 0 else "NOT orthogonal: repeated ordered symbol pair\n"
+    else:
+        expected = serialize.dumps({"command": "check-orth", "ok": code == 0, "n": 3})
+    assert out_path.read_text() == expected
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_ARGV))
+def test_thread_count_option_is_gone(capsys, command):
+    code, out, err = run(capsys, command, *PARSED_ARGV[command], REMOVED_OPTION, "2")
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {REMOVED_OPTION} 2" in err
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_ARGV))
+def test_tol_only_where_a_command_reads_it(capsys, command):
+    argv = [command, *PARSED_ARGV[command], "--tol", "0.5"]
+    if command in WITHOUT_TOL:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tol 0.5" in err
+    else:
+        assert build_parser().parse_args(argv).tol == 0.5

@@ -47,6 +47,18 @@ def test_validate_rejects_non_unimodular():
     assert v.indices == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [((2, 3), "matrix of shape (2, 3) is not square"), ((0, 0), "matrix of shape (0, 0) is empty")],
+)
+def test_validate_rejects_bad_shape(shape, message):
+    v = validate_hadamard(np.ones(shape))
+    assert isinstance(v, HadamardViolation)
+    assert v.constraint == "shape"
+    assert v.indices == shape
+    assert str(v) == message
+
+
 def test_validate_rejects_printed_nine():
     v = validate_hadamard(hadamard_9_printed())
     assert isinstance(v, HadamardViolation)

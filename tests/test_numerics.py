@@ -7,15 +7,15 @@ from qlsmub.numerics import (
     as_complex_matrix,
     density_of,
     frobenius_distance,
-    is_density_matrix,
     is_monomial,
     is_permutation_matrix,
     kron,
     lcm_up_to,
     mat_power,
     partial_trace_second,
-    random_unitary,
 )
+
+from helpers import random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -148,14 +148,6 @@ def test_frobenius_distance():
     assert_allclose(frobenius_distance(np.eye(2), X), 2.0)
     with pytest.raises(ValueError):
         frobenius_distance(np.eye(2), np.eye(3))
-
-
-def test_is_density_matrix():
-    assert is_density_matrix(np.eye(2) / 2)
-    assert is_density_matrix(density_of(bell()))
-    assert not is_density_matrix(np.eye(2))  # trace 2
-    assert not is_density_matrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
-    assert not is_density_matrix(np.diag([1.5, -0.5]).astype(complex))  # negative
 
 
 def test_as_complex_matrix_rejects_non_finite():

@@ -220,15 +220,6 @@ def test_obstruction_detects_fixture_basis():
     )
 
 
-def test_obstruction_jobs_do_not_change_the_report():
-    u = fixture_ueb()
-    seq = monomial_obstruction(u, jobs=1)
-    par = monomial_obstruction(u, jobs=8)
-    assert seq.worst_pair == par.worst_pair
-    assert seq.worst_norm == par.worst_norm
-    assert seq.sample_entry == par.sample_entry
-
-
 def test_obstruction_normalizer_choices_stay_clean_on_monomial_bases():
     u = pauli_basis()
     for idx in range(4):
@@ -240,6 +231,13 @@ def test_obstruction_normalizer_out_of_range():
         monomial_obstruction(pauli_basis(), normalizer=4)
     with pytest.raises(ValueError):
         monomial_obstruction(pauli_basis(), normalizer=-1)
+
+
+def test_obstruction_needs_order_two():
+    order_one = validate_ueb(np.ones((1, 1, 1), dtype=complex))
+    assert isinstance(order_one, UnitaryErrorBasis)
+    with pytest.raises(ValueError, match="order >= 2"):
+        monomial_obstruction(order_one)
 
 
 def test_obstruction_threshold_is_respected():
