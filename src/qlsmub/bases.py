@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hadamard import HadamardFamily, HadamardMatrix
-from .numerics import DEFAULT_TOL, as_state_vector, density_of, partial_trace_second
+from .numerics import DEFAULT_TOL, as_state_vector, first_gram_defect
 from .squares import LatinSquare, QuantumLatinSquare
 
 
@@ -128,19 +128,20 @@ def lbw_meb(latin: LatinSquare, h: HadamardMatrix) -> BipartiteBasis:
     return BipartiteBasis(n, states)
 
 
-def _split_dim(s: np.ndarray) -> int:
+def _reduced_residual(state) -> tuple[int, np.ndarray, float]:
+    # For M = s.reshape(n, n), M[k, p] = s[k*n + p], tracing out the second
+    # factor leaves M M*; returns n, M and the Frobenius distance to I/n.
+    s = as_state_vector(state)
     n = math.isqrt(s.size)
     if n * n != s.size:
         raise ValueError(f"state dimension {s.size} is not a perfect square")
-    return n
+    m = s.reshape(n, n)
+    return n, m, float(np.linalg.norm(m @ m.conj().T - np.eye(n) / n))
 
 
 def is_maximally_entangled(state, tol: float = DEFAULT_TOL) -> bool:
     """True iff tracing out the second factor leaves I/n (Frobenius norm, tol)."""
-    s = as_state_vector(state)
-    n = _split_dim(s)
-    reduced = partial_trace_second(density_of(s), n)
-    return bool(np.linalg.norm(reduced - np.eye(n) / n) <= tol)
+    return _reduced_residual(state)[2] <= tol
 
 
 def extract_unitary(state, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -149,17 +150,13 @@ def extract_unitary(state, tol: float = DEFAULT_TOL) -> np.ndarray:
     Concretely U[p, k] = sqrt(n) * s[k*n + p].  Raises ValueError when the
     state is not maximally entangled, naming the partial-trace residual.
     """
-    s = as_state_vector(state)
-    n = _split_dim(s)
-    residual = float(
-        np.linalg.norm(partial_trace_second(density_of(s), n) - np.eye(n) / n)
-    )
+    n, m, residual = _reduced_residual(state)
     if residual > tol:
         raise ValueError(
             f"state is not maximally entangled: partial-trace residual "
             f"{residual:.3e} exceeds tol {tol:.3e}"
         )
-    return math.sqrt(n) * s.reshape(n, n).T
+    return math.sqrt(n) * m.T
 
 
 def is_orthonormal_basis(basis, tol: float = DEFAULT_TOL) -> bool:
@@ -168,8 +165,7 @@ def is_orthonormal_basis(basis, tol: float = DEFAULT_TOL) -> bool:
     count, dim = states.shape
     if count != dim:
         return False
-    gram = states.conj() @ states.T
-    return bool(np.abs(gram - np.eye(count)).max() <= tol)
+    return first_gram_defect(states.conj() @ states.T, 1.0, tol) is None
 
 
 def check_mub(a, b, tol: float = DEFAULT_TOL) -> MubReport:

@@ -340,11 +340,11 @@ def _cmd_fixtures(args) -> Outcome:
         obj = fixture(args.name)
     except KeyError as exc:
         raise serialize.SerializeError(exc.args[0]) from exc
-    if args.name in ("hadamard-9-corrected",):
+    if isinstance(obj, HadamardMatrix):
         doc = serialize.matrix_doc(obj.mat)
-    elif args.name in ("hadamard-9-printed",):
+    elif isinstance(obj, np.ndarray):
         doc = serialize.matrix_doc(obj)
-    elif args.name.endswith("-triple"):
+    elif isinstance(obj, tuple):
         doc = serialize.vector_list_doc(np.stack(obj))
     else:
         doc = serialize.grid_doc(obj)

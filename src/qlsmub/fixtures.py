@@ -25,19 +25,6 @@ from .hadamard import HadamardMatrix, fourier, tensor_hadamard
 from .numerics import kron
 from .squares import VectorGrid
 
-FIXTURE_NAMES = (
-    "paper-P",
-    "paper-Q",
-    "paper-P-printed",
-    "paper-Q-printed",
-    "block-square",
-    "corrected-triple",
-    "printed-triple",
-    "fourier-triple",
-    "hadamard-9-corrected",
-    "hadamard-9-printed",
-)
-
 # Symbol tables for the three grids.  Digits are computational basis vectors;
 # a, b, c name the span{3,4,5} triple and A, B, C the span{0,1,2} one.
 _P_SYMBOLS = [
@@ -173,6 +160,22 @@ def hadamard_9_printed() -> np.ndarray:
     return mat
 
 
+_BUILDERS = {
+    "paper-P": paper_p_grid,
+    "paper-Q": paper_q_grid,
+    "paper-P-printed": lambda: paper_p_grid(printed_triple()),
+    "paper-Q-printed": lambda: paper_q_grid(printed_triple()),
+    "block-square": block_square_grid,
+    "corrected-triple": corrected_triple,
+    "printed-triple": printed_triple,
+    "fourier-triple": fourier_triple,
+    "hadamard-9-corrected": hadamard_9_corrected,
+    "hadamard-9-printed": hadamard_9_printed,
+}
+
+FIXTURE_NAMES = tuple(_BUILDERS)
+
+
 def fixture(name: str):
     """Return the catalog object for ``name``.
 
@@ -180,26 +183,6 @@ def fixture(name: str):
     the corrected Hadamard as :class:`HadamardMatrix`, and the printed
     Hadamard as a plain array (it does not validate).
     """
-    if name == "paper-P":
-        return paper_p_grid()
-    if name == "paper-Q":
-        return paper_q_grid()
-    if name == "paper-P-printed":
-        return paper_p_grid(printed_triple())
-    if name == "paper-Q-printed":
-        return paper_q_grid(printed_triple())
-    if name == "block-square":
-        return block_square_grid()
-    if name == "corrected-triple":
-        return corrected_triple()
-    if name == "printed-triple":
-        return printed_triple()
-    if name == "fourier-triple":
-        return fourier_triple()
-    if name == "hadamard-9-corrected":
-        return hadamard_9_corrected()
-    if name == "hadamard-9-printed":
-        return hadamard_9_printed()
-    raise KeyError(
-        f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
-    )
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    return _BUILDERS[name]()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, as_complex_matrix, kron
+from .numerics import DEFAULT_TOL, as_complex_matrix, first_gram_defect, kron
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,12 +49,14 @@ class HadamardViolation:
     constraint: "shape", "unimodular", "row-orthogonality" or
     "column-orthogonality".  ``indices`` is the shape of a non-square or empty
     matrix, the offending entry (for unimodularity) or the offending
-    row/column pair; ``value`` is the measured entry or inner product.
+    row/column pair; ``value`` is the measured entry or inner product, and
+    ``off_by`` its distance from n I for the two orthogonality constraints.
     """
 
     constraint: str
     indices: tuple[int, int]
     value: complex
+    off_by: float = 0.0
 
     def __str__(self) -> str:
         if self.constraint == "shape":
@@ -67,17 +69,8 @@ class HadamardViolation:
         kind = "rows" if self.constraint == "row-orthogonality" else "columns"
         return (
             f"{kind} {self.indices} have Gram entry {self.value:.6g}, "
-            "expected n on the diagonal and 0 off it"
+            f"expected n on the diagonal and 0 off it (off by {self.off_by:.3e})"
         )
-
-
-def _first_gram_defect(g: np.ndarray, n: int, tol: float):
-    # Returns the first (i, j) where G differs from n*I, scanning row-major.
-    defect = np.abs(g - n * np.eye(n)) > tol
-    if not defect.any():
-        return None
-    flat = int(np.argmax(defect))
-    return divmod(flat, n)
 
 
 def validate_hadamard(m, tol: float = DEFAULT_TOL):
@@ -98,19 +91,15 @@ def validate_hadamard(m, tol: float = DEFAULT_TOL):
         i, j = divmod(flat, n)
         return HadamardViolation("unimodular", (i, j), complex(arr[i, j]))
 
-    rows = _first_gram_defect(arr @ arr.conj().T, n, tol)
-    if rows is not None:
-        i, j = rows
-        return HadamardViolation(
-            "row-orthogonality", (i, j), complex((arr @ arr.conj().T)[i, j])
-        )
-
-    cols = _first_gram_defect(arr.conj().T @ arr, n, tol)
-    if cols is not None:
-        i, j = cols
-        return HadamardViolation(
-            "column-orthogonality", (i, j), complex((arr.conj().T @ arr)[i, j])
-        )
+    for constraint, gram in (
+        ("row-orthogonality", arr @ arr.conj().T),
+        ("column-orthogonality", arr.conj().T @ arr),
+    ):
+        hit = first_gram_defect(gram, n, tol)
+        if hit is not None:
+            i, j = hit
+            off_by = float(abs(gram[i, j] - (n if i == j else 0)))
+            return HadamardViolation(constraint, hit, complex(gram[i, j]), off_by)
 
     return HadamardMatrix(arr, tol)
 

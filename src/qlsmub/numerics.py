@@ -47,28 +47,18 @@ def kron(a, b) -> np.ndarray:
     )
 
 
-def density_of(state) -> np.ndarray:
-    """Rank-one projector |s><s| of a state vector."""
-    s = as_state_vector(state)
-    return np.outer(s, s.conj())
+def first_gram_defect(grams, scale: float, tol: float):
+    """First index where a Gram matrix, or a stack of them, leaves ``scale * I``.
 
-
-def partial_trace_second(rho, n: int) -> np.ndarray:
-    """Trace out the second factor of a C^n (x) C^n density matrix.
-
-    ``rho`` must be (n^2, n^2) with the composite index k*n + p, k labelling
-    the first factor.  Returns the reduced (n, n) matrix; the trace is
-    preserved.
+    Scans in row-major order (stack index first) and returns the index tuple
+    of the first entry more than ``tol`` away, or None.  NaN counts as a defect.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    arr = as_complex_matrix(rho)
-    d = n * n
-    if arr.shape != (d, d):
-        raise ValueError(
-            f"density matrix shape {arr.shape} does not match n^2 = {d} for n = {n}"
-        )
-    return np.einsum("kplp->kl", arr.reshape(n, n, n, n))
+    grams = np.asarray(grams)
+    n = grams.shape[-1]
+    defect = ~(np.abs(grams - scale * np.eye(n)) <= tol)
+    if not defect.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(defect), defect.shape))
 
 
 def mat_power(u, e: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, first_gram_defect
 
 
 class VectorGrid:
@@ -56,12 +56,10 @@ class LatinSquare:
             raise ValueError(f"expected a square table, got shape {arr.shape}")
         n = arr.shape[0]
         target = np.arange(n)
-        for r in range(n):
-            if not np.array_equal(np.sort(arr[r]), target):
-                raise ValueError(f"row {r} is not a permutation of 0..{n - 1}")
-        for c in range(n):
-            if not np.array_equal(np.sort(arr[:, c]), target):
-                raise ValueError(f"column {c} is not a permutation of 0..{n - 1}")
+        for line, lines in (("row", arr), ("column", arr.T)):
+            bad = np.flatnonzero((np.sort(lines, axis=1) != target).any(axis=1))
+            if bad.size:
+                raise ValueError(f"{line} {bad[0]} is not a permutation of 0..{n - 1}")
         arr = arr.copy()
         arr.setflags(write=False)
         self.cells = arr
@@ -126,21 +124,9 @@ class GridViolation:
         expected = 1.0 if u == v else 0.0
         return (
             f"{self.line} {self.index} is not orthonormal: "
-            f"<v{u}|v{v}> = {self.value:.6g}, expected {expected}"
+            f"<v{u}|v{v}> = {self.value:.6g}, expected {expected} "
+            f"(off by {abs(self.value - expected):.3e})"
         )
-
-
-def _first_line_defect(vectors: np.ndarray, tol: float):
-    # vectors: (n, n) stack of one line's entries.  Returns the first (u, v)
-    # in row-major order where the Gram matrix leaves the identity.
-    n = vectors.shape[0]
-    gram = vectors.conj() @ vectors.T
-    defect = np.abs(gram - np.eye(n)) > tol
-    if not defect.any():
-        return None
-    flat = int(np.argmax(defect))
-    u, v = divmod(flat, n)
-    return (u, v), complex(gram[u, v])
 
 
 def validate_qls(grid: VectorGrid, tol: float = DEFAULT_TOL):
@@ -150,15 +136,12 @@ def validate_qls(grid: VectorGrid, tol: float = DEFAULT_TOL):
     :class:`GridViolation` for the first defect (rows 0..n-1 scanned first,
     then columns).
     """
-    n = grid.n
-    for r in range(n):
-        hit = _first_line_defect(grid.array[r], tol)
+    for line, lines in (("row", grid.array), ("column", grid.array.transpose(1, 0, 2))):
+        # grams[i, u, v] = <v_u|v_v> over the entries of line i
+        grams = lines.conj() @ lines.transpose(0, 2, 1)
+        hit = first_gram_defect(grams, 1.0, tol)
         if hit is not None:
-            return GridViolation("row", r, hit[0], hit[1])
-    for c in range(n):
-        hit = _first_line_defect(grid.array[:, c], tol)
-        if hit is not None:
-            return GridViolation("column", c, hit[0], hit[1])
+            return GridViolation(line, hit[0], hit[1:], complex(grams[hit]))
     return QuantumLatinSquare(grid, tol)
 
 

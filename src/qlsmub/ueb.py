@@ -18,7 +18,13 @@ import numpy as np
 
 from .bases import BipartiteBasis, MubReport, extract_unitary
 from .hadamard import HadamardFamily
-from .numerics import DEFAULT_TOL, OBSTRUCTION_THRESHOLD, lcm_up_to, mat_power
+from .numerics import (
+    DEFAULT_TOL,
+    OBSTRUCTION_THRESHOLD,
+    first_gram_defect,
+    lcm_up_to,
+    mat_power,
+)
 from .squares import QuantumLatinSquare
 
 
@@ -54,13 +60,14 @@ class UebViolation:
 
     kind: "count" (not n^2 square matrices of one size), "non-unitary"
     (member ``index``), or "trace-orthogonality" (member pair ``pair`` whose
-    trace inner product ``value`` is off).
+    trace inner product ``value`` is ``off_by`` away from n I).
     """
 
     kind: str
     index: int | None = None
     pair: tuple[int, int] | None = None
     value: complex | None = None
+    off_by: float | None = None
 
     def __str__(self) -> str:
         if self.kind == "count":
@@ -71,7 +78,7 @@ class UebViolation:
             )
         return (
             f"members {self.pair}: tr(U*V) = {self.value:.6g}, "
-            "expected n on the diagonal and 0 off it"
+            f"expected n on the diagonal and 0 off it (off by {self.off_by:.3e})"
         )
 
 
@@ -95,19 +102,22 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
     if not np.isfinite(arr).all():
         return UebViolation("count")
 
-    eye = np.eye(n)
-    for idx in range(n * n):
-        defect = np.abs(arr[idx].conj().T @ arr[idx] - eye).max()
-        if defect > tol:
-            return UebViolation("non-unitary", index=idx, value=complex(defect))
+    products = arr.conj().transpose(0, 2, 1) @ arr  # U*U for every member
+    hit = first_gram_defect(products, 1.0, tol)
+    if hit is not None:
+        idx = hit[0]
+        defect = np.abs(products[idx] - np.eye(n)).max()
+        return UebViolation("non-unitary", index=idx, value=complex(defect))
 
     # Gram of the trace inner product, built in one contraction.
     gram = np.einsum("iab,jab->ij", arr.conj(), arr)
-    defect = np.abs(gram - n * np.eye(n * n)) > tol
-    if defect.any():
-        flat = int(np.argmax(defect))
-        i, j = divmod(flat, n * n)
-        return UebViolation("trace-orthogonality", pair=(i, j), value=complex(gram[i, j]))
+    hit = first_gram_defect(gram, n, tol)
+    if hit is not None:
+        i, j = hit
+        off_by = float(abs(gram[i, j] - (n if i == j else 0)))
+        return UebViolation(
+            "trace-orthogonality", pair=hit, value=complex(gram[i, j]), off_by=off_by
+        )
 
     return UnitaryErrorBasis(n, arr)
 

@@ -179,6 +179,52 @@ def test_extract_unitary_rejects_product_state():
         extract_unitary(product)
 
 
+def test_bell_state_reduces_to_maximally_mixed():
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1 / np.sqrt(2)
+    assert is_maximally_entangled(bell, tol=1e-15)
+    assert_allclose(extract_unitary(bell, tol=1e-15), np.eye(2), atol=1e-15)
+
+
+def test_product_state_residual_is_that_of_a_pure_reduced_state():
+    # |0>|0> reduces to |0><0|, at Frobenius distance sqrt(1/2) from I/2
+    product = np.zeros(4, dtype=complex)
+    product[0] = 1.0
+    assert not is_maximally_entangled(product, tol=0.707)
+    assert is_maximally_entangled(product, tol=0.708)
+    with pytest.raises(ValueError, match="residual 7.071e-01"):
+        extract_unitary(product)
+
+
+def test_reduced_state_keeps_the_schmidt_weights():
+    # sum_k sqrt(w_k) A|k> (x) B|k> reduces to A diag(w) A*, whose trace is 1
+    # and whose distance from I/n is |w - 1/n|
+    rng = np.random.default_rng(1)
+    n = 3
+    w = rng.random(n)
+    w /= w.sum()
+    a, b = random_unitary(n, rng), random_unitary(n, rng)
+    state = sum(np.sqrt(w[k]) * np.kron(a[:, k], b[:, k]) for k in range(n))
+    residual = np.linalg.norm(w - 1 / n)
+    assert is_maximally_entangled(state, tol=residual + 1e-12)
+    assert not is_maximally_entangled(state, tol=residual - 1e-12)
+
+
+def test_extract_unitary_rejects_non_square_dimension():
+    with pytest.raises(ValueError, match="not a perfect square"):
+        extract_unitary(np.ones(6) / np.sqrt(6))
+
+
+def test_spread_unitary_state_is_maximally_entangled_at_order_five():
+    # (1/sqrt(n)) sum_k |k> (x) U|k> always reduces to I/n
+    rng = np.random.default_rng(2)
+    n = 5
+    u = random_unitary(n, rng)
+    state = (u.T / np.sqrt(n)).reshape(-1)
+    assert is_maximally_entangled(state, tol=1e-12)
+    assert_allclose(extract_unitary(state, tol=1e-12), u, atol=1e-12)
+
+
 # ------------------------------------------------------------ orthonormality
 
 

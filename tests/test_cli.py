@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qlsmub import serialize
+from qlsmub.bases import qls_meb
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import constant_family, fourier
 from qlsmub.squares import (
     LatinSquare,
+    VectorGrid,
     computational_grid,
     left_conjugate,
     validate_qls,
@@ -108,6 +110,34 @@ def test_validate_hadamard(tmp_path, capsys):
     code, out, _ = run(capsys, "validate-hadamard", bad)
     assert code == 1
     assert "row-orthogonality" in out and "(3, 4)" in out
+
+
+def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
+    # every defect is 2e-8, which the six-digit value alone would hide
+    eps = 2e-8
+    arr = computational_grid(CYCLIC3).array.copy()
+    arr[1, 2] *= np.sqrt(1 + eps)
+    grid = write_grid(tmp_path, "g.json", VectorGrid(arr))
+    code, out, _ = run(capsys, "validate-qls", grid, "--tol", "1e-30")
+    assert (code, out) == (
+        1,
+        "INVALID: row 1 is not orthonormal: <v2|v2> = 1+0j, expected 1.0 (off by 2.000e-08)\n",
+    )
+    code, out, _ = run(capsys, "validate-qls", grid, "--tol", "1e-30", "--format", "json-report")
+    assert code == 1 and "off by" not in out
+    assert set(json.loads(out)) == {"command", "ok", "n", "tol", "line", "index", "pair", "value"}
+
+    mat = fourier(3).mat.copy()
+    mat[0, 1] *= np.exp(1j * eps)
+    code, out, _ = run(capsys, "validate-hadamard", write_matrix(tmp_path, "h.json", mat))
+    assert code == 1 and out.startswith("INVALID: row-orthogonality violated: rows (0, 1)")
+    assert out.endswith("expected n on the diagonal and 0 off it (off by 2.000e-08)\n")
+
+    x, z = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+    pauli = np.stack([np.diag([np.exp(1j * eps), 1]), x, z, x @ z])
+    code, out, _ = run(capsys, "check-ueb", write_ueb(tmp_path, "u.json", pauli))
+    assert code == 1 and out.startswith("INVALID: members (0, 2): tr(U*V) = ")
+    assert out.endswith("(off by 2.000e-08)\n")
 
 
 def test_check_weak_orth(tmp_path, capsys):
@@ -488,6 +518,46 @@ def test_report_goes_to_out_and_nothing_to_stdout(tmp_path, capsys, second, code
     else:
         expected = serialize.dumps({"command": "check-orth", "ok": code == 0, "n": 3})
     assert out_path.read_text() == expected
+
+
+def files_of_order(tmp_path, n):
+    """One well-formed input file of each kind, all of order n."""
+    latin = LatinSquare([[(r + c) % n for c in range(n)] for r in range(n)])
+    f = fourier(n)
+    qls, family = validate_qls(computational_grid(latin)), constant_family(f)
+    basis = str(tmp_path / f"basis{n}.json")
+    serialize.save_path(basis, serialize.basis_doc(n, qls_meb(qls, family).states))
+    return {
+        "grid": write_grid(tmp_path, f"grid{n}.json", qls.grid),
+        "family": write_family(tmp_path, f"family{n}.json", [f.mat] * n),
+        "latin": write_latin(tmp_path, f"latin{n}.json", latin),
+        "matrix": write_matrix(tmp_path, f"matrix{n}.json", f.mat),
+        "basis": basis,
+        "ueb": write_ueb(tmp_path, f"ueb{n}.json", shift_multiply_ueb(qls, family).members),
+    }
+
+
+# The two input kinds of every command that reads two objects of one order.
+PAIRED_INPUTS = {
+    "build-meb": ("grid", "family"),
+    "build-lbw": ("latin", "matrix"),
+    "check-mub": ("basis", "basis"),
+    "check-mu-ueb": ("ueb", "ueb"),
+    "check-weak-orth": ("grid", "grid"),
+    "check-orth": ("latin", "latin"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-report"])
+@pytest.mark.parametrize("command", sorted(PAIRED_INPUTS))
+def test_order_mismatch_of_two_valid_inputs_exits_two(tmp_path, capsys, command, fmt):
+    first, second = PAIRED_INPUTS[command]
+    order3, order2 = files_of_order(tmp_path, 3), files_of_order(tmp_path, 2)
+    # the same files at one order parse and reach a verdict
+    assert run(capsys, command, order3[first], order3[second])[0] in (0, 1)
+    code, out, err = run(capsys, command, order3[first], order2[second], "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "mismatch" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", sorted(PARSED_ARGV))

@@ -5,26 +5,19 @@ from numpy.testing import assert_allclose
 from qlsmub.numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
-    density_of,
+    first_gram_defect,
     frobenius_distance,
     is_monomial,
     is_permutation_matrix,
     kron,
     lcm_up_to,
     mat_power,
-    partial_trace_second,
 )
 
 from helpers import random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def bell() -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1 / np.sqrt(2)
-    return v
 
 
 def test_kron_identities():
@@ -40,38 +33,27 @@ def test_kron_associative():
     assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
-def test_partial_trace_bell_is_maximally_mixed():
-    assert_allclose(partial_trace_second(density_of(bell()), 2), np.eye(2) / 2)
+def test_gram_defect_scan_of_one_matrix():
+    gram = 2 * np.eye(3, dtype=complex)
+    assert first_gram_defect(gram, 2, 1e-9) is None
+    gram[2, 1] = 1e-6
+    gram[1, 1] = 2 + 1e-6
+    assert first_gram_defect(gram, 2, 1e-9) == (1, 1)
+    assert first_gram_defect(gram, 2, 1e-3) is None
 
 
-def test_partial_trace_product_state():
-    v = np.zeros(4, dtype=complex)
-    v[0] = 1.0  # |0>|0>
-    expected = np.zeros((2, 2))
-    expected[0, 0] = 1.0
-    assert_allclose(partial_trace_second(density_of(v), 2), expected)
+def test_gram_defect_scan_of_a_stack_returns_the_earlier_matrix():
+    grams = np.stack([np.eye(3, dtype=complex)] * 4)
+    grams[3, 0, 0] = 0.5
+    grams[1, 2, 0] = 1e-6
+    assert first_gram_defect(grams, 1.0, 1e-9) == (1, 2, 0)
+    assert all(type(i) is int for i in first_gram_defect(grams, 1.0, 1e-9))
 
 
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(1)
-    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    psi /= np.linalg.norm(psi)
-    reduced = partial_trace_second(density_of(psi), 3)
-    assert abs(np.trace(reduced) - 1.0) < 1e-12
-
-
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(ValueError):
-        partial_trace_second(np.eye(6), 2)
-
-
-def test_partial_trace_of_spread_unitary_state():
-    # (1/sqrt(n)) sum_k |k>(x)U|k> always reduces to I/n
-    rng = np.random.default_rng(2)
-    n = 5
-    u = random_unitary(n, rng)
-    state = (u.T / np.sqrt(n)).reshape(-1)
-    assert_allclose(partial_trace_second(density_of(state), n), np.eye(n) / n, atol=1e-12)
+def test_gram_defect_scan_counts_nan_as_a_defect():
+    gram = np.eye(2, dtype=complex)
+    gram[0, 1] = np.nan
+    assert first_gram_defect(gram, 1.0, 1e-9) == (0, 1)
 
 
 def test_mat_power_small_cases():
