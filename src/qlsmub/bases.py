@@ -47,18 +47,36 @@ class BipartiteBasis:
 class MubReport:
     """Summary of the squared overlaps between two bases.
 
-    ``passed`` is True when every squared overlap is within tol of 1/dim.
-    ``trace_sq`` is filled by the unitary-basis check with the raw squared
-    trace moduli before normalization; it is None here.
+    ``max_dev`` is the largest distance of a squared overlap from ``target``
+    (1/dim); the report passes when it is within ``tol``.
     """
 
     dim: int
     min_sq: float
     max_sq: float
     mean_sq: float
-    passed: bool
+    target: float
+    max_dev: float
     tol: float
-    trace_sq: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, sq: np.ndarray, dim: int, tol: float, **extra) -> MubReport:
+        """The report on the squared overlaps ``sq`` of two bases of dimension dim."""
+        target = 1.0 / dim
+        return cls(
+            dim=dim,
+            min_sq=float(sq.min()),
+            max_sq=float(sq.max()),
+            mean_sq=float(sq.mean()),
+            target=target,
+            max_dev=float(np.abs(sq - target).max()),
+            tol=tol,
+            **extra,
+        )
+
+    @property
+    def passed(self) -> bool:
+        return self.max_dev <= self.tol
 
 
 @dataclass(frozen=True)
@@ -176,17 +194,7 @@ def check_mub(a, b, tol: float = DEFAULT_TOL) -> MubReport:
     sa, sb = _states_of(a), _states_of(b)
     if sa.shape[1] != sb.shape[1]:
         raise ValueError(f"dimension mismatch: {sa.shape[1]} vs {sb.shape[1]}")
-    dim = sa.shape[1]
-    sq = np.abs(sa.conj() @ sb.T) ** 2
-    passed = bool(np.abs(sq - 1.0 / dim).max() <= tol)
-    return MubReport(
-        dim=dim,
-        min_sq=float(sq.min()),
-        max_sq=float(sq.max()),
-        mean_sq=float(sq.mean()),
-        passed=passed,
-        tol=tol,
-    )
+    return MubReport.of(np.abs(sa.conj() @ sb.T) ** 2, sa.shape[1], tol)
 
 
 def bases_match_up_to_phase(a, b, tol: float = DEFAULT_TOL) -> PhaseMatch:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,8 +97,23 @@ def _require(result, kind: type, label: str):
     return result
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _fields(record) -> dict:
+    """A check record's dataclass fields as report fields: complex numbers
+    become [re, im], tuples and arrays become lists."""
+    report = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, complex):
+            value = [float(value.real), float(value.imag)]
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = np.asarray(value).tolist()
+        report[f.name] = value
+    return report
+
+
+def _violation(prefix: str, record, inputs: dict) -> Outcome:
+    """A failed check: the record's fields join the report, its message the text."""
+    return Outcome(False, {**inputs, **_fields(record)}, [f"{prefix}: {record}"])
 
 
 def _load_basis(path: str) -> BipartiteBasis:
@@ -121,10 +136,10 @@ def _load_family(path: str, tol: float):
         raise Rejected(str(exc), f"INVALID family: {exc}") from exc
 
 
-def _built(basis: BipartiteBasis, **fields) -> Outcome:
+def _built(basis: BipartiteBasis, **inputs) -> Outcome:
     doc = serialize.basis_doc(basis.n, basis.states)
     line = f"built {basis.n ** 2} states of order {basis.n}"
-    return Outcome(True, {**fields, "n": basis.n}, [line], doc)
+    return Outcome(True, {**inputs, "n": basis.n}, [line], doc)
 
 
 # ---------------------------------------------------------------- commands
@@ -133,56 +148,33 @@ def _built(basis: BipartiteBasis, **fields) -> Outcome:
 def _cmd_validate_qls(args) -> Outcome:
     grid = serialize.grid_from_doc(serialize.load_path(args.grid))
     result = validate_qls(grid, args.tol)
-    fields = {"n": grid.n, "tol": args.tol}
-    if isinstance(result, QuantumLatinSquare):
-        return Outcome(
-            True, fields, [f"valid quantum Latin square of order {grid.n} (tol {args.tol:g})"]
-        )
-    fields.update(
-        line=result.line,
-        index=result.index,
-        pair=list(result.pair),
-        value=_complex_pair(result.value),
-    )
-    return Outcome(False, fields, [f"INVALID: {result}"])
+    inputs = {"n": grid.n, "tol": args.tol}
+    if not isinstance(result, QuantumLatinSquare):
+        return _violation("INVALID", result, inputs)
+    line = f"valid quantum Latin square of order {grid.n} (tol {args.tol:g})"
+    return Outcome(True, inputs, [line])
 
 
 def _cmd_validate_hadamard(args) -> Outcome:
     mat = serialize.matrix_from_doc(serialize.load_path(args.matrix))
     result = validate_hadamard(mat, args.tol)
-    fields = {"n": int(mat.shape[0]), "tol": args.tol}
-    if isinstance(result, HadamardMatrix):
-        return Outcome(
-            True,
-            fields,
-            [f"valid complex Hadamard matrix of order {mat.shape[0]} (tol {args.tol:g})"],
-        )
-    fields.update(
-        constraint=result.constraint,
-        indices=list(result.indices),
-        value=_complex_pair(result.value),
-    )
-    return Outcome(False, fields, [f"INVALID: {result.constraint} violated: {result}"])
+    inputs = {"n": int(mat.shape[0]), "tol": args.tol}
+    if not isinstance(result, HadamardMatrix):
+        return _violation(f"INVALID: {result.constraint} violated", result, inputs)
+    line = f"valid complex Hadamard matrix of order {mat.shape[0]} (tol {args.tol:g})"
+    return Outcome(True, inputs, [line])
 
 
 def _cmd_check_weak_orth(args) -> Outcome:
     qg = serialize.grid_from_doc(serialize.load_path(args.grid_q))
     pg = serialize.grid_from_doc(serialize.load_path(args.grid_p))
     result = weak_orth_witness(qg, pg, args.tol)
-    fields = {"n": qg.n, "tol": args.tol}
-    if isinstance(result, WeakOrthWitness):
-        fields["table"] = result.table.tolist()
-        lines = ["weakly orthogonal; witness table (rows of first vs rows of second):"]
-        lines += ["  " + " ".join(str(int(x)) for x in row) for row in result.table]
-        return Outcome(True, fields, lines)
-    fields.update(
-        q_row=result.q_row,
-        p_row=result.p_row,
-        kind=result.kind,
-        column=result.column,
-        value=None if result.value is None else _complex_pair(result.value),
-    )
-    return Outcome(False, fields, [f"NOT weakly orthogonal: {result}"])
+    inputs = {"n": qg.n, "tol": args.tol}
+    if not isinstance(result, WeakOrthWitness):
+        return _violation("NOT weakly orthogonal", result, inputs)
+    lines = ["weakly orthogonal; witness table (rows of first vs rows of second):"]
+    lines += ["  " + " ".join(str(int(x)) for x in row) for row in result.table]
+    return Outcome(True, {**inputs, **_fields(result)}, lines)
 
 
 def _cmd_check_orth(args) -> Outcome:
@@ -224,23 +216,13 @@ def _cmd_build_lbw(args) -> Outcome:
 
 
 def _cmd_check_mub(args) -> Outcome:
-    a = _load_basis(args.basis_a)
-    b = _load_basis(args.basis_b)
-    rep = check_mub(a, b, args.tol)
-    fields = {
-        "dim": rep.dim,
-        "min_sq": rep.min_sq,
-        "max_sq": rep.max_sq,
-        "mean_sq": rep.mean_sq,
-        "target": 1.0 / rep.dim,
-        "tol": rep.tol,
-    }
+    rep = check_mub(_load_basis(args.basis_a), _load_basis(args.basis_b), args.tol)
     lines = [
         f"dim {rep.dim}: |overlap|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
-        f"mean {rep.mean_sq:.12g}, target {1.0 / rep.dim:.12g}",
+        f"mean {rep.mean_sq:.12g}, target {rep.target:.12g}",
         "mutually unbiased" if rep.passed else "NOT mutually unbiased",
     ]
-    return Outcome(rep.passed, fields, lines)
+    return Outcome(rep.passed, _fields(rep), lines)
 
 
 def _cmd_dual(args) -> Outcome:
@@ -266,18 +248,10 @@ def _cmd_dual(args) -> Outcome:
 def _cmd_check_ueb(args) -> Outcome:
     members = serialize.matrix_list_from_doc(serialize.load_path(args.ueb))
     result = validate_ueb(members, args.tol)
-    fields = {"tol": args.tol}
-    if isinstance(result, UnitaryErrorBasis):
-        fields["n"] = result.n
-        return Outcome(
-            True, fields, [f"valid unitary error basis of order {result.n} ({len(result)} members)"]
-        )
-    fields.update(
-        kind=result.kind,
-        index=result.index,
-        pair=None if result.pair is None else list(result.pair),
-    )
-    return Outcome(False, fields, [f"INVALID: {result}"])
+    if not isinstance(result, UnitaryErrorBasis):
+        return _violation("INVALID", result, {"tol": args.tol})
+    line = f"valid unitary error basis of order {result.n} ({len(result)} members)"
+    return Outcome(True, {"tol": args.tol, "n": result.n}, [line])
 
 
 def _cmd_check_mu_ueb(args) -> Outcome:
@@ -289,23 +263,13 @@ def _cmd_check_mu_ueb(args) -> Outcome:
             raise Rejected(f"{path}: {result}", f"INVALID unitary error basis {path}: {result}")
         loaded.append(result)
     rep = check_mu_ueb(loaded[0], loaded[1], args.tol)
-    fields = {
-        "dim": rep.dim,
-        "min_sq": rep.min_sq,
-        "max_sq": rep.max_sq,
-        "mean_sq": rep.mean_sq,
-        "target": 1.0 / rep.dim,
-        "raw_trace_sq_min": float(rep.trace_sq.min()),
-        "raw_trace_sq_max": float(rep.trace_sq.max()),
-        "tol": rep.tol,
-    }
     lines = [
         f"dim {rep.dim}: normalized |tr|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
-        f"target {1.0 / rep.dim:.12g}",
-        f"raw |tr|^2 range [{fields['raw_trace_sq_min']:.12g}, {fields['raw_trace_sq_max']:.12g}]",
+        f"target {rep.target:.12g}",
+        f"raw |tr|^2 range [{rep.raw_trace_sq_min:.12g}, {rep.raw_trace_sq_max:.12g}]",
         "mutually unbiased" if rep.passed else "NOT mutually unbiased",
     ]
-    return Outcome(rep.passed, fields, lines)
+    return Outcome(rep.passed, _fields(rep), lines)
 
 
 def _cmd_monomial_obstruction(args) -> Outcome:
@@ -314,15 +278,6 @@ def _cmd_monomial_obstruction(args) -> Outcome:
         validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
     )
     rep = monomial_obstruction(u, args.threshold)
-    fields = {
-        "mu": rep.mu,
-        "normalizer_index": rep.normalizer_index,
-        "worst_pair": list(rep.worst_pair),
-        "worst_norm": rep.worst_norm,
-        "sample_entry": _complex_pair(rep.sample_entry),
-        "obstructed": rep.obstructed,
-        "threshold": rep.threshold,
-    }
     lines = [
         f"mu {rep.mu}, normalizer {rep.normalizer_index}: worst commutator "
         f"|[U^mu, V^mu]|_F = {rep.worst_norm:.6g} at pair {rep.worst_pair}",
@@ -332,7 +287,7 @@ def _cmd_monomial_obstruction(args) -> Outcome:
             else f"no obstruction above threshold {rep.threshold:g}"
         ),
     ]
-    return Outcome(not rep.obstructed, fields, lines)
+    return Outcome(not rep.obstructed, _fields(rep), lines)
 
 
 def _cmd_fixtures(args) -> Outcome:
@@ -369,19 +324,13 @@ def _cmd_search(args) -> Outcome:
             [f"order {args.order}: {len(pairs)} ordered orthogonal pairs"],
         )
     rep = cross_validate_lemma16(args.order, args.tol)
-    fields = {
-        "what": "lemma16",
-        "order": rep.order,
-        "pairs_checked": rep.pairs_checked,
-        "positives": rep.positives,
-        "disagreements": len(rep.disagreements),
-    }
-    lines = [
-        f"order {rep.order}: {rep.pairs_checked} ordered pairs, "
-        f"{rep.positives} weakly orthogonal, "
-        f"{len(rep.disagreements)} disagreements between the three routes"
-    ]
-    return Outcome(rep.consistent, fields, lines)
+    count = len(rep.disagreements)  # the record lists them, the report counts them
+    line = (
+        f"order {rep.order}: {rep.pairs_checked} ordered pairs, {rep.positives} weakly "
+        f"orthogonal, {count} disagreements between the three routes"
+    )
+    report = {"what": "lemma16", **_fields(rep), "disagreements": count}
+    return Outcome(rep.consistent, report, [line])
 
 
 def _cmd_reproduce_appendix_c(args) -> Outcome:
@@ -400,25 +349,15 @@ def _cmd_reproduce_appendix_c(args) -> Outcome:
     )
     rep = check_mub(a, b, tol)
     ok = orthonormal and entangled and rep.passed
-    fields = {
-        "dim": rep.dim,
-        "overlaps": rep.dim * rep.dim,
-        "min_sq": rep.min_sq,
-        "max_sq": rep.max_sq,
-        "mean_sq": rep.mean_sq,
-        "target": 1.0 / rep.dim,
-        "orthonormal": orthonormal,
-        "maximally_entangled": entangled,
-        "tol": tol,
-    }
     lines = [
         f"two bases of {rep.dim} states each: orthonormal={orthonormal}, "
         f"maximally entangled={entangled}",
         f"{rep.dim * rep.dim} cross overlaps: |overlap|^2 min {rep.min_sq:.12g}, "
-        f"max {rep.max_sq:.12g}, target {1.0 / rep.dim:.12g}",
+        f"max {rep.max_sq:.12g}, target {rep.target:.12g}",
         "PASS" if ok else "FAIL",
     ]
-    return Outcome(ok, fields, lines)
+    checks = {"orthonormal": orthonormal, "maximally_entangled": entangled}
+    return Outcome(ok, {**_fields(rep), "overlaps": rep.dim * rep.dim, **checks}, lines)
 
 
 # ---------------------------------------------------------------- parser

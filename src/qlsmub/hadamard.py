@@ -50,7 +50,7 @@ class HadamardViolation:
     "column-orthogonality".  ``indices`` is the shape of a non-square or empty
     matrix, the offending entry (for unimodularity) or the offending
     row/column pair; ``value`` is the measured entry or inner product, and
-    ``off_by`` its distance from n I for the two orthogonality constraints.
+    ``off_by`` its distance from modulus 1 or from n I (0 for "shape").
     """
 
     constraint: str
@@ -64,7 +64,8 @@ class HadamardViolation:
             return f"matrix of shape {self.indices} is {'empty' if rows == cols else 'not square'}"
         if self.constraint == "unimodular":
             return (
-                f"entry {self.indices} has modulus {abs(self.value):.6g}, expected 1"
+                f"entry {self.indices} has modulus {abs(self.value):.6g}, expected 1 "
+                f"(off by {self.off_by:.3e})"
             )
         kind = "rows" if self.constraint == "row-orthogonality" else "columns"
         return (
@@ -89,7 +90,8 @@ def validate_hadamard(m, tol: float = DEFAULT_TOL):
     if off.any():
         flat = int(np.argmax(off))
         i, j = divmod(flat, n)
-        return HadamardViolation("unimodular", (i, j), complex(arr[i, j]))
+        value = complex(arr[i, j])
+        return HadamardViolation("unimodular", (i, j), value, abs(abs(value) - 1.0))
 
     for constraint, gram in (
         ("row-orthogonality", arr @ arr.conj().T),

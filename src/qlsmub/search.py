@@ -14,7 +14,7 @@ from .numerics import DEFAULT_TOL, is_permutation_matrix
 from .squares import (
     LatinSquare,
     WeakOrthWitness,
-    are_left_orthogonal,
+    are_orthogonal,
     computational_grid,
     left_conjugate,
     orthogonality_map,
@@ -153,7 +153,7 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
             by_witness = isinstance(
                 weak_orth_witness(grids[ia], grids[ib], tol), WeakOrthWitness
             )
-            by_left = are_left_orthogonal(squares[ia], squares[ib])
+            by_left = are_orthogonal(conjugates[ia], conjugates[ib])
             by_perm = is_permutation_matrix(
                 orthogonality_map(conjugates[ia], conjugates[ib]), tol
             )

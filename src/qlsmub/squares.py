@@ -232,9 +232,11 @@ class WeakOrthFailure:
     """First row pair whose componentwise inner products are not n-1 zeros
     plus a single exact 1.
 
-    kind: "stray-value" (a product near neither 0 nor 1, at ``column``),
-    "non-unique-unit" (a second unit product, at ``column``), or
-    "missing-unit" (all products near 0; ``column`` is None).
+    kind: "stray-value" (a product near neither 0 nor 1, at ``column``,
+    ``off_by`` from the nearer of them), "non-unique-unit" (a second unit
+    product, at ``column``, ``off_by`` from 0), or "missing-unit" (all
+    products near 0; ``column`` is None, and the product nearest 1 is
+    ``off_by`` from it).
     """
 
     q_row: int
@@ -242,15 +244,15 @@ class WeakOrthFailure:
     kind: str
     column: int | None
     value: complex | None
+    off_by: float
 
     def __str__(self) -> str:
         where = f"rows ({self.q_row}, {self.p_row})"
         if self.kind == "missing-unit":
-            return f"{where}: no columnwise inner product equals 1"
-        return (
-            f"{where}: column {self.column} product {self.value:.6g} "
-            f"({self.kind})"
-        )
+            found = "no columnwise inner product equals 1"
+        else:
+            found = f"column {self.column} product {self.value:.6g} ({self.kind})"
+        return f"{where}: {found} (off by {self.off_by:.3e})"
 
 
 def _grid_of(g) -> VectorGrid:
@@ -293,16 +295,16 @@ def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
             for k in range(n):
                 if near_one[i, j, k]:
                     if unit_at >= 0:
-                        return WeakOrthFailure(
-                            i, j, "non-unique-unit", k, complex(prods[i, j, k])
-                        )
+                        value = complex(prods[i, j, k])
+                        return WeakOrthFailure(i, j, "non-unique-unit", k, value, abs(value))
                     unit_at = k
                 elif not near_zero[i, j, k]:
-                    return WeakOrthFailure(
-                        i, j, "stray-value", k, complex(prods[i, j, k])
-                    )
+                    value = complex(prods[i, j, k])
+                    off_by = min(abs(value), abs(value - 1.0))
+                    return WeakOrthFailure(i, j, "stray-value", k, value, off_by)
             if unit_at < 0:
-                return WeakOrthFailure(i, j, "missing-unit", None, None)
+                off_by = float(np.abs(prods[i, j] - 1.0).min())
+                return WeakOrthFailure(i, j, "missing-unit", None, None, off_by)
             table[i, j] = unit_at
     return WeakOrthWitness(n, table)
 

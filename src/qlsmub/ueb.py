@@ -59,7 +59,8 @@ class UebViolation:
     """First failed axiom of a candidate member stack.
 
     kind: "count" (not n^2 square matrices of one size), "non-unitary"
-    (member ``index``), or "trace-orthogonality" (member pair ``pair`` whose
+    (member ``index``, whose U*U has ``value`` as its entry furthest from I,
+    ``off_by`` away), or "trace-orthogonality" (member pair ``pair`` whose
     trace inner product ``value`` is ``off_by`` away from n I).
     """
 
@@ -73,9 +74,7 @@ class UebViolation:
         if self.kind == "count":
             return "member stack is not n^2 square matrices of a single size"
         if self.kind == "non-unitary":
-            return (
-                f"member {self.index}: U*U differs from I by {abs(self.value):.3e}"
-            )
+            return f"member {self.index}: U*U differs from I by {self.off_by:.3e}"
         return (
             f"members {self.pair}: tr(U*V) = {self.value:.6g}, "
             f"expected n on the diagonal and 0 off it (off by {self.off_by:.3e})"
@@ -106,8 +105,10 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
     hit = first_gram_defect(products, 1.0, tol)
     if hit is not None:
         idx = hit[0]
-        defect = np.abs(products[idx] - np.eye(n)).max()
-        return UebViolation("non-unitary", index=idx, value=complex(defect))
+        gap = np.abs(products[idx] - np.eye(n))
+        worst = np.unravel_index(np.argmax(gap), gap.shape)
+        value, off_by = complex(products[idx][worst]), float(gap[worst])
+        return UebViolation("non-unitary", index=idx, value=value, off_by=off_by)
 
     # Gram of the trace inner product, built in one contraction.
     gram = np.einsum("iab,jab->ij", arr.conj(), arr)
@@ -165,32 +166,35 @@ def shift_multiply_ueb(
     return UnitaryErrorBasis(n, members)
 
 
+@dataclass(frozen=True)
+class MuUebReport(MubReport):
+    """A :class:`MubReport` that also carries the extremes of the raw
+    |tr(U_i* V_j)|^2, for inspection against the stricter normalization some
+    conventions use."""
+
+    raw_trace_sq_min: float
+    raw_trace_sq_max: float
+
+
 def check_mu_ueb(
     u: UnitaryErrorBasis, v: UnitaryErrorBasis, tol: float = DEFAULT_TOL
-) -> MubReport:
+) -> MuUebReport:
     """Mutual unbiasedness of two unitary error bases.
 
     Passes iff every |tr(U_i* V_j)/n|^2 is within tol of 1/n^2, the value the
-    dual entangled bases give.  The report's ``trace_sq`` carries the raw
-    |tr(U_i* V_j)|^2 values for inspection against the stricter normalization
-    some conventions use.
+    dual entangled bases give.
     """
     if u.n != v.n:
         raise ValueError(f"order mismatch: {u.n} vs {v.n}")
     n = u.n
     traces = np.einsum("iab,jab->ij", u.members.conj(), v.members)
     raw_sq = np.abs(traces) ** 2
-    sq = raw_sq / (n * n)
-    dim = n * n
-    passed = bool(np.abs(sq - 1.0 / dim).max() <= tol)
-    return MubReport(
-        dim=dim,
-        min_sq=float(sq.min()),
-        max_sq=float(sq.max()),
-        mean_sq=float(sq.mean()),
-        passed=passed,
-        tol=tol,
-        trace_sq=raw_sq,
+    return MuUebReport.of(
+        raw_sq / (n * n),
+        n * n,
+        tol,
+        raw_trace_sq_min=float(raw_sq.min()),
+        raw_trace_sq_max=float(raw_sq.max()),
     )
 
 

@@ -246,7 +246,6 @@ def test_check_mub_fourier_vs_computational():
     assert report.passed
     assert report.dim == 3
     assert_allclose([report.min_sq, report.max_sq], [1 / 3, 1 / 3], atol=1e-12)
-    assert report.trace_sq is None
 
 
 def test_check_mub_fails_on_identical_bases():

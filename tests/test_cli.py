@@ -1,22 +1,25 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qlsmub import serialize
-from qlsmub.bases import qls_meb
+from qlsmub.bases import MubReport, qls_meb
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
-from qlsmub.hadamard import constant_family, fourier
+from qlsmub.hadamard import HadamardViolation, constant_family, fourier
 from qlsmub.squares import (
+    GridViolation,
     LatinSquare,
     VectorGrid,
+    WeakOrthFailure,
     computational_grid,
     left_conjugate,
     validate_qls,
 )
-from qlsmub.ueb import shift_multiply_ueb
+from qlsmub.ueb import MuUebReport, ObstructionReport, UebViolation, shift_multiply_ueb
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
@@ -138,6 +141,35 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
     code, out, _ = run(capsys, "check-ueb", write_ueb(tmp_path, "u.json", pauli))
     assert code == 1 and out.startswith("INVALID: members (0, 2): tr(U*V) = ")
     assert out.endswith("(off by 2.000e-08)\n")
+    # the json-report carries the measured defect too; tr(U0* Z) = exp(-i eps) - 1
+    scaled = np.stack([np.eye(2) * np.sqrt(1 + eps), x, z, x @ z])  # U0* U0 = (1 + eps) I
+    for members, value in ((pauli, [0.0, -eps]), (scaled, [1 + eps, 0.0])):
+        path = write_ueb(tmp_path, "u.json", members)
+        code, out, _ = run(capsys, "check-ueb", path, "--format", "json-report")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["off_by"] == pytest.approx(eps, abs=1e-15)
+        assert doc["value"] == pytest.approx(value, abs=1e-15)
+
+    mat = fourier(3).mat.copy()
+    mat[1, 2] *= 1 + eps
+    code, out, _ = run(capsys, "validate-hadamard", write_matrix(tmp_path, "m.json", mat))
+    assert (code, out) == (
+        1,
+        "INVALID: unimodular violated: entry (1, 2) has modulus 1, expected 1 "
+        "(off by 2.000e-08)\n",
+    )
+
+    arr = computational_grid(left_conjugate(CYCLIC3)).array.copy()
+    arr[0, 0] *= 1 + eps
+    first = write_grid(tmp_path, "q.json", VectorGrid(arr))
+    second = write_grid(tmp_path, "p.json", computational_grid(left_conjugate(TWISTED3)))
+    code, out, _ = run(capsys, "check-weak-orth", first, second)
+    assert (code, out) == (
+        1,
+        "NOT weakly orthogonal: rows (0, 0): column 0 product 1+0j (stray-value) "
+        "(off by 2.000e-08)\n",
+    )
 
 
 def test_check_weak_orth(tmp_path, capsys):
@@ -280,6 +312,7 @@ def test_build_lbw(order3, capsys):
         "constraint": "shape",
         "indices": [2, 3],
         "value": [0.0, 0.0],
+        "off_by": 0.0,
     }
 
 
@@ -546,6 +579,49 @@ PAIRED_INPUTS = {
     "check-weak-orth": ("grid", "grid"),
     "check-orth": ("latin", "latin"),
 }
+
+
+# Each check command's own report keys, and the record whose dataclass
+# fields make up the rest of its json-report.
+CHECK_RECORDS = {
+    "validate-qls": ({"n", "tol"}, GridViolation),
+    "validate-hadamard": ({"n", "tol"}, HadamardViolation),
+    "check-weak-orth": ({"n", "tol"}, WeakOrthFailure),
+    "check-ueb": ({"tol"}, UebViolation),
+    "check-mub": (set(), MubReport),
+    "check-mu-ueb": (set(), MuUebReport),
+    "monomial-obstruction": (set(), ObstructionReport),
+}
+
+
+def failing_inputs(tmp_path, command):
+    """Input files on which ``command`` finds a violation."""
+    if command == "validate-qls":
+        return [write_grid(tmp_path, "pp.json", fixture("paper-P-printed"))]
+    if command == "validate-hadamard":
+        return [write_matrix(tmp_path, "eye.json", np.eye(3))]
+    if command == "check-weak-orth":
+        return [write_grid(tmp_path, "p.json", fixture("paper-P"))] * 2
+    if command == "check-ueb":
+        return [write_ueb(tmp_path, "eyes.json", np.stack([np.eye(2)] * 4))]
+    if command == "monomial-obstruction":
+        fam9 = constant_family(hadamard_9_corrected())
+        ueb = shift_multiply_ueb(validate_qls(fixture("paper-P")), fam9)
+        return [write_ueb(tmp_path, "obs.json", ueb.members)]
+    kind = "basis" if command == "check-mub" else "ueb"
+    return [files_of_order(tmp_path, 3)[kind]] * 2  # never unbiased against itself
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_RECORDS))
+def test_failing_json_report_is_the_command_keys_and_the_record_fields(
+    tmp_path, capsys, command
+):
+    own, record = CHECK_RECORDS[command]
+    argv = [command, *failing_inputs(tmp_path, command), "--format", "json-report"]
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert set(doc) == {"command", "ok"} | own | {f.name for f in fields(record)}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json-report"])

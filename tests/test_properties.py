@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qlsmub.bases import extract_unitary
+from qlsmub.bases import check_mub, extract_unitary, qls_meb
 from qlsmub.hadamard import hadamard_family, random_hadamard
 from qlsmub.squares import (
     GridViolation,
@@ -16,7 +16,7 @@ from qlsmub.squares import (
     computational_grid,
     validate_qls,
 )
-from qlsmub.ueb import UebViolation, shift_multiply_ueb, ueb_to_meb, validate_ueb
+from qlsmub.ueb import UebViolation, meb_to_ueb, shift_multiply_ueb, ueb_to_meb, validate_ueb
 
 from helpers import random_unitary
 
@@ -39,9 +39,12 @@ def rotated_grid(latin: LatinSquare, seed: int) -> VectorGrid:
     return VectorGrid(computational_grid(latin).array @ u.T)
 
 
+def random_family(n: int, rng: np.random.Generator):
+    return hadamard_family([random_hadamard(n, rng) for _ in range(n)])
+
+
 def random_ueb(latin: LatinSquare, seed: int):
-    rng = np.random.default_rng(seed)
-    family = hadamard_family([random_hadamard(latin.n, rng) for _ in range(latin.n)])
+    family = random_family(latin.n, np.random.default_rng(seed))
     return shift_multiply_ueb(validate_qls(rotated_grid(latin, seed)), family)
 
 
@@ -100,3 +103,27 @@ def test_extract_unitary_inverts_ueb_to_meb(latin, seed):
     u = random_ueb(latin, seed)
     for state, member in zip(ueb_to_meb(u).states, u.members):
         assert_allclose(extract_unitary(state), member, atol=1e-12)
+
+
+@PROPERTY
+@given(latin_squares(), SEEDS)
+def test_shift_multiply_ueb_is_the_dual_of_the_qls_basis(latin, seed):
+    qls = validate_qls(rotated_grid(latin, seed))
+    family = random_family(latin.n, np.random.default_rng(seed))
+    dual = meb_to_ueb(qls_meb(qls, family))
+    assert_allclose(shift_multiply_ueb(qls, family).members, dual.members, atol=1e-12)
+
+
+@PROPERTY
+@given(latin_squares(), SEEDS, st.floats(-16.0, 0.0))
+def test_check_mub_passes_exactly_when_every_overlap_is_within_tol(latin, seed, log_tol):
+    rng = np.random.default_rng(seed)
+    a = qls_meb(validate_qls(computational_grid(latin)), random_family(latin.n, rng))
+    b = qls_meb(validate_qls(rotated_grid(latin, seed)), random_family(latin.n, rng))
+    tol = 10.0**log_tol
+    report = check_mub(a, b, tol)
+    target = 1.0 / report.dim
+    assert report.passed == (report.max_dev <= tol)
+    assert report.max_dev == max(abs(report.min_sq - target), abs(report.max_sq - target))
+    overlaps = np.abs(a.states.conj() @ b.states.T) ** 2
+    assert report.passed == bool(np.all(np.abs(overlaps - target) <= tol))

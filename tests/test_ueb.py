@@ -172,8 +172,7 @@ def test_mu_ueb_of_dual_unbiased_pair():
     assert report.passed
     assert report.dim == 9
     # raw squared trace moduli sit near 1, not near 1/n
-    assert report.trace_sq is not None
-    assert_allclose(report.trace_sq, np.ones((9, 9)), atol=1e-9)
+    assert_allclose([report.raw_trace_sq_min, report.raw_trace_sq_max], [1, 1], atol=1e-9)
 
 
 def test_mu_ueb_fails_on_self():
