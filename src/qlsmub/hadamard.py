@@ -50,13 +50,14 @@ class HadamardViolation:
     "column-orthogonality".  ``indices`` is the shape of a non-square or empty
     matrix, the offending entry (for unimodularity) or the offending
     row/column pair; ``value`` is the measured entry or inner product, and
-    ``off_by`` its distance from modulus 1 or from n I (0 for "shape").
+    ``off_by`` its distance from modulus 1 or from n I (None for "shape",
+    which has no measured value to be off).
     """
 
     constraint: str
     indices: tuple[int, int]
     value: complex
-    off_by: float = 0.0
+    off_by: float | None = None
 
     def __str__(self) -> str:
         if self.constraint == "shape":

@@ -15,8 +15,12 @@ import numpy as np
 # permutation / monomial tests, orthonormality).
 DEFAULT_TOL = 1e-9
 
-# Commutator norms above this count as a genuine obstruction; the numerical
-# noise floor of the power sweep sits far below (~1e-10).
+# Commutator norms above this count as an obstruction.  The noise floor of
+# the power sweep is not far below it: on bases equivalent to monomial ones
+# (Haar unitaries on both sides), where every commutator is zero in exact
+# arithmetic, the worst measured norm is about 2.8e-9 at order 16, 6e-8 at
+# order 18 and 1.0-1.3e-6 at order 20, so from order 20 on the noise alone
+# can cross the threshold and an "obstructed" verdict is not a proof.
 OBSTRUCTION_THRESHOLD = 1e-6
 
 
@@ -62,13 +66,23 @@ def first_gram_defect(grams, scale: float, tol: float):
 
 
 def mat_power(u, e: int) -> np.ndarray:
-    """e-th power of a square matrix by repeated squaring (e >= 0)."""
-    arr = as_complex_matrix(u)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
+    """e-th power of a square matrix, or of every matrix in a stack
+    ``(..., n, n)``, by repeated squaring (e >= 0).
+
+    A stack is powered in one pass that performs, slice by slice, the same
+    products in the same order as powering each matrix alone, so both give
+    bitwise equal results.
+    """
+    arr = np.asarray(u, dtype=np.complex128)
+    if arr.ndim < 2:
+        raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    if arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {arr.shape[-2:]}")
     if e < 0:
         raise ValueError(f"exponent must be non-negative, got {e}")
-    result = np.eye(arr.shape[0], dtype=np.complex128)
+    result = np.broadcast_to(np.eye(arr.shape[-1], dtype=np.complex128), arr.shape).copy()
     base = arr
     while e:
         if e & 1:

@@ -111,13 +111,14 @@ class GridViolation:
     """First orthonormality defect found while scanning rows then columns.
 
     ``pair`` indexes the two vectors of the offending line whose Gram entry
-    ``value`` differs from the identity's.
+    ``value`` differs from the identity's by ``off_by``.
     """
 
     line: str  # "row" or "column"
     index: int
     pair: tuple[int, int]
     value: complex
+    off_by: float
 
     def __str__(self) -> str:
         u, v = self.pair
@@ -125,7 +126,7 @@ class GridViolation:
         return (
             f"{self.line} {self.index} is not orthonormal: "
             f"<v{u}|v{v}> = {self.value:.6g}, expected {expected} "
-            f"(off by {abs(self.value - expected):.3e})"
+            f"(off by {self.off_by:.3e})"
         )
 
 
@@ -141,7 +142,9 @@ def validate_qls(grid: VectorGrid, tol: float = DEFAULT_TOL):
         grams = lines.conj() @ lines.transpose(0, 2, 1)
         hit = first_gram_defect(grams, 1.0, tol)
         if hit is not None:
-            return GridViolation(line, hit[0], hit[1:], complex(grams[hit]))
+            u, v = hit[1:]
+            value = complex(grams[hit])
+            return GridViolation(line, hit[0], (u, v), value, abs(value - float(u == v)))
     return QuantumLatinSquare(grid, tol)
 
 

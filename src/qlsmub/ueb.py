@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -240,24 +239,28 @@ def monomial_obstruction(
         raise ValueError(f"normalizer index {normalizer} out of range 0..{count - 1}")
     mu = lcm_up_to(n)
     anchor = u.members[normalizer].conj().T
-    translated = u.members @ anchor
-    powers = np.empty_like(translated)
-    for s in range(count):
-        powers[s] = mat_power(translated[s], mu)
+    powers = mat_power(u.members @ anchor, mu)
 
-    worst_pair, worst_norm = None, 0.0
-    for i, j in combinations(range(count), 2):
-        norm = float(np.linalg.norm(powers[i] @ powers[j] - powers[j] @ powers[i]))
-        if worst_pair is None or norm > worst_norm:
-            worst_pair, worst_norm = (i, j), norm
-    i, j = worst_pair
-    comm = powers[i] @ powers[j] - powers[j] @ powers[i]
+    # One batched step per row i against every j > i; the Frobenius norms are
+    # sqrt(re.re + im.im) over the flattened commutators, as np.linalg.norm
+    # sums them.  argmax keeps the first maximum of a row and the strict >
+    # the first row, so equal norms go to the lexicographically first pair.
+    for i in range(count - 1):
+        rest = powers[i + 1 :]
+        comm = powers[i] @ rest - rest @ powers[i]
+        flat = comm.reshape(len(rest), 1, n * n)
+        re, im = flat.real, flat.imag
+        norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
+        k = int(np.argmax(norms))
+        if i == 0 or norms[k] > worst_norm:
+            worst_pair, worst_norm = (i, i + 1 + k), float(norms[k])
+            sample_entry = complex(comm[k, 0, 0])
     return ObstructionReport(
         mu=mu,
         normalizer_index=normalizer,
         worst_pair=worst_pair,
         worst_norm=worst_norm,
-        sample_entry=complex(comm[0, 0]),
+        sample_entry=sample_entry,
         obstructed=bool(worst_norm > threshold),
         threshold=threshold,
     )

@@ -128,7 +128,9 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "validate-qls", grid, "--tol", "1e-30", "--format", "json-report")
     assert code == 1 and "off by" not in out
-    assert set(json.loads(out)) == {"command", "ok", "n", "tol", "line", "index", "pair", "value"}
+    doc = json.loads(out)
+    assert set(doc) == {"command", "ok", "n", "tol", "line", "index", "pair", "value", "off_by"}
+    assert doc["off_by"] == pytest.approx(eps, abs=1e-15)
 
     mat = fourier(3).mat.copy()
     mat[0, 1] *= np.exp(1j * eps)
@@ -312,7 +314,7 @@ def test_build_lbw(order3, capsys):
         "constraint": "shape",
         "indices": [2, 3],
         "value": [0.0, 0.0],
-        "off_by": 0.0,
+        "off_by": None,
     }
 
 

@@ -90,6 +90,30 @@ def test_mat_power_rejects_bad_input():
         mat_power(np.ones((2, 3)), 2)
     with pytest.raises(ValueError):
         mat_power(np.eye(2), -1)
+    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+        mat_power(np.ones((4, 2, 3)), 2)
+    stack = np.stack([np.eye(3)] * 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        mat_power(stack, -1)
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        mat_power(stack, 2)
+    with pytest.raises(ValueError, match="ndim 1"):
+        mat_power(np.ones(3), 2)
+
+
+def test_mat_power_of_a_stack_is_bitwise_the_per_matrix_power():
+    rng = np.random.default_rng(6)
+    for n in (9, 16):
+        stack = np.stack([random_unitary(n, rng) for _ in range(6)])
+        e = lcm_up_to(n)
+        single = np.stack([mat_power(m, e) for m in stack])
+        assert mat_power(stack, e).tobytes() == single.tobytes()
+    grid = stack.reshape(2, 3, 16, 16)
+    assert mat_power(grid, 7).tobytes() == mat_power(stack, 7).tobytes()
+    identities = mat_power(grid, 0)
+    identities[0, 0, 0, 0] = 2.0  # a fresh array, not a broadcast view
+    assert_allclose(identities[1, 2], np.eye(16))
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (4, 12), (6, 60), (9, 2520)])

@@ -16,18 +16,26 @@ from qlsmub.squares import (
     computational_grid,
     validate_qls,
 )
-from qlsmub.ueb import UebViolation, meb_to_ueb, shift_multiply_ueb, ueb_to_meb, validate_ueb
+from qlsmub.ueb import (
+    UebViolation,
+    UnitaryErrorBasis,
+    meb_to_ueb,
+    monomial_obstruction,
+    shift_multiply_ueb,
+    ueb_to_meb,
+    validate_ueb,
+)
 
-from helpers import random_unitary
+from helpers import random_unitary, reference_obstruction
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def latin_squares(draw, min_order=1):
+def latin_squares(draw, min_order=1, max_order=8):
     """The cyclic square of a random order with rows, columns and symbols permuted."""
-    n = draw(st.integers(min_order, 8))
+    n = draw(st.integers(min_order, max_order))
     rows, cols, symbols = (np.array(draw(st.permutations(range(n)))) for _ in range(3))
     cyclic = (rows[:, None] + cols[None, :]) % n
     return LatinSquare(symbols[cyclic])
@@ -66,6 +74,7 @@ def test_scaled_entry_is_reported_at_its_row_and_diagonal_pair(latin, seed, delt
     assert isinstance(result, GridViolation)
     assert (result.line, result.index, result.pair) == ("row", r, (c, c))
     assert abs(result.value - (1 + delta) ** 2) < 1e-12
+    assert result.off_by == abs(result.value - 1)
 
 
 @PROPERTY
@@ -127,3 +136,21 @@ def test_check_mub_passes_exactly_when_every_overlap_is_within_tol(latin, seed, 
     assert report.max_dev == max(abs(report.min_sq - target), abs(report.max_sq - target))
     overlaps = np.abs(a.states.conj() @ b.states.T) ** 2
     assert report.passed == bool(np.all(np.abs(overlaps - target) <= tol))
+
+
+@PROPERTY
+@given(latin_squares(min_order=2, max_order=6), SEEDS, st.data())
+def test_obstruction_sweep_is_the_per_pair_loop_bit_for_bit(latin, seed, data):
+    # A @ M @ B for a monomial M: every commutator is zero up to rounding, so
+    # the worst pair is decided by noise-level norms and near-ties
+    rng = np.random.default_rng(seed)
+    n = latin.n
+    monomial = shift_multiply_ueb(validate_qls(computational_grid(latin)), random_family(n, rng))
+    u = UnitaryErrorBasis(n, random_unitary(n, rng) @ monomial.members @ random_unitary(n, rng))
+    normalizer = data.draw(st.integers(0, n * n - 1), label="normalizer")
+    report = monomial_obstruction(u, normalizer=normalizer)
+    expected = reference_obstruction(u, normalizer=normalizer)
+    assert report.worst_pair == expected.worst_pair
+    assert report.worst_norm == expected.worst_norm
+    assert report.sample_entry == expected.sample_entry
+    assert report == expected

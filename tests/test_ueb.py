@@ -219,6 +219,28 @@ def test_obstruction_detects_fixture_basis():
     )
 
 
+def test_obstruction_all_zero_norms_give_the_first_pair():
+    # the powers of these untranslated bases are exactly +-I, so every
+    # commutator norm is 0.0 and the tie goes to pair (0, 1)
+    tensor_pauli = [kron(a, b) for a in (EYE2, X, Z, X @ Z) for b in (EYE2, X, Z, X @ Z)]
+    for members in ([EYE2, X, Z, X @ Z], tensor_pauli):
+        report = monomial_obstruction(validate_ueb(members))
+        assert (report.worst_pair, report.worst_norm, report.sample_entry) == ((0, 1), 0.0, 0j)
+
+
+def test_obstruction_equal_maxima_give_the_lexicographically_first_pair():
+    # not a UEB, but the sweep only needs n^2 unitaries; mu = 2 and member 0
+    # is I, so the powers are I, S^2, S^2, R^2 or I, S^2, R^2, R^2, and
+    # equal members give bitwise equal commutator norms
+    s = np.diag([1.0, 1j])
+    r = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
+    across_rows = monomial_obstruction(UnitaryErrorBasis(2, [EYE2, s, s, r]))
+    assert across_rows.worst_pair == (1, 3)  # ties with (2, 3)
+    within_row = monomial_obstruction(UnitaryErrorBasis(2, [EYE2, s, r, r]))
+    assert within_row.worst_pair == (1, 2)  # ties with (1, 3)
+    assert across_rows.worst_norm == within_row.worst_norm > 1.0
+
+
 def test_obstruction_normalizer_choices_stay_clean_on_monomial_bases():
     u = pauli_basis()
     for idx in range(4):
