@@ -45,6 +45,7 @@ from .search import (
 )
 from .squares import (
     QuantumLatinSquare,
+    VectorGrid,
     WeakOrthWitness,
     are_left_orthogonal,
     are_orthogonal,
@@ -116,13 +117,8 @@ def _violation(prefix: str, record, inputs: dict) -> Outcome:
     return Outcome(False, {**inputs, **_fields(record)}, [f"{prefix}: {record}"])
 
 
-def _load_basis(path: str) -> BipartiteBasis:
-    n, states = serialize.basis_from_doc(serialize.load_path(path))
-    return BipartiteBasis(n, states)
-
-
 def _load_family(path: str, tol: float):
-    members = serialize.matrix_list_from_doc(serialize.load_path(path))
+    members = serialize.read(path, "matrix-list")
     validated = []
     for idx, mat in enumerate(members):
         result = validate_hadamard(mat, tol)
@@ -137,7 +133,7 @@ def _load_family(path: str, tol: float):
 
 
 def _built(basis: BipartiteBasis, **inputs) -> Outcome:
-    doc = serialize.basis_doc(basis.n, basis.states)
+    doc = serialize.to_doc("basis", basis.states)
     line = f"built {basis.n ** 2} states of order {basis.n}"
     return Outcome(True, {**inputs, "n": basis.n}, [line], doc)
 
@@ -146,7 +142,7 @@ def _built(basis: BipartiteBasis, **inputs) -> Outcome:
 
 
 def _cmd_validate_qls(args) -> Outcome:
-    grid = serialize.grid_from_doc(serialize.load_path(args.grid))
+    grid = serialize.read(args.grid, "grid")
     result = validate_qls(grid, args.tol)
     inputs = {"n": grid.n, "tol": args.tol}
     if not isinstance(result, QuantumLatinSquare):
@@ -156,7 +152,7 @@ def _cmd_validate_qls(args) -> Outcome:
 
 
 def _cmd_validate_hadamard(args) -> Outcome:
-    mat = serialize.matrix_from_doc(serialize.load_path(args.matrix))
+    mat = serialize.read(args.matrix, "matrix")
     result = validate_hadamard(mat, args.tol)
     inputs = {"n": int(mat.shape[0]), "tol": args.tol}
     if not isinstance(result, HadamardMatrix):
@@ -166,8 +162,8 @@ def _cmd_validate_hadamard(args) -> Outcome:
 
 
 def _cmd_check_weak_orth(args) -> Outcome:
-    qg = serialize.grid_from_doc(serialize.load_path(args.grid_q))
-    pg = serialize.grid_from_doc(serialize.load_path(args.grid_p))
+    qg = serialize.read(args.grid_q, "grid")
+    pg = serialize.read(args.grid_p, "grid")
     result = weak_orth_witness(qg, pg, args.tol)
     inputs = {"n": qg.n, "tol": args.tol}
     if not isinstance(result, WeakOrthWitness):
@@ -178,8 +174,8 @@ def _cmd_check_weak_orth(args) -> Outcome:
 
 
 def _cmd_check_orth(args) -> Outcome:
-    a = serialize.latin_from_doc(serialize.load_path(args.latin_a))
-    b = serialize.latin_from_doc(serialize.load_path(args.latin_b))
+    a = serialize.read(args.latin_a, "latin")
+    b = serialize.read(args.latin_b, "latin")
     ok = are_orthogonal(a, b)
     return Outcome(
         ok, {"n": a.n}, ["orthogonal" if ok else "NOT orthogonal: repeated ordered symbol pair"]
@@ -187,20 +183,20 @@ def _cmd_check_orth(args) -> Outcome:
 
 
 def _cmd_check_left_orth(args) -> Outcome:
-    a = serialize.latin_from_doc(serialize.load_path(args.latin_a))
-    b = serialize.latin_from_doc(serialize.load_path(args.latin_b))
+    a = serialize.read(args.latin_a, "latin")
+    b = serialize.read(args.latin_b, "latin")
     ok = are_left_orthogonal(a, b)
     return Outcome(ok, {"n": a.n}, ["left orthogonal" if ok else "NOT left orthogonal"])
 
 
 def _cmd_left_conj(args) -> Outcome:
-    latin = serialize.latin_from_doc(serialize.load_path(args.latin))
-    doc = serialize.latin_doc(left_conjugate(latin))
+    latin = serialize.read(args.latin, "latin")
+    doc = serialize.to_doc("latin", left_conjugate(latin).cells)
     return Outcome(True, {"n": latin.n}, [f"left conjugate of order {latin.n} written"], doc)
 
 
 def _cmd_build_meb(args) -> Outcome:
-    grid = serialize.grid_from_doc(serialize.load_path(args.grid))
+    grid = serialize.read(args.grid, "grid")
     qls = _require(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID grid")
     family = _load_family(args.family, args.tol)
     basis = qls_meb(qls, family)
@@ -208,15 +204,16 @@ def _cmd_build_meb(args) -> Outcome:
 
 
 def _cmd_build_lbw(args) -> Outcome:
-    latin = serialize.latin_from_doc(serialize.load_path(args.latin))
-    mat = serialize.matrix_from_doc(serialize.load_path(args.matrix))
+    latin = serialize.read(args.latin, "latin")
+    mat = serialize.read(args.matrix, "matrix")
     hadamard = _require(validate_hadamard(mat, args.tol), HadamardMatrix, "INVALID matrix")
     basis = lbw_meb(latin, hadamard)
     return _built(basis, states=basis.n**2)
 
 
 def _cmd_check_mub(args) -> Outcome:
-    rep = check_mub(_load_basis(args.basis_a), _load_basis(args.basis_b), args.tol)
+    a, b = (serialize.read(path, "basis") for path in (args.basis_a, args.basis_b))
+    rep = check_mub(a, b, args.tol)
     lines = [
         f"dim {rep.dim}: |overlap|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
         f"mean {rep.mean_sq:.12g}, target {rep.target:.12g}",
@@ -227,7 +224,7 @@ def _cmd_check_mub(args) -> Outcome:
 
 def _cmd_dual(args) -> Outcome:
     if args.to_ueb:
-        basis = _load_basis(args.to_ueb)
+        basis = serialize.read(args.to_ueb, "basis")
         try:
             u = meb_to_ueb(basis, args.tol)
         except ValueError as exc:
@@ -236,9 +233,9 @@ def _cmd_dual(args) -> Outcome:
             True,
             {"direction": "to-ueb", "n": u.n},
             [f"extracted {len(u)} unitaries of order {u.n}"],
-            serialize.matrix_list_doc(u.members),
+            serialize.to_doc("matrix-list", u.members),
         )
-    members = serialize.matrix_list_from_doc(serialize.load_path(args.to_meb))
+    members = serialize.read(args.to_meb, "matrix-list")
     u = _require(
         validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
     )
@@ -246,7 +243,7 @@ def _cmd_dual(args) -> Outcome:
 
 
 def _cmd_check_ueb(args) -> Outcome:
-    members = serialize.matrix_list_from_doc(serialize.load_path(args.ueb))
+    members = serialize.read(args.ueb, "matrix-list")
     result = validate_ueb(members, args.tol)
     if not isinstance(result, UnitaryErrorBasis):
         return _violation("INVALID", result, {"tol": args.tol})
@@ -257,7 +254,7 @@ def _cmd_check_ueb(args) -> Outcome:
 def _cmd_check_mu_ueb(args) -> Outcome:
     loaded = []
     for path in (args.ueb_a, args.ueb_b):
-        members = serialize.matrix_list_from_doc(serialize.load_path(path))
+        members = serialize.read(path, "matrix-list")
         result = validate_ueb(members, args.tol)
         if not isinstance(result, UnitaryErrorBasis):
             raise Rejected(f"{path}: {result}", f"INVALID unitary error basis {path}: {result}")
@@ -273,7 +270,7 @@ def _cmd_check_mu_ueb(args) -> Outcome:
 
 
 def _cmd_monomial_obstruction(args) -> Outcome:
-    members = serialize.matrix_list_from_doc(serialize.load_path(args.ueb))
+    members = serialize.read(args.ueb, "matrix-list")
     u = _require(
         validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
     )
@@ -295,14 +292,12 @@ def _cmd_fixtures(args) -> Outcome:
         obj = fixture(args.name)
     except KeyError as exc:
         raise serialize.SerializeError(exc.args[0]) from exc
-    if isinstance(obj, HadamardMatrix):
-        doc = serialize.matrix_doc(obj.mat)
-    elif isinstance(obj, np.ndarray):
-        doc = serialize.matrix_doc(obj)
+    if isinstance(obj, VectorGrid):
+        doc = serialize.to_doc("grid", obj.array)
     elif isinstance(obj, tuple):
-        doc = serialize.vector_list_doc(np.stack(obj))
+        doc = serialize.to_doc("vector-list", obj)
     else:
-        doc = serialize.grid_doc(obj)
+        doc = serialize.to_doc("matrix", getattr(obj, "mat", obj))
     line = f"fixture {args.name} ({doc['kind']}) written"
     return Outcome(True, {"name": args.name, "kind": doc["kind"]}, [line], doc)
 

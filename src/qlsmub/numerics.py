@@ -115,23 +115,3 @@ def is_permutation_matrix(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(
         np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)
     )
-
-
-def is_monomial(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the matrix has exactly one entry of modulus > tol per row and column."""
-    arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        return False
-    support = np.abs(arr) > tol
-    return bool(
-        np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1)
-    )
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of the difference of two equal-shape matrices."""
-    x = as_complex_matrix(a)
-    y = as_complex_matrix(b)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.linalg.norm(x - y))

@@ -1,63 +1,49 @@
 """JSON file formats for grids, tables, matrices, families, and bases.
 
-Every document carries ``format: "qlsmub/1"`` and a ``kind``.  Complex
-numbers are stored as two-element [re, im] arrays.  Serialization is
-canonical (sorted keys, fixed indentation, trailing newline), so re-encoding
-an unchanged object reproduces the file byte for byte.
+Every document carries ``format: "qlsmub/1"``, a ``kind``, the integer header
+fields that size its payload, and the payload; ``SCHEMAS`` lists them per
+kind.  Complex numbers are [re, im] pairs.  Serialization is canonical (sorted
+keys, fixed indentation, trailing newline): re-encoding reproduces the bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from math import isqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bases import BipartiteBasis
 from .squares import LatinSquare, VectorGrid
 
 FORMAT = "qlsmub/1"
 
-KINDS = ("grid", "latin", "matrix", "matrix-list", "basis", "vector-list")
-
 
 class SerializeError(ValueError):
-    """Malformed document: wrong format tag, kind, or payload shape."""
+    """Malformed document: wrong format tag, kind, header, or payload."""
 
 
-def _complex_out(arr: np.ndarray) -> Any:
-    # Nested lists with [re, im] leaves, mirroring the array's shape.
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
+class Schema(NamedTuple):
+    payload: str  # key of the payload array
+    axes: tuple[str, ...]  # header key sizing each payload axis, value^2 if square
+    square: bool = False
+    pairs: bool = True  # [re, im] leaves; else JSON integer leaves
+    build: Callable | None = None  # payload -> the object read() returns
 
 
-def _complex_in(data: Any, expect_ndim: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SerializeError(f"{what}: entries are not numbers") from exc
-    if arr.ndim != expect_ndim + 1 or arr.shape[-1] != 2:
-        raise SerializeError(
-            f"{what}: expected nesting depth {expect_ndim} of [re, im] pairs"
-        )
-    if not np.isfinite(arr).all():
-        raise SerializeError(f"{what}: non-finite entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+SCHEMAS = {
+    "grid": Schema("entries", ("n", "n", "n"), build=VectorGrid),
+    "latin": Schema("cells", ("n", "n"), pairs=False, build=LatinSquare),
+    "matrix": Schema("entries", ("rows", "cols")),
+    "matrix-list": Schema("members", ("count", "rows", "cols")),
+    "basis": Schema("states", ("n", "n"), True, build=lambda s: BipartiteBasis(isqrt(len(s)), s)),
+    "vector-list": Schema("vectors", ("count", "dim")),
+}
 
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _check_header(doc: Any, kind: str) -> dict:
-    if not isinstance(doc, dict):
-        raise SerializeError("document is not a JSON object")
-    if doc.get("format") != FORMAT:
-        raise SerializeError(
-            f"unsupported format tag {doc.get('format')!r}, expected {FORMAT!r}"
-        )
-    if doc.get("kind") != kind:
-        raise SerializeError(f"kind {doc.get('kind')!r}, expected {kind!r}")
-    return doc
 
 
 def loads(text: str) -> dict:
@@ -70,130 +56,75 @@ def loads(text: str) -> dict:
     return doc
 
 
-def grid_doc(grid: VectorGrid) -> dict:
-    return {
-        "format": FORMAT,
-        "kind": "grid",
-        "n": grid.n,
-        "entries": _complex_out(grid.array),
-    }
+def to_doc(kind: str, array) -> dict:
+    """The ``kind`` document of ``array``, its header read off the shape."""
+    schema = SCHEMAS[kind]
+    arr = np.asarray(array, dtype=np.complex128 if schema.pairs else np.int64)
+    doc = {"format": FORMAT, "kind": kind}
+    for key, size in zip(schema.axes, arr.shape):
+        doc[key] = isqrt(size) if schema.square else size
+    payload = np.stack([arr.real, arr.imag], axis=-1) if schema.pairs else arr
+    doc[schema.payload] = payload.tolist()
+    return doc
 
 
-def grid_from_doc(doc: dict) -> VectorGrid:
-    _check_header(doc, "grid")
-    n = doc.get("n")
-    arr = _complex_in(doc.get("entries"), 3, "grid entries")
-    if not isinstance(n, int) or arr.shape != (n, n, n):
-        raise SerializeError(f"grid entries shape {arr.shape} does not match n={n}")
-    return VectorGrid(arr)
+def from_doc(doc, kind: str) -> np.ndarray:
+    """The payload array of a ``kind`` document, or a :class:`SerializeError`.
+
+    Header values and integer leaves must be JSON integers, not bools or
+    floats; [re, im] leaves must be finite numbers.
+    """
+    if not isinstance(doc, dict):
+        raise SerializeError("document is not a JSON object")
+    if doc.get("format") != FORMAT:
+        raise SerializeError(f"unsupported format tag {doc.get('format')!r}, expected {FORMAT!r}")
+    if doc.get("kind") != kind:
+        raise SerializeError(f"kind {doc.get('kind')!r}, expected {kind!r}")
+    schema = SCHEMAS[kind]
+    what, data = f"{kind} {schema.payload}", doc.get(schema.payload)
+    if schema.pairs:
+        try:
+            arr = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SerializeError(f"{what}: entries are not numbers") from exc
+        depth = len(schema.axes)
+        if arr.ndim != depth + 1 or arr.shape[-1] != 2:
+            raise SerializeError(f"{what}: expected nesting depth {depth} of [re, im] pairs")
+        if not np.isfinite(arr).all():
+            raise SerializeError(f"{what}: non-finite entries")
+        arr = arr.view(np.complex128)[..., 0]  # exact, signed zeros included
+    else:
+        arr = np.asarray(data, dtype=object)
+        if not all(type(x) is int and -(2**63) <= x < 2**63 for x in arr.flat):
+            raise SerializeError(f"{what} are not integers")
+    sizes = [doc.get(key) for key in schema.axes]
+    if any(type(v) is not int for v in sizes) or arr.shape != tuple(
+        v * v if schema.square else v for v in sizes):
+        detail = f"n={doc.get('n')}" if set(schema.axes) == {"n"} else "header"
+        raise SerializeError(f"{what} shape {arr.shape} does not match {detail}")
+    return arr if schema.pairs else arr.astype(np.int64)
 
 
-def latin_doc(latin: LatinSquare) -> dict:
-    return {
-        "format": FORMAT,
-        "kind": "latin",
-        "n": latin.n,
-        "cells": latin.cells.tolist(),
-    }
-
-
-def latin_from_doc(doc: dict) -> LatinSquare:
-    _check_header(doc, "latin")
-    n = doc.get("n")
-    cells = doc.get("cells")
+def read(path: str, kind: str):
+    """The ``kind`` payload at ``path``, as the schema's ``build`` object if it has one."""
+    arr = from_doc(load_path(path), kind)
+    build = SCHEMAS[kind].build
     try:
-        arr = np.asarray(cells, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise SerializeError("latin cells are not integers") from exc
-    if not isinstance(n, int) or arr.shape != (n, n):
-        raise SerializeError(f"latin cells shape {arr.shape} does not match n={n}")
-    try:
-        return LatinSquare(arr)
+        return build(arr) if build else arr
     except ValueError as exc:
         raise SerializeError(str(exc)) from exc
 
 
-def matrix_doc(mat: np.ndarray) -> dict:
-    arr = np.asarray(mat, dtype=np.complex128)
-    return {
-        "format": FORMAT,
-        "kind": "matrix",
-        "rows": arr.shape[0],
-        "cols": arr.shape[1],
-        "entries": _complex_out(arr),
-    }
+def grid_doc(grid: VectorGrid) -> dict:
+    return to_doc("grid", grid.array)
 
 
-def matrix_from_doc(doc: dict) -> np.ndarray:
-    _check_header(doc, "matrix")
-    arr = _complex_in(doc.get("entries"), 2, "matrix entries")
-    if arr.shape != (doc.get("rows"), doc.get("cols")):
-        raise SerializeError(
-            f"matrix entries shape {arr.shape} does not match header"
-        )
-    return arr
+def grid_from_doc(doc: dict) -> VectorGrid:
+    return VectorGrid(from_doc(doc, "grid"))
 
 
 def matrix_list_doc(members) -> dict:
-    arr = np.asarray(members, dtype=np.complex128)
-    return {
-        "format": FORMAT,
-        "kind": "matrix-list",
-        "count": arr.shape[0],
-        "rows": arr.shape[1],
-        "cols": arr.shape[2],
-        "members": _complex_out(arr),
-    }
-
-
-def matrix_list_from_doc(doc: dict) -> np.ndarray:
-    _check_header(doc, "matrix-list")
-    arr = _complex_in(doc.get("members"), 3, "matrix-list members")
-    if arr.shape != (doc.get("count"), doc.get("rows"), doc.get("cols")):
-        raise SerializeError(
-            f"matrix-list members shape {arr.shape} does not match header"
-        )
-    return arr
-
-
-def basis_doc(n: int, states: np.ndarray) -> dict:
-    arr = np.asarray(states, dtype=np.complex128)
-    return {
-        "format": FORMAT,
-        "kind": "basis",
-        "n": n,
-        "states": _complex_out(arr),
-    }
-
-
-def basis_from_doc(doc: dict):
-    _check_header(doc, "basis")
-    n = doc.get("n")
-    arr = _complex_in(doc.get("states"), 2, "basis states")
-    if not isinstance(n, int) or arr.shape != (n * n, n * n):
-        raise SerializeError(f"basis states shape {arr.shape} does not match n={n}")
-    return n, arr
-
-
-def vector_list_doc(vectors) -> dict:
-    arr = np.asarray(vectors, dtype=np.complex128)
-    return {
-        "format": FORMAT,
-        "kind": "vector-list",
-        "count": arr.shape[0],
-        "dim": arr.shape[1],
-        "vectors": _complex_out(arr),
-    }
-
-
-def vector_list_from_doc(doc: dict) -> np.ndarray:
-    _check_header(doc, "vector-list")
-    arr = _complex_in(doc.get("vectors"), 2, "vector-list vectors")
-    if arr.shape != (doc.get("count"), doc.get("dim")):
-        raise SerializeError(
-            f"vector-list shape {arr.shape} does not match header"
-        )
-    return arr
+    return to_doc("matrix-list", members)
 
 
 def load_path(path: str) -> dict:

@@ -38,9 +38,6 @@ class VectorGrid:
     def entry(self, row: int, col: int) -> np.ndarray:
         return self.array[row, col]
 
-    def row(self, row: int) -> np.ndarray:
-        return self.array[row]
-
     def __repr__(self) -> str:
         return f"VectorGrid(n={self.n})"
 
@@ -146,28 +143,6 @@ def validate_qls(grid: VectorGrid, tol: float = DEFAULT_TOL):
             value = complex(grams[hit])
             return GridViolation(line, hit[0], (u, v), value, abs(value - float(u == v)))
     return QuantumLatinSquare(grid, tol)
-
-
-def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare | None:
-    """Recover the integer table if every entry is literally a basis vector.
-
-    Each entry must be within tol of some |k> componentwise (phase included),
-    and the resulting table must be Latin.  Returns None otherwise.
-    """
-    n = grid.n
-    cells = np.empty((n, n), dtype=np.int64)
-    eye = np.eye(n)
-    for r in range(n):
-        for c in range(n):
-            v = grid.array[r, c]
-            k = int(np.argmax(np.abs(v)))
-            if np.abs(v - eye[k]).max() > tol:
-                return None
-            cells[r, c] = k
-    try:
-        return LatinSquare(cells)
-    except ValueError:
-        return None
 
 
 def left_conjugate(latin: LatinSquare) -> LatinSquare:

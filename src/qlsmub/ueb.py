@@ -57,8 +57,9 @@ class UnitaryErrorBasis:
 class UebViolation:
     """First failed axiom of a candidate member stack.
 
-    kind: "count" (not n^2 square matrices of one size), "non-unitary"
-    (member ``index``, whose U*U has ``value`` as its entry furthest from I,
+    kind: "count" (not n^2 square matrices of one size), "non-finite"
+    (member ``index`` has a NaN or Inf entry), "non-unitary" (member
+    ``index``, whose U*U has ``value`` as its entry furthest from I,
     ``off_by`` away), or "trace-orthogonality" (member pair ``pair`` whose
     trace inner product ``value`` is ``off_by`` away from n I).
     """
@@ -72,6 +73,8 @@ class UebViolation:
     def __str__(self) -> str:
         if self.kind == "count":
             return "member stack is not n^2 square matrices of a single size"
+        if self.kind == "non-finite":
+            return f"member {self.index} has a NaN or Inf entry"
         if self.kind == "non-unitary":
             return f"member {self.index}: U*U differs from I by {self.off_by:.3e}"
         return (
@@ -97,8 +100,9 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
     n = arr.shape[1]
     if arr.shape[0] != n * n:
         return UebViolation("count")
-    if not np.isfinite(arr).all():
-        return UebViolation("count")
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if not finite.all():
+        return UebViolation("non-finite", index=int(np.argmin(finite)))
 
     products = arr.conj().transpose(0, 2, 1) @ arr  # U*U for every member
     hit = first_gram_defect(products, 1.0, tol)

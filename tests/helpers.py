@@ -4,7 +4,8 @@ from itertools import combinations
 
 import numpy as np
 
-from qlsmub.numerics import OBSTRUCTION_THRESHOLD, lcm_up_to, mat_power
+from qlsmub.numerics import DEFAULT_TOL, OBSTRUCTION_THRESHOLD, lcm_up_to, mat_power
+from qlsmub.squares import LatinSquare, VectorGrid
 from qlsmub.ueb import ObstructionReport
 
 
@@ -14,6 +15,27 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def is_monomial(m, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the square matrix has one entry of modulus > tol per row and column."""
+    support = np.abs(np.asarray(m)) > tol
+    return (
+        support.shape[0] == support.shape[1]
+        and bool((support.sum(axis=0) == 1).all() and (support.sum(axis=1) == 1).all())
+    )
+
+
+def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare | None:
+    """The integer table if every entry is within tol of a basis vector |k>
+    (phase included) and the table is Latin; None otherwise."""
+    cells = np.argmax(np.abs(grid.array), axis=2)
+    if np.abs(grid.array - np.eye(grid.n)[cells]).max() > tol:
+        return None
+    try:
+        return LatinSquare(cells)
+    except ValueError:
+        return None
 
 
 def reference_obstruction(u, threshold: float = OBSTRUCTION_THRESHOLD, normalizer: int = 0):

@@ -33,31 +33,31 @@ def run(capsys, *argv):
 
 def write_latin(tmp_path, name, latin):
     path = str(tmp_path / name)
-    serialize.save_path(path, serialize.latin_doc(latin))
+    serialize.save_path(path, serialize.to_doc("latin", latin.cells))
     return path
 
 
 def write_grid(tmp_path, name, grid):
     path = str(tmp_path / name)
-    serialize.save_path(path, serialize.grid_doc(grid))
+    serialize.save_path(path, serialize.to_doc("grid", grid.array))
     return path
 
 
 def write_matrix(tmp_path, name, mat):
     path = str(tmp_path / name)
-    serialize.save_path(path, serialize.matrix_doc(mat))
+    serialize.save_path(path, serialize.to_doc("matrix", mat))
     return path
 
 
 def write_family(tmp_path, name, mats):
     path = str(tmp_path / name)
-    serialize.save_path(path, serialize.matrix_list_doc(np.stack(mats)))
+    serialize.save_path(path, serialize.to_doc("matrix-list", mats))
     return path
 
 
 def write_ueb(tmp_path, name, members):
     path = str(tmp_path / name)
-    serialize.save_path(path, serialize.matrix_list_doc(members))
+    serialize.save_path(path, serialize.to_doc("matrix-list", members))
     return path
 
 
@@ -215,25 +215,25 @@ def test_left_conj_to_stdout(tmp_path, capsys):
     original = write_latin(tmp_path, "sq.json", CYCLIC3)
     code, out, _ = run(capsys, "left-conj", original)
     assert code == 0
-    latin = serialize.latin_from_doc(serialize.loads(out))
-    assert latin == left_conjugate(CYCLIC3)
+    cells = serialize.from_doc(serialize.loads(out), "latin")
+    assert LatinSquare(cells) == left_conjugate(CYCLIC3)
 
 
 def test_fixtures_emit(tmp_path, capsys):
     out_path = str(tmp_path / "p.json")
     code, out, _ = run(capsys, "fixtures", "emit", "paper-P", "--out", out_path)
     assert code == 0
-    grid = serialize.grid_from_doc(serialize.load_path(out_path))
+    grid = serialize.read(out_path, "grid")
     assert_allclose(grid.array, fixture("paper-P").array)
 
     code, out, _ = run(capsys, "fixtures", "emit", "hadamard-9-corrected")
     assert code == 0
-    mat = serialize.matrix_from_doc(serialize.loads(out))
+    mat = serialize.from_doc(serialize.loads(out), "matrix")
     assert_allclose(mat, hadamard_9_corrected().mat)
 
     code, out, _ = run(capsys, "fixtures", "emit", "corrected-triple")
     assert code == 0
-    vecs = serialize.vector_list_from_doc(serialize.loads(out))
+    vecs = serialize.from_doc(serialize.loads(out), "vector-list")
     assert vecs.shape == (3, 9)
 
 
@@ -292,8 +292,8 @@ def test_build_lbw(order3, capsys):
         capsys, "build-lbw", order3["latin"], order3["matrix"], "--out", basis
     )
     assert code == 0 and "built 9 states" in out
-    n, states = serialize.basis_from_doc(serialize.load_path(basis))
-    assert n == 3 and states.shape == (9, 9)
+    built = serialize.read(basis, "basis")
+    assert built.n == 3 and built.states.shape == (9, 9)
 
     not_hadamard = write_matrix(tmp, "nh.json", np.eye(3))
     code, out, _ = run(capsys, "build-lbw", order3["latin"], not_hadamard)
@@ -332,14 +332,13 @@ def test_dual_round_trip_via_files(order3, capsys):
     assert run(capsys, "check-ueb", ueb)[0] == 0
     assert run(capsys, "dual", "--to-meb", ueb, "--out", back)[0] == 0
 
-    _, original = serialize.basis_from_doc(serialize.load_path(basis))
-    _, returned = serialize.basis_from_doc(serialize.load_path(back))
+    original, returned = (serialize.read(path, "basis").states for path in (basis, back))
     assert_allclose(returned, original, atol=1e-12)
 
 
 def test_dual_rejects_product_states(tmp_path, capsys):
     path = str(tmp_path / "comp.json")
-    serialize.save_path(path, serialize.basis_doc(2, np.eye(4, dtype=complex)))
+    serialize.save_path(path, serialize.to_doc("basis", np.eye(4, dtype=complex)))
     code, out, _ = run(capsys, "dual", "--to-ueb", path)
     assert code == 1
     assert "partial-trace residual" in out
@@ -471,6 +470,35 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert run(capsys, "validate-qls", str(tmp_path / "missing.json"))[0] == 2
 
 
+def _order_two_latin(cells):
+    return {**serialize.to_doc("latin", [[0, 1], [1, 0]]), "cells": cells}
+
+
+# Documents that were once read as something else: truncated or parsed cells,
+# a bool order, a float size.
+NON_INTEGER_DOCS = {
+    "float cells": ("left-conj", _order_two_latin([[0, 1.7], [1, 0.2]])),
+    "string cells": ("left-conj", _order_two_latin([["0", "1"], ["1", "0"]])),
+    "bool order": ("validate-qls", {**serialize.to_doc("grid", np.ones((1, 1, 1))), "n": True}),
+    "float rows": ("validate-hadamard", {**serialize.to_doc("matrix", fourier(2).mat), "rows": 2.0}),
+}
+
+
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "json-report"])
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_DOCS))
+def test_non_integer_headers_and_cells_exit_two(tmp_path, capsys, case, fmt, out):
+    command, doc = NON_INTEGER_DOCS[case]
+    path = str(tmp_path / "doc.json")
+    serialize.save_path(path, doc)
+    out_path = tmp_path / "out.json"
+    argv = [command, path, "--format", fmt] + (["--out", str(out_path)] if out else [])
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
@@ -561,7 +589,7 @@ def files_of_order(tmp_path, n):
     f = fourier(n)
     qls, family = validate_qls(computational_grid(latin)), constant_family(f)
     basis = str(tmp_path / f"basis{n}.json")
-    serialize.save_path(basis, serialize.basis_doc(n, qls_meb(qls, family).states))
+    serialize.save_path(basis, serialize.to_doc("basis", qls_meb(qls, family).states))
     return {
         "grid": write_grid(tmp_path, f"grid{n}.json", qls.grid),
         "family": write_family(tmp_path, f"family{n}.json", [f.mat] * n),

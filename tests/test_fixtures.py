@@ -21,11 +21,12 @@ from qlsmub.squares import (
     GridViolation,
     QuantumLatinSquare,
     VectorGrid,
-    as_latin_square,
     is_moqls,
     validate_qls,
     weak_orth_witness,
 )
+
+from helpers import as_latin_square
 
 
 def test_catalog_is_complete():

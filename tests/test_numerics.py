@@ -6,15 +6,13 @@ from qlsmub.numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
     first_gram_defect,
-    frobenius_distance,
-    is_monomial,
     is_permutation_matrix,
     kron,
     lcm_up_to,
     mat_power,
 )
 
-from helpers import random_unitary
+from helpers import is_monomial, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -82,7 +80,7 @@ def test_mat_power_unitary_stability():
     for _ in range(5):
         u = random_unitary(9, rng)
         p = mat_power(u, 2520)
-        assert frobenius_distance(p @ p.conj().T, np.eye(9)) <= 1e-10
+        assert np.linalg.norm(p @ p.conj().T - np.eye(9)) <= 1e-10
 
 
 def test_mat_power_rejects_bad_input():
@@ -133,12 +131,6 @@ def test_is_permutation_matrix():
     assert not is_permutation_matrix(perm + 1e-6)
 
 
-def test_is_monomial():
-    assert is_monomial(np.diag([1j, -1.0]))
-    assert not is_monomial(np.ones((2, 2)))
-    assert is_monomial(np.array([[0, 2], [3, 0]], dtype=complex))
-
-
 def test_permutation_implies_monomial():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -147,13 +139,6 @@ def test_permutation_implies_monomial():
         perm[rng.permutation(n), np.arange(n)] = 1
         assert is_permutation_matrix(perm)
         assert is_monomial(perm)
-
-
-def test_frobenius_distance():
-    assert frobenius_distance(np.eye(2), np.eye(2)) == 0.0
-    assert_allclose(frobenius_distance(np.eye(2), X), 2.0)
-    with pytest.raises(ValueError):
-        frobenius_distance(np.eye(2), np.eye(3))
 
 
 def test_as_complex_matrix_rejects_non_finite():

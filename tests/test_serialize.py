@@ -1,90 +1,73 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_array_equal
 
+from qlsmub.bases import BipartiteBasis
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.serialize import (
     FORMAT,
+    SCHEMAS,
     SerializeError,
-    basis_doc,
-    basis_from_doc,
     dumps,
-    grid_doc,
-    grid_from_doc,
-    latin_doc,
-    latin_from_doc,
+    from_doc,
     load_path,
     loads,
-    matrix_doc,
-    matrix_from_doc,
-    matrix_list_doc,
-    matrix_list_from_doc,
+    read,
     save_path,
-    vector_list_doc,
-    vector_list_from_doc,
+    to_doc,
 )
-from qlsmub.squares import LatinSquare
+from qlsmub.squares import LatinSquare, VectorGrid
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 
-
-def test_grid_round_trip_is_canonical():
-    grid = fixture("paper-P")
-    text = dumps(grid_doc(grid))
-    back = grid_from_doc(loads(text))
-    assert_allclose(back.array, grid.array)
-    assert dumps(grid_doc(back)) == text
-
-
-def test_latin_round_trip():
-    text = dumps(latin_doc(CYCLIC3))
-    back = latin_from_doc(loads(text))
-    assert back == CYCLIC3
-    assert dumps(latin_doc(back)) == text
+_RNG = np.random.default_rng(3)
+SAMPLES = {
+    "grid": fixture("paper-P").array,
+    "latin": CYCLIC3.cells,
+    "matrix": hadamard_9_corrected().mat,
+    "matrix-list": _RNG.standard_normal((4, 2, 2)) + 1j * _RNG.standard_normal((4, 2, 2)),
+    "basis": np.eye(4, dtype=complex) * 1j,
+    "vector-list": np.array(fixture("corrected-triple")),
+}
 
 
-def test_matrix_round_trip():
-    mat = hadamard_9_corrected().mat
-    text = dumps(matrix_doc(mat))
-    back = matrix_from_doc(loads(text))
-    assert_allclose(back, mat)
-    assert dumps(matrix_doc(back)) == text
-
-
-def test_matrix_list_round_trip():
-    rng = np.random.default_rng(3)
-    members = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-    text = dumps(matrix_list_doc(members))
-    back = matrix_list_from_doc(loads(text))
-    assert_allclose(back, members)
-    assert dumps(matrix_list_doc(back)) == text
-
-
-def test_basis_round_trip():
-    states = np.eye(4, dtype=complex) * 1j
-    text = dumps(basis_doc(2, states))
-    n, back = basis_from_doc(loads(text))
-    assert n == 2
-    assert_allclose(back, states)
-    assert dumps(basis_doc(n, back)) == text
-
-
-def test_vector_list_round_trip():
-    vectors = np.array(fixture("corrected-triple"))
-    text = dumps(vector_list_doc(vectors))
-    back = vector_list_from_doc(loads(text))
-    assert_allclose(back, vectors)
-    assert dumps(vector_list_doc(back)) == text
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_round_trip_is_canonical(kind):
+    text = dumps(to_doc(kind, SAMPLES[kind]))
+    back = from_doc(loads(text), kind)
+    assert_array_equal(back, SAMPLES[kind])
+    assert dumps(to_doc(kind, back)) == text
 
 
 def test_file_round_trip(tmp_path):
     path = str(tmp_path / "square.json")
-    save_path(path, latin_doc(CYCLIC3))
-    assert latin_from_doc(load_path(path)) == CYCLIC3
+    save_path(path, to_doc("latin", CYCLIC3.cells))
+    assert read(path, "latin") == CYCLIC3
     # canonical text on disk: trailing newline, sorted keys
     raw = (tmp_path / "square.json").read_text()
     assert raw.endswith("\n")
-    assert raw == dumps(latin_doc(CYCLIC3))
+    assert raw == dumps(to_doc("latin", CYCLIC3.cells))
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [("grid", VectorGrid), ("latin", LatinSquare), ("basis", BipartiteBasis),
+     ("matrix", np.ndarray), ("matrix-list", np.ndarray), ("vector-list", np.ndarray)],
+)
+def test_read_returns_the_library_object(tmp_path, kind, expected):
+    path = str(tmp_path / "doc.json")
+    save_path(path, to_doc(kind, SAMPLES[kind]))
+    assert isinstance(read(path, kind), expected)
+
+
+def test_read_turns_a_constructor_error_into_a_serialize_error(tmp_path):
+    path = str(tmp_path / "bad.json")
+    save_path(path, {"format": FORMAT, "kind": "latin", "n": 2, "cells": [[0, 0], [1, 1]]})
+    with pytest.raises(SerializeError, match="permutation"):
+        read(path, "latin")
 
 
 def test_rejects_bad_json_and_headers():
@@ -92,45 +75,89 @@ def test_rejects_bad_json_and_headers():
         loads("{nope")
     with pytest.raises(SerializeError, match="JSON object"):
         loads("[1, 2]")
-    doc = latin_doc(CYCLIC3)
+    with pytest.raises(SerializeError, match="JSON object"):
+        from_doc([1, 2], "latin")
+    doc = to_doc("latin", CYCLIC3.cells)
     doc["format"] = "qlsmub/999"
     with pytest.raises(SerializeError, match="format tag"):
-        latin_from_doc(doc)
+        from_doc(doc, "latin")
     with pytest.raises(SerializeError, match="kind"):
-        grid_from_doc(latin_doc(CYCLIC3))
+        from_doc(to_doc("latin", CYCLIC3.cells), "grid")
 
 
 def test_rejects_malformed_payloads():
-    doc = latin_doc(CYCLIC3)
+    doc = to_doc("latin", CYCLIC3.cells)
     doc["n"] = 4
     with pytest.raises(SerializeError, match="does not match"):
-        latin_from_doc(doc)
+        from_doc(doc, "latin")
 
-    bad_latin = {
-        "format": FORMAT,
-        "kind": "latin",
-        "n": 2,
-        "cells": [[0, 0], [1, 1]],
-    }
-    with pytest.raises(SerializeError, match="permutation"):
-        latin_from_doc(bad_latin)
-
-    g = grid_doc(fixture("paper-P"))
+    g = to_doc("grid", fixture("paper-P").array)
     g["entries"] = [[1.0]]
     with pytest.raises(SerializeError, match="re, im"):
-        grid_from_doc(g)
+        from_doc(g, "grid")
 
-    m = matrix_doc(np.eye(2))
+    m = to_doc("matrix", np.eye(2))
     m["entries"][0][0] = ["x", "y"]
     with pytest.raises(SerializeError, match="not numbers"):
-        matrix_from_doc(m)
+        from_doc(m, "matrix")
 
-    m2 = matrix_doc(np.eye(2))
+    m2 = to_doc("matrix", np.eye(2))
     m2["entries"][0][0] = [float("nan"), 0.0]
-    with pytest.raises(SerializeError):
-        matrix_from_doc(m2)
+    with pytest.raises(SerializeError, match="non-finite"):
+        from_doc(m2, "matrix")
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[[0, 1.7], [1, 0.2]], [[0, 1.0], [1, 0]], [["0", "1"], ["1", "0"]],
+     [[0, True], [True, 0]], [[0, 1], [1]], [[0, 2**63], [1, 0]], None],
+)
+def test_latin_cells_must_be_json_integers(cells):
+    doc = {"format": FORMAT, "kind": "latin", "n": 2, "cells": cells}
+    with pytest.raises(SerializeError, match="latin cells are not integers"):
+        from_doc(doc, "latin")
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_header_values_must_be_json_integers(kind, value):
+    ndim = len(SCHEMAS[kind].axes)
+    doc = to_doc(kind, np.zeros((1,) * ndim, dtype=int))  # every header value is 1
+    assert from_doc(doc, kind).shape == (1,) * ndim
+    for key in SCHEMAS[kind].axes:
+        with pytest.raises(SerializeError, match="does not match"):
+            from_doc({**doc, key: value}, kind)
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(SerializeError, match="cannot read"):
         load_path(str(tmp_path / "absent.json"))
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kind_and_array(draw):
+    """A kind and a random array of a shape its schema accepts.
+
+    Sizes start at 1: nested JSON lists cannot carry the shape of an empty array.
+    """
+    kind = draw(st.sampled_from(sorted(SCHEMAS)))
+    schema = SCHEMAS[kind]
+    sizes = {key: draw(st.integers(1, 3)) for key in schema.axes}
+    shape = tuple(sizes[key] ** 2 if schema.square else sizes[key] for key in schema.axes)
+    if not schema.pairs:
+        return kind, draw(arrays(np.int64, shape))
+    parts = draw(arrays(np.float64, shape + (2,), elements=FLOATS))
+    return kind, parts.view(np.complex128)[..., 0]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kind_and_array())
+def test_canonical_json_re_encodes_byte_for_byte(case):
+    kind, arr = case
+    text = dumps(to_doc(kind, arr))
+    back = from_doc(loads(text), kind)
+    assert back.shape == arr.shape
+    assert dumps(to_doc(kind, back)) == text

@@ -14,7 +14,6 @@ from qlsmub.squares import (
     WeakOrthWitness,
     are_left_orthogonal,
     are_orthogonal,
-    as_latin_square,
     computational_grid,
     is_moqls,
     left_conjugate,
@@ -23,6 +22,8 @@ from qlsmub.squares import (
     validate_qls,
     weak_orth_witness,
 )
+
+from helpers import as_latin_square
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
@@ -114,28 +115,6 @@ def test_validate_printed_fixture_values():
     assert isinstance(vq, GridViolation)
     assert (vq.line, vq.index, vq.pair) == ("row", 3, (0, 1))
     assert_allclose(vq.value, 2 / np.sqrt(18))  # <a|b>
-
-
-# ---------------------------------------------------------- as_latin_square
-
-
-def test_as_latin_square_rejects_phases_and_superpositions():
-    n = 2
-    arr = computational_grid(LatinSquare([[0, 1], [1, 0]])).array.copy()
-    arr[0, 0] = -arr[0, 0]
-    assert as_latin_square(VectorGrid(arr)) is None
-
-    arr2 = np.zeros((2, 2, 2), dtype=complex)
-    arr2[:, :, :] = 1 / np.sqrt(2)
-    assert as_latin_square(VectorGrid(arr2)) is None
-
-    assert as_latin_square(fixture("paper-P")) is None
-
-
-def test_as_latin_square_requires_latin_property():
-    arr = np.zeros((2, 2, 2), dtype=complex)
-    arr[:, :, 0] = 1.0  # every entry |0>: basis vectors, but not Latin
-    assert as_latin_square(VectorGrid(arr)) is None
 
 
 # ------------------------------------------------------------- conjugation

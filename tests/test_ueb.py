@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from qlsmub.bases import BipartiteBasis, qls_meb
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import constant_family, fourier, hadamard_family, random_hadamard
-from qlsmub.numerics import is_monomial, kron
+from qlsmub.numerics import kron
 from qlsmub.squares import LatinSquare, computational_grid, validate_qls
 from qlsmub.ueb import (
     ObstructionReport,
@@ -18,6 +18,8 @@ from qlsmub.ueb import (
     ueb_to_meb,
     validate_ueb,
 )
+
+from helpers import is_monomial
 
 EYE2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,6 +57,17 @@ def test_validate_rejects_wrong_count():
     assert isinstance(v, UebViolation) and v.kind == "count"
     v = validate_ueb(np.ones((4, 2, 3)))
     assert isinstance(v, UebViolation) and v.kind == "count"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_validate_names_the_first_non_finite_member(bad):
+    members = np.stack([EYE2, X, Z, X @ Z])
+    members[2, 1, 0] = bad
+    members[3, 0, 0] = bad
+    v = validate_ueb(members)
+    assert isinstance(v, UebViolation)
+    assert (v.kind, v.index, v.pair, v.value, v.off_by) == ("non-finite", 2, None, None, None)
+    assert str(v) == "member 2 has a NaN or Inf entry"
 
 
 def test_validate_rejects_non_unitary_member():
