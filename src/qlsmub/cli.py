@@ -2,6 +2,9 @@
 
 Exit codes: 0 when the checked property holds or the artifact was built,
 1 when a check finds a violation, 2 for malformed input or usage errors.
+Exit 1 from ``monomial-obstruction`` is a proof: the worst commutator norm
+exceeds a bound on the rounding noise computed from the input.  Exit 0 there
+means only that no obstruction was proved.
 Reports print as text by default; ``--format json-report`` emits a canonical
 JSON document instead.
 """
@@ -36,7 +39,7 @@ from .hadamard import (
     hadamard_family,
     validate_hadamard,
 )
-from .numerics import DEFAULT_TOL, OBSTRUCTION_THRESHOLD
+from .numerics import DEFAULT_TOL
 from .search import (
     count_latin_by_columns,
     cross_validate_lemma16,
@@ -274,14 +277,15 @@ def _cmd_monomial_obstruction(args) -> Outcome:
     u = _require(
         validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
     )
-    rep = monomial_obstruction(u, args.threshold)
+    rep = monomial_obstruction(u)
+    bound = f"noise bound {rep.noise_bound:.3e}"
     lines = [
         f"mu {rep.mu}, normalizer {rep.normalizer_index}: worst commutator "
         f"|[U^mu, V^mu]|_F = {rep.worst_norm:.6g} at pair {rep.worst_pair}",
         (
-            "OBSTRUCTED: not equivalent to a monomial basis"
+            f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
             if rep.obstructed
-            else f"no obstruction above threshold {rep.threshold:g}"
+            else f"no obstruction proved: worst norm is within the {bound}"
         ),
     ]
     return Outcome(not rep.obstructed, _fields(rep), lines)
@@ -405,10 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("check-ueb", _cmd_check_ueb, "unitary error basis axioms", "ueb")
     command("check-mu-ueb", _cmd_check_mu_ueb, "mutual unbiasedness of two unitary error bases",
             "ueb_a", "ueb_b")
-    p = command("monomial-obstruction", _cmd_monomial_obstruction,
-                "commutator sweep of lcm powers; exits 1 when an obstruction is found", "ueb")
-    p.add_argument("--threshold", type=float, default=OBSTRUCTION_THRESHOLD,
-                   help="obstruction threshold on the commutator norm")
+    command("monomial-obstruction", _cmd_monomial_obstruction,
+            "commutator sweep of lcm powers; exits 1 when an obstruction is proved", "ueb")
     p = command("fixtures", _cmd_fixtures, "emit a bundled reference object",
                 tol=False, artifact=True)
     p.add_argument("action", choices=("emit",))

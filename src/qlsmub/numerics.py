@@ -15,14 +15,6 @@ import numpy as np
 # permutation / monomial tests, orthonormality).
 DEFAULT_TOL = 1e-9
 
-# Commutator norms above this count as an obstruction.  The noise floor of
-# the power sweep is not far below it: on bases equivalent to monomial ones
-# (Haar unitaries on both sides), where every commutator is zero in exact
-# arithmetic, the worst measured norm is about 2.8e-9 at order 16, 6e-8 at
-# order 18 and 1.0-1.3e-6 at order 20, so from order 20 on the noise alone
-# can cross the threshold and an "obstructed" verdict is not a proof.
-OBSTRUCTION_THRESHOLD = 1e-6
-
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting non-finite entries."""

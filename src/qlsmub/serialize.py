@@ -9,6 +9,7 @@ keys, fixed indentation, trailing newline): re-encoding reproduces the bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import isqrt
 from typing import Callable, NamedTuple
 
@@ -57,9 +58,12 @@ def loads(text: str) -> dict:
 
 
 def to_doc(kind: str, array) -> dict:
-    """The ``kind`` document of ``array``, its header read off the shape."""
+    """The ``kind`` document of ``array``, its header read off the shape; an
+    empty axis, which nested lists cannot carry, raises :class:`SerializeError`."""
     schema = SCHEMAS[kind]
     arr = np.asarray(array, dtype=np.complex128 if schema.pairs else np.int64)
+    if 0 in arr.shape:
+        raise SerializeError(f"cannot write a {kind} document with an empty axis {arr.shape}")
     doc = {"format": FORMAT, "kind": kind}
     for key, size in zip(schema.axes, arr.shape):
         doc[key] = isqrt(size) if schema.square else size
@@ -71,8 +75,8 @@ def to_doc(kind: str, array) -> dict:
 def from_doc(doc, kind: str) -> np.ndarray:
     """The payload array of a ``kind`` document, or a :class:`SerializeError`.
 
-    Header values and integer leaves must be JSON integers, not bools or
-    floats; [re, im] leaves must be finite numbers.
+    Header values must be JSON integers >= 1, integer leaves JSON integers,
+    and [re, im] leaves finite JSON numbers (int or float, never bool).
     """
     if not isinstance(doc, dict):
         raise SerializeError("document is not a JSON object")
@@ -81,28 +85,33 @@ def from_doc(doc, kind: str) -> np.ndarray:
     if doc.get("kind") != kind:
         raise SerializeError(f"kind {doc.get('kind')!r}, expected {kind!r}")
     schema = SCHEMAS[kind]
+    for key in schema.axes:
+        if type(doc.get(key)) is int and doc[key] < 1:
+            raise SerializeError(f"{kind} header {key} is {doc[key]}, expected at least 1")
     what, data = f"{kind} {schema.payload}", doc.get(schema.payload)
+    bad = f"{what}: entries are not numbers" if schema.pairs else f"{what} are not integers"
+    try:
+        arr = np.asarray(data, dtype=np.float64 if schema.pairs else np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SerializeError(bad) from exc
+    depth = len(schema.axes)
+    if schema.pairs and (arr.ndim != depth + 1 or arr.shape[-1] != 2):
+        raise SerializeError(f"{what}: expected nesting depth {depth} of [re, im] pairs")
+    leaves = data if arr.ndim else [data]
+    for _ in range(arr.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= ({int, float} if schema.pairs else {int}):
+        raise SerializeError(bad)
     if schema.pairs:
-        try:
-            arr = np.asarray(data, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise SerializeError(f"{what}: entries are not numbers") from exc
-        depth = len(schema.axes)
-        if arr.ndim != depth + 1 or arr.shape[-1] != 2:
-            raise SerializeError(f"{what}: expected nesting depth {depth} of [re, im] pairs")
         if not np.isfinite(arr).all():
             raise SerializeError(f"{what}: non-finite entries")
         arr = arr.view(np.complex128)[..., 0]  # exact, signed zeros included
-    else:
-        arr = np.asarray(data, dtype=object)
-        if not all(type(x) is int and -(2**63) <= x < 2**63 for x in arr.flat):
-            raise SerializeError(f"{what} are not integers")
     sizes = [doc.get(key) for key in schema.axes]
     if any(type(v) is not int for v in sizes) or arr.shape != tuple(
         v * v if schema.square else v for v in sizes):
         detail = f"n={doc.get('n')}" if set(schema.axes) == {"n"} else "header"
         raise SerializeError(f"{what} shape {arr.shape} does not match {detail}")
-    return arr if schema.pairs else arr.astype(np.int64)
+    return arr
 
 
 def read(path: str, kind: str):

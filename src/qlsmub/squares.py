@@ -266,25 +266,22 @@ def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
     near_one = np.abs(prods - 1.0) <= tol
     near_zero = np.abs(prods) <= tol
 
-    table = np.full((n, n), -1, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            unit_at = -1
-            for k in range(n):
-                if near_one[i, j, k]:
-                    if unit_at >= 0:
-                        value = complex(prods[i, j, k])
-                        return WeakOrthFailure(i, j, "non-unique-unit", k, value, abs(value))
-                    unit_at = k
-                elif not near_zero[i, j, k]:
-                    value = complex(prods[i, j, k])
-                    off_by = min(abs(value), abs(value - 1.0))
-                    return WeakOrthFailure(i, j, "stray-value", k, value, off_by)
-            if unit_at < 0:
-                off_by = float(np.abs(prods[i, j] - 1.0).min())
-                return WeakOrthFailure(i, j, "missing-unit", None, None, off_by)
-            table[i, j] = unit_at
-    return WeakOrthWitness(n, table)
+    # defect[i, j, k < n]: a second unit (near one wins over near zero) or a
+    # stray value at column k; defect[i, j, n]: no unit at all.  The first
+    # True in row-major order is the first failure of a scan over i, j, k.
+    units = near_one.cumsum(axis=2)
+    defect = np.concatenate([np.where(near_one, units > 1, ~near_zero), units[..., -1:] == 0], 2)
+    first = int(defect.argmax())
+    if not defect.flat[first]:
+        return WeakOrthWitness(n, near_one.argmax(axis=2))
+    i, j, k = first // (n * (n + 1)), first // (n + 1) % n, first % (n + 1)
+    if k == n:
+        off_by = float(np.abs(prods[i, j] - 1.0).min())
+        return WeakOrthFailure(i, j, "missing-unit", None, None, off_by)
+    value = complex(prods[i, j, k])
+    if near_one[i, j, k]:
+        return WeakOrthFailure(i, j, "non-unique-unit", k, value, abs(value))
+    return WeakOrthFailure(i, j, "stray-value", k, value, min(abs(value), abs(value - 1.0)))
 
 
 def is_moqls(family, tol: float = DEFAULT_TOL) -> bool:

@@ -17,13 +17,7 @@ import numpy as np
 
 from .bases import BipartiteBasis, MubReport, extract_unitary
 from .hadamard import HadamardFamily
-from .numerics import (
-    DEFAULT_TOL,
-    OBSTRUCTION_THRESHOLD,
-    first_gram_defect,
-    lcm_up_to,
-    mat_power,
-)
+from .numerics import DEFAULT_TOL, first_gram_defect, lcm_up_to, mat_power
 from .squares import QuantumLatinSquare
 
 
@@ -209,9 +203,9 @@ class ObstructionReport:
     identity, every translated member is raised to the power ``mu`` (the lcm
     of 1..n), and all pairwise commutators of the powers are measured in
     Frobenius norm.  A monomial basis always yields commuting powers, so
-    ``worst_norm`` above the threshold proves the basis is not equivalent to
-    a monomial one by this route.  ``sample_entry`` is the (0, 0) entry of the
-    worst commutator.
+    ``worst_norm`` above ``noise_bound``, the most rounding can leave of a
+    zero commutator, proves the basis is not equivalent to a monomial one.
+    ``sample_entry`` is the (0, 0) entry of the worst commutator.
     """
 
     mu: int
@@ -220,20 +214,31 @@ class ObstructionReport:
     worst_norm: float
     sample_entry: complex
     obstructed: bool
-    threshold: float
+    noise_bound: float
 
 
-def monomial_obstruction(
-    u: UnitaryErrorBasis,
-    threshold: float = OBSTRUCTION_THRESHOLD,
-    normalizer: int = 0,
-) -> ObstructionReport:
+def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> ObstructionReport:
     """Sweep all pairwise commutators of mu-th powers of the translated basis.
 
     ``normalizer`` picks the member whose inverse right-translates the basis
     before powering.  The worst pair is selected by norm; among equal norms
     the lexicographically first pair wins.  Order 1 has a single member and
     no pair to sweep, so it raises ValueError.
+
+    Noise bound (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    sec. 3.6 and ch. 18; spectral norms, u = 2^-53, gamma_k = ku / (1 - ku)):
+    a computed n x n complex product errs by at most sqrt(2) gamma_{n+2}
+    |X||Y| entrywise, so by eta ||X|| ||Y|| with eta = sqrt(2) n gamma_{n+2}.
+    The measured delta = max_i ||T_i* T_i - I||_F of the translates, rounded
+    as it is, puts each T_i within beta = (delta + eta) / (1 - eta)^2 of a
+    unitary W_i (its polar factor).  Each product of the repeated squaring
+    rounds once, so by induction over the products ||fl(T_i^mu) - W_i^mu||
+    <= e = ((1 + beta)(1 + eta))^mu - 1.  The W_i^mu of a basis monomial up
+    to unitaries commute, so a computed commutator is at most
+    2 ((1 + e)^2 - 1) + 2 eta (1 + e)^2 in norm, sqrt(n) times that in
+    Frobenius norm, and 1 + eta times more for the rounding of the difference
+    and of the norm: noise_bound = sqrt(n) (1 + eta) (2 (1 + eta) (1 + e)^2
+    - 2), about 4 sqrt(n) mu (delta + 3 eta); inf where it overflows.
     """
     n = u.n
     count = n * n
@@ -243,7 +248,10 @@ def monomial_obstruction(
         raise ValueError(f"normalizer index {normalizer} out of range 0..{count - 1}")
     mu = lcm_up_to(n)
     anchor = u.members[normalizer].conj().T
-    powers = mat_power(u.members @ anchor, mu)
+    translated = u.members @ anchor
+    gram = translated.conj().transpose(0, 2, 1) @ translated
+    delta = float(np.linalg.norm(gram - np.eye(n), axis=(1, 2)).max())
+    powers = mat_power(translated, mu)
 
     # One batched step per row i against every j > i; the Frobenius norms are
     # sqrt(re.re + im.im) over the flattened commutators, as np.linalg.norm
@@ -259,12 +267,20 @@ def monomial_obstruction(
         if i == 0 or norms[k] > worst_norm:
             worst_pair, worst_norm = (i, i + 1 + k), float(norms[k])
             sample_entry = complex(comm[k, 0, 0])
+
+    eta = math.sqrt(2) * n * (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
+    beta = (delta + eta) / (1 - eta) ** 2
+    try:
+        log_growth = 2 * mu * math.log1p(beta + eta + beta * eta) + math.log1p(eta)
+        noise_bound = 2 * math.sqrt(n) * (1 + eta) * math.expm1(log_growth)
+    except OverflowError:
+        noise_bound = math.inf
     return ObstructionReport(
         mu=mu,
         normalizer_index=normalizer,
         worst_pair=worst_pair,
         worst_norm=worst_norm,
         sample_entry=sample_entry,
-        obstructed=bool(worst_norm > threshold),
-        threshold=threshold,
+        obstructed=bool(worst_norm > noise_bound),
+        noise_bound=noise_bound,
     )

@@ -1,12 +1,21 @@
 """Sampling and reference helpers shared by the tests."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from qlsmub.numerics import DEFAULT_TOL, OBSTRUCTION_THRESHOLD, lcm_up_to, mat_power
-from qlsmub.squares import LatinSquare, VectorGrid
-from qlsmub.ueb import ObstructionReport
+from qlsmub.hadamard import hadamard_family, random_hadamard
+from qlsmub.numerics import DEFAULT_TOL, lcm_up_to, mat_power
+from qlsmub.squares import (
+    LatinSquare,
+    VectorGrid,
+    WeakOrthFailure,
+    WeakOrthWitness,
+    computational_grid,
+    validate_qls,
+)
+from qlsmub.ueb import ObstructionReport, UnitaryErrorBasis, shift_multiply_ueb
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -15,6 +24,16 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def monomial_equivalent_ueb(latin: LatinSquare, rng: np.random.Generator) -> UnitaryErrorBasis:
+    """A @ M @ B for the shift-and-multiply basis M of ``latin`` with a random
+    Hadamard family and Haar A, B: monomial up to unitaries, so every
+    commutator of the obstruction sweep is zero in exact arithmetic."""
+    n = latin.n
+    family = hadamard_family([random_hadamard(n, rng) for _ in range(n)])
+    monomial = shift_multiply_ueb(validate_qls(computational_grid(latin)), family)
+    return UnitaryErrorBasis(n, random_unitary(n, rng) @ monomial.members @ random_unitary(n, rng))
 
 
 def is_monomial(m, tol: float = DEFAULT_TOL) -> bool:
@@ -38,12 +57,24 @@ def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare |
         return None
 
 
-def reference_obstruction(u, threshold: float = OBSTRUCTION_THRESHOLD, normalizer: int = 0):
+def reference_noise_bound(n: int, mu: int, delta: float) -> float:
+    """The noise bound of ``monomial_obstruction``, step by step as its
+    docstring derives it rather than in the library's folded form."""
+    u = 2.0**-53
+    eta = math.sqrt(2) * n * (n + 2) * u / (1 - (n + 2) * u)
+    beta = (delta + eta) / (1 - eta) ** 2
+    e = math.expm1(mu * (math.log1p(beta) + math.log1p(eta)))  # ((1+beta)(1+eta))^mu - 1
+    spectral = 2 * e * (2 + e) + 2 * eta * (1 + e) ** 2  # 2((1+e)^2 - 1) + 2 eta (1+e)^2
+    return math.sqrt(n) * spectral * (1 + eta)
+
+
+def reference_obstruction(u, normalizer: int = 0):
     """The obstruction sweep as one Python iteration per member pair.
 
     Each member is powered alone and each commutator norm is taken with
     ``np.linalg.norm``; the batched ``monomial_obstruction`` must match it
-    bit for bit, tie-break included.
+    bit for bit, tie-break included.  The unitarity defect is measured one
+    member at a time too, so ``noise_bound`` agrees only to rounding.
     """
     n, count = u.n, u.n * u.n
     mu = lcm_up_to(n)
@@ -51,6 +82,8 @@ def reference_obstruction(u, threshold: float = OBSTRUCTION_THRESHOLD, normalize
     powers = np.empty_like(translated)
     for s in range(count):
         powers[s] = mat_power(translated[s], mu)
+    eye = np.eye(n)
+    delta = max(float(np.linalg.norm(t.conj().T @ t - eye)) for t in translated)
 
     worst_pair, worst_norm = None, 0.0
     for i, j in combinations(range(count), 2):
@@ -59,12 +92,46 @@ def reference_obstruction(u, threshold: float = OBSTRUCTION_THRESHOLD, normalize
             worst_pair, worst_norm = (i, j), norm
     i, j = worst_pair
     comm = powers[i] @ powers[j] - powers[j] @ powers[i]
+    noise_bound = reference_noise_bound(n, mu, delta)
     return ObstructionReport(
         mu=mu,
         normalizer_index=normalizer,
         worst_pair=worst_pair,
         worst_norm=worst_norm,
         sample_entry=complex(comm[0, 0]),
-        obstructed=bool(worst_norm > threshold),
-        threshold=threshold,
+        obstructed=bool(worst_norm > noise_bound),
+        noise_bound=noise_bound,
     )
+
+
+def reference_weak_orth(q: VectorGrid, p: VectorGrid, tol: float = DEFAULT_TOL):
+    """``weak_orth_witness`` of two grids of order >= 2 as a scan over row
+    pairs (i, j) and columns k.
+
+    The batched witness must return the same record: the first failure in
+    this scan order, with a unit near 1 taking precedence over near 0.
+    """
+    n = q.n
+    prods = np.einsum("ikc,jkc->ijk", q.array.conj(), p.array)
+    near_one = np.abs(prods - 1.0) <= tol
+    near_zero = np.abs(prods) <= tol
+
+    table = np.full((n, n), -1, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            unit_at = -1
+            for k in range(n):
+                if near_one[i, j, k]:
+                    if unit_at >= 0:
+                        value = complex(prods[i, j, k])
+                        return WeakOrthFailure(i, j, "non-unique-unit", k, value, abs(value))
+                    unit_at = k
+                elif not near_zero[i, j, k]:
+                    value = complex(prods[i, j, k])
+                    off_by = min(abs(value), abs(value - 1.0))
+                    return WeakOrthFailure(i, j, "stray-value", k, value, off_by)
+            if unit_at < 0:
+                off_by = float(np.abs(prods[i, j] - 1.0).min())
+                return WeakOrthFailure(i, j, "missing-unit", None, None, off_by)
+            table[i, j] = unit_at
+    return WeakOrthWitness(n, table)

@@ -1,4 +1,7 @@
-"""Property tests over permuted cyclic Latin squares of orders 1..8."""
+"""Property tests over permuted cyclic Latin squares of orders 1..8 (7..12 for
+the obstruction's noise bound)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +16,13 @@ from qlsmub.squares import (
     LatinSquare,
     QuantumLatinSquare,
     VectorGrid,
+    WeakOrthFailure,
     computational_grid,
     validate_qls,
+    weak_orth_witness,
 )
 from qlsmub.ueb import (
     UebViolation,
-    UnitaryErrorBasis,
     meb_to_ueb,
     monomial_obstruction,
     shift_multiply_ueb,
@@ -26,7 +30,12 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import random_unitary, reference_obstruction
+from helpers import (
+    monomial_equivalent_ueb,
+    random_unitary,
+    reference_obstruction,
+    reference_weak_orth,
+)
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -143,14 +152,57 @@ def test_check_mub_passes_exactly_when_every_overlap_is_within_tol(latin, seed, 
 def test_obstruction_sweep_is_the_per_pair_loop_bit_for_bit(latin, seed, data):
     # A @ M @ B for a monomial M: every commutator is zero up to rounding, so
     # the worst pair is decided by noise-level norms and near-ties
-    rng = np.random.default_rng(seed)
-    n = latin.n
-    monomial = shift_multiply_ueb(validate_qls(computational_grid(latin)), random_family(n, rng))
-    u = UnitaryErrorBasis(n, random_unitary(n, rng) @ monomial.members @ random_unitary(n, rng))
-    normalizer = data.draw(st.integers(0, n * n - 1), label="normalizer")
+    u = monomial_equivalent_ueb(latin, np.random.default_rng(seed))
+    normalizer = data.draw(st.integers(0, latin.n**2 - 1), label="normalizer")
     report = monomial_obstruction(u, normalizer=normalizer)
     expected = reference_obstruction(u, normalizer=normalizer)
     assert report.worst_pair == expected.worst_pair
     assert report.worst_norm == expected.worst_norm
     assert report.sample_entry == expected.sample_entry
-    assert report == expected
+    assert_allclose(report.noise_bound, expected.noise_bound, rtol=1e-9)
+    assert report == replace(expected, noise_bound=report.noise_bound)
+    assert report.worst_norm <= report.noise_bound and not report.obstructed
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(latin_squares(min_order=7, max_order=12), SEEDS)
+def test_noise_bound_covers_monomial_equivalent_bases(latin, seed):
+    u = monomial_equivalent_ueb(latin, np.random.default_rng(seed))
+    report = monomial_obstruction(u, normalizer=seed % latin.n**2)
+    assert 0 < report.noise_bound < 1e-6
+    assert report.worst_norm <= report.noise_bound and not report.obstructed
+
+
+# Entry edits that break weak orthogonality in each way: a factor moves a
+# product off 0 or 1 (stray), onto 0 (missing unit) or near 1; a copied
+# vector from another row of the column makes a second unit or removes one.
+EDITS = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.one_of(
+        st.sampled_from([0.0, 0.5, 1 + 1e-6, 1.4, 1j, "copy"]),
+        st.complex_numbers(max_magnitude=2.0),
+    ),
+)
+
+
+@PROPERTY
+@given(latin_squares(min_order=2, max_order=6), SEEDS, st.data())
+def test_weak_orth_witness_is_the_scan_over_row_pairs(latin, seed, data):
+    n = latin.n
+    other = data.draw(latin_squares(min_order=n, max_order=n), label="other")
+    u = random_unitary(n, np.random.default_rng(seed))
+    q = computational_grid(latin).array @ u.T
+    p = computational_grid(other).array @ u.T
+    for row, col, edit in data.draw(st.lists(EDITS, max_size=3), label="edits"):
+        row, col = row % n, col % n
+        p[row, col] = p[(row + 1) % n, col] if edit == "copy" else p[row, col] * edit
+    tol = data.draw(st.sampled_from([1e-9, 1e-3, 0.3, 0.6]), label="tol")
+    got = weak_orth_witness(VectorGrid(q), VectorGrid(p), tol)
+    expected = reference_weak_orth(VectorGrid(q), VectorGrid(p), tol)
+    assert type(got) is type(expected)
+    if isinstance(expected, WeakOrthFailure):
+        assert repr(got) == repr(expected)  # Python ints, not numpy scalars
+    else:
+        assert got.table.dtype == np.int64
+        assert np.array_equal(got.table, expected.table)

@@ -118,6 +118,35 @@ def test_latin_cells_must_be_json_integers(cells):
         from_doc(doc, "latin")
 
 
+# [re, im] leaves that are no JSON number, alone or among floats
+PAIR_LEAVES = {
+    "strings": lambda x: str(x),
+    "bools": lambda x: x > 0,
+    "bools among floats": lambda x: x > 0 if x == 1.0 else x,
+    "nulls": lambda x: None,
+    "huge ints": lambda x: 10**400,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_LEAVES))
+def test_pair_leaves_must_be_json_numbers(case):
+    doc = to_doc("matrix", np.eye(2))
+    leaf = PAIR_LEAVES[case]
+    doc["entries"] = [[[leaf(x) for x in pair] for pair in row] for row in doc["entries"]]
+    with pytest.raises(SerializeError, match="matrix entries: entries are not numbers"):
+        from_doc(doc, "matrix")
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_header_values_must_be_at_least_one(kind):
+    schema = SCHEMAS[kind]
+    doc = to_doc(kind, np.ones((1,) * len(schema.axes), dtype=int))
+    for key in schema.axes:
+        for value in (0, -1):
+            with pytest.raises(SerializeError, match=f"{kind} header {key} is {value}, expected"):
+                from_doc({**doc, key: value}, kind)
+
+
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
 @pytest.mark.parametrize("value", [True, 1.0, "1", None])
 def test_header_values_must_be_json_integers(kind, value):
@@ -141,11 +170,12 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 def kind_and_array(draw):
     """A kind and a random array of a shape its schema accepts.
 
-    Sizes start at 1: nested JSON lists cannot carry the shape of an empty array.
+    Sizes start at 0, which ``to_doc`` must refuse: nested JSON lists cannot
+    carry the shape of an empty array.
     """
     kind = draw(st.sampled_from(sorted(SCHEMAS)))
     schema = SCHEMAS[kind]
-    sizes = {key: draw(st.integers(1, 3)) for key in schema.axes}
+    sizes = {key: draw(st.integers(0, 3)) for key in schema.axes}
     shape = tuple(sizes[key] ** 2 if schema.square else sizes[key] for key in schema.axes)
     if not schema.pairs:
         return kind, draw(arrays(np.int64, shape))
@@ -157,6 +187,10 @@ def kind_and_array(draw):
 @given(kind_and_array())
 def test_canonical_json_re_encodes_byte_for_byte(case):
     kind, arr = case
+    if arr.size == 0:
+        with pytest.raises(SerializeError, match="empty axis"):
+            to_doc(kind, arr)
+        return
     text = dumps(to_doc(kind, arr))
     back = from_doc(loads(text), kind)
     assert back.shape == arr.shape

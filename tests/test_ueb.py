@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,7 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import is_monomial
+from helpers import is_monomial, monomial_equivalent_ueb
 
 EYE2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -274,11 +276,20 @@ def test_obstruction_needs_order_two():
         monomial_obstruction(order_one)
 
 
-def test_obstruction_threshold_is_respected():
-    # a huge threshold declares even the fixture basis unobstructed
-    report = monomial_obstruction(fixture_ueb(), threshold=10.0)
+def test_obstruction_noise_bound_overflows_to_inf():
+    # 2U is far from unitary: (1 + delta)^mu overflows, and so do the powers
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        report = monomial_obstruction(UnitaryErrorBasis(9, 2 * fixture_ueb().members))
+    assert report.noise_bound == math.inf
     assert not report.obstructed
-    assert report.threshold == 10.0
+
+
+def test_obstruction_order_twenty_monomial_equivalent_is_not_obstructed():
+    # rounding alone leaves a worst norm of about 1.3e-6 here
+    cyclic = LatinSquare(np.add.outer(np.arange(20), np.arange(20)) % 20)
+    report = monomial_obstruction(monomial_equivalent_ueb(cyclic, np.random.default_rng(0)))
+    assert 1e-7 < report.worst_norm <= report.noise_bound
+    assert not report.obstructed
 
 
 def test_obstruction_tensor_pauli_clean():
