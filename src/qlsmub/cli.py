@@ -102,11 +102,12 @@ def _require(result, kind: type, label: str):
 
 
 def _fields(record) -> dict:
-    """A check record's dataclass fields as report fields: complex numbers
+    """A check record's dataclass fields as report fields: a field's
+    ``report`` metadata, if any, maps its value first; complex numbers
     become [re, im], tuples and arrays become lists."""
     report = {}
     for f in fields(record):
-        value = getattr(record, f.name)
+        value = f.metadata.get("report", lambda v: v)(getattr(record, f.name))
         if isinstance(value, complex):
             value = [float(value.real), float(value.imag)]
         elif isinstance(value, (tuple, np.ndarray)):
@@ -279,15 +280,19 @@ def _cmd_monomial_obstruction(args) -> Outcome:
     )
     rep = monomial_obstruction(u)
     bound = f"noise bound {rep.noise_bound:.3e}"
-    lines = [
-        f"mu {rep.mu}, normalizer {rep.normalizer_index}: worst commutator "
-        f"|[U^mu, V^mu]|_F = {rep.worst_norm:.6g} at pair {rep.worst_pair}",
-        (
-            f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
-            if rep.obstructed
-            else f"no obstruction proved: worst norm is within the {bound}"
-        ),
-    ]
+    head = f"mu {rep.mu}, normalizer {rep.normalizer_index}:"
+    if rep.worst_pair is None:
+        lines = [f"{head} sweep skipped", f"no obstruction proved: nothing can exceed the {bound}"]
+    else:
+        lines = [
+            f"{head} worst commutator "
+            f"|[U^mu, V^mu]|_F = {rep.worst_norm:.6g} at pair {rep.worst_pair}",
+            (
+                f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
+                if rep.obstructed
+                else f"no obstruction proved: worst norm is within the {bound}"
+            ),
+        ]
     return Outcome(not rep.obstructed, _fields(rep), lines)
 
 
@@ -323,12 +328,11 @@ def _cmd_search(args) -> Outcome:
             [f"order {args.order}: {len(pairs)} ordered orthogonal pairs"],
         )
     rep = cross_validate_lemma16(args.order, args.tol)
-    count = len(rep.disagreements)  # the record lists them, the report counts them
+    report = {"what": "lemma16", **_fields(rep)}
     line = (
         f"order {rep.order}: {rep.pairs_checked} ordered pairs, {rep.positives} weakly "
-        f"orthogonal, {count} disagreements between the three routes"
+        f"orthogonal, {report['disagreements']} disagreements between the three routes"
     )
-    report = {"what": "lemma16", **_fields(rep), "disagreements": count}
     return Outcome(rep.consistent, report, [line])
 
 

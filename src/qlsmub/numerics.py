@@ -92,18 +92,26 @@ def lcm_up_to(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
-def is_permutation_matrix(m, tol: float = DEFAULT_TOL) -> bool:
+def is_permutation_matrix(m, tol: float = DEFAULT_TOL):
     """True iff every row and column holds a single 1 and zeros elsewhere.
 
-    The unit entry must be +1 (phase included), not merely unimodular.
+    The unit entry must be +1 (phase included), not merely unimodular.  A
+    stack ``(..., k, k)`` gets one verdict per matrix, as a bool array of
+    shape ``(...)``; a single matrix gets a bool.
     """
-    arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        return False
-    ones = np.abs(arr - 1.0) <= tol
-    zeros = np.abs(arr) <= tol
-    if not np.all(ones | zeros):
-        return False
-    return bool(
-        np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)
-    )
+    arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim < 2:
+        raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    if arr.shape[-1] != arr.shape[-2]:
+        verdict = np.zeros(arr.shape[:-2], dtype=bool)
+    else:
+        ones = np.abs(arr - 1.0) <= tol
+        zeros = np.abs(arr) <= tol
+        verdict = (
+            (ones | zeros).all(axis=(-2, -1))
+            & (ones.sum(axis=-2) == 1).all(axis=-1)
+            & (ones.sum(axis=-1) == 1).all(axis=-1)
+        )
+    return bool(verdict) if arr.ndim == 2 else verdict

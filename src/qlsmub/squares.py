@@ -243,6 +243,26 @@ def _grid_of(g) -> VectorGrid:
     raise TypeError(f"expected a grid, got {type(g).__name__}")
 
 
+def weak_orth_defects(prods, tol: float = DEFAULT_TOL):
+    """The decision rule of :func:`weak_orth_witness`, on the columnwise inner
+    products ``prods[..., i, j, k] = <q[i,k] | p[j,k]>`` of one grid pair or a
+    stack of them.
+
+    Returns ``(near_one, defect)``.  ``defect[..., i, j, k < n]`` marks a
+    second unit (near one wins over near zero) or a stray value at column k,
+    ``defect[..., i, j, n]`` a row pair with no unit at all; a pair of grids
+    is weakly orthogonal iff its slice holds no True.  Order 1 is degenerate
+    and never defective.
+    """
+    near_one = np.abs(prods - 1.0) <= tol
+    near_zero = np.abs(prods) <= tol
+    units = near_one.cumsum(axis=-1)
+    defect = np.concatenate([np.where(near_one, units > 1, ~near_zero), units[..., -1:] == 0], -1)
+    if prods.shape[-1] == 1:
+        defect[...] = False
+    return near_one, defect
+
+
 def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
     """Row-pair witness for weak orthogonality of two grids.
 
@@ -258,19 +278,11 @@ def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
     if qg.n != pg.n:
         raise ValueError(f"order mismatch: {qg.n} vs {pg.n}")
     n = qg.n
-    if n == 1:
-        return WeakOrthWitness(1, np.zeros((1, 1), dtype=np.int64))
 
     # prods[i, j, k] = <q[i,k] | p[j,k]>
     prods = np.einsum("ikc,jkc->ijk", qg.array.conj(), pg.array)
-    near_one = np.abs(prods - 1.0) <= tol
-    near_zero = np.abs(prods) <= tol
-
-    # defect[i, j, k < n]: a second unit (near one wins over near zero) or a
-    # stray value at column k; defect[i, j, n]: no unit at all.  The first
-    # True in row-major order is the first failure of a scan over i, j, k.
-    units = near_one.cumsum(axis=2)
-    defect = np.concatenate([np.where(near_one, units > 1, ~near_zero), units[..., -1:] == 0], 2)
+    near_one, defect = weak_orth_defects(prods, tol)
+    # The first True in row-major order is the first failure of a scan over i, j, k.
     first = int(defect.argmax())
     if not defect.flat[first]:
         return WeakOrthWitness(n, near_one.argmax(axis=2))

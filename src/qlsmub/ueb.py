@@ -205,14 +205,16 @@ class ObstructionReport:
     Frobenius norm.  A monomial basis always yields commuting powers, so
     ``worst_norm`` above ``noise_bound``, the most rounding can leave of a
     zero commutator, proves the basis is not equivalent to a monomial one.
-    ``sample_entry`` is the (0, 0) entry of the worst commutator.
+    ``sample_entry`` is the (0, 0) entry of the worst commutator.  Where the
+    bound is not finite nothing can be proved, the powers are not taken, and
+    ``worst_pair``, ``worst_norm`` and ``sample_entry`` are None.
     """
 
     mu: int
     normalizer_index: int
-    worst_pair: tuple[int, int]
-    worst_norm: float
-    sample_entry: complex
+    worst_pair: tuple[int, int] | None
+    worst_norm: float | None
+    sample_entry: complex | None
     obstructed: bool
     noise_bound: float
 
@@ -238,7 +240,8 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     2 ((1 + e)^2 - 1) + 2 eta (1 + e)^2 in norm, sqrt(n) times that in
     Frobenius norm, and 1 + eta times more for the rounding of the difference
     and of the norm: noise_bound = sqrt(n) (1 + eta) (2 (1 + eta) (1 + e)^2
-    - 2), about 4 sqrt(n) mu (delta + 3 eta); inf where it overflows.
+    - 2), about 4 sqrt(n) mu (delta + 3 eta); inf where it overflows, and
+    then the sweep is skipped.
     """
     n = u.n
     count = n * n
@@ -251,6 +254,16 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     translated = u.members @ anchor
     gram = translated.conj().transpose(0, 2, 1) @ translated
     delta = float(np.linalg.norm(gram - np.eye(n), axis=(1, 2)).max())
+    eta = math.sqrt(2) * n * (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
+    beta = (delta + eta) / (1 - eta) ** 2
+    try:
+        log_growth = 2 * mu * math.log1p(beta + eta + beta * eta) + math.log1p(eta)
+        noise_bound = 2 * math.sqrt(n) * (1 + eta) * math.expm1(log_growth)
+    except OverflowError:
+        noise_bound = math.inf
+    if not noise_bound < math.inf:
+        # no commutator can exceed this bound, and the powers would overflow
+        return ObstructionReport(mu, normalizer, None, None, None, False, noise_bound)
     powers = mat_power(translated, mu)
 
     # One batched step per row i against every j > i; the Frobenius norms are
@@ -268,13 +281,6 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
             worst_pair, worst_norm = (i, i + 1 + k), float(norms[k])
             sample_entry = complex(comm[k, 0, 0])
 
-    eta = math.sqrt(2) * n * (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
-    beta = (delta + eta) / (1 - eta) ** 2
-    try:
-        log_growth = 2 * mu * math.log1p(beta + eta + beta * eta) + math.log1p(eta)
-        noise_bound = 2 * math.sqrt(n) * (1 + eta) * math.expm1(log_growth)
-    except OverflowError:
-        noise_bound = math.inf
     return ObstructionReport(
         mu=mu,
         normalizer_index=normalizer,

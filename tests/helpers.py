@@ -6,14 +6,19 @@ from itertools import combinations
 import numpy as np
 
 from qlsmub.hadamard import hadamard_family, random_hadamard
-from qlsmub.numerics import DEFAULT_TOL, lcm_up_to, mat_power
+from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix, lcm_up_to, mat_power
+from qlsmub.search import EquivalenceReport
 from qlsmub.squares import (
     LatinSquare,
     VectorGrid,
     WeakOrthFailure,
     WeakOrthWitness,
+    are_orthogonal,
     computational_grid,
+    left_conjugate,
+    orthogonality_map,
     validate_qls,
+    weak_orth_witness,
 )
 from qlsmub.ueb import ObstructionReport, UnitaryErrorBasis, shift_multiply_ueb
 
@@ -135,3 +140,65 @@ def reference_weak_orth(q: VectorGrid, p: VectorGrid, tol: float = DEFAULT_TOL):
                 return WeakOrthFailure(i, j, "missing-unit", None, None, off_by)
             table[i, j] = unit_at
     return WeakOrthWitness(n, table)
+
+
+def reference_enumerate_latin(n: int) -> np.ndarray:
+    """``enumerate_latin(n).cells`` as a recursive fill of the cells in
+    row-major order, each trying the symbols in increasing order."""
+    grid = np.zeros((n, n), dtype=np.int64)
+    row_used = [0] * n  # bitmasks
+    col_used = [0] * n
+    squares: list[np.ndarray] = []
+
+    def fill(cell: int) -> None:
+        if cell == n * n:
+            squares.append(grid.copy())
+            return
+        r, c = divmod(cell, n)
+        taken = row_used[r] | col_used[c]
+        for v in range(n):
+            bit = 1 << v
+            if taken & bit:
+                continue
+            grid[r, c] = v
+            row_used[r] |= bit
+            col_used[c] |= bit
+            fill(cell + 1)
+            row_used[r] &= ~bit
+            col_used[c] &= ~bit
+
+    fill(0)
+    return np.stack(squares)
+
+
+def reference_orthogonal_pairs(n: int) -> np.ndarray:
+    """``find_orthogonal_pairs(n)`` as one distinct-pair-code test of each
+    square against all squares."""
+    codes = reference_enumerate_latin(n).reshape(-1, n * n)
+    pairs = []
+    for ia in range(len(codes)):
+        srt = np.sort(codes[ia][None, :] * n + codes, axis=1)
+        ok = np.all(srt[:, 1:] != srt[:, :-1], axis=1)
+        pairs.extend((ia, int(ib)) for ib in np.flatnonzero(ok))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> EquivalenceReport:
+    """``cross_validate_lemma16`` as one Python iteration per ordered pair,
+    through the single-pair library calls, over the squares ``ia`` in
+    ``rows`` (all by default) against every partner."""
+    squares = [LatinSquare(c) for c in reference_enumerate_latin(n)]
+    grids = [computational_grid(s) for s in squares]
+    conjugates = [left_conjugate(s) for s in squares]
+    rows = range(len(squares)) if rows is None else rows
+    positives = 0
+    disagreements = []
+    for ia in rows:
+        for ib in range(len(squares)):
+            by_witness = isinstance(weak_orth_witness(grids[ia], grids[ib], tol), WeakOrthWitness)
+            by_left = are_orthogonal(conjugates[ia], conjugates[ib])
+            by_perm = is_permutation_matrix(orthogonality_map(conjugates[ia], conjugates[ib]), tol)
+            positives += by_witness
+            if not (by_witness == by_left == by_perm):
+                disagreements.append((ia, ib, by_witness, by_left, by_perm))
+    return EquivalenceReport(n, len(rows) * len(squares), positives, disagreements)

@@ -142,8 +142,10 @@ def test_criterion_03_order_three_unbiased_pairs():
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
     pairs = find_orthogonal_pairs(3)
+    squares = enumerate_latin(3).squares
     worst = 0.0
-    for a, b in pairs:
+    for ia, ib in pairs:
+        a, b = squares[ia], squares[ib]
         qa = validate_qls(computational_grid(left_conjugate(a)))
         qb = validate_qls(computational_grid(left_conjugate(b)))
         fam_a = hadamard_family([random_hadamard(3, rng) for _ in range(3)])
@@ -403,7 +405,7 @@ def test_criterion_11_search_results():
     counts = [enumerate_latin(n).count for n in range(1, 5)]
     recounts = [count_latin_by_columns(n) for n in range(1, 5)]
     ok = (
-        empty == []
+        len(empty) == 0
         and counts == [1, 2, 12, 576]
         and recounts == counts
     )

@@ -11,6 +11,7 @@ from qlsmub.bases import MubReport, qls_meb
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import HadamardViolation, constant_family, fourier
+from qlsmub.search import cross_validate_lemma16
 from qlsmub.squares import (
     GridViolation,
     LatinSquare,
@@ -21,6 +22,8 @@ from qlsmub.squares import (
     validate_qls,
 )
 from qlsmub.ueb import MuUebReport, ObstructionReport, UebViolation, shift_multiply_ueb
+
+from helpers import reference_lemma16
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
@@ -397,6 +400,22 @@ def test_monomial_obstruction_exit_codes(tmp_path, capsys):
     assert re.search(verdict, out)
 
 
+def test_monomial_obstruction_with_an_infinite_noise_bound_skips_the_sweep(tmp_path, capsys):
+    fam9 = constant_family(hadamard_9_corrected())
+    members = 1.5 * shift_multiply_ueb(validate_qls(fixture("paper-P")), fam9).members
+    path = write_ueb(tmp_path, "scaled.json", members)  # valid only at a loose tol
+    code, out, _ = run(capsys, "monomial-obstruction", path, "--tol", "20")
+    assert code == 0
+    assert out == (
+        "mu 2520, normalizer 0: sweep skipped\n"
+        "no obstruction proved: nothing can exceed the noise bound inf\n"
+    )
+    code, out, _ = run(capsys, "monomial-obstruction", path, "--tol", "20", "--format", "json-report")
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True and doc["obstructed"] is False
+    assert doc["worst_pair"] is doc["worst_norm"] is doc["sample_entry"] is None
+
+
 def test_monomial_obstruction_rejects_order_one(tmp_path, capsys):
     path = write_ueb(tmp_path, "one.json", np.ones((1, 1, 1), dtype=complex))
     assert run(capsys, "check-ueb", path)[0] == 0  # a valid basis, just too small
@@ -424,6 +443,45 @@ def test_search_commands(capsys):
 
     code, _, err = run(capsys, "search", "latin", "9")
     assert code == 2 and "out of range" in err
+
+
+def test_search_latin_five_matches_its_recount(capsys):
+    code, out, _ = run(capsys, "search", "latin", "5", "--format", "json-report")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "search",
+        "ok": True,
+        "what": "latin",
+        "order": 5,
+        "count": 161280,
+        "recount": 161280,
+    }
+
+
+def test_search_lemma16_disagreement_exits_one(capsys):
+    # at tol 1 every product is near one: no witness, no permutation, while
+    # the 72 orthogonal pairs still pass the left-conjugate test
+    code, out, _ = run(capsys, "search", "lemma16", "3", "--tol", "1", "--format", "json-report")
+    assert code == 1
+    assert out == serialize.dumps(
+        {
+            "command": "search",
+            "ok": False,
+            "what": "lemma16",
+            "order": 3,
+            "pairs_checked": 144,
+            "positives": 0,
+            "disagreements": 72,
+        }
+    )
+    code, out, _ = run(capsys, "search", "lemma16", "3", "--tol", "1")
+    assert code == 1
+    assert out == (
+        "order 3: 144 ordered pairs, 0 weakly orthogonal, 72 disagreements between the three routes\n"
+    )
+    rep = cross_validate_lemma16(3, 1.0)
+    assert rep.disagreements == reference_lemma16(3, 1.0).disagreements
+    assert {d[2:] for d in rep.disagreements} == {(False, True, False)}
 
 
 # ------------------------------------------------------------ reproduction

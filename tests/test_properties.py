@@ -11,14 +11,19 @@ from numpy.testing import assert_allclose
 
 from qlsmub.bases import check_mub, extract_unitary, qls_meb
 from qlsmub.hadamard import hadamard_family, random_hadamard
+from qlsmub.numerics import is_permutation_matrix
 from qlsmub.squares import (
     GridViolation,
     LatinSquare,
     QuantumLatinSquare,
     VectorGrid,
     WeakOrthFailure,
+    WeakOrthWitness,
     computational_grid,
+    left_conjugate,
+    orthogonality_map,
     validate_qls,
+    weak_orth_defects,
     weak_orth_witness,
 )
 from qlsmub.ueb import (
@@ -206,3 +211,39 @@ def test_weak_orth_witness_is_the_scan_over_row_pairs(latin, seed, data):
     else:
         assert got.table.dtype == np.int64
         assert np.array_equal(got.table, expected.table)
+
+
+@PROPERTY
+@given(latin_squares(min_order=2, max_order=5), SEEDS, st.data())
+def test_stacked_decisions_are_the_single_pair_calls_slice_by_slice(latin, seed, data):
+    n = latin.n
+    u = random_unitary(n, np.random.default_rng(seed))
+    q = computational_grid(latin).array @ u.T
+    ps, maps = [], []
+    for _ in range(data.draw(st.integers(1, 4), label="stack size")):
+        other = data.draw(latin_squares(min_order=n, max_order=n), label="other")
+        p = computational_grid(other).array @ u.T
+        m = orthogonality_map(left_conjugate(latin), left_conjugate(other))
+        for row, col, edit in data.draw(st.lists(EDITS, max_size=3), label="edits"):
+            row, col = row % n, col % n
+            p[row, col] = p[(row + 1) % n, col] if edit == "copy" else p[row, col] * edit
+            # the same edit on the map: a copied row or a scaled unit entry
+            unit = m[row * n + col].argmax()
+            if edit == "copy":
+                m[row * n + col] = m[((row + 1) % n) * n + col]
+            else:
+                m[row * n + col, unit] *= edit
+        ps.append(p)
+        maps.append(m)
+    tol = data.draw(st.sampled_from([1e-9, 1e-3, 0.3, 0.6]), label="tol")
+
+    prods = np.einsum("ikc,bjkc->bijk", q.conj(), np.stack(ps))
+    near_one, defect = weak_orth_defects(prods, tol)
+    verdicts = is_permutation_matrix(np.stack(maps), tol)
+    for b, (p, m) in enumerate(zip(ps, maps)):
+        single_one, single_defect = weak_orth_defects(np.einsum("ikc,jkc->ijk", q.conj(), p), tol)
+        assert np.array_equal(near_one[b], single_one)
+        assert np.array_equal(defect[b], single_defect)
+        expected = reference_weak_orth(VectorGrid(q), VectorGrid(p), tol)
+        assert (not defect[b].any()) == isinstance(expected, WeakOrthWitness)
+        assert verdicts[b] == is_permutation_matrix(m, tol)

@@ -13,6 +13,8 @@ from qlsmub.search import (
 )
 from qlsmub.squares import LatinSquare, are_orthogonal
 
+from helpers import reference_enumerate_latin, reference_lemma16, reference_orthogonal_pairs
+
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
 
 
@@ -43,27 +45,26 @@ def test_enumeration_caps():
 
 def test_orthogonal_pairs_small_orders():
     assert len(find_orthogonal_pairs(1)) == 1
-    assert find_orthogonal_pairs(2) == []
+    assert find_orthogonal_pairs(2).shape == (0, 2)
     pairs = find_orthogonal_pairs(3)
     assert len(pairs) == 72
 
 
 def test_orthogonal_pairs_are_orthogonal_and_symmetric():
+    squares = enumerate_latin(3).squares
     pairs = find_orthogonal_pairs(3)
-    for a, b in pairs:
-        assert are_orthogonal(a, b)
-    keyed = {
-        (tuple(a.cells.ravel().tolist()), tuple(b.cells.ravel().tolist()))
-        for a, b in pairs
-    }
-    assert all((kb, ka) in keyed for ka, kb in keyed)
+    for ia, ib in pairs:
+        assert are_orthogonal(squares[ia], squares[ib])
+    keyed = {(int(ia), int(ib)) for ia, ib in pairs}
+    assert all((ib, ia) in keyed for ia, ib in keyed)
 
 
 def test_orthogonal_pairs_contain_the_two_cyclic_twists():
     cyclic = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
     twisted = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
+    squares = enumerate_latin(3).squares
     pairs = find_orthogonal_pairs(3)
-    assert any(a == cyclic and b == twisted for a, b in pairs)
+    assert any(squares[ia] == cyclic and squares[ib] == twisted for ia, ib in pairs)
 
 
 def test_orthogonal_pairs_cap():
@@ -86,3 +87,43 @@ def test_cross_validation_agrees(n, positives):
 def test_cross_validation_cap():
     with pytest.raises(ValueError):
         cross_validate_lemma16(5)
+
+
+# ----------------------------------------------- the loops they replaced
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_is_the_recursive_fill(n):
+    result = enumerate_latin(n)
+    expected = reference_enumerate_latin(n)
+    assert result.cells.shape == expected.shape == (KNOWN_COUNTS[n], n, n)
+    assert np.array_equal(result.cells, expected)
+    assert not result.cells.flags.writeable
+    assert [s.cells.tolist() for s in result.squares] == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orthogonal_pairs_are_the_per_square_loop(n):
+    pairs = find_orthogonal_pairs(n)
+    expected = reference_orthogonal_pairs(n)
+    assert pairs.shape == expected.shape and pairs.dtype == np.int64
+    assert np.array_equal(pairs, expected)  # same pairs, same row-major order
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.6, 1.0, -1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cross_validation_is_the_per_pair_loop(n, tol):
+    report = cross_validate_lemma16(n, tol)
+    assert report == reference_lemma16(n, tol)
+    for record in report.disagreements:  # Python ints and bools, not numpy scalars
+        assert [type(v) for v in record] == [int, int, bool, bool, bool]
+
+
+@pytest.mark.parametrize("tol, disagreements", [(1e-9, 0), (1.0, 6912)])
+def test_cross_validation_at_order_four_matches_the_loop_on_sampled_rows(tol, disagreements):
+    report = cross_validate_lemma16(4, tol)
+    assert (report.pairs_checked, report.positives) == (331776, 6912 - disagreements)
+    assert len(report.disagreements) == disagreements
+    rows = sorted(np.random.default_rng(16).choice(576, size=20, replace=False).tolist())
+    expected = reference_lemma16(4, tol, rows)
+    assert [d for d in report.disagreements if d[0] in rows] == expected.disagreements

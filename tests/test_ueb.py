@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,11 +278,14 @@ def test_obstruction_needs_order_two():
 
 
 def test_obstruction_noise_bound_overflows_to_inf():
-    # 2U is far from unitary: (1 + delta)^mu overflows, and so do the powers
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+    # 2U is far from unitary: (1 + delta)^mu overflows, so the powers, which
+    # would overflow to NaN, are not taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = monomial_obstruction(UnitaryErrorBasis(9, 2 * fixture_ueb().members))
     assert report.noise_bound == math.inf
     assert not report.obstructed
+    assert (report.worst_pair, report.worst_norm, report.sample_entry) == (None, None, None)
 
 
 def test_obstruction_order_twenty_monomial_equivalent_is_not_obstructed():
