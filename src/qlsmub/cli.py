@@ -12,6 +12,7 @@ JSON document instead.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -19,56 +20,26 @@ import numpy as np
 
 from . import serialize
 from .bases import (
-    BipartiteBasis,
-    check_mub,
-    is_maximally_entangled,
-    is_orthonormal_basis,
-    lbw_meb,
-    qls_meb,
+    BipartiteBasis, check_mub, is_maximally_entangled, is_orthonormal_basis, lbw_meb, qls_meb,
 )
-from .fixtures import (
-    FIXTURE_NAMES,
-    fixture,
-    hadamard_9_corrected,
-    paper_p_grid,
-    paper_q_grid,
-)
-from .hadamard import (
-    HadamardMatrix,
-    constant_family,
-    hadamard_family,
-    validate_hadamard,
-)
+from .fixtures import FIXTURE_NAMES, fixture, hadamard_9_corrected, paper_p_grid, paper_q_grid
+from .hadamard import HadamardMatrix, constant_family, hadamard_family, validate_hadamard
 from .numerics import DEFAULT_TOL
 from .search import (
-    count_latin_by_columns,
-    cross_validate_lemma16,
-    enumerate_latin,
-    find_orthogonal_pairs,
+    count_latin_by_columns, cross_validate_lemma16, enumerate_latin, find_orthogonal_pairs,
 )
 from .squares import (
-    QuantumLatinSquare,
-    VectorGrid,
-    WeakOrthWitness,
-    are_left_orthogonal,
-    are_orthogonal,
-    left_conjugate,
-    validate_qls,
-    weak_orth_witness,
+    QuantumLatinSquare, VectorGrid, WeakOrthWitness, are_left_orthogonal, are_orthogonal,
+    left_conjugate, validate_qls, weak_orth_witness,
 )
 from .ueb import (
-    UnitaryErrorBasis,
-    check_mu_ueb,
-    meb_to_ueb,
-    monomial_obstruction,
-    ueb_to_meb,
-    validate_ueb,
+    UnitaryErrorBasis, check_mu_ueb, meb_to_ueb, monomial_obstruction, ueb_to_meb, validate_ueb,
 )
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """What a command found: the verdict, its report fields and text lines.
+    """What a command found: the verdict, its report fields and its text.
 
     ``artifact``, when set, is the document the command built.  It goes to
     ``--out`` (the report then goes to stdout) or, without ``--out``, to
@@ -77,69 +48,67 @@ class Outcome:
 
     ok: bool
     fields: dict
-    lines: list[str]
+    text: str
     artifact: dict | None = None
 
 
 class Rejected(Exception):
     """An input that parsed but failed validation.
 
-    Reported as ``reason`` (json-report) or ``line`` (text) on stdout, never
-    at ``--out``, with exit code 1.
+    Reported on stdout, never at ``--out``, with exit code 1: as the text
+    ``prefix: reason`` or the json-report field ``reason``.
     """
 
-    def __init__(self, reason: str, line: str):
+    def __init__(self, prefix: str, reason):
         super().__init__(reason)
+        self.prefix = prefix
         self.reason = reason
-        self.line = line
 
 
-def _require(result, kind: type, label: str):
-    """``result`` if it is a ``kind``, else reject it as ``label: result``."""
+def _valid(result, kind: type, prefix: str, where: str = ""):
+    """``result`` if it is a ``kind``, else reject it as ``prefix: [where: ]result``."""
     if not isinstance(result, kind):
-        raise Rejected(str(result), f"{label}: {result}")
+        raise Rejected(prefix, f"{where}: {result}" if where else result)
     return result
 
 
+def _plain(value):
+    """A report value as JSON: complex numbers become [re, im], tuples and
+    arrays lists, and a non-finite float None."""
+    if isinstance(value, complex):
+        value = [float(value.real), float(value.imag)]
+    elif isinstance(value, (tuple, np.ndarray)):
+        value = np.asarray(value).tolist()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _fields(record) -> dict:
-    """A check record's dataclass fields as report fields: a field's
-    ``report`` metadata, if any, maps its value first; complex numbers
-    become [re, im], tuples and arrays become lists."""
-    report = {}
-    for f in fields(record):
-        value = f.metadata.get("report", lambda v: v)(getattr(record, f.name))
-        if isinstance(value, complex):
-            value = [float(value.real), float(value.imag)]
-        elif isinstance(value, (tuple, np.ndarray)):
-            value = np.asarray(value).tolist()
-        report[f.name] = value
-    return report
+    """A check record's dataclass fields as report fields; a field's
+    ``report`` metadata, if any, maps its value first."""
+    return {
+        f.name: _plain(f.metadata.get("report", lambda v: v)(getattr(record, f.name)))
+        for f in fields(record)
+    }
 
 
-def _violation(prefix: str, record, inputs: dict) -> Outcome:
-    """A failed check: the record's fields join the report, its message the text."""
-    return Outcome(False, {**inputs, **_fields(record)}, [f"{prefix}: {record}"])
-
-
-def _load_family(path: str, tol: float):
-    members = serialize.read(path, "matrix-list")
-    validated = []
-    for idx, mat in enumerate(members):
-        result = validate_hadamard(mat, tol)
-        if not isinstance(result, HadamardMatrix):
-            reason = f"family member {idx}: {result}"
-            raise Rejected(reason, f"INVALID family: {reason}")
-        validated.append(result)
-    try:
-        return hadamard_family(validated)
-    except ValueError as exc:
-        raise Rejected(str(exc), f"INVALID family: {exc}") from exc
+def _checked(result, kind: type, prefix: str, inputs: dict, text) -> Outcome:
+    """A validator's verdict.  A ``kind`` passes: ``text(result)`` gives the
+    report fields it adds to ``inputs`` and its text.  Anything else is a
+    violation record: its fields follow ``inputs``, its text is ``prefix: record``."""
+    if isinstance(result, kind):
+        extra, line = text(result)
+        return Outcome(True, {**inputs, **extra}, line)
+    return Outcome(False, {**inputs, **_fields(result)}, f"{prefix}: {result}")
 
 
 def _built(basis: BipartiteBasis, **inputs) -> Outcome:
     doc = serialize.to_doc("basis", basis.states)
     line = f"built {basis.n ** 2} states of order {basis.n}"
-    return Outcome(True, {**inputs, "n": basis.n}, [line], doc)
+    return Outcome(True, {**inputs, "n": basis.n}, line, doc)
 
 
 # ---------------------------------------------------------------- commands
@@ -147,62 +116,64 @@ def _built(basis: BipartiteBasis, **inputs) -> Outcome:
 
 def _cmd_validate_qls(args) -> Outcome:
     grid = serialize.read(args.grid, "grid")
-    result = validate_qls(grid, args.tol)
-    inputs = {"n": grid.n, "tol": args.tol}
-    if not isinstance(result, QuantumLatinSquare):
-        return _violation("INVALID", result, inputs)
     line = f"valid quantum Latin square of order {grid.n} (tol {args.tol:g})"
-    return Outcome(True, inputs, [line])
+    return _checked(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID",
+                    {"n": grid.n, "tol": args.tol}, lambda _: ({}, line))
 
 
 def _cmd_validate_hadamard(args) -> Outcome:
     mat = serialize.read(args.matrix, "matrix")
     result = validate_hadamard(mat, args.tol)
-    inputs = {"n": int(mat.shape[0]), "tol": args.tol}
-    if not isinstance(result, HadamardMatrix):
-        return _violation(f"INVALID: {result.constraint} violated", result, inputs)
+    prefix = f"INVALID: {getattr(result, 'constraint', None)} violated"  # read on a violation
     line = f"valid complex Hadamard matrix of order {mat.shape[0]} (tol {args.tol:g})"
-    return Outcome(True, inputs, [line])
+    return _checked(result, HadamardMatrix, prefix, {"n": int(mat.shape[0]), "tol": args.tol},
+                    lambda _: ({}, line))
 
 
 def _cmd_check_weak_orth(args) -> Outcome:
     qg = serialize.read(args.grid_q, "grid")
     pg = serialize.read(args.grid_p, "grid")
-    result = weak_orth_witness(qg, pg, args.tol)
-    inputs = {"n": qg.n, "tol": args.tol}
-    if not isinstance(result, WeakOrthWitness):
-        return _violation("NOT weakly orthogonal", result, inputs)
-    lines = ["weakly orthogonal; witness table (rows of first vs rows of second):"]
-    lines += ["  " + " ".join(str(int(x)) for x in row) for row in result.table]
-    return Outcome(True, {**inputs, **_fields(result)}, lines)
+
+    def table(w):
+        rows = ("  " + " ".join(str(int(x)) for x in row) for row in w.table)
+        head = "weakly orthogonal; witness table (rows of first vs rows of second):"
+        return _fields(w), "\n".join((head, *rows))
+
+    return _checked(weak_orth_witness(qg, pg, args.tol), WeakOrthWitness,
+                    "NOT weakly orthogonal", {"n": qg.n, "tol": args.tol}, table)
 
 
 def _cmd_check_orth(args) -> Outcome:
+    """``check-orth`` and ``check-left-orth``: the second compares left conjugates."""
     a = serialize.read(args.latin_a, "latin")
     b = serialize.read(args.latin_b, "latin")
-    ok = are_orthogonal(a, b)
-    return Outcome(
-        ok, {"n": a.n}, ["orthogonal" if ok else "NOT orthogonal: repeated ordered symbol pair"]
-    )
-
-
-def _cmd_check_left_orth(args) -> Outcome:
-    a = serialize.read(args.latin_a, "latin")
-    b = serialize.read(args.latin_b, "latin")
-    ok = are_left_orthogonal(a, b)
-    return Outcome(ok, {"n": a.n}, ["left orthogonal" if ok else "NOT left orthogonal"])
+    if args.command == "check-orth":
+        ok = are_orthogonal(a, b)
+        text = "orthogonal" if ok else "NOT orthogonal: repeated ordered symbol pair"
+    else:
+        ok = are_left_orthogonal(a, b)
+        text = "left orthogonal" if ok else "NOT left orthogonal"
+    return Outcome(ok, {"n": a.n}, text)
 
 
 def _cmd_left_conj(args) -> Outcome:
     latin = serialize.read(args.latin, "latin")
     doc = serialize.to_doc("latin", left_conjugate(latin).cells)
-    return Outcome(True, {"n": latin.n}, [f"left conjugate of order {latin.n} written"], doc)
+    return Outcome(True, {"n": latin.n}, f"left conjugate of order {latin.n} written", doc)
 
 
 def _cmd_build_meb(args) -> Outcome:
     grid = serialize.read(args.grid, "grid")
-    qls = _require(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID grid")
-    family = _load_family(args.family, args.tol)
+    qls = _valid(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID grid")
+    members = [
+        _valid(validate_hadamard(mat, args.tol), HadamardMatrix, "INVALID family",
+               f"family member {idx}")
+        for idx, mat in enumerate(serialize.read(args.family, "matrix-list"))
+    ]
+    try:
+        family = hadamard_family(members)
+    except ValueError as exc:
+        raise Rejected("INVALID family", exc) from exc
     basis = qls_meb(qls, family)
     return _built(basis, states=basis.n**2)
 
@@ -210,7 +181,7 @@ def _cmd_build_meb(args) -> Outcome:
 def _cmd_build_lbw(args) -> Outcome:
     latin = serialize.read(args.latin, "latin")
     mat = serialize.read(args.matrix, "matrix")
-    hadamard = _require(validate_hadamard(mat, args.tol), HadamardMatrix, "INVALID matrix")
+    hadamard = _valid(validate_hadamard(mat, args.tol), HadamardMatrix, "INVALID matrix")
     basis = lbw_meb(latin, hadamard)
     return _built(basis, states=basis.n**2)
 
@@ -218,12 +189,12 @@ def _cmd_build_lbw(args) -> Outcome:
 def _cmd_check_mub(args) -> Outcome:
     a, b = (serialize.read(path, "basis") for path in (args.basis_a, args.basis_b))
     rep = check_mub(a, b, args.tol)
-    lines = [
+    text = (
         f"dim {rep.dim}: |overlap|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
-        f"mean {rep.mean_sq:.12g}, target {rep.target:.12g}",
-        "mutually unbiased" if rep.passed else "NOT mutually unbiased",
-    ]
-    return Outcome(rep.passed, _fields(rep), lines)
+        f"mean {rep.mean_sq:.12g}, target {rep.target:.12g}\n"
+        + ("mutually unbiased" if rep.passed else "NOT mutually unbiased")
+    )
+    return Outcome(rep.passed, _fields(rep), text)
 
 
 def _cmd_dual(args) -> Outcome:
@@ -232,68 +203,58 @@ def _cmd_dual(args) -> Outcome:
         try:
             u = meb_to_ueb(basis, args.tol)
         except ValueError as exc:
-            raise Rejected(str(exc), f"FAILED: {exc}") from exc
-        return Outcome(
-            True,
-            {"direction": "to-ueb", "n": u.n},
-            [f"extracted {len(u)} unitaries of order {u.n}"],
-            serialize.to_doc("matrix-list", u.members),
-        )
+            raise Rejected("FAILED", exc) from exc
+        doc = serialize.to_doc("matrix-list", u.members)
+        text = f"extracted {len(u)} unitaries of order {u.n}"
+        return Outcome(True, {"direction": "to-ueb", "n": u.n}, text, doc)
     members = serialize.read(args.to_meb, "matrix-list")
-    u = _require(
-        validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
-    )
+    u = _valid(validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis")
     return _built(ueb_to_meb(u), direction="to-meb")
 
 
 def _cmd_check_ueb(args) -> Outcome:
     members = serialize.read(args.ueb, "matrix-list")
-    result = validate_ueb(members, args.tol)
-    if not isinstance(result, UnitaryErrorBasis):
-        return _violation("INVALID", result, {"tol": args.tol})
-    line = f"valid unitary error basis of order {result.n} ({len(result)} members)"
-    return Outcome(True, {"tol": args.tol, "n": result.n}, [line])
+    return _checked(
+        validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID", {"tol": args.tol},
+        lambda u: ({"n": u.n}, f"valid unitary error basis of order {u.n} ({len(u)} members)"),
+    )
 
 
 def _cmd_check_mu_ueb(args) -> Outcome:
-    loaded = []
-    for path in (args.ueb_a, args.ueb_b):
-        members = serialize.read(path, "matrix-list")
-        result = validate_ueb(members, args.tol)
-        if not isinstance(result, UnitaryErrorBasis):
-            raise Rejected(f"{path}: {result}", f"INVALID unitary error basis {path}: {result}")
-        loaded.append(result)
-    rep = check_mu_ueb(loaded[0], loaded[1], args.tol)
-    lines = [
+    u, v = (
+        _valid(validate_ueb(serialize.read(path, "matrix-list"), args.tol), UnitaryErrorBasis,
+               "INVALID unitary error basis", path)
+        for path in (args.ueb_a, args.ueb_b)
+    )
+    rep = check_mu_ueb(u, v, args.tol)
+    text = (
         f"dim {rep.dim}: normalized |tr|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
-        f"target {rep.target:.12g}",
-        f"raw |tr|^2 range [{rep.raw_trace_sq_min:.12g}, {rep.raw_trace_sq_max:.12g}]",
-        "mutually unbiased" if rep.passed else "NOT mutually unbiased",
-    ]
-    return Outcome(rep.passed, _fields(rep), lines)
+        f"target {rep.target:.12g}\n"
+        f"raw |tr|^2 range [{rep.raw_trace_sq_min:.12g}, {rep.raw_trace_sq_max:.12g}]\n"
+        + ("mutually unbiased" if rep.passed else "NOT mutually unbiased")
+    )
+    return Outcome(rep.passed, _fields(rep), text)
 
 
 def _cmd_monomial_obstruction(args) -> Outcome:
     members = serialize.read(args.ueb, "matrix-list")
-    u = _require(
-        validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis"
-    )
+    u = _valid(validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis")
     rep = monomial_obstruction(u)
     bound = f"noise bound {rep.noise_bound:.3e}"
     head = f"mu {rep.mu}, normalizer {rep.normalizer_index}:"
     if rep.worst_pair is None:
-        lines = [f"{head} sweep skipped", f"no obstruction proved: nothing can exceed the {bound}"]
+        text = f"{head} sweep skipped\nno obstruction proved: nothing can exceed the {bound}"
     else:
-        lines = [
-            f"{head} worst commutator "
-            f"|[U^mu, V^mu]|_F = {rep.worst_norm:.6g} at pair {rep.worst_pair}",
-            (
-                f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
-                if rep.obstructed
-                else f"no obstruction proved: worst norm is within the {bound}"
-            ),
-        ]
-    return Outcome(not rep.obstructed, _fields(rep), lines)
+        verdict = (
+            f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
+            if rep.obstructed
+            else f"no obstruction proved: worst norm is within the {bound}"
+        )
+        text = (
+            f"{head} worst commutator |[U^mu, V^mu]|_F = {rep.worst_norm:.6g} "
+            f"at pair {rep.worst_pair}\n{verdict}"
+        )
+    return Outcome(not rep.obstructed, _fields(rep), text)
 
 
 def _cmd_fixtures(args) -> Outcome:
@@ -308,7 +269,7 @@ def _cmd_fixtures(args) -> Outcome:
     else:
         doc = serialize.to_doc("matrix", getattr(obj, "mat", obj))
     line = f"fixture {args.name} ({doc['kind']}) written"
-    return Outcome(True, {"name": args.name, "kind": doc["kind"]}, [line], doc)
+    return Outcome(True, {"name": args.name, "kind": doc["kind"]}, line, doc)
 
 
 def _cmd_search(args) -> Outcome:
@@ -318,22 +279,19 @@ def _cmd_search(args) -> Outcome:
         return Outcome(
             result.count == recount,
             {"what": "latin", "order": args.order, "count": result.count, "recount": recount},
-            [f"order {args.order}: {result.count} Latin squares (column-major recount {recount})"],
+            f"order {args.order}: {result.count} Latin squares (column-major recount {recount})",
         )
     if args.what == "orth-pairs":
-        pairs = find_orthogonal_pairs(args.order)
-        return Outcome(
-            True,
-            {"what": "orth-pairs", "order": args.order, "count": len(pairs)},
-            [f"order {args.order}: {len(pairs)} ordered orthogonal pairs"],
-        )
+        count = len(find_orthogonal_pairs(args.order))
+        text = f"order {args.order}: {count} ordered orthogonal pairs"
+        return Outcome(True, {"what": "orth-pairs", "order": args.order, "count": count}, text)
     rep = cross_validate_lemma16(args.order, args.tol)
     report = {"what": "lemma16", **_fields(rep)}
     line = (
         f"order {rep.order}: {rep.pairs_checked} ordered pairs, {rep.positives} weakly "
         f"orthogonal, {report['disagreements']} disagreements between the three routes"
     )
-    return Outcome(rep.consistent, report, [line])
+    return Outcome(rep.consistent, report, line)
 
 
 def _cmd_reproduce_appendix_c(args) -> Outcome:
@@ -341,39 +299,41 @@ def _cmd_reproduce_appendix_c(args) -> Outcome:
     family = constant_family(hadamard_9_corrected())
     bases = []
     for name, grid in (("P", paper_p_grid()), ("Q", paper_q_grid())):
-        qls = _require(
-            validate_qls(grid, tol), QuantumLatinSquare, f"grid {name} failed validation"
-        )
+        qls = _valid(validate_qls(grid, tol), QuantumLatinSquare, f"grid {name} failed validation")
         bases.append(qls_meb(qls, family))
     a, b = bases
     orthonormal = is_orthonormal_basis(a, tol) and is_orthonormal_basis(b, tol)
-    entangled = all(
-        is_maximally_entangled(s, tol) for basis in bases for s in basis.states
-    )
+    entangled = all(is_maximally_entangled(s, tol) for basis in bases for s in basis.states)
     rep = check_mub(a, b, tol)
     ok = orthonormal and entangled and rep.passed
-    lines = [
+    text = (
         f"two bases of {rep.dim} states each: orthonormal={orthonormal}, "
-        f"maximally entangled={entangled}",
+        f"maximally entangled={entangled}\n"
         f"{rep.dim * rep.dim} cross overlaps: |overlap|^2 min {rep.min_sq:.12g}, "
-        f"max {rep.max_sq:.12g}, target {rep.target:.12g}",
-        "PASS" if ok else "FAIL",
-    ]
+        f"max {rep.max_sq:.12g}, target {rep.target:.12g}\n" + ("PASS" if ok else "FAIL")
+    )
     checks = {"orthonormal": orthonormal, "maximally_entangled": entangled}
-    return Outcome(ok, {**_fields(rep), "overlaps": rep.dim * rep.dim, **checks}, lines)
+    return Outcome(ok, {**_fields(rep), "overlaps": rep.dim * rep.dim, **checks}, text)
 
 
 # ---------------------------------------------------------------- parser
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` value: a finite float >= 0, else a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qlsmub",
-        description=(
-            "Construct and verify maximally entangled bases from quantum Latin "
-            "squares and Hadamard families."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="qlsmub", description=(
+        "Construct and verify maximally entangled bases from quantum Latin "
+        "squares and Hadamard families."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help, *positionals, tol=True, artifact=False):
@@ -381,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         for positional in positionals:
             p.add_argument(positional)
         if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance")
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                           help="absolute tolerance, finite and >= 0")
         out_help = "the artifact here; the report goes to stdout" if artifact else "the report here"
         p.add_argument("--out", default=None, help="write " + out_help)
-        p.add_argument(
-            "--format", choices=("text", "json-report"), default="text", help="report rendering"
-        )
+        p.add_argument("--format", choices=("text", "json-report"), default="text",
+                       help="report rendering")
         p.set_defaults(fn=fn)
         return p
 
@@ -396,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             "grid_q", "grid_p")
     command("check-orth", _cmd_check_orth, "orthogonality of two Latin squares",
             "latin_a", "latin_b", tol=False)
-    command("check-left-orth", _cmd_check_left_orth, "orthogonality of the left conjugates",
+    command("check-left-orth", _cmd_check_orth, "orthogonality of the left conjugates",
             "latin_a", "latin_b", tol=False)
     command("left-conj", _cmd_left_conj, "left conjugate of a Latin square",
             "latin", tol=False, artifact=True)
@@ -429,19 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return 2 if exc.code not in (0,) else 0
+        return 0 if exc.code == 0 else 2  # argparse exits 2 on usage errors already
+    out = args.out
     try:
-        out = args.out
         try:
             outcome = args.fn(args)
-        except Rejected as exc:
-            # a rejection is reported on stdout and never written to --out
-            outcome, out = Outcome(False, {"reason": exc.reason}, [exc.line]), None
+        except Rejected as exc:  # reported on stdout, never written to --out
+            text = f"{exc.prefix}: {exc.reason}"
+            outcome, out = Outcome(False, {"reason": str(exc.reason)}, text), None
         if outcome.artifact is not None and not out:
             payload = serialize.dumps(outcome.artifact)  # in place of the report
         else:
@@ -449,10 +407,8 @@ def main(argv=None) -> int:
                 serialize.save_path(out, outcome.artifact)
                 out = None  # the report then goes to stdout
             report = {"command": args.command, "ok": outcome.ok, **outcome.fields}
-            if args.format == "json-report":
-                payload = serialize.dumps(report)
-            else:
-                payload = "\n".join(outcome.lines) + "\n"
+            json_report = args.format == "json-report"
+            payload = serialize.dumps(report) if json_report else outcome.text + "\n"
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(payload)

@@ -44,7 +44,8 @@ SCHEMAS = {
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical RFC 8259 JSON: a NaN or infinity raises ``ValueError``."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def loads(text: str) -> dict:
@@ -145,5 +146,6 @@ def load_path(path: str) -> dict:
 
 
 def save_path(path: str, doc: dict) -> None:
+    text = dumps(doc)  # before opening, so that a document that fails leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)

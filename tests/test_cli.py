@@ -21,7 +21,14 @@ from qlsmub.squares import (
     left_conjugate,
     validate_qls,
 )
-from qlsmub.ueb import MuUebReport, ObstructionReport, UebViolation, shift_multiply_ueb
+from qlsmub.ueb import (
+    MuUebReport,
+    ObstructionReport,
+    UebViolation,
+    monomial_obstruction,
+    shift_multiply_ueb,
+    validate_ueb,
+)
 
 from helpers import reference_lemma16
 
@@ -411,9 +418,42 @@ def test_monomial_obstruction_with_an_infinite_noise_bound_skips_the_sweep(tmp_p
         "no obstruction proved: nothing can exceed the noise bound inf\n"
     )
     code, out, _ = run(capsys, "monomial-obstruction", path, "--tol", "20", "--format", "json-report")
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert code == 0 and doc["ok"] is True and doc["obstructed"] is False
     assert doc["worst_pair"] is doc["worst_norm"] is doc["sample_entry"] is None
+    assert doc["noise_bound"] is None  # the bound overflowed; the text above prints inf
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowed_overlaps_report_null(tmp_path, capsys):
+    path = str(tmp_path / "big.json")
+    serialize.save_path(path, serialize.to_doc("basis", 1e200 * np.eye(4, dtype=complex)))
+    with np.errstate(all="ignore"):  # the overlaps overflow
+        code, out, _ = run(capsys, "check-mub", path, path)
+        assert code == 1
+        assert out.startswith("dim 4: |overlap|^2 min 0, max inf, mean inf, target 0.25\n")
+        code, out, _ = run(capsys, "check-mub", path, path, "--format", "json-report")
+    doc = strict_json(out)
+    assert code == 1 and doc["ok"] is False and doc["min_sq"] == 0.0
+    assert doc["max_sq"] is doc["mean_sq"] is doc["max_dev"] is None
+
+
+def test_dumps_writes_no_non_json_token(tmp_path):
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            serialize.dumps({"value": value})
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        serialize.save_path(str(path), {"value": np.inf})
+    assert not path.exists()
 
 
 def test_monomial_obstruction_rejects_order_one(tmp_path, capsys):
@@ -748,5 +788,213 @@ def test_tol_only_where_a_command_reads_it(capsys, command):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "unrecognized arguments: --tol 0.5" in err
-    else:
-        assert build_parser().parse_args(argv).tol == 0.5
+        return
+    assert build_parser().parse_args(argv).tol == 0.5
+    assert build_parser().parse_args([*argv[:-1], "0"]).tol == 0.0
+    # a NaN, negative or infinite tolerance is a usage error, never a verdict
+    for bad in ("nan", "-1", "inf"):
+        code, out, err = run(capsys, command, *PARSED_ARGV[command], "--tol", bad)
+        assert code == 2 and out == ""
+        assert f"argument --tol: must be finite and >= 0, got '{bad}'" in err
+
+
+# ------------------------------------------------------------ pinned texts
+
+
+def pinned_files(tmp_path):
+    """Order-3 inputs of every kind, plus the partners that make each check pass."""
+    paths = files_of_order(tmp_path, 3)
+    fam = constant_family(fourier(3))
+    conj = {"a": left_conjugate(CYCLIC3), "b": left_conjugate(TWISTED3)}
+    for key, latin in conj.items():
+        qls = validate_qls(computational_grid(latin))
+        paths[f"grid_{key}"] = write_grid(tmp_path, f"grid_{key}.json", qls.grid)
+        paths[f"left_{key}"] = write_latin(tmp_path, f"left_{key}.json", latin)
+        paths[f"basis_{key}"] = str(tmp_path / f"basis_{key}.json")
+        states, members = qls_meb(qls, fam).states, shift_multiply_ueb(qls, fam).members
+        serialize.save_path(paths[f"basis_{key}"], serialize.to_doc("basis", states))
+        paths[f"ueb_{key}"] = write_ueb(tmp_path, f"ueb_{key}.json", members)
+    paths["twisted"] = write_latin(tmp_path, "twisted.json", TWISTED3)
+    paths["product"] = str(tmp_path / "product.json")
+    serialize.save_path(paths["product"], serialize.to_doc("basis", np.eye(4, dtype=complex)))
+    paths["short"] = write_ueb(tmp_path, "short.json", np.stack([np.eye(2, dtype=complex)] * 3))
+    f3 = fourier(3).mat
+    paths["bad_family"] = write_family(tmp_path, "bad_family.json", [f3, f3, np.eye(3)])
+    paths["short_family"] = write_family(tmp_path, "short_family.json", [f3, f3])
+    for command in ("validate-qls", "validate-hadamard", "check-weak-orth", "check-ueb"):
+        paths[command] = failing_inputs(tmp_path, command)[0]
+    paths["obstructed"] = failing_inputs(tmp_path, "monomial-obstruction")[0]
+    paths["out"] = str(tmp_path / "out.json")
+    return paths
+
+
+def obstruction_text(path):
+    """``monomial-obstruction``'s text on the UEB at ``path``, from the library's report."""
+    rep = monomial_obstruction(validate_ueb(serialize.read(path, "matrix-list")))
+    bound = f"noise bound {rep.noise_bound:.3e}"
+    verdict = (
+        f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
+        if rep.obstructed
+        else f"no obstruction proved: worst norm is within the {bound}"
+    )
+    return (
+        f"mu {rep.mu}, normalizer {rep.normalizer_index}: worst commutator "
+        f"|[U^mu, V^mu]|_F = {rep.worst_norm:.6g} at pair {rep.worst_pair}\n{verdict}\n"
+    )
+
+
+UEB_COUNT = "member stack is not n^2 square matrices of a single size"
+UEB_TRACE = (
+    "members (0, 1): tr(U*V) = 2+0j, expected n on the diagonal and 0 off it (off by 2.000e+00)"
+)
+QLS_ROW6 = "row 6 is not orthonormal: <v0|v1> = 0-0.92582j, expected 0.0 (off by 9.258e-01)"
+EYE_ENTRY = "entry (0, 1) has modulus 0, expected 1 (off by 1.000e+00)"
+NINTH = "0.111111111111"
+
+# Each command's exact text (argv with {file} placeholders, exit code, stdout)
+# for a pass and for its violation or rejection.
+PINNED_TEXT = {
+    "validate-qls pass": (
+        ["validate-qls", "{grid}"], 0, "valid quantum Latin square of order 3 (tol 1e-09)\n"
+    ),
+    "validate-qls violation": (["validate-qls", "{validate-qls}"], 1, f"INVALID: {QLS_ROW6}\n"),
+    "validate-hadamard pass": (
+        ["validate-hadamard", "{matrix}"],
+        0,
+        "valid complex Hadamard matrix of order 3 (tol 1e-09)\n",
+    ),
+    "validate-hadamard violation": (
+        ["validate-hadamard", "{validate-hadamard}"],
+        1,
+        f"INVALID: unimodular violated: {EYE_ENTRY}\n",
+    ),
+    "check-weak-orth pass": (
+        ["check-weak-orth", "{grid_a}", "{grid_b}"],
+        0,
+        "weakly orthogonal; witness table (rows of first vs rows of second):\n"
+        "  0 1 2\n  2 0 1\n  1 2 0\n",
+    ),
+    "check-weak-orth violation": (
+        ["check-weak-orth", "{check-weak-orth}", "{check-weak-orth}"],
+        1,
+        "NOT weakly orthogonal: rows (0, 0): column 1 product 1+0j (non-unique-unit) "
+        "(off by 1.000e+00)\n",
+    ),
+    "check-orth pass": (["check-orth", "{latin}", "{twisted}"], 0, "orthogonal\n"),
+    "check-orth violation": (
+        ["check-orth", "{latin}", "{latin}"], 1, "NOT orthogonal: repeated ordered symbol pair\n"
+    ),
+    "check-left-orth pass": (["check-left-orth", "{left_a}", "{left_b}"], 0, "left orthogonal\n"),
+    "check-left-orth violation": (
+        ["check-left-orth", "{latin}", "{latin}"], 1, "NOT left orthogonal\n"
+    ),
+    "left-conj built": (
+        ["left-conj", "{latin}", "--out", "{out}"], 0, "left conjugate of order 3 written\n"
+    ),
+    "build-meb built": (
+        ["build-meb", "{grid}", "{family}", "--out", "{out}"], 0, "built 9 states of order 3\n"
+    ),
+    "build-meb grid rejection": (
+        ["build-meb", "{validate-qls}", "{family}"], 1, f"INVALID grid: {QLS_ROW6}\n"
+    ),
+    "build-meb member rejection": (
+        ["build-meb", "{grid}", "{bad_family}"],
+        1,
+        f"INVALID family: family member 2: {EYE_ENTRY}\n",
+    ),
+    "build-meb length rejection": (
+        ["build-meb", "{grid}", "{short_family}"],
+        1,
+        "INVALID family: a family of order 3 needs exactly 3 members, got 2\n",
+    ),
+    "build-lbw built": (
+        ["build-lbw", "{latin}", "{matrix}", "--out", "{out}"], 0, "built 9 states of order 3\n"
+    ),
+    "build-lbw rejection": (
+        ["build-lbw", "{latin}", "{validate-hadamard}"], 1, f"INVALID matrix: {EYE_ENTRY}\n"
+    ),
+    "check-mub pass": (
+        ["check-mub", "{basis_a}", "{basis_b}"],
+        0,
+        f"dim 9: |overlap|^2 min {NINTH}, max {NINTH}, mean {NINTH}, target {NINTH}\n"
+        "mutually unbiased\n",
+    ),
+    "check-mub violation": (
+        ["check-mub", "{basis}", "{basis}"],
+        1,
+        f"dim 9: |overlap|^2 min 0, max 1, mean {NINTH}, target {NINTH}\nNOT mutually unbiased\n",
+    ),
+    "dual to-ueb built": (
+        ["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0, "extracted 9 unitaries of order 3\n"
+    ),
+    "dual to-ueb rejection": (
+        ["dual", "--to-ueb", "{product}"],
+        1,
+        "FAILED: state is not maximally entangled: partial-trace residual 7.071e-01 "
+        "exceeds tol 1.000e-09\n",
+    ),
+    "dual to-meb built": (
+        ["dual", "--to-meb", "{ueb}", "--out", "{out}"], 0, "built 9 states of order 3\n"
+    ),
+    "dual to-meb rejection": (
+        ["dual", "--to-meb", "{short}"], 1, f"INVALID unitary error basis: {UEB_COUNT}\n"
+    ),
+    "check-ueb pass": (
+        ["check-ueb", "{ueb}"], 0, "valid unitary error basis of order 3 (9 members)\n"
+    ),
+    "check-ueb violation": (["check-ueb", "{check-ueb}"], 1, f"INVALID: {UEB_TRACE}\n"),
+    "check-mu-ueb pass": (
+        ["check-mu-ueb", "{ueb_a}", "{ueb_b}"],
+        0,
+        f"dim 9: normalized |tr|^2 min {NINTH}, max {NINTH}, target {NINTH}\n"
+        "raw |tr|^2 range [1, 1]\nmutually unbiased\n",
+    ),
+    "check-mu-ueb violation": (
+        ["check-mu-ueb", "{ueb}", "{ueb}"],
+        1,
+        f"dim 9: normalized |tr|^2 min 0, max 1, target {NINTH}\nraw |tr|^2 range [0, 9]\n"
+        "NOT mutually unbiased\n",
+    ),
+    "check-mu-ueb rejection": (
+        ["check-mu-ueb", "{ueb}", "{check-ueb}"],
+        1,
+        "INVALID unitary error basis: {check-ueb}: " + UEB_TRACE + "\n",
+    ),
+    "monomial-obstruction pass": (["monomial-obstruction", "{ueb}"], 0, None),
+    "monomial-obstruction violation": (["monomial-obstruction", "{obstructed}"], 1, None),
+    "monomial-obstruction rejection": (
+        ["monomial-obstruction", "{check-ueb}"], 1, f"INVALID unitary error basis: {UEB_TRACE}\n"
+    ),
+    "fixtures built": (
+        ["fixtures", "emit", "paper-P", "--out", "{out}"], 0, "fixture paper-P (grid) written\n"
+    ),
+    "search latin": (
+        ["search", "latin", "3"], 0, "order 3: 12 Latin squares (column-major recount 12)\n"
+    ),
+    "search orth-pairs": (
+        ["search", "orth-pairs", "3"], 0, "order 3: 72 ordered orthogonal pairs\n"
+    ),
+    "search lemma16": (
+        ["search", "lemma16", "3"],
+        0,
+        "order 3: 144 ordered pairs, 72 weakly orthogonal, 0 disagreements between the three "
+        "routes\n",
+    ),
+    "reproduce-appendix-c pass": (
+        ["reproduce-appendix-c"],
+        0,
+        "two bases of 81 states each: orthonormal=True, maximally entangled=True\n"
+        "6561 cross overlaps: |overlap|^2 min 0.0123456790123, max 0.0123456790123, "
+        "target 0.0123456790123\nPASS\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TEXT))
+def test_text_rendering_is_pinned(tmp_path, capsys, case):
+    template, code, text = PINNED_TEXT[case]
+    paths = pinned_files(tmp_path)
+    argv = [arg.format_map(paths) for arg in template]
+    if text is None:  # the obstruction's numbers come from the library's own report
+        text = obstruction_text(argv[1])
+    assert run(capsys, *argv) == (code, text.format_map(paths), "")
