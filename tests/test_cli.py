@@ -801,8 +801,10 @@ def test_tol_only_where_a_command_reads_it(capsys, command):
 # ------------------------------------------------------------ pinned texts
 
 
-def pinned_files(tmp_path):
+@pytest.fixture(scope="module")
+def pinned_files(tmp_path_factory):
     """Order-3 inputs of every kind, plus the partners that make each check pass."""
+    tmp_path = tmp_path_factory.mktemp("pinned")
     paths = files_of_order(tmp_path, 3)
     fam = constant_family(fourier(3))
     conj = {"a": left_conjugate(CYCLIC3), "b": left_conjugate(TWISTED3)}
@@ -991,10 +993,9 @@ PINNED_TEXT = {
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_TEXT))
-def test_text_rendering_is_pinned(tmp_path, capsys, case):
+def test_text_rendering_is_pinned(pinned_files, capsys, case):
     template, code, text = PINNED_TEXT[case]
-    paths = pinned_files(tmp_path)
-    argv = [arg.format_map(paths) for arg in template]
+    argv = [arg.format_map(pinned_files) for arg in template]
     if text is None:  # the obstruction's numbers come from the library's own report
         text = obstruction_text(argv[1])
-    assert run(capsys, *argv) == (code, text.format_map(paths), "")
+    assert run(capsys, *argv) == (code, text.format_map(pinned_files), "")
