@@ -396,7 +396,8 @@ def main(argv=None) -> int:
     out = args.out
     try:
         try:
-            outcome = args.fn(args)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported, not warned
+                outcome = args.fn(args)
         except Rejected as exc:  # reported on stdout, never written to --out
             text = f"{exc.prefix}: {exc.reason}"
             outcome, out = Outcome(False, {"reason": str(exc.reason)}, text), None

@@ -44,8 +44,59 @@ SCHEMAS = {
 
 
 def dumps(doc: dict) -> str:
-    """Canonical RFC 8259 JSON: a NaN or infinity raises ``ValueError``."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical RFC 8259 JSON: the text of ``json.dumps(doc, sort_keys=True,
+    indent=2, allow_nan=False)`` plus a newline, so a NaN or infinity raises
+    ``ValueError``.
+
+    ``indent`` sends the stdlib to its pure-Python encoder, so a payload array
+    is written here instead, one outer row at a time; every other value, and
+    every error, is the stdlib's.
+    """
+    parts = []
+    for key, value in sorted(doc.items()):
+        parts.append(",\n" if parts else "{\n")
+        pieces = _array_pieces(value) if type(key) is str else None
+        if pieces is None:  # the stdlib's {key: value} text without its braces
+            parts.append(json.dumps({key: value}, sort_keys=True, indent=2, allow_nan=False)[2:-2])
+        else:
+            parts += [f"  {json.dumps(key)}: ", *pieces]
+    return "".join(parts + ["\n}\n"]) if parts else "{}\n"
+
+
+def _array_pieces(value) -> list[str] | None:
+    """The text of ``value`` under a top-level key, as one piece per outer row
+    and its separator, if it is a rectangular nested list of finite int and
+    float leaves; None for any other value."""
+    shape, probe = [], value
+    while type(probe) is list and probe:
+        shape.append(len(probe))
+        probe = probe[0]
+    if not shape:
+        return None
+    layout = _layout(shape[1:], 2)
+    pieces = []
+    for row in value:
+        leaves = [row]
+        for size in shape[1:]:
+            if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {size}:
+                return None
+            leaves = list(chain.from_iterable(leaves))
+        if not set(map(type, leaves)) <= {int, float}:
+            return None
+        text = layout % tuple(leaves)
+        if "inf" in text or "nan" in text:  # a non-finite float, which the stdlib refuses
+            return None
+        pieces += [",\n    " if pieces else "[\n    ", text]
+    return pieces + ["\n  ]"]
+
+
+def _layout(shape: list[int], level: int) -> str:
+    """The ``indent=2`` text of a nested list of ``shape`` at nesting ``level``,
+    with a ``%r`` slot for each leaf."""
+    if not shape:
+        return "%r"
+    inner, item = "\n" + "  " * (level + 1), _layout(shape[1:], level + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def loads(text: str) -> dict:

@@ -1,5 +1,6 @@
 """Sampling and reference helpers shared by the tests."""
 
+import json
 import math
 from itertools import combinations
 
@@ -60,6 +61,11 @@ def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare |
         return LatinSquare(cells)
     except ValueError:
         return None
+
+
+def reference_dumps(doc: dict) -> str:
+    """``serialize.dumps`` as the stdlib writes it, through its indenting encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def reference_noise_bound(n: int, mu: int, delta: float) -> float:

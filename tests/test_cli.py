@@ -433,17 +433,20 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported, never warned
 def test_overflowed_overlaps_report_null(tmp_path, capsys):
     path = str(tmp_path / "big.json")
     serialize.save_path(path, serialize.to_doc("basis", 1e200 * np.eye(4, dtype=complex)))
-    with np.errstate(all="ignore"):  # the overlaps overflow
-        code, out, _ = run(capsys, "check-mub", path, path)
-        assert code == 1
-        assert out.startswith("dim 4: |overlap|^2 min 0, max inf, mean inf, target 0.25\n")
-        code, out, _ = run(capsys, "check-mub", path, path, "--format", "json-report")
+    code, out, err = run(capsys, "check-mub", path, path)
+    assert code == 1 and err == ""
+    assert out.startswith("dim 4: |overlap|^2 min 0, max inf, mean inf, target 0.25\n")
+    code, out, err = run(capsys, "check-mub", path, path, "--format", "json-report")
     doc = strict_json(out)
-    assert code == 1 and doc["ok"] is False and doc["min_sq"] == 0.0
+    assert code == 1 and err == "" and doc["ok"] is False and doc["min_sq"] == 0.0
     assert doc["max_sq"] is doc["mean_sq"] is doc["max_dev"] is None
+    ueb = write_ueb(tmp_path, "big-ueb.json", 1e200 * np.ones((4, 2, 2), dtype=complex))
+    code, out, err = run(capsys, "check-ueb", ueb)
+    assert (code, out, err) == (1, "INVALID: member 0: U*U differs from I by inf\n", "")
 
 
 def test_dumps_writes_no_non_json_token(tmp_path):

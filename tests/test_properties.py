@@ -28,6 +28,7 @@ from qlsmub.squares import (
 )
 from qlsmub.ueb import (
     UebViolation,
+    UnitaryErrorBasis,
     meb_to_ueb,
     monomial_obstruction,
     shift_multiply_ueb,
@@ -126,6 +127,18 @@ def test_extract_unitary_inverts_ueb_to_meb(latin, seed):
     u = random_ueb(latin, seed)
     for state, member in zip(ueb_to_meb(u).states, u.members):
         assert_allclose(extract_unitary(state), member, atol=1e-12)
+
+
+@PROPERTY
+@given(latin_squares(), SEEDS)
+def test_meb_to_ueb_inverts_ueb_to_meb(latin, seed):
+    """On A U B for Haar A, B: still a unitary error basis, but not a monomial one."""
+    rng = np.random.default_rng(seed)
+    n = latin.n
+    members = random_unitary(n, rng) @ random_ueb(latin, seed).members @ random_unitary(n, rng)
+    u = validate_ueb(members)
+    assert isinstance(u, UnitaryErrorBasis)
+    assert_allclose(meb_to_ueb(ueb_to_meb(u)).members, members, rtol=0, atol=1e-12)
 
 
 @PROPERTY

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
@@ -20,6 +20,8 @@ from qlsmub.serialize import (
     to_doc,
 )
 from qlsmub.squares import LatinSquare, VectorGrid
+
+from helpers import reference_dumps
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 
@@ -195,3 +197,64 @@ def test_canonical_json_re_encodes_byte_for_byte(case):
     back = from_doc(loads(text), kind)
     assert back.shape == arr.shape
     assert dumps(to_doc(kind, back)) == text
+
+
+# floats whose repr is an edge case: signed zero, exponent forms, the subnormal
+# and largest finite doubles, and integer-valued floats
+EDGE_FLOATS = [-0.0, 0.0, 1e16, 1e-05, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               2.0, -3.0, 1e22, 123456789012345.0]
+NUMBERS = st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS), st.integers(-2**60, 2**60).map(float))
+
+
+@st.composite
+def documents(draw):
+    """A ``to_doc`` document of a random kind and shape, at times with its
+    [re, im] leaves replaced by a mix of Python ints and floats."""
+    kind = draw(st.sampled_from(sorted(SCHEMAS)))
+    schema = SCHEMAS[kind]
+    sizes = {key: draw(st.integers(1, 3)) for key in schema.axes}
+    shape = tuple(sizes[key] ** 2 if schema.square else sizes[key] for key in schema.axes)
+    if not schema.pairs:
+        return to_doc(kind, draw(arrays(np.int64, shape)))
+    parts = draw(arrays(np.float64, shape + (2,), elements=NUMBERS))
+    doc = to_doc(kind, parts.view(np.complex128)[..., 0])
+    if draw(st.booleans()):
+        leaves = st.one_of(st.integers(), NUMBERS)
+        doc[schema.payload] = draw(arrays(object, shape + (2,), elements=leaves)).tolist()
+    return doc
+
+
+TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["two\nlines", 'say "hi"', "back\\slash", "é"]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | NUMBERS | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=16,
+)
+REPORTS = st.dictionaries(TEXT, JSON_VALUES | documents(), max_size=6)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(documents(), REPORTS))
+@example({})
+@example({"ragged": [[1, 2], [3]], "deeper": [[1, 2], [3, [4]]], "shallower": [[[1]], [2]]})
+@example({"empty": [], "empty rows": [[], []], "bools": [[0, True], [1, False]]})
+@example({"mixed": [1, 2.5, None, "x"], "nested": {"b": [1.0], "a": {"z": None}}})
+@example({"tuples": [(1.0, 2.0), (3.0, 4.0)], "numpy floats": [np.float64(0.1)]})
+@example({1: [[1.5, 2]], 2: None})
+def test_dumps_is_the_stdlib_text(doc):
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(documents(), st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data())
+def test_a_non_finite_leaf_raises_and_leaves_no_file(tmp_path_factory, doc, bad, data):
+    key = SCHEMAS[doc["kind"]].payload
+    leaves = np.array(doc[key], dtype=object)
+    leaves[tuple(data.draw(st.integers(0, size - 1)) for size in leaves.shape)] = bad
+    doc[key] = leaves.tolist()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps(doc)
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_path(str(path), doc)
+    assert not path.exists()
