@@ -146,20 +146,28 @@ def lbw_meb(latin: LatinSquare, h: HadamardMatrix) -> BipartiteBasis:
     return BipartiteBasis(n, states)
 
 
-def _reduced_residual(state) -> tuple[int, np.ndarray, float]:
-    # For M = s.reshape(n, n), M[k, p] = s[k*n + p], tracing out the second
-    # factor leaves M M*; returns n, M and the Frobenius distance to I/n.
-    s = as_state_vector(state)
-    n = math.isqrt(s.size)
-    if n * n != s.size:
-        raise ValueError(f"state dimension {s.size} is not a perfect square")
-    m = s.reshape(n, n)
-    return n, m, float(np.linalg.norm(m @ m.conj().T - np.eye(n) / n))
+def _residuals(m: np.ndarray) -> np.ndarray:
+    # Frobenius distance of M M* to I/n for every n x n matrix M of the stack
+    # (count, n, n): the partial trace of the state s with M[k, p] = s[k*n + p].
+    # Each norm is sqrt(re.re + im.im) over the flattened residual, the sums
+    # np.linalg.norm takes, so a state alone and in a stack agree bit for bit.
+    count, n, _ = m.shape
+    flat = (m @ m.conj().transpose(0, 2, 1) - np.eye(n) / n).reshape(count, 1, n * n)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
+
+
+def _square_stack(states: np.ndarray) -> np.ndarray:
+    # the (count, n^2) states as their (count, n, n) matrices M
+    n = math.isqrt(states.shape[1])
+    if n * n != states.shape[1]:
+        raise ValueError(f"state dimension {states.shape[1]} is not a perfect square")
+    return states.reshape(len(states), n, n)
 
 
 def is_maximally_entangled(state, tol: float = DEFAULT_TOL) -> bool:
     """True iff tracing out the second factor leaves I/n (Frobenius norm, tol)."""
-    return _reduced_residual(state)[2] <= tol
+    return float(_residuals(_square_stack(as_state_vector(state)[None]))[0]) <= tol
 
 
 def extract_unitary(state, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -168,13 +176,25 @@ def extract_unitary(state, tol: float = DEFAULT_TOL) -> np.ndarray:
     Concretely U[p, k] = sqrt(n) * s[k*n + p].  Raises ValueError when the
     state is not maximally entangled, naming the partial-trace residual.
     """
-    n, m, residual = _reduced_residual(state)
-    if residual > tol:
+    return extract_unitaries(as_state_vector(state)[None], tol)[0]
+
+
+def extract_unitaries(states: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """:func:`extract_unitary` of every row of a finite (count, n^2) stack of
+    states, as one (count, n, n) stack computed in one batched step.
+
+    Raises the error of the first state whose residual is not within tol; a
+    NaN residual, left by an overflow, is not within any tol.
+    """
+    m = _square_stack(states)
+    residuals = _residuals(m)
+    failed = ~(residuals <= tol)
+    if failed.any():
         raise ValueError(
             f"state is not maximally entangled: partial-trace residual "
-            f"{residual:.3e} exceeds tol {tol:.3e}"
+            f"{residuals[np.argmax(failed)]:.3e} exceeds tol {tol:.3e}"
         )
-    return math.sqrt(n) * m.T
+    return math.sqrt(m.shape[1]) * m.transpose(0, 2, 1)
 
 
 def is_orthonormal_basis(basis, tol: float = DEFAULT_TOL) -> bool:

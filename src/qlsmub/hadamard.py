@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, as_complex_matrix, first_gram_defect, kron
+from .numerics import DEFAULT_TOL, first_gram_defect, kron
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +80,16 @@ def validate_hadamard(m, tol: float = DEFAULT_TOL):
 
     Returns a :class:`HadamardMatrix` on success, else a
     :class:`HadamardViolation` naming the first failed constraint in the order
-    unimodularity, rows, columns.
+    unimodularity, rows, columns.  A NaN or Inf entry fails unimodularity.
     """
-    arr = as_complex_matrix(m)
+    arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
     n = arr.shape[0]
     if arr.shape[0] != arr.shape[1] or n < 1:
         return HadamardViolation("shape", arr.shape, 0j)
 
-    off = np.abs(np.abs(arr) - 1.0) > tol
+    off = ~(np.abs(np.abs(arr) - 1.0) <= tol)
     if off.any():
         flat = int(np.argmax(off))
         i, j = divmod(flat, n)

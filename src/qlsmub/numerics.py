@@ -16,16 +16,6 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return arr
-
-
 def as_state_vector(v) -> np.ndarray:
     """Coerce to a 1-D complex128 array, rejecting non-finite entries."""
     arr = np.asarray(v, dtype=np.complex128).ravel()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BipartiteBasis, MubReport, extract_unitary
+from .bases import BipartiteBasis, MubReport, extract_unitaries
 from .hadamard import HadamardFamily
 from .numerics import DEFAULT_TOL, first_gram_defect, lcm_up_to, mat_power
 from .squares import QuantumLatinSquare
@@ -107,8 +107,10 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
         value, off_by = complex(products[idx][worst]), float(gap[worst])
         return UebViolation("non-unitary", index=idx, value=value, off_by=off_by)
 
-    # Gram of the trace inner product, built in one contraction.
-    gram = np.einsum("iab,jab->ij", arr.conj(), arr)
+    # Gram of the trace inner product tr(U_i* U_j): one product of the
+    # flattened members, as check_mub takes the overlaps of the dual states.
+    flat = arr.reshape(n * n, n * n)
+    gram = flat.conj() @ flat.T
     hit = first_gram_defect(gram, n, tol)
     if hit is not None:
         i, j = hit
@@ -123,15 +125,12 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
 def meb_to_ueb(basis: BipartiteBasis, tol: float = DEFAULT_TOL) -> UnitaryErrorBasis:
     """Extract the defining unitary of every basis state.
 
-    Propagates the not-maximally-entangled error of :func:`extract_unitary`.
-    The resulting stack is trace-orthogonal exactly when the states were
-    orthogonal, so the result is returned without revalidation.
+    Propagates the not-maximally-entangled error of :func:`extract_unitaries`
+    for the first state that fails.  The resulting stack is trace-orthogonal
+    exactly when the states were orthogonal, so the result is returned without
+    revalidation.
     """
-    n = basis.n
-    members = np.empty((n * n, n, n), dtype=np.complex128)
-    for s in range(n * n):
-        members[s] = extract_unitary(basis.states[s], tol)
-    return UnitaryErrorBasis(n, members)
+    return UnitaryErrorBasis(basis.n, extract_unitaries(basis.states, tol))
 
 
 def ueb_to_meb(u: UnitaryErrorBasis) -> BipartiteBasis:
@@ -184,7 +183,7 @@ def check_mu_ueb(
     if u.n != v.n:
         raise ValueError(f"order mismatch: {u.n} vs {v.n}")
     n = u.n
-    traces = np.einsum("iab,jab->ij", u.members.conj(), v.members)
+    traces = u.members.reshape(n * n, n * n).conj() @ v.members.reshape(n * n, n * n).T
     raw_sq = np.abs(traces) ** 2
     return MuUebReport.of(
         raw_sq / (n * n),

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
+from qlsmub.bases import BipartiteBasis
 from qlsmub.hadamard import hadamard_family, random_hadamard
 from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix, lcm_up_to, mat_power
 from qlsmub.search import EquivalenceReport
@@ -66,6 +67,36 @@ def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare |
 def reference_dumps(doc: dict) -> str:
     """``serialize.dumps`` as the stdlib writes it, through its indenting encoder."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def reference_trace_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(A_i* B_j) for every pair of members of two (count, n, n) stacks, as
+    one einsum contraction rather than a matrix product."""
+    return np.einsum("iab,jab->ij", a.conj(), b)
+
+
+def reference_residual(state: np.ndarray) -> float:
+    """Frobenius distance of the state's reduced density matrix from I/n."""
+    n = math.isqrt(state.size)
+    m = state.reshape(n, n)
+    return float(np.linalg.norm(m @ m.conj().T - np.eye(n) / n))
+
+
+def reference_meb_to_ueb(basis: BipartiteBasis, tol: float = DEFAULT_TOL) -> UnitaryErrorBasis:
+    """``meb_to_ueb`` as one Python iteration per state, each residual taken
+    with ``np.linalg.norm``; the batched extraction must match it bit for
+    bit, error text included."""
+    n = basis.n
+    members = np.empty((n * n, n, n), dtype=np.complex128)
+    for s, state in enumerate(basis.states):
+        residual = reference_residual(state)
+        if not residual <= tol:
+            raise ValueError(
+                f"state is not maximally entangled: partial-trace residual "
+                f"{residual:.3e} exceeds tol {tol:.3e}"
+            )
+        members[s] = math.sqrt(n) * state.reshape(n, n).T
+    return UnitaryErrorBasis(n, members)
 
 
 def reference_noise_bound(n: int, mu: int, delta: float) -> float:

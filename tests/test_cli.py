@@ -355,6 +355,20 @@ def test_dual_rejects_product_states(tmp_path, capsys):
     assert "partial-trace residual" in out
 
 
+def test_dual_rejects_a_state_whose_residual_overflows_to_nan(tmp_path, capsys):
+    # M M* of 7.5e307 overflows, and the residual becomes NaN: not within tol
+    path = str(tmp_path / "huge.json")
+    out_path = tmp_path / "ueb.json"
+    serialize.save_path(path, serialize.to_doc("basis", 7.5e307 * np.eye(4, dtype=complex)))
+    code, out, err = run(capsys, "dual", "--to-ueb", path, "--out", str(out_path))
+    assert (code, err) == (1, "")
+    assert out == (
+        "FAILED: state is not maximally entangled: partial-trace residual nan "
+        "exceeds tol 1.000e-09\n"
+    )
+    assert not out_path.exists()
+
+
 def test_check_ueb_rejects_wrong_count(tmp_path, capsys):
     members = np.stack([np.eye(2, dtype=complex)] * 3)
     path = write_ueb(tmp_path, "short.json", members)

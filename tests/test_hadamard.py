@@ -47,6 +47,22 @@ def test_validate_rejects_non_unimodular():
     assert v.indices == (1, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 1.0), np.inf])
+def test_validate_reports_a_non_finite_entry_as_non_unimodular(bad):
+    # the NaN must not slip past the unimodularity test to the Gram scan
+    mat = fourier(3).mat.copy()
+    mat[1, 2] = bad
+    v = validate_hadamard(mat)
+    assert isinstance(v, HadamardViolation)
+    assert (v.constraint, v.indices) == ("unimodular", (1, 2))
+    assert not v.off_by <= 0
+
+
+def test_validate_rejects_a_vector():
+    with pytest.raises(ValueError, match="expected a matrix, got an array of ndim 1"):
+        validate_hadamard(np.ones(4))
+
+
 @pytest.mark.parametrize(
     "shape, message",
     [((2, 3), "matrix of shape (2, 3) is not square"), ((0, 0), "matrix of shape (0, 0) is empty")],

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from qlsmub.numerics import (
     DEFAULT_TOL,
-    as_complex_matrix,
     first_gram_defect,
     is_permutation_matrix,
     kron,
@@ -139,11 +138,6 @@ def test_permutation_implies_monomial():
         perm[rng.permutation(n), np.arange(n)] = 1
         assert is_permutation_matrix(perm)
         assert is_monomial(perm)
-
-
-def test_as_complex_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_random_unitary_is_unitary():

@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qlsmub.bases import check_mub, extract_unitary, qls_meb
+from qlsmub.bases import (
+    BipartiteBasis,
+    check_mub,
+    extract_unitary,
+    is_maximally_entangled,
+    qls_meb,
+)
 from qlsmub.hadamard import hadamard_family, random_hadamard
-from qlsmub.numerics import is_permutation_matrix
+from qlsmub.numerics import DEFAULT_TOL, first_gram_defect, is_permutation_matrix
 from qlsmub.squares import (
     GridViolation,
     LatinSquare,
@@ -29,6 +35,7 @@ from qlsmub.squares import (
 from qlsmub.ueb import (
     UebViolation,
     UnitaryErrorBasis,
+    check_mu_ueb,
     meb_to_ueb,
     monomial_obstruction,
     shift_multiply_ueb,
@@ -39,7 +46,10 @@ from qlsmub.ueb import (
 from helpers import (
     monomial_equivalent_ueb,
     random_unitary,
+    reference_meb_to_ueb,
     reference_obstruction,
+    reference_residual,
+    reference_trace_gram,
     reference_weak_orth,
 )
 
@@ -69,6 +79,14 @@ def random_family(n: int, rng: np.random.Generator):
 def random_ueb(latin: LatinSquare, seed: int):
     family = random_family(latin.n, np.random.default_rng(seed))
     return shift_multiply_ueb(validate_qls(rotated_grid(latin, seed)), family)
+
+
+def rotated_ueb(latin: LatinSquare, seed: int) -> UnitaryErrorBasis:
+    """A random UEB with a Haar unitary on each side: not a monomial one."""
+    rng = np.random.default_rng(seed)
+    n = latin.n
+    members = random_unitary(n, rng) @ random_ueb(latin, seed).members @ random_unitary(n, rng)
+    return UnitaryErrorBasis(n, members)
 
 
 @PROPERTY
@@ -133,9 +151,7 @@ def test_extract_unitary_inverts_ueb_to_meb(latin, seed):
 @given(latin_squares(), SEEDS)
 def test_meb_to_ueb_inverts_ueb_to_meb(latin, seed):
     """On A U B for Haar A, B: still a unitary error basis, but not a monomial one."""
-    rng = np.random.default_rng(seed)
-    n = latin.n
-    members = random_unitary(n, rng) @ random_ueb(latin, seed).members @ random_unitary(n, rng)
+    members = rotated_ueb(latin, seed).members
     u = validate_ueb(members)
     assert isinstance(u, UnitaryErrorBasis)
     assert_allclose(meb_to_ueb(ueb_to_meb(u)).members, members, rtol=0, atol=1e-12)
@@ -163,6 +179,72 @@ def test_check_mub_passes_exactly_when_every_overlap_is_within_tol(latin, seed, 
     assert report.max_dev == max(abs(report.min_sq - target), abs(report.max_sq - target))
     overlaps = np.abs(a.states.conj() @ b.states.T) ** 2
     assert report.passed == bool(np.all(np.abs(overlaps - target) <= tol))
+
+
+@PROPERTY
+@given(latin_squares(), SEEDS, st.data())
+def test_trace_grams_are_the_einsum_contraction(latin, seed, data):
+    n = latin.n
+    u, v = random_ueb(latin, seed), rotated_ueb(latin, seed + 1)
+    atol = 1e-12 * n
+
+    # |tr|^2 extremes: max and min of |t| move by at most the largest entry error
+    traces = np.abs(reference_trace_gram(u.members, v.members))
+    report = check_mu_ueb(u, v)
+    assert_allclose(np.sqrt(report.raw_trace_sq_max), traces.max(), rtol=0, atol=atol)
+    assert_allclose(np.sqrt(report.raw_trace_sq_min), traces.min(), rtol=0, atol=atol)
+
+    # a member of v in place of one of u stays unitary but breaks the trace Gram
+    members = u.members.copy()
+    members[data.draw(st.integers(0, n * n - 1), label="member")] = v.members[0]
+    gram = reference_trace_gram(members, members)
+    result = validate_ueb(members)
+    hit = first_gram_defect(gram, n, 1e-9)
+    if hit is None:
+        assert isinstance(result, UnitaryErrorBasis)
+    else:
+        assert (result.kind, result.pair) == ("trace-orthogonality", hit)
+        assert_allclose(result.value, gram[hit], rtol=0, atol=atol)
+
+
+@PROPERTY
+@given(latin_squares(), SEEDS, st.data())
+def test_meb_to_ueb_is_the_per_state_loop_bit_for_bit(latin, seed, data):
+    n = latin.n
+    states = ueb_to_meb(rotated_ueb(latin, seed)).states.copy()
+    # scaled states fail from a factor of about 1 + 1e-9 on, so the first
+    # failure may be either one, or none
+    for label in ("first", "second"):
+        index = data.draw(st.integers(0, n * n - 1), label=f"{label} state")
+        states[index] *= 1 + data.draw(st.floats(0.0, 1e-6), label=f"{label} excess")
+    # a tol at a state's own residual, or one ulp below it, is decided by the last bit
+    edge_state = states[data.draw(st.integers(0, n * n - 1), label="edge state")]
+    edge = reference_residual(edge_state)
+    assert is_maximally_entangled(edge_state, edge)
+    assert is_maximally_entangled(edge_state, np.nextafter(edge, 0)) == (edge == 0)
+    tol = data.draw(st.sampled_from([DEFAULT_TOL, edge, np.nextafter(edge, 0)]), label="tol")
+    basis = BipartiteBasis(n, states)
+    try:
+        expected = reference_meb_to_ueb(basis, tol)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            meb_to_ueb(basis, tol)
+        assert str(raised.value) == str(exc)
+    else:
+        assert np.array_equal(meb_to_ueb(basis, tol).members, expected.members)
+
+
+@PROPERTY
+@given(latin_squares(), SEEDS, st.floats(-16.0, 0.0))
+def test_unbiased_uebs_are_unbiased_dual_bases(latin, seed, log_tol):
+    # |tr(U_i* V_j) / n|^2 = |<psi_i|phi_j>|^2 for the dual states
+    u, v = random_ueb(latin, seed), rotated_ueb(latin, seed + 1)
+    tol = 10.0**log_tol
+    by_traces = check_mu_ueb(u, v, tol)
+    by_states = check_mub(ueb_to_meb(u), ueb_to_meb(v), tol)
+    assert_allclose(by_traces.min_sq, by_states.min_sq, rtol=0, atol=1e-15)
+    assert_allclose(by_traces.max_sq, by_states.max_sq, rtol=0, atol=1e-15)
+    assert by_traces.passed == by_states.passed
 
 
 @PROPERTY
