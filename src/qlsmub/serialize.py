@@ -4,16 +4,26 @@ Every document carries ``format: "qlsmub/1"``, a ``kind``, the integer header
 fields that size its payload, and the payload; ``SCHEMAS`` lists them per
 kind.  Complex numbers are [re, im] pairs.  Serialization is canonical (sorted
 keys, fixed indentation, trailing newline): re-encoding reproduces the bytes.
+
+orjson is the codec.  Reading is strict RFC 8259.  Writing gives exactly the
+stdlib's ``indent=2`` text: orjson writes the number arrays, whose floats it
+spells as ``repr`` does once a few exponent forms are re-spelled, and the
+stdlib writes every other value.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import reprlib
+import stat
 from itertools import chain
 from math import isqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
+import orjson
 
 from .bases import BipartiteBasis
 from .squares import LatinSquare, VectorGrid
@@ -48,61 +58,82 @@ def dumps(doc: dict) -> str:
     indent=2, allow_nan=False)`` plus a newline, so a NaN or infinity raises
     ``ValueError``.
 
-    ``indent`` sends the stdlib to its pure-Python encoder, so a payload array
-    is written here instead, one outer row at a time; every other value, and
+    A top-level list of numbers is written by orjson and re-spelled where
+    orjson's spelling of a float differs from ``repr``; every other value, and
     every error, is the stdlib's.
     """
+    return b"".join(_encode(doc)).decode()
+
+
+def _encode(doc: dict) -> list:
+    """The text of ``dumps(doc)`` as UTF-8 pieces: bytes, or views of orjson's."""
     parts = []
     for key, value in sorted(doc.items()):
-        parts.append(",\n" if parts else "{\n")
-        pieces = _array_pieces(value) if type(key) is str else None
+        parts.append(b",\n" if parts else b"{\n")
+        pieces = _numbers(value) if type(key) is str else None
         if pieces is None:  # the stdlib's {key: value} text without its braces
-            parts.append(json.dumps({key: value}, sort_keys=True, indent=2, allow_nan=False)[2:-2])
+            text = json.dumps({key: value}, sort_keys=True, indent=2, allow_nan=False)
+            parts.append(text[2:-2].encode())
         else:
-            parts += [f"  {json.dumps(key)}: ", *pieces]
-    return "".join(parts + ["\n}\n"]) if parts else "{}\n"
+            parts += [f"  {json.dumps(key)}: ".encode(), *pieces]
+    return parts + [b"\n}\n"] if parts else [b"{}\n"]
 
 
-def _array_pieces(value) -> list[str] | None:
-    """The text of ``value`` under a top-level key, as one piece per outer row
-    and its separator, if it is a rectangular nested list of finite int and
-    float leaves; None for any other value."""
-    shape, probe = [], value
-    while type(probe) is list and probe:
-        shape.append(len(probe))
-        probe = probe[0]
-    if not shape:
+# what the indented text of {"": value} holds besides {"":} if value is a list
+# nested of numbers only
+_NUMERIC = b"0123456789-.e[],\n "
+_WRAPPED = b'{\n  "": '  # the text before value
+
+
+def _numbers(value) -> list | None:
+    """The text of ``value`` under a top-level key, in pieces, if it is a list
+    nested of finite ints and floats that orjson writes; None for any other
+    value."""
+    if type(value) is not list:
         return None
-    layout = _layout(shape[1:], 2)
-    pieces = []
-    for row in value:
-        leaves = [row]
-        for size in shape[1:]:
-            if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {size}:
-                return None
-            leaves = list(chain.from_iterable(leaves))
-        if not set(map(type, leaves)) <= {int, float}:
-            return None
-        text = layout % tuple(leaves)
-        if "inf" in text or "nan" in text:  # a non-finite float, which the stdlib refuses
-            return None
-        pieces += [",\n    " if pieces else "[\n    ", text]
-    return pieces + ["\n  ]"]
+    try:  # under a key, so that orjson indents it as the stdlib does
+        text = orjson.dumps({"": value}, option=orjson.OPT_INDENT_2)
+    except TypeError:  # an int wider than 64 bits, a float subclass, a cycle
+        return None
+    if text.translate(None, _NUMERIC) != b'{"":}':  # a string, bool or null (NaN, inf)
+        return None
+    return _respelled(text, len(_WRAPPED), len(text) - 2)
 
 
-def _layout(shape: list[int], level: int) -> str:
-    """The ``indent=2`` text of a nested list of ``shape`` at nesting ``level``,
-    with a ``%r`` slot for each leaf."""
-    if not shape:
-        return "%r"
-    inner, item = "\n" + "  " * (level + 1), _layout(shape[1:], level + 1)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
+def _respelled(text: bytes, start: int, stop: int) -> list:
+    """``text[start:stop]``, orjson's indented text of numbers, in pieces, with
+    each float spelled as ``repr`` spells it.
+
+    orjson prints the same shortest round-trip digits as ``repr``, so only the
+    notation can differ, and only in a token with an ``e`` (1e16 for 1e+16,
+    1.5e-7 for 1.5e-07) or a ``0.0000`` (0.00001 for 1e-05).  Each number sits
+    on a line of its own, which ``repr(float(token))`` rewrites exactly.  The
+    other pieces are views of ``text``, so it is never copied.
+    """
+    lines = set()
+    for needle in (b"e", b"0.0000"):
+        at = text.find(needle, start, stop)
+        while at >= 0:  # a number's line ends in a newline: a "]" follows it
+            end = text.find(b"\n", at)
+            lines.add((text.rfind(b"\n", 0, at) + 1, end))
+            at = text.find(needle, end, stop)
+    view, pieces, done = memoryview(text), [], start
+    for line_start, end in sorted(lines):
+        line = text[line_start:end]  # indentation, one number, maybe a comma
+        token = line.strip(b" ,")
+        at = line_start + line.index(token)
+        pieces += [view[done:at], repr(float(token)).encode()]
+        done = at + len(token)
+    return pieces + [view[done:stop]]
 
 
-def loads(text: str) -> dict:
+def loads(text: str | bytes) -> dict:
+    """The JSON object in ``text``, parsed strictly: RFC 8259 only, so NaN and
+    Infinity tokens, a BOM, invalid UTF-8 and a number beyond the doubles are
+    ``not valid JSON``.  An integer outside the 64-bit range reads as a float."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = orjson.loads(text)
+    except (orjson.JSONDecodeError, RecursionError) as exc:
         raise SerializeError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SerializeError("document is not a JSON object")
@@ -133,9 +164,10 @@ def from_doc(doc, kind: str) -> np.ndarray:
     if not isinstance(doc, dict):
         raise SerializeError("document is not a JSON object")
     if doc.get("format") != FORMAT:
-        raise SerializeError(f"unsupported format tag {doc.get('format')!r}, expected {FORMAT!r}")
+        tag = reprlib.repr(doc.get("format"))  # bounded: a tag may nest deeper than repr recurses
+        raise SerializeError(f"unsupported format tag {tag}, expected {FORMAT!r}")
     if doc.get("kind") != kind:
-        raise SerializeError(f"kind {doc.get('kind')!r}, expected {kind!r}")
+        raise SerializeError(f"kind {reprlib.repr(doc.get('kind'))}, expected {kind!r}")
     schema = SCHEMAS[kind]
     for key in schema.axes:
         if type(doc.get(key)) is int and doc[key] < 1:
@@ -161,7 +193,7 @@ def from_doc(doc, kind: str) -> np.ndarray:
     sizes = [doc.get(key) for key in schema.axes]
     if any(type(v) is not int for v in sizes) or arr.shape != tuple(
         v * v if schema.square else v for v in sizes):
-        detail = f"n={doc.get('n')}" if set(schema.axes) == {"n"} else "header"
+        detail = f"n={reprlib.repr(doc.get('n'))}" if set(schema.axes) == {"n"} else "header"
         raise SerializeError(f"{what} shape {arr.shape} does not match {detail}")
     return arr
 
@@ -189,14 +221,21 @@ def matrix_list_doc(members) -> dict:
 
 
 def load_path(path: str) -> dict:
+    """The JSON object in the file at ``path``, parsed as :func:`loads` does:
+    through an mmap for a non-empty regular file, else read whole (a pipe, an
+    empty file)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if not (stat.S_ISREG(info.st_mode) and info.st_size):
+                return loads(fh.read())
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf, memoryview(buf) as view:
+                return loads(view)
     except OSError as exc:
         raise SerializeError(f"cannot read {path}: {exc}") from exc
 
 
 def save_path(path: str, doc: dict) -> None:
-    text = dumps(doc)  # before opening, so that a document that fails leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    parts = _encode(doc)  # before opening, so that a document that fails leaves no file
+    with open(path, "wb") as fh:
+        fh.writelines(parts)

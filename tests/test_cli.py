@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -577,6 +579,101 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert code == 2 and "kind" in err
 
     assert run(capsys, "validate-qls", str(tmp_path / "missing.json"))[0] == 2
+
+
+def assert_error_exit(code, stdout, err):
+    """Exit 2 with one ``error:`` line on stderr and nothing on stdout."""
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a 1 x 1 matrix document with its one real part spelled as given
+ONE_BY_ONE = (
+    '{"cols": 1, "entries": [[[%s, 0.0]]], "format": "qlsmub/1", "kind": "matrix", "rows": 1}'
+)
+
+# texts that are not RFC 8259 JSON, or hold a number no double can carry
+NOT_JSON = {
+    "NaN token": (ONE_BY_ONE % "NaN").encode(),
+    "Infinity token": (ONE_BY_ONE % "Infinity").encode(),
+    "-Infinity token": (ONE_BY_ONE % "-Infinity").encode(),
+    "truncated": (ONE_BY_ONE % "1.0")[:-9].encode(),
+    "trailing data": (ONE_BY_ONE % "1.0" + " {}").encode(),
+    "BOM": ("\ufeff" + ONE_BY_ONE % "1.0").encode(),
+    "invalid UTF-8": (ONE_BY_ONE % "1.0").replace("matrix", "ma\udcfftrix").encode(
+        "utf-8", "surrogateescape"),
+    "lone surrogate escape": (ONE_BY_ONE % "1.0").replace("matrix", "ma\\ud800trix").encode(),
+    "1e400": (ONE_BY_ONE % "1e400").encode(),
+    "400-digit integer": (ONE_BY_ONE % ("9" * 400)).encode(),
+}
+
+
+def test_the_one_by_one_document_is_read(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(ONE_BY_ONE % "1.0")
+    code, out, _ = run(capsys, "validate-hadamard", str(path))
+    assert code == 0 and "valid complex Hadamard matrix of order 1" in out
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON))
+def test_text_that_is_not_json_exits_two(tmp_path, capsys, case):
+    path = tmp_path / "doc.json"
+    path.write_bytes(NOT_JSON[case])
+    code, out, err = run(capsys, "validate-hadamard", str(path))
+    assert_error_exit(code, out, err)
+    assert err.startswith("error: not valid JSON: ")
+
+
+DEPTH = 100_000
+DEEP = "[" * DEPTH + "]" * DEPTH
+
+# nesting far beyond Python's recursion limit, where a parse, a message or a
+# conversion that recursed would crash with a traceback and exit 1
+DEEP_DOCS = {
+    "document": ("validate-hadamard", DEEP),
+    "format tag": ("validate-hadamard", '{"format": %s, "kind": "matrix"}' % DEEP),
+    "kind": ("validate-hadamard", '{"format": "qlsmub/1", "kind": %s}' % DEEP),
+    "payload": ("validate-hadamard", ONE_BY_ONE.replace("[[[%s, 0.0]]]", DEEP)),
+    "n header": (
+        "validate-qls",
+        '{"entries": [[[[1.0, 0.0]]]], "format": "qlsmub/1", "kind": "grid", "n": %s}' % DEEP,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_DOCS))
+def test_a_deeply_nested_document_exits_two(tmp_path, capsys, case):
+    command, text = DEEP_DOCS[case]
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert_error_exit(*run(capsys, command, str(path)))
+
+
+def test_an_empty_file_is_not_valid_json(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_bytes(b"")
+    code, out, err = run(capsys, "validate-qls", str(path))
+    assert_error_exit(code, out, err)
+    assert err.startswith("error: not valid JSON: ")
+
+
+def test_an_input_read_from_a_pipe(tmp_path, capsys):
+    text = serialize.dumps(serialize.to_doc("grid", fixture("paper-P").array)).encode()
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        code, out, _ = run(capsys, "validate-qls", f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)  # a writer the command left blocked then fails
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 0 and "valid quantum Latin square of order 9" in out
 
 
 def _order_two_latin(cells):

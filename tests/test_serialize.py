@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -243,6 +245,44 @@ REPORTS = st.dictionaries(TEXT, JSON_VALUES | documents(), max_size=6)
 @example({1: [[1.5, 2]], 2: None})
 def test_dumps_is_the_stdlib_text(doc):
     assert dumps(doc) == reference_dumps(doc)
+
+
+def _exact(value):
+    """A parsed JSON value with each float as its hex spelling, so that ``==``
+    compares floats bit for bit, and each int outside 64 bits as the float
+    orjson reads it."""
+    if type(value) is list:
+        return [_exact(item) for item in value]
+    if type(value) is dict:
+        return {key: _exact(item) for key, item in value.items()}
+    if type(value) is int and not -2**63 <= value < 2**64:
+        value = float(value)
+    return value.hex() if type(value) is float else value
+
+
+def _payload_or_error(doc, kind):
+    try:
+        arr = from_doc(doc, kind)
+    except SerializeError as exc:
+        return str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(documents())
+def test_the_reader_parses_what_dumps_writes_as_the_stdlib_does(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    save_path(str(path), doc)
+    kind, theirs = doc["kind"], json.loads(path.read_text())
+    try:
+        ours = load_path(str(path))
+    except SerializeError as exc:  # an int beyond the doubles, which from_doc refuses too
+        assert str(exc).startswith("not valid JSON: ")
+        with pytest.raises(SerializeError, match="entries are not numbers"):
+            from_doc(theirs, kind)
+        return
+    assert _exact(ours) == _exact(theirs)
+    assert _payload_or_error(ours, kind) == _payload_or_error(theirs, kind)
 
 
 @settings(max_examples=100, deadline=None, database=None)
