@@ -14,10 +14,8 @@ stdlib writes every other value.
 from __future__ import annotations
 
 import json
-import mmap
-import os
 import reprlib
-import stat
+from functools import cache
 from itertools import chain
 from math import isqrt
 from typing import Callable, NamedTuple
@@ -91,6 +89,7 @@ def _numbers(value) -> list | None:
     value."""
     if type(value) is not list:
         return None
+    _check_spelling()
     try:  # under a key, so that orjson indents it as the stdlib does
         text = orjson.dumps({"": value}, option=orjson.OPT_INDENT_2)
     except TypeError:  # an int wider than 64 bits, a float subclass, a cycle
@@ -98,6 +97,22 @@ def _numbers(value) -> list | None:
     if text.translate(None, _NUMERIC) != b'{"":}':  # a string, bool or null (NaN, inf)
         return None
     return _respelled(text, len(_WRAPPED), len(text) - 2)
+
+
+# floats that orjson may spell differently from repr: integral, exponent and
+# small forms, and the ends of the doubles
+_PROBE = [100.0, 1e15, 1e16, 1e22, 0.0001, 1e-05, 1.5e-07, -0.0, 0.1, 5e-324, 1.7976931348623157e308, 7]
+
+
+@cache
+def _check_spelling() -> None:
+    """Raise unless the installed orjson's text of ``_PROBE``, re-spelled, is
+    the stdlib's: orjson does not promise the float notation that
+    :func:`_respelled` undoes."""
+    text = orjson.dumps({"": _PROBE}, option=orjson.OPT_INDENT_2)
+    ours = b"".join(_respelled(text, len(_WRAPPED), len(text) - 2))
+    if ours != json.dumps(_PROBE, indent=2).replace("\n", "\n  ").encode():
+        raise RuntimeError(f"orjson {orjson.__version__} spells floats as this module cannot re-spell")
 
 
 def _respelled(text: bytes, start: int, stop: int) -> list:
@@ -221,18 +236,61 @@ def matrix_list_doc(members) -> dict:
 
 
 def load_path(path: str) -> dict:
-    """The JSON object in the file at ``path``, parsed as :func:`loads` does:
-    through an mmap for a non-empty regular file, else read whole (a pipe, an
-    empty file)."""
+    """The JSON object in the file at ``path``, parsed as :func:`loads` does."""
     try:
         with open(path, "rb") as fh:
-            info = os.fstat(fh.fileno())
-            if not (stat.S_ISREG(info.st_mode) and info.st_size):
-                return loads(fh.read())
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf, memoryview(buf) as view:
-                return loads(view)
+            text = fh.read()
     except OSError as exc:
         raise SerializeError(f"cannot read {path}: {exc}") from exc
+    doc = _loads_in_runs(text)
+    return loads(text) if doc is None else doc
+
+
+# how the canonical text opens, separates and closes the elements of a
+# top-level list of lists; each holds a raw newline, which no JSON string can
+_OPEN, _NEXT, _CLOSE = b": [\n    [\n", b"\n    ],\n    [", b"\n    ]\n  ]"
+_RUN = 1 << 18  # bytes of text parsed at a time, at least
+
+
+def _loads_in_runs(text: bytes) -> dict | None:
+    """The JSON object in ``text`` with its first top-level list of lists
+    parsed a run of elements at a time, or None if the whole text is to be
+    parsed.
+
+    orjson keeps a parsed copy of its input while it builds the objects, so a
+    multi-megabyte document parsed whole costs about half as much memory
+    again as it did with the stdlib parser; parsed in runs, that copy is one
+    run's.  Runs are cut where the canonical layout puts ``_NEXT``.  When
+    every run parses, and the rest of the text, with ``[]`` in the list's
+    place, parses to an object whose only occurrence of the list's key holds
+    that ``[]``, the text is that object with the runs' elements in the list,
+    as a whole parse reads it.  Anything else, such as an escape in the rest,
+    is left to the whole parse, which also words the error for text that is
+    not JSON.
+    """
+    opened = text.find(_OPEN)
+    if opened < 0:
+        return None
+    items, start = [], opened + 3
+    try:  # a run of elements ends at its last "]"
+        while (end := text.find(_NEXT, start + _RUN)) >= 0:
+            items += orjson.loads(b"[" + text[start:end + 6] + b"]")
+            start = end + 7
+        end = text.find(_CLOSE, start)
+        if end < 0:
+            return None
+        items += orjson.loads(b"[" + text[start:end + 6] + b"]")
+        key = text[text.rfind(b"\n", 0, opened) + 1:opened].strip()
+        rest = text[:opened + 2] + b"[]" + text[end + len(_CLOSE):]
+        if b"\\" in rest or rest.count(key) != 1:
+            return None
+        doc, name = orjson.loads(rest), orjson.loads(key)
+    except (orjson.JSONDecodeError, RecursionError):
+        return None
+    if type(doc) is not dict or doc.get(name) != []:
+        return None
+    doc[name] = items
+    return doc
 
 
 def save_path(path: str, doc: dict) -> None:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
+from qlsmub import serialize
 from qlsmub.bases import BipartiteBasis
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.serialize import (
@@ -247,6 +249,18 @@ def test_dumps_is_the_stdlib_text(doc):
     assert dumps(doc) == reference_dumps(doc)
 
 
+@pytest.mark.parametrize("theirs, other", [(b"100.0", b"100"), (b"0.1", b".1")])
+def test_an_orjson_that_spells_floats_otherwise_is_refused(tmp_path, monkeypatch, theirs, other):
+    orjson_dumps = serialize.orjson.dumps
+    monkeypatch.setattr(serialize.orjson, "dumps",
+                        lambda obj, **kw: orjson_dumps(obj, **kw).replace(theirs, other))
+    serialize._check_spelling.cache_clear()
+    path = tmp_path / "doc.json"
+    with pytest.raises(RuntimeError, match="spells floats"):
+        save_path(str(path), {"payload": [float(theirs)]})
+    assert not path.exists()
+
+
 def _exact(value):
     """A parsed JSON value with each float as its hex spelling, so that ``==``
     compares floats bit for bit, and each int outside 64 bits as the float
@@ -283,6 +297,75 @@ def test_the_reader_parses_what_dumps_writes_as_the_stdlib_does(tmp_path_factory
         return
     assert _exact(ours) == _exact(theirs)
     assert _payload_or_error(ours, kind) == _payload_or_error(theirs, kind)
+
+
+def _read_outcome(text: bytes, path) -> object:
+    """What ``load_path`` reads from a file holding ``text``: the value, its
+    floats compared bit for bit, or the error."""
+    path.write_bytes(text)
+    try:
+        return _exact(load_path(str(path)))
+    except SerializeError as exc:
+        return str(exc)
+
+
+def _whole_outcome(text: bytes) -> object:
+    try:
+        return _exact(loads(text))
+    except SerializeError as exc:
+        return str(exc)
+
+
+_OPEN_TEXT = b": [\n    [\n"
+MATRIX_TEXT = dumps(to_doc("matrix", np.arange(6).reshape(3, 2) + 0.5j)).encode()
+# texts in the canonical layout whose payload a run-by-run parse must not
+# read differently from a whole parse
+LOOKALIKES = {
+    "a later duplicate key": MATRIX_TEXT.replace(b"\n}", b',\n  "entries": []\n}'),
+    "an escaped duplicate key": MATRIX_TEXT.replace(b"\n}", b',\n  "\\u0065ntries": []\n}'),
+    "the key as a value too": MATRIX_TEXT.replace(b'"matrix"', b'"entries"'),
+    "the list nested a level deeper": b'{"outer": ' + MATRIX_TEXT + b"}",
+    "the list in a list": b"[" + MATRIX_TEXT + b"]",
+    "the key after another on its line": MATRIX_TEXT.replace(b'2,\n  "entries"', b'2, "entries"'),
+    "an exponent after the list": MATRIX_TEXT.replace(b"\n  ],", b"\n  ]e5,"),
+    "a fraction after the list": MATRIX_TEXT.replace(b"\n  ],", b"\n  ].5,"),
+    "a NaN in an element": MATRIX_TEXT.replace(b"0.5", b"NaN", 1),
+    "an element cut short": MATRIX_TEXT.replace(b"\n    ],\n    [", b"\n    ,\n    [", 1),
+    "an unclosed list": MATRIX_TEXT.replace(b"\n    ]\n  ]", b"\n    ]\n  "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLES))
+def test_the_canonical_layout_is_read_in_runs(monkeypatch, kind):
+    text = dumps(to_doc(kind, SAMPLES[kind])).encode()
+    monkeypatch.setattr(serialize, "_RUN", 0)
+    assert serialize._loads_in_runs(text) == loads(text)
+
+
+@pytest.mark.parametrize("run", [0, 1 << 18])
+@pytest.mark.parametrize("name", sorted(LOOKALIKES))
+def test_a_lookalike_of_the_layout_reads_as_a_whole_parse(tmp_path, monkeypatch, name, run):
+    text = LOOKALIKES[name]
+    assert _OPEN_TEXT in text
+    monkeypatch.setattr(serialize, "_RUN", run)
+    assert _read_outcome(text, tmp_path / "doc.json") == _whole_outcome(text)
+
+EDITS = st.sampled_from([b"", b" ", b"\n", b",", b"[", b"]", b"{", b"}", b'"', b"\\", b"0", b".5", b"e5",
+                         b"NaN", b"\n    ],\n    [", b'"entries": [],', b"\xff"])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(documents(), st.lists(st.tuples(st.floats(0, 1), st.integers(0, 3), EDITS), max_size=3))
+def test_an_edited_document_reads_as_a_whole_parse(tmp_path_factory, doc, edits):
+    """Texts near the canonical layout, parsed one element per run, read as
+    the whole text parses: the same value or the same error."""
+    text = dumps(doc).encode()
+    for where, cut, edit in edits:
+        at = round(where * len(text))
+        text = text[:at] + edit + text[at + cut:]
+    with mock.patch.object(serialize, "_RUN", 0):
+        ours = _read_outcome(text, tmp_path_factory.mktemp("doc") / "doc.json")
+    assert ours == _whole_outcome(text)
 
 
 @settings(max_examples=100, deadline=None, database=None)
