@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -330,7 +331,10 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every later
+    call in the process: parsing leaves it unchanged, so do not modify it."""
     parser = argparse.ArgumentParser(prog="qlsmub", description=(
         "Construct and verify maximally entangled bases from quantum Latin "
         "squares and Hadamard families."))

@@ -188,6 +188,14 @@ def from_doc(doc, kind: str) -> np.ndarray:
         if type(doc.get(key)) is int and doc[key] < 1:
             raise SerializeError(f"{kind} header {key} is {doc[key]}, expected at least 1")
     what, data = f"{kind} {schema.payload}", doc.get(schema.payload)
+    sizes = [doc.get(key) for key in schema.axes]
+    shape = None  # the payload's, as an all-integer header gives it
+    if all(type(v) is int for v in sizes):
+        shape = tuple(v * v if schema.square else v for v in sizes)
+        arr = _regular(data, shape + ((2,) if schema.pairs else ()), schema.pairs)
+        if arr is not None:
+            return arr
+    # the payload is not the header's shape of valid leaves: find what is wrong
     bad = f"{what}: entries are not numbers" if schema.pairs else f"{what} are not integers"
     try:
         arr = np.asarray(data, dtype=np.float64 if schema.pairs else np.int64)
@@ -205,12 +213,35 @@ def from_doc(doc, kind: str) -> np.ndarray:
         if not np.isfinite(arr).all():
             raise SerializeError(f"{what}: non-finite entries")
         arr = arr.view(np.complex128)[..., 0]  # exact, signed zeros included
-    sizes = [doc.get(key) for key in schema.axes]
-    if any(type(v) is not int for v in sizes) or arr.shape != tuple(
-        v * v if schema.square else v for v in sizes):
+    if arr.shape != shape:
         detail = f"n={reprlib.repr(doc.get('n'))}" if set(schema.axes) == {"n"} else "header"
         raise SerializeError(f"{what} shape {arr.shape} does not match {detail}")
     return arr
+
+
+def _regular(data, shape: tuple, pairs: bool) -> np.ndarray | None:
+    """The payload array of ``data`` if it is lists nested exactly to
+    ``shape`` with valid leaves, finite if ``pairs``; else None.
+
+    One walk, level by level: every element a list of the level's length,
+    then the leaves' types checked once and converted in one ``np.array``.
+    """
+    level = [data]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= ({int, float} if pairs else {int}):
+        return None
+    try:
+        arr = np.array(level, dtype=np.float64 if pairs else np.int64).reshape(shape)
+    except OverflowError:  # an int beyond the doubles or the 64-bit range
+        return None
+    if not pairs:
+        return arr
+    if not np.isfinite(arr).all():
+        return None
+    return arr.view(np.complex128)[..., 0]  # exact, signed zeros included
 
 
 def read(path: str, kind: str):

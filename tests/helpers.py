@@ -2,7 +2,8 @@
 
 import json
 import math
-from itertools import combinations
+import reprlib
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from qlsmub.bases import BipartiteBasis
 from qlsmub.hadamard import hadamard_family, random_hadamard
 from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix, lcm_up_to, mat_power
 from qlsmub.search import EquivalenceReport
+from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError
 from qlsmub.squares import (
     LatinSquare,
     VectorGrid,
@@ -67,6 +69,46 @@ def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare |
 def reference_dumps(doc: dict) -> str:
     """``serialize.dumps`` as the stdlib writes it, through its indenting encoder."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def reference_from_doc(doc, kind: str) -> np.ndarray:
+    """``serialize.from_doc`` as a nested ``np.asarray`` followed by a scan of
+    the leaf types, every check in the order it reports."""
+    if not isinstance(doc, dict):
+        raise SerializeError("document is not a JSON object")
+    if doc.get("format") != FORMAT:
+        tag = reprlib.repr(doc.get("format"))
+        raise SerializeError(f"unsupported format tag {tag}, expected {FORMAT!r}")
+    if doc.get("kind") != kind:
+        raise SerializeError(f"kind {reprlib.repr(doc.get('kind'))}, expected {kind!r}")
+    schema = SCHEMAS[kind]
+    for key in schema.axes:
+        if type(doc.get(key)) is int and doc[key] < 1:
+            raise SerializeError(f"{kind} header {key} is {doc[key]}, expected at least 1")
+    what, data = f"{kind} {schema.payload}", doc.get(schema.payload)
+    bad = f"{what}: entries are not numbers" if schema.pairs else f"{what} are not integers"
+    try:
+        arr = np.asarray(data, dtype=np.float64 if schema.pairs else np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SerializeError(bad) from exc
+    depth = len(schema.axes)
+    if schema.pairs and (arr.ndim != depth + 1 or arr.shape[-1] != 2):
+        raise SerializeError(f"{what}: expected nesting depth {depth} of [re, im] pairs")
+    leaves = data if arr.ndim else [data]
+    for _ in range(arr.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= ({int, float} if schema.pairs else {int}):
+        raise SerializeError(bad)
+    if schema.pairs:
+        if not np.isfinite(arr).all():
+            raise SerializeError(f"{what}: non-finite entries")
+        arr = arr.view(np.complex128)[..., 0]
+    sizes = [doc.get(key) for key in schema.axes]
+    if any(type(v) is not int for v in sizes) or arr.shape != tuple(
+        v * v if schema.square else v for v in sizes):
+        detail = f"n={reprlib.repr(doc.get('n'))}" if set(schema.axes) == {"n"} else "header"
+        raise SerializeError(f"{what} shape {arr.shape} does not match {detail}")
+    return arr
 
 
 def reference_trace_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from qlsmub.bases import MubReport, qls_meb
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import HadamardViolation, constant_family, fourier
+from qlsmub.numerics import DEFAULT_TOL
 from qlsmub.search import cross_validate_lemma16
 from qlsmub.squares import (
     GridViolation,
@@ -1113,3 +1115,63 @@ def test_text_rendering_is_pinned(pinned_files, capsys, case):
     if text is None:  # the obstruction's numbers come from the library's own report
         text = obstruction_text(argv[1])
     assert run(capsys, *argv) == (code, text.format_map(pinned_files), "")
+
+
+# ------------------------------------------------------------ parser reuse
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "latin", "3"],
+    ["fixtures", "emit", "paper-P"],
+    ["reproduce-appendix-c", "--format", "json-report"],
+])
+def test_a_call_leaves_no_argparse_object_to_the_cyclic_collector(capsys, argv):
+    run(capsys, *argv)  # builds the shared parser
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        left = {type(obj).__qualname__ for obj in gc.garbage if type(obj).__module__ == "argparse"}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert not left
+
+
+def test_a_tolerance_does_not_outlive_its_call(capsys):
+    report = ["reproduce-appendix-c", "--format", "json-report"]
+    assert json.loads(run(capsys, *report, "--tol", "0.5")[1])["tol"] == 0.5
+    assert json.loads(run(capsys, *report)[1])["tol"] == DEFAULT_TOL
+
+
+# calls and their exit codes, in the order they run; each must give what it
+# gives on a parser of its own
+CALL_SEQUENCES = {
+    "dual both ways": [
+        (["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0),
+        (["dual", "--to-meb", "{ueb}"], 0),
+        (["dual", "--to-ueb", "{product}"], 1),
+    ],
+    "a usage error, help, then a command": [
+        (["check-mub", "{basis_a}"], 2),
+        (["dual", "--to-ueb", "{basis}", "--to-meb", "{ueb}"], 2),
+        (["search", "latin", "3", "--tol", "nan"], 2),
+        (["--help"], 0),
+        (["dual", "--help"], 0),
+        (["search", "orth-pairs", "3"], 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALL_SEQUENCES))
+def test_calls_on_the_shared_parser_match_calls_on_fresh_ones(pinned_files, capsys, case):
+    calls = [[arg.format_map(pinned_files) for arg in argv] for argv, _ in CALL_SEQUENCES[case]]
+    shared = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [code for _, code in CALL_SEQUENCES[case]]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh

@@ -25,7 +25,7 @@ from qlsmub.serialize import (
 )
 from qlsmub.squares import LatinSquare, VectorGrid
 
-from helpers import reference_dumps
+from helpers import reference_dumps, reference_from_doc
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 
@@ -274,9 +274,9 @@ def _exact(value):
     return value.hex() if type(value) is float else value
 
 
-def _payload_or_error(doc, kind):
+def _payload_or_error(doc, kind, reader=from_doc):
     try:
-        arr = from_doc(doc, kind)
+        arr = reader(doc, kind)
     except SerializeError as exc:
         return str(exc)
     return arr.dtype, arr.shape, arr.tobytes()
@@ -297,6 +297,86 @@ def test_the_reader_parses_what_dumps_writes_as_the_stdlib_does(tmp_path_factory
         return
     assert _exact(ours) == _exact(theirs)
     assert _payload_or_error(ours, kind) == _payload_or_error(theirs, kind)
+
+
+# leaves no payload may hold, and leaves at the edges of what one may
+BAD_LEAVES = ["1.0", True, False, None, 10**400, 2**63, -2**63 - 1, 2**64, float("nan"),
+              float("-inf"), 1, -0.0, 0.5]
+PAYLOAD_EDITS = {
+    "a leaf": lambda value, leaf: leaf,
+    "a short list": lambda value, leaf: value[:-1] if type(value) is list else value,
+    "a long list": lambda value, leaf: value + value[:1] if type(value) is list else [value, value],
+    "one level deeper": lambda value, leaf: [value],
+    "one level shallower": lambda value, leaf: value[0] if type(value) is list and value else leaf,
+    "a tuple": lambda value, leaf: tuple(value) if type(value) is list else (value,),
+    "a dict": lambda value, leaf: {"re": value},
+    "an empty list": lambda value, leaf: [],
+}
+HEADERS = st.sampled_from(["3", "1", 0, 1, 2, 3, 4, 9, True, 2.0, None])
+
+
+@st.composite
+def mutated_documents(draw):
+    """A ``documents()`` document with up to three edits: a value somewhere
+    in its payload replaced by a bad leaf, a list made ragged, deeper,
+    shallower, a tuple, a dict or empty; or a header value changed."""
+    doc = draw(documents())
+    schema = SCHEMAS[doc["kind"]]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            doc[draw(st.sampled_from(schema.axes))] = draw(HEADERS)
+            continue
+        owner, key = doc, schema.payload
+        for _ in range(draw(st.integers(0, len(schema.axes) + 1))):
+            if type(owner[key]) is not list or not owner[key]:
+                break
+            owner, key = owner[key], draw(st.integers(0, len(owner[key]) - 1))
+        edit = PAYLOAD_EDITS[draw(st.sampled_from(sorted(PAYLOAD_EDITS)))]
+        owner[key] = edit(owner[key], draw(st.sampled_from(BAD_LEAVES)))
+    return doc
+
+
+def _edited(kind, array, edit):
+    doc = to_doc(kind, array)
+    edit(doc)
+    return doc
+
+
+def _set(doc, path, value):
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mutated_documents())
+@example(_edited("matrix", np.eye(2), lambda d: d["entries"][1].pop()))  # a ragged row
+@example(_edited("latin", CYCLIC3.cells, lambda d: d["cells"][2].append(0)))
+@example(_edited("grid", np.ones((2, 2, 2)), lambda d: _set(d, ["entries", 0, 0, 1], [[1.0, 0.0]])))
+@example(_edited("basis", np.eye(4), lambda d: _set(d, ["states", 1, 2], 1.0)))  # too shallow
+@example(_edited("vector-list", np.eye(2), lambda d: _set(d, ["vectors"], [d["vectors"]])))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 0, 0, 0], "1.0")))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 0, 1, 1], True)))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 1, 0, 1], None)))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 1, 1, 0], float("nan"))))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 1, 1, 0], 10**400)))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 1, 1, 0], 2**63)))
+@example(_edited("latin", CYCLIC3.cells, lambda d: _set(d, ["cells", 0, 0], 2**63)))
+@example(_edited("latin", CYCLIC3.cells, lambda d: _set(d, ["cells", 0, 0], -2**63)))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 0, 1], (0.0, 1.0))))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries"], tuple(d["entries"]))))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 0, 1], {"re": 0.0, "im": 1.0})))
+@example(_edited("matrix-list", np.ones((1, 1, 1)), lambda d: _set(d, ["members", 0, 0], [])))
+@example(_edited("latin", CYCLIC3.cells, lambda d: _set(d, ["cells"], [])))
+@example(_edited("grid", np.ones((1, 1, 1)), lambda d: _set(d, ["n"], "1")))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["rows"], "2")))
+def test_from_doc_reads_as_the_nested_reader_does(doc):
+    """The one-walk reader returns what a nested ``np.asarray`` and a scan
+    of the leaf types return: the same dtype, shape and bytes, or the same
+    error text."""
+    kind = doc["kind"]
+    assert _payload_or_error(doc, kind) == _payload_or_error(doc, kind, reference_from_doc)
 
 
 def _read_outcome(text: bytes, path) -> object:
