@@ -6,9 +6,10 @@ kind.  Complex numbers are [re, im] pairs.  Serialization is canonical (sorted
 keys, fixed indentation, trailing newline): re-encoding reproduces the bytes.
 
 orjson is the codec.  Reading is strict RFC 8259.  Writing gives exactly the
-stdlib's ``indent=2`` text: orjson writes the number arrays, whose floats it
-spells as ``repr`` does once a few exponent forms are re-spelled, and the
-stdlib writes every other value.
+stdlib's ``indent=2`` text: orjson writes the whole document, whose floats it
+spells as ``repr`` does once a few exponent forms are re-spelled.  The stdlib
+writes it only when orjson refuses it, or when orjson's text holds ``null`` or
+a byte from 0x7f up.
 """
 
 from __future__ import annotations
@@ -56,52 +57,37 @@ def dumps(doc: dict) -> str:
     indent=2, allow_nan=False)`` plus a newline, so a NaN or infinity raises
     ``ValueError``.
 
-    A top-level list of numbers is written by orjson and re-spelled where
-    orjson's spelling of a float differs from ``repr``; every other value, and
-    every error, is the stdlib's.
+    orjson writes the whole document, re-spelled where its spelling of a float
+    differs from ``repr``.  The stdlib writes it instead, errors included,
+    when orjson refuses it (an int wider than 64 bits, a float subclass, a
+    non-str key, a cycle), or when orjson's text holds ``null`` (a None, NaN
+    or infinity) or a byte from 0x7f up, which the stdlib escapes.  The
+    document holds JSON values only: orjson also writes a datetime, UUID,
+    Enum or dataclass, which the stdlib refuses.
     """
     return b"".join(_encode(doc)).decode()
 
 
 def _encode(doc: dict) -> list:
     """The text of ``dumps(doc)`` as UTF-8 pieces: bytes, or views of orjson's."""
-    parts = []
-    for key, value in sorted(doc.items()):
-        parts.append(b",\n" if parts else b"{\n")
-        pieces = _numbers(value) if type(key) is str else None
-        if pieces is None:  # the stdlib's {key: value} text without its braces
-            text = json.dumps({key: value}, sort_keys=True, indent=2, allow_nan=False)
-            parts.append(text[2:-2].encode())
-        else:
-            parts += [f"  {json.dumps(key)}: ".encode(), *pieces]
-    return parts + [b"\n}\n"] if parts else [b"{}\n"]
-
-
-# what the indented text of {"": value} holds besides {"":} if value is a list
-# nested of numbers only
-_NUMERIC = b"0123456789-.e[],\n "
-_WRAPPED = b'{\n  "": '  # the text before value
-
-
-def _numbers(value) -> list | None:
-    """The text of ``value`` under a top-level key, in pieces, if it is a list
-    nested of finite ints and floats that orjson writes; None for any other
-    value."""
-    if type(value) is not list:
-        return None
     _check_spelling()
-    try:  # under a key, so that orjson indents it as the stdlib does
-        text = orjson.dumps({"": value}, option=orjson.OPT_INDENT_2)
-    except TypeError:  # an int wider than 64 bits, a float subclass, a cycle
-        return None
-    if text.translate(None, _NUMERIC) != b'{"":}':  # a string, bool or null (NaN, inf)
-        return None
-    return _respelled(text, len(_WRAPPED), len(text) - 2)
+    try:
+        text = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+    except TypeError:  # an int wider than 64 bits, a float subclass, a non-str key, a cycle
+        text = None
+    if text is None or b"null" in text or not text.isascii() or b"\x7f" in text:
+        return [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode(), b"\n"]
+    return _respelled(text) + [b"\n"]
 
 
 # floats that orjson may spell differently from repr: integral, exponent and
-# small forms, and the ends of the doubles
-_PROBE = [100.0, 1e15, 1e16, 1e22, 0.0001, 1e-05, 1.5e-07, -0.0, 0.1, 5e-324, 1.7976931348623157e308, 7]
+# small forms, and the ends of the doubles; under keys too, one holding an "e"
+_PROBE = {
+    "e": 1,
+    "float": 1e16,
+    "floats": [100.0, 1e15, 1e16, 1e22, 0.0001, 1e-05, 1.5e-07, -0.0, 0.1, 5e-324, 1.7976931348623157e308, 7],
+    "tol": 1e-09,
+}
 
 
 @cache
@@ -109,37 +95,41 @@ def _check_spelling() -> None:
     """Raise unless the installed orjson's text of ``_PROBE``, re-spelled, is
     the stdlib's: orjson does not promise the float notation that
     :func:`_respelled` undoes."""
-    text = orjson.dumps({"": _PROBE}, option=orjson.OPT_INDENT_2)
-    ours = b"".join(_respelled(text, len(_WRAPPED), len(text) - 2))
-    if ours != json.dumps(_PROBE, indent=2).replace("\n", "\n  ").encode():
+    text = orjson.dumps(_PROBE, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+    if b"".join(_respelled(text)) != json.dumps(_PROBE, sort_keys=True, indent=2).encode():
         raise RuntimeError(f"orjson {orjson.__version__} spells floats as this module cannot re-spell")
 
 
-def _respelled(text: bytes, start: int, stop: int) -> list:
-    """``text[start:stop]``, orjson's indented text of numbers, in pieces, with
-    each float spelled as ``repr`` spells it.
+def _respelled(text: bytes) -> list:
+    """``text``, orjson's indented text of a document, in pieces, with each
+    float spelled as ``repr`` spells it.
 
     orjson prints the same shortest round-trip digits as ``repr``, so only the
     notation can differ, and only in a token with an ``e`` (1e16 for 1e+16,
-    1.5e-7 for 1.5e-07) or a ``0.0000`` (0.00001 for 1e-05).  Each number sits
-    on a line of its own, which ``repr(float(token))`` rewrites exactly.  The
+    1.5e-7 for 1.5e-07) or a ``0.0000`` (0.00001 for 1e-05).  Each number ends
+    a line of its own, after the line's last ``": `` on a key line, which
+    ``repr(float(token))`` rewrites exactly.  A token is a number if it starts
+    with ``-`` or a digit and ends in a digit: a string ends in ``"``.  The
     other pieces are views of ``text``, so it is never copied.
     """
     lines = set()
     for needle in (b"e", b"0.0000"):
-        at = text.find(needle, start, stop)
-        while at >= 0:  # a number's line ends in a newline: a "]" follows it
-            end = text.find(b"\n", at)
+        at = text.find(needle)
+        while at >= 0:
+            end = text.find(b"\n", at) % (len(text) + 1)  # the last line has no newline
             lines.add((text.rfind(b"\n", 0, at) + 1, end))
-            at = text.find(needle, end, stop)
-    view, pieces, done = memoryview(text), [], start
-    for line_start, end in sorted(lines):
-        line = text[line_start:end]  # indentation, one number, maybe a comma
+            at = text.find(needle, end)
+    view, pieces, done = memoryview(text), [], 0
+    for start, end in sorted(lines):
+        key = text.rfind(b'": ', start, end)
+        start = start if key < 0 else key + 3
+        line = text[start:end]  # indentation or a key, one value, maybe a comma
         token = line.strip(b" ,")
-        at = line_start + line.index(token)
-        pieces += [view[done:at], repr(float(token)).encode()]
-        done = at + len(token)
-    return pieces + [view[done:stop]]
+        if token[:1] in b"-0123456789" and token[-1:].isdigit() and (b"e" in token or b"0.0000" in token):
+            at = start + line.index(token)
+            pieces += [view[done:at], repr(float(token)).encode()]
+            done = at + len(token)
+    return pieces + [view[done:]]
 
 
 def loads(text: str | bytes) -> dict:

@@ -251,15 +251,15 @@ def weak_orth_defects(prods, tol: float = DEFAULT_TOL):
     Returns ``(near_one, defect)``.  ``defect[..., i, j, k < n]`` marks a
     second unit (near one wins over near zero) or a stray value at column k,
     ``defect[..., i, j, n]`` a row pair with no unit at all; a pair of grids
-    is weakly orthogonal iff its slice holds no True.  Order 1 is degenerate
-    and never defective.
+    is weakly orthogonal iff its slice holds no True.  Order 1 is degenerate:
+    its one product is a defect only if it is not finite.
     """
     near_one = np.abs(prods - 1.0) <= tol
     near_zero = np.abs(prods) <= tol
     units = near_one.cumsum(axis=-1)
     defect = np.concatenate([np.where(near_one, units > 1, ~near_zero), units[..., -1:] == 0], -1)
     if prods.shape[-1] == 1:
-        defect[...] = False
+        defect[..., 0], defect[..., 1] = ~np.isfinite(prods[..., 0]), False
     return near_one, defect
 
 
@@ -272,7 +272,8 @@ def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
     :class:`WeakOrthWitness`, or a :class:`WeakOrthFailure` for the first
     violating (i, j, k) in lexicographic order.
 
-    Order 1 is degenerate and always succeeds with table [[0]].
+    Order 1 is degenerate and succeeds with table [[0]] unless the product
+    overflows.
     """
     qg, pg = _grid_of(q), _grid_of(p)
     if qg.n != pg.n:

@@ -3,7 +3,9 @@
 Runs a fixed list of commands twice: each as its own ``python -m qlsmub.cli``
 process, then all of them in this process through ``qlsmub.cli.main``, which
 reuses one parser for every call.  Exits 1 and prints the first command whose
-exit code, stdout, stderr or written files differ between the two runs.
+exit code, stdout, stderr or written files differ between the two runs, or the
+first json-report or written file that is not the text of ``json.dumps(doc,
+sort_keys=True, indent=2)`` plus a newline.
 
 Usage: PYTHONPATH=src python tests/cli_parity.py
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -129,8 +132,16 @@ def main() -> int:
             name for name in one_files if one_files[name] != many_files.get(name)})
         print(f"written files differ: {', '.join(differ)}")
         return 1
+    texts = [(f"qlsmub {' '.join(argv)}", out) for argv, (_, out, _) in zip(COMMANDS, one)
+             if "json-report" in argv and out]
+    texts += [(f"written file {name}", text.decode()) for name, text in one_files.items()]
+    for what, text in texts:
+        if text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n":
+            print(f"{what}: not the stdlib's indented JSON text")
+            return 1
     codes = sorted({code for code, _, _ in one})
-    print(f"{len(COMMANDS)} commands and {len(one_files)} written files agree; exit codes {codes}")
+    print(f"{len(COMMANDS)} commands and {len(one_files)} written files agree; exit codes {codes}; "
+          f"{len(texts)} json-reports and files are the stdlib's text")
     return 0
 
 

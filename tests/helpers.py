@@ -35,6 +35,16 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def linear_grid(n: int, k: int, u: np.ndarray) -> VectorGrid:
+    """Grid whose (r, c) entry is column (r + k*c) mod n of the unitary u.
+
+    For k = 1 it is a quantum Latin square of any order; for odd n the grids
+    of k = 1 and k = 2 are quantum Latin squares and weakly orthogonal.
+    """
+    r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return VectorGrid(u.T[(r + k * c) % n])
+
+
 def monomial_equivalent_ueb(latin: LatinSquare, rng: np.random.Generator) -> UnitaryErrorBasis:
     """A @ M @ B for the shift-and-multiply basis M of ``latin`` with a random
     Hadamard family and Haar A, B: monomial up to unitaries, so every

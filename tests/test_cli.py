@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import threading
 from dataclasses import fields
 
@@ -1117,6 +1118,37 @@ def test_text_rendering_is_pinned(pinned_files, capsys, case):
     assert run(capsys, *argv) == (code, text.format_map(pinned_files), "")
 
 
+# json-reports holding what the stdlib spells its own way (a key with an "e"
+# over an int, tol 1e-09, a complex value, nulls, an escaped non-ASCII
+# character), each with a piece of its text that shows it
+JSON_REPORTS = {
+    "search lemma16": (["search", "lemma16", "3"], '"pairs_checked": 144,'),
+    "check-mub": (["check-mub", "{basis_a}", "{basis_b}"], '"tol": 1e-09'),
+    "check-mu-ueb": (["check-mu-ueb", "{ueb_a}", "{ueb_b}"], '"tol": 1e-09'),
+    "monomial-obstruction paper-P": (["monomial-obstruction", "{obstructed}"], '"obstructed": true,'),
+    "monomial-obstruction overflowed bound": (
+        ["monomial-obstruction", "{scaled}", "--tol", "20"], '"noise_bound": null,'
+    ),
+    "validate-qls violation": (["validate-qls", "{validate-qls}"], '"value": [\n    0.0,\n'),
+    "reproduce-appendix-c": (["reproduce-appendix-c"], '"overlaps": 6561,'),
+    "a rejection naming a non-ASCII path": (
+        ["check-mu-ueb", "{short_é}", "{ueb_a}"], 'short_\\u00e9.json: member stack'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_REPORTS))
+def test_a_json_report_is_the_stdlib_text(pinned_files, tmp_path, capsys, case):
+    template, piece = JSON_REPORTS[case]
+    paths = dict(pinned_files)
+    members = serialize.read(paths["obstructed"], "matrix-list")
+    paths["scaled"] = write_ueb(tmp_path, "scaled.json", 1.5 * members)  # valid only at a loose tol
+    paths["short_é"] = shutil.copy(paths["short"], tmp_path / "short_é.json")
+    code, out, err = run(capsys, *[arg.format_map(paths) for arg in template], "--format", "json-report")
+    assert code in (0, 1) and err == "" and piece in out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 # ------------------------------------------------------------ parser reuse
 
 
@@ -1138,6 +1170,25 @@ def test_a_call_leaves_no_argparse_object_to_the_cyclic_collector(capsys, argv):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert not left
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-appendix-c", "--format", "json-report"],
+    ["search", "lemma16", "3", "--format", "json-report"],
+])
+def test_a_json_report_leaves_nothing_to_the_cyclic_collector(capsys, argv):
+    run(capsys, *argv)  # builds the shared parser
+    gc.collect()
+    flags, before = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        left = [type(obj).__qualname__ for obj in gc.garbage[before:]]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_a_tolerance_does_not_outlive_its_call(capsys):

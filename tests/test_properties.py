@@ -1,5 +1,5 @@
 """Property tests over permuted cyclic Latin squares of orders 1..8 (7..12 for
-the obstruction's noise bound)."""
+the obstruction's noise bound), and over broken inputs of orders 1..5."""
 
 from dataclasses import replace
 
@@ -11,12 +11,14 @@ from numpy.testing import assert_allclose
 
 from qlsmub.bases import (
     BipartiteBasis,
+    MubReport,
     check_mub,
     extract_unitary,
     is_maximally_entangled,
+    is_orthonormal_basis,
     qls_meb,
 )
-from qlsmub.hadamard import hadamard_family, random_hadamard
+from qlsmub.hadamard import HadamardMatrix, hadamard_family, random_hadamard, validate_hadamard
 from qlsmub.numerics import DEFAULT_TOL, first_gram_defect, is_permutation_matrix
 from qlsmub.squares import (
     GridViolation,
@@ -44,6 +46,7 @@ from qlsmub.ueb import (
 )
 
 from helpers import (
+    linear_grid,
     monomial_equivalent_ueb,
     random_unitary,
     reference_meb_to_ueb,
@@ -342,3 +345,68 @@ def test_stacked_decisions_are_the_single_pair_calls_slice_by_slice(latin, seed,
         expected = reference_weak_orth(VectorGrid(q), VectorGrid(p), tol)
         assert (not defect[b].any()) == isinstance(expected, WeakOrthWitness)
         assert verdicts[b] == is_permutation_matrix(m, tol)
+
+
+# how one entry of a valid input is broken: set to NaN or an infinity, or, if
+# its modulus is at least 0.1, scaled by 1e200 so that its square overflows;
+# or the whole input is scaled
+BREAKS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "imaginary nan": complex(0, np.nan)}
+SCALINGS = ("entry scaled", "all scaled")
+
+
+def broken(arr, data, label: str, ways) -> np.ndarray:
+    """A copy of ``arr`` broken in one of ``ways``, as ``data`` draws it."""
+    arr = np.array(arr, dtype=np.complex128, order="C")
+    flat = arr.reshape(-1)  # a view, as arr is C-ordered
+    how = data.draw(st.sampled_from(ways), label=f"{label}: how")
+    if how == "all scaled":
+        return arr * 1e200
+    if how == "entry scaled":
+        large = np.flatnonzero(np.abs(flat) >= 0.1).tolist()
+        flat[data.draw(st.sampled_from(large), label=f"{label}: entry")] *= 1e200
+    else:
+        flat[data.draw(st.integers(0, flat.size - 1), label=f"{label}: entry")] = BREAKS[how]
+    return arr
+
+
+def passes(check, *args) -> bool:
+    """Whether ``check(*args)`` returns a pass; a ValueError is none."""
+    try:
+        with np.errstate(all="ignore"):  # the overflow is the point
+            result = check(*args)
+    except ValueError:
+        return False
+    if isinstance(result, MubReport):
+        return result.passed
+    return result is True or isinstance(
+        result, (HadamardMatrix, UnitaryErrorBasis, QuantumLatinSquare, WeakOrthWitness)
+    )
+
+
+@PROPERTY
+@given(st.integers(1, 5), SEEDS, st.data())
+def test_no_check_passes_on_non_finite_arithmetic(n, seed, data):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(n, rng)
+    q, p = linear_grid(n, 1, u), linear_grid(n, 2 if n % 2 else 1, u)
+    qls, family, h = validate_qls(q), random_family(n, rng), random_hadamard(n, rng).mat
+    states = qls_meb(qls, family).states
+    partner = np.kron(h, h) @ states / n  # <states[s]|partner[t]> = kron(h, h)[t, s] / n: unbiased
+    state = states[data.draw(st.integers(0, n * n - 1), label="state")]
+    everything = (*BREAKS, *SCALINGS)
+    checks = {  # each check, its valid inputs, and the ways to break each of them
+        "validate_hadamard": (validate_hadamard, (h,), everything),
+        "validate_ueb": (validate_ueb, (shift_multiply_ueb(qls, family).members,), everything),
+        "check_mub": (check_mub, (states, partner), everything),
+        "is_orthonormal_basis": (is_orthonormal_basis, (states,), everything),
+        "is_maximally_entangled": (is_maximally_entangled, (state,), everything),
+        "validate_qls": (lambda g: validate_qls(VectorGrid(g)), (q.array,), SCALINGS),
+        "weak_orth_witness": (
+            lambda a, b: weak_orth_witness(VectorGrid(a), VectorGrid(b)), (q.array, p.array), SCALINGS
+        ),
+    }
+    for name, (check, args, ways) in checks.items():
+        # these grids are weakly orthogonal only at odd orders
+        assert passes(check, *args) or (name == "weak_orth_witness" and n % 2 == 0), name
+        args = [broken(arg, data, f"{name} {i}", ways) for i, arg in enumerate(args)]
+        assert not passes(check, *args), name

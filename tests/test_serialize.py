@@ -228,7 +228,8 @@ def documents(draw):
     return doc
 
 
-TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["two\nlines", 'say "hi"', "back\\slash", "é"]))
+TEXT = st.one_of(st.text(max_size=8),
+                 st.sampled_from(["two\nlines", 'say "hi"', "back\\slash", "é", "\x7f", 'x": 1e5']))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | NUMBERS | TEXT,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=3),
@@ -245,6 +246,12 @@ REPORTS = st.dictionaries(TEXT, JSON_VALUES | documents(), max_size=6)
 @example({"mixed": [1, 2.5, None, "x"], "nested": {"b": [1.0], "a": {"z": None}}})
 @example({"tuples": [(1.0, 2.0), (3.0, 4.0)], "numpy floats": [np.float64(0.1)]})
 @example({1: [[1.5, 2]], 2: None})
+@example({"e": 1, "pairs_checked": 144, "tol": 1e-09})
+@example({"\x7f": "\x7f"})
+@example({'a": 1e5': 1e16, "k": 'x": 1e5'})
+@example({"s": "null", "n": None})
+@example({"big": 2**64 - 1, "small": -2**63, "wide": 2**64})
+@example({"d": {"a": [1e-07, {"b": 1e-05}]}})
 def test_dumps_is_the_stdlib_text(doc):
     assert dumps(doc) == reference_dumps(doc)
 

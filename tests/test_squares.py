@@ -269,6 +269,13 @@ def test_witness_order_one_degenerate():
     assert w.table.tolist() == [[0]]
 
 
+def test_witness_order_one_fails_on_an_overflowed_product():
+    big = VectorGrid(np.full((1, 1, 1), 1e200, dtype=complex))
+    f = weak_orth_witness(big, big)
+    assert isinstance(f, WeakOrthFailure)
+    assert (f.kind, f.column, f.value, f.off_by) == ("stray-value", 0, complex(np.inf, 0), np.inf)
+
+
 def test_witness_agrees_with_left_orthogonality_on_latin_squares():
     squares = enumerate_latin(3).squares
     for a in squares:
