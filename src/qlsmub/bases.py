@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hadamard import HadamardFamily, HadamardMatrix
-from .numerics import DEFAULT_TOL, as_state_vector, first_gram_defect
+from .numerics import DEFAULT_TOL, as_state_vector, first_gram_defect, frobenius_norms
 from .squares import LatinSquare, QuantumLatinSquare
 
 
@@ -149,12 +149,8 @@ def lbw_meb(latin: LatinSquare, h: HadamardMatrix) -> BipartiteBasis:
 def _residuals(m: np.ndarray) -> np.ndarray:
     # Frobenius distance of M M* to I/n for every n x n matrix M of the stack
     # (count, n, n): the partial trace of the state s with M[k, p] = s[k*n + p].
-    # Each norm is sqrt(re.re + im.im) over the flattened residual, the sums
-    # np.linalg.norm takes, so a state alone and in a stack agree bit for bit.
-    count, n, _ = m.shape
-    flat = (m @ m.conj().transpose(0, 2, 1) - np.eye(n) / n).reshape(count, 1, n * n)
-    re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
+    n = m.shape[1]
+    return frobenius_norms(m @ m.conj().transpose(0, 2, 1) - np.eye(n) / n)
 
 
 def _square_stack(states: np.ndarray) -> np.ndarray:

@@ -415,8 +415,11 @@ def main(argv=None) -> int:
             json_report = args.format == "json-report"
             payload = serialize.dumps(report) if json_report else outcome.text + "\n"
         if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            try:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise ValueError(f"cannot write {out}: {exc}") from exc
         else:
             sys.stdout.write(payload)
         return 0 if outcome.ok else 1

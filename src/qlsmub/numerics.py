@@ -26,6 +26,13 @@ def as_state_vector(v) -> np.ndarray:
     return arr
 
 
+def modulus(z) -> float:
+    """|z| as a float, inf where it overflows: there Python's ``abs`` raises
+    OverflowError.  numpy's scalar takes the same ``hypot`` as ``abs``, so
+    the two agree wherever ``abs`` returns."""
+    return float(abs(np.complex128(z)))
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with complex128 output."""
     return np.kron(
@@ -45,6 +52,18 @@ def first_gram_defect(grams, scale: float, tol: float):
     if not defect.any():
         return None
     return tuple(int(i) for i in np.unravel_index(np.argmax(defect), defect.shape))
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a complex (count, rows, cols) stack.
+
+    Each norm is sqrt(re.re + im.im) over the flattened matrix, the sums
+    np.linalg.norm takes, so a matrix alone and in a stack agree bit for bit.
+    """
+    count, rows, cols = stack.shape
+    flat = stack.reshape(count, 1, rows * cols)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
 def mat_power(u, e: int) -> np.ndarray:

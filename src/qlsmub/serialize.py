@@ -164,7 +164,14 @@ def from_doc(doc, kind: str) -> np.ndarray:
     """The payload array of a ``kind`` document, or a :class:`SerializeError`.
 
     Header values must be JSON integers >= 1, integer leaves JSON integers,
-    and [re, im] leaves finite JSON numbers (int or float, never bool).
+    and [re, im] leaves finite JSON numbers (int or float, never bool).  One
+    walk reads the payload's shape: while a level holds only lists and
+    tuples, their one length joins the shape and the level is flattened.
+    Then, in order: (1) a ragged level, of two lengths or of sequences beside
+    other values, and (2) leaves that one ``np.array`` cannot convert to that
+    shape are not numbers; (3) [re, im] pairs must nest to the header's
+    depth; (4) a leaf must be of a JSON type the kind allows; (5) [re, im]
+    leaves must be finite, and the shape must be the header's.
     """
     if not isinstance(doc, dict):
         raise SerializeError("document is not a JSON object")
@@ -177,61 +184,34 @@ def from_doc(doc, kind: str) -> np.ndarray:
     for key in schema.axes:
         if type(doc.get(key)) is int and doc[key] < 1:
             raise SerializeError(f"{kind} header {key} is {doc[key]}, expected at least 1")
-    what, data = f"{kind} {schema.payload}", doc.get(schema.payload)
-    sizes = [doc.get(key) for key in schema.axes]
-    shape = None  # the payload's, as an all-integer header gives it
-    if all(type(v) is int for v in sizes):
-        shape = tuple(v * v if schema.square else v for v in sizes)
-        arr = _regular(data, shape + ((2,) if schema.pairs else ()), schema.pairs)
-        if arr is not None:
-            return arr
-    # the payload is not the header's shape of valid leaves: find what is wrong
+    what, level = f"{kind} {schema.payload}", [doc.get(schema.payload)]
     bad = f"{what}: entries are not numbers" if schema.pairs else f"{what} are not integers"
+    shape, types = [], set(map(type, level))
+    while types <= {list, tuple} and len(sizes := set(map(len, level))) == 1:
+        shape += sizes
+        level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+    if types & {list, tuple}:  # a ragged level: two lengths, or sequences beside other values
+        raise SerializeError(bad)
     try:
-        arr = np.asarray(data, dtype=np.float64 if schema.pairs else np.int64)
+        arr = np.array(level, dtype=np.float64 if schema.pairs else np.int64).reshape(shape)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SerializeError(bad) from exc
     depth = len(schema.axes)
     if schema.pairs and (arr.ndim != depth + 1 or arr.shape[-1] != 2):
         raise SerializeError(f"{what}: expected nesting depth {depth} of [re, im] pairs")
-    leaves = data if arr.ndim else [data]
-    for _ in range(arr.ndim - 1):
-        leaves = chain.from_iterable(leaves)
-    if not set(map(type, leaves)) <= ({int, float} if schema.pairs else {int}):
+    if not types <= ({int, float} if schema.pairs else {int}):
         raise SerializeError(bad)
     if schema.pairs:
         if not np.isfinite(arr).all():
             raise SerializeError(f"{what}: non-finite entries")
         arr = arr.view(np.complex128)[..., 0]  # exact, signed zeros included
-    if arr.shape != shape:
+    header = [doc.get(key) for key in schema.axes]
+    if any(type(v) is not int for v in header) or arr.shape != tuple(
+            v * v if schema.square else v for v in header):
         detail = f"n={reprlib.repr(doc.get('n'))}" if set(schema.axes) == {"n"} else "header"
         raise SerializeError(f"{what} shape {arr.shape} does not match {detail}")
     return arr
-
-
-def _regular(data, shape: tuple, pairs: bool) -> np.ndarray | None:
-    """The payload array of ``data`` if it is lists nested exactly to
-    ``shape`` with valid leaves, finite if ``pairs``; else None.
-
-    One walk, level by level: every element a list of the level's length,
-    then the leaves' types checked once and converted in one ``np.array``.
-    """
-    level = [data]
-    for size in shape:
-        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
-            return None
-        level = list(chain.from_iterable(level))
-    if not set(map(type, level)) <= ({int, float} if pairs else {int}):
-        return None
-    try:
-        arr = np.array(level, dtype=np.float64 if pairs else np.int64).reshape(shape)
-    except OverflowError:  # an int beyond the doubles or the 64-bit range
-        return None
-    if not pairs:
-        return arr
-    if not np.isfinite(arr).all():
-        return None
-    return arr.view(np.complex128)[..., 0]  # exact, signed zeros included
 
 
 def read(path: str, kind: str):
@@ -316,5 +296,8 @@ def _loads_in_runs(text: bytes) -> dict | None:
 
 def save_path(path: str, doc: dict) -> None:
     parts = _encode(doc)  # before opening, so that a document that fails leaves no file
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise SerializeError(f"cannot write {path}: {exc}") from exc

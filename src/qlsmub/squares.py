@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, first_gram_defect
+from .numerics import DEFAULT_TOL, first_gram_defect, modulus
 
 
 class VectorGrid:
@@ -141,7 +141,7 @@ def validate_qls(grid: VectorGrid, tol: float = DEFAULT_TOL):
         if hit is not None:
             u, v = hit[1:]
             value = complex(grams[hit])
-            return GridViolation(line, hit[0], (u, v), value, abs(value - float(u == v)))
+            return GridViolation(line, hit[0], (u, v), value, modulus(value - float(u == v)))
     return QuantumLatinSquare(grid, tol)
 
 
@@ -293,8 +293,8 @@ def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
         return WeakOrthFailure(i, j, "missing-unit", None, None, off_by)
     value = complex(prods[i, j, k])
     if near_one[i, j, k]:
-        return WeakOrthFailure(i, j, "non-unique-unit", k, value, abs(value))
-    return WeakOrthFailure(i, j, "stray-value", k, value, min(abs(value), abs(value - 1.0)))
+        return WeakOrthFailure(i, j, "non-unique-unit", k, value, modulus(value))
+    return WeakOrthFailure(i, j, "stray-value", k, value, min(modulus(value), modulus(value - 1.0)))
 
 
 def is_moqls(family, tol: float = DEFAULT_TOL) -> bool:

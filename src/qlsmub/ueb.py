@@ -17,7 +17,7 @@ import numpy as np
 
 from .bases import BipartiteBasis, MubReport, extract_unitaries
 from .hadamard import HadamardFamily
-from .numerics import DEFAULT_TOL, first_gram_defect, lcm_up_to, mat_power
+from .numerics import DEFAULT_TOL, first_gram_defect, frobenius_norms, lcm_up_to, mat_power
 from .squares import QuantumLatinSquare
 
 
@@ -265,16 +265,13 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
         return ObstructionReport(mu, normalizer, None, None, None, False, noise_bound)
     powers = mat_power(translated, mu)
 
-    # One batched step per row i against every j > i; the Frobenius norms are
-    # sqrt(re.re + im.im) over the flattened commutators, as np.linalg.norm
-    # sums them.  argmax keeps the first maximum of a row and the strict >
-    # the first row, so equal norms go to the lexicographically first pair.
+    # One batched step per row i against every j > i.  argmax keeps the first
+    # maximum of a row and the strict > the first row, so equal norms go to
+    # the lexicographically first pair.
     for i in range(count - 1):
         rest = powers[i + 1 :]
         comm = powers[i] @ rest - rest @ powers[i]
-        flat = comm.reshape(len(rest), 1, n * n)
-        re, im = flat.real, flat.imag
-        norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
+        norms = frobenius_norms(comm)
         k = int(np.argmax(norms))
         if i == 0 or norms[k] > worst_norm:
             worst_pair, worst_norm = (i, i + 1 + k), float(norms[k])

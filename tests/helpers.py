@@ -6,12 +6,14 @@ import reprlib
 from itertools import chain, combinations
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qlsmub.bases import BipartiteBasis
 from qlsmub.hadamard import hadamard_family, random_hadamard
 from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix, lcm_up_to, mat_power
 from qlsmub.search import EquivalenceReport
-from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError
+from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError, to_doc
 from qlsmub.squares import (
     LatinSquare,
     VectorGrid,
@@ -291,3 +293,68 @@ def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> Equivalenc
             if not (by_witness == by_left == by_perm):
                 disagreements.append((ia, ib, by_witness, by_left, by_perm))
     return EquivalenceReport(n, len(rows) * len(squares), positives, disagreements)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# floats whose repr is an edge case: signed zero, exponent forms, the subnormal
+# and largest finite doubles, and integer-valued floats
+EDGE_FLOATS = [-0.0, 0.0, 1e16, 1e-05, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               2.0, -3.0, 1e22, 123456789012345.0]
+NUMBERS = st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS), st.integers(-2**60, 2**60).map(float))
+
+
+@st.composite
+def documents(draw):
+    """A ``to_doc`` document of a random kind and shape, at times with its
+    [re, im] leaves replaced by a mix of Python ints and floats."""
+    kind = draw(st.sampled_from(sorted(SCHEMAS)))
+    schema = SCHEMAS[kind]
+    sizes = {key: draw(st.integers(1, 3)) for key in schema.axes}
+    shape = tuple(sizes[key] ** 2 if schema.square else sizes[key] for key in schema.axes)
+    if not schema.pairs:
+        return to_doc(kind, draw(arrays(np.int64, shape)))
+    parts = draw(arrays(np.float64, shape + (2,), elements=NUMBERS))
+    doc = to_doc(kind, parts.view(np.complex128)[..., 0])
+    if draw(st.booleans()):
+        leaves = st.one_of(st.integers(), NUMBERS)
+        doc[schema.payload] = draw(arrays(object, shape + (2,), elements=leaves)).tolist()
+    return doc
+
+
+# leaves no payload may hold, and leaves at the edges of what one may
+BAD_LEAVES = ["1.0", True, False, None, 10**400, 2**63, -2**63 - 1, 2**64, float("nan"),
+              float("-inf"), 1, -0.0, 0.5]
+PAYLOAD_EDITS = {
+    "a leaf": lambda value, leaf: leaf,
+    "a short list": lambda value, leaf: value[:-1] if type(value) is list else value,
+    "a long list": lambda value, leaf: value + value[:1] if type(value) is list else [value, value],
+    "one level deeper": lambda value, leaf: [value],
+    "one level shallower": lambda value, leaf: value[0] if type(value) is list and value else leaf,
+    "a tuple": lambda value, leaf: tuple(value) if type(value) is list else (value,),
+    "a dict": lambda value, leaf: {"re": value},
+    "an empty list": lambda value, leaf: [],
+}
+HEADERS = st.sampled_from(["3", "1", 0, 1, 2, 3, 4, 9, True, 2.0, None])
+
+
+@st.composite
+def mutated_documents(draw, docs=documents()):
+    """A document of ``docs`` with up to three edits, made in place: a value
+    somewhere in its payload replaced by a bad leaf, a list made ragged,
+    deeper, shallower, a tuple, a dict or empty; or a header value changed."""
+    doc = draw(docs)
+    schema = SCHEMAS[doc["kind"]]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            doc[draw(st.sampled_from(schema.axes))] = draw(HEADERS)
+            continue
+        owner, key = doc, schema.payload
+        for _ in range(draw(st.integers(0, len(schema.axes) + 1))):
+            if type(owner[key]) is not list or not owner[key]:
+                break
+            owner, key = owner[key], draw(st.integers(0, len(owner[key]) - 1))
+        edit = PAYLOAD_EDITS[draw(st.sampled_from(sorted(PAYLOAD_EDITS)))]
+        owner[key] = edit(owner[key], draw(st.sampled_from(BAD_LEAVES)))
+    return doc

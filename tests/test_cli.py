@@ -1,13 +1,17 @@
 import gc
+import io
 import json
 import os
 import re
 import shutil
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qlsmub import serialize
@@ -35,7 +39,7 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import reference_lemma16
+from helpers import mutated_documents, reference_lemma16
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
@@ -468,6 +472,38 @@ def test_overflowed_overlaps_report_null(tmp_path, capsys):
     assert (code, out, err) == (1, "INVALID: member 0: U*U differs from I by inf\n", "")
 
 
+BIG = 1.3e308 + 1.3e308j  # finite parts, a modulus beyond the doubles
+E = np.eye(2, dtype=complex)
+# inputs whose first defect is a finite complex value that Python's abs
+# cannot measure, and the text each command prints for it
+OVERFLOWED_MODULUS = {
+    "validate-hadamard": (
+        [("matrix", [[BIG]])],
+        "INVALID: unimodular violated: entry (0, 0) has modulus inf, expected 1 (off by inf)\n"),
+    "validate-qls": (
+        [("grid", [[E[0], BIG * E[0]], [E[1], E[0]]])],
+        "INVALID: row 0 is not orthonormal: <v0|v1> = 1.3e+308+1.3e+308j, expected 0.0 "
+        "(off by inf)\n"),
+    "check-weak-orth": (
+        [("grid", [[BIG * E[0], E[1]], [E[1], E[0]]]), ("grid", [[E[0], E[1]], [E[1], E[0]]])],
+        "NOT weakly orthogonal: rows (0, 0): column 0 product 1.3e+308-1.3e+308j (stray-value) "
+        "(off by inf)\n"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is reported, never warned
+@pytest.mark.parametrize("command", sorted(OVERFLOWED_MODULUS))
+def test_a_modulus_beyond_the_doubles_is_a_violation(tmp_path, capsys, command):
+    inputs, text = OVERFLOWED_MODULUS[command]
+    paths = []
+    for i, (kind, array) in enumerate(inputs):
+        paths.append(str(tmp_path / f"{i}.json"))
+        serialize.save_path(paths[-1], serialize.to_doc(kind, array))
+    assert run(capsys, command, *paths) == (1, text, "")
+    code, out, err = run(capsys, command, *paths, "--format", "json-report")
+    assert (code, err) == (1, "") and strict_json(out)["off_by"] is None
+
+
 def test_dumps_writes_no_non_json_token(tmp_path):
     for value in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError):
@@ -806,6 +842,20 @@ def test_report_goes_to_out_and_nothing_to_stdout(tmp_path, capsys, second, code
     else:
         expected = serialize.dumps({"command": "check-orth", "ok": code == 0, "n": 3})
     assert out_path.read_text() == expected
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["fixtures", "emit", "paper-P"], "missing/x.json"),  # the artifact's write
+    (["reproduce-appendix-c"], "folder"),  # the report's write
+])
+def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, argv, target):
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert_error_exit(code, out, err)
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def files_of_order(tmp_path, n):
@@ -1226,3 +1276,91 @@ def test_calls_on_the_shared_parser_match_calls_on_fresh_ones(pinned_files, caps
         build_parser.cache_clear()
         fresh.append(run(capsys, *argv))
     assert shared == fresh
+
+
+# every command that reads input files, with the input each argument names
+READERS = {
+    "validate-qls": ["grid"],
+    "validate-hadamard": ["matrix"],
+    "check-weak-orth": ["grid", "grid"],
+    "check-orth": ["latin", "latin"],
+    "check-left-orth": ["latin", "latin"],
+    "left-conj": ["latin"],
+    "build-meb": ["grid", "family"],
+    "build-lbw": ["latin", "matrix"],
+    "check-mub": ["basis", "basis"],
+    "dual --to-ueb": ["basis"],
+    "dual --to-meb": ["ueb"],
+    "check-ueb": ["ueb"],
+    "check-mu-ueb": ["ueb", "ueb"],
+    "monomial-obstruction": ["ueb"],
+}
+DAMAGES = ["edited", "another document", "truncated", "empty", "wrong kind", "huge header",
+           "scaled"]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The folder for a damaged input, and ``files_of_order`` for orders 1..4."""
+    folder = tmp_path_factory.mktemp("inputs")
+    return folder, {n: files_of_order(folder, n) for n in range(1, 5)}
+
+
+def damaged(data, path) -> bytes:
+    """The text of the valid document at ``path``, damaged one way."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    doc = serialize.load_path(path)
+    schema = serialize.SCHEMAS[doc["kind"]]
+    damage = data.draw(st.sampled_from(DAMAGES))
+    if damage == "edited":
+        doc = data.draw(mutated_documents(st.just(doc)))
+    elif damage == "another document":
+        doc = data.draw(mutated_documents())
+    elif damage == "truncated":
+        return text[:data.draw(st.integers(1, len(text) - 1))]
+    elif damage == "empty":
+        return b""
+    elif damage == "wrong kind":
+        doc["kind"] = data.draw(st.sampled_from(sorted(set(serialize.SCHEMAS) - {doc["kind"]})))
+    elif damage == "huge header":
+        doc[data.draw(st.sampled_from(schema.axes))] = data.draw(st.sampled_from([10**6, 2**70]))
+    else:
+        scale = data.draw(st.sampled_from([1e200, 1e-320, 1.7976931348623157e308]))
+        with np.errstate(over="ignore"):  # latin cells of 2 and up overflow to inf
+            doc[schema.payload] = (np.array(doc[schema.payload]) * scale).tolist()
+    return json.dumps(doc).encode()  # NaN and Infinity tokens too, which must be refused
+
+
+def call(argv):
+    """``main(argv)``'s exit code, stdout and stderr, captured without
+    ``capsys``, which a hypothesis test cannot take."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings would reach stderr
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_a_damaged_input_never_crashes_the_cli(valid_inputs, data):
+    """Every reading command, given one damaged input beside valid ones of
+    order n <= 4, exits 0 or 1 with nothing on stderr and a strict
+    json-report, or 2 with one error line and nothing on stdout."""
+    folder, files = valid_inputs
+    command = data.draw(st.sampled_from(sorted(READERS)))
+    n = data.draw(st.integers(1, 4))
+    paths = [files[n][name] for name in READERS[command]]
+    bad = data.draw(st.integers(0, len(paths) - 1))
+    paths[bad] = str(folder / "damaged.json")
+    with open(paths[bad], "wb") as fh:
+        fh.write(damaged(data, files[n][READERS[command][bad]]))
+    for fmt in ("text", "json-report"):
+        code, out, err = call([*command.split(), *paths, "--format", fmt])
+        if code == 2:
+            assert_error_exit(code, out, err)
+        else:
+            assert code in (0, 1) and err == ""
+            if fmt == "json-report":
+                strict_json(out)

@@ -5,10 +5,12 @@ from numpy.testing import assert_allclose
 from qlsmub.numerics import (
     DEFAULT_TOL,
     first_gram_defect,
+    frobenius_norms,
     is_permutation_matrix,
     kron,
     lcm_up_to,
     mat_power,
+    modulus,
 )
 
 from helpers import is_monomial, random_unitary
@@ -144,3 +146,19 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(7)
     u = random_unitary(6, rng)
     assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 3, 3), (4, 2, 6)])
+def test_frobenius_norms_are_np_linalg_norm_bit_for_bit(shape):
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert frobenius_norms(stack).tolist() == [float(np.linalg.norm(m)) for m in stack]
+
+
+def test_modulus_is_abs_or_inf_where_abs_overflows():
+    for z in (3 + 4j, -0.0j, 1e-320 + 1e-320j, complex("nan+1j"), complex("inf-1j")):
+        assert np.array_equal(modulus(z), abs(z), equal_nan=True)
+    with pytest.raises(OverflowError):
+        abs(1.3e308 + 1.3e308j)
+    with np.errstate(over="ignore"):
+        assert modulus(1.3e308 + 1.3e308j) == np.inf

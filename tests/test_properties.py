@@ -1,7 +1,9 @@
 """Property tests over permuted cyclic Latin squares of orders 1..8 (7..12 for
-the obstruction's noise bound), and over broken inputs of orders 1..5."""
+the obstruction's noise bound), over broken inputs of orders 1..5, and over the
+paper's linear grids at the prime orders up to 13."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from qlsmub.squares import (
     WeakOrthFailure,
     WeakOrthWitness,
     computational_grid,
+    is_moqls,
     left_conjugate,
     orthogonality_map,
     validate_qls,
@@ -410,3 +413,23 @@ def test_no_check_passes_on_non_finite_arithmetic(n, seed, data):
         assert passes(check, *args) or (name == "weak_orth_witness" and n % 2 == 0), name
         args = [broken(arg, data, f"{name} {i}", ways) for i, arg in enumerate(args)]
         assert not passes(check, *args), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13])
+def test_linear_grids_give_n_minus_one_mubs_at_prime_orders(n):
+    """The paper's construction at a prime order n: the linear grids of k =
+    1..n-1 over one Haar unitary are quantum Latin squares, weakly orthogonal
+    in pairs, and with any Hadamard families they give n - 1 pairwise
+    unbiased, orthonormal bases of maximally entangled states."""
+    rng = np.random.default_rng(n)
+    u = random_unitary(n, rng)
+    squares = [validate_qls(linear_grid(n, k, u)) for k in range(1, n)]
+    assert all(isinstance(q, QuantumLatinSquare) for q in squares)
+    assert n < 3 or is_moqls(squares)
+    bases = [qls_meb(q, hadamard_family([random_hadamard(n, rng) for _ in range(n)]))
+             for q in squares]
+    for basis in bases:
+        assert is_orthonormal_basis(basis)
+        assert all(is_maximally_entangled(state) for state in basis.states)
+    for a, b in combinations(bases, 2):
+        assert check_mub(a, b).passed

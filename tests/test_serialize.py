@@ -25,7 +25,9 @@ from qlsmub.serialize import (
 )
 from qlsmub.squares import LatinSquare, VectorGrid
 
-from helpers import reference_dumps, reference_from_doc
+from helpers import (
+    FLOATS, NUMBERS, documents, mutated_documents, reference_dumps, reference_from_doc,
+)
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 
@@ -169,9 +171,6 @@ def test_missing_file(tmp_path):
         load_path(str(tmp_path / "absent.json"))
 
 
-FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-
-
 @st.composite
 def kind_and_array(draw):
     """A kind and a random array of a shape its schema accepts.
@@ -201,31 +200,6 @@ def test_canonical_json_re_encodes_byte_for_byte(case):
     back = from_doc(loads(text), kind)
     assert back.shape == arr.shape
     assert dumps(to_doc(kind, back)) == text
-
-
-# floats whose repr is an edge case: signed zero, exponent forms, the subnormal
-# and largest finite doubles, and integer-valued floats
-EDGE_FLOATS = [-0.0, 0.0, 1e16, 1e-05, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-               2.0, -3.0, 1e22, 123456789012345.0]
-NUMBERS = st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS), st.integers(-2**60, 2**60).map(float))
-
-
-@st.composite
-def documents(draw):
-    """A ``to_doc`` document of a random kind and shape, at times with its
-    [re, im] leaves replaced by a mix of Python ints and floats."""
-    kind = draw(st.sampled_from(sorted(SCHEMAS)))
-    schema = SCHEMAS[kind]
-    sizes = {key: draw(st.integers(1, 3)) for key in schema.axes}
-    shape = tuple(sizes[key] ** 2 if schema.square else sizes[key] for key in schema.axes)
-    if not schema.pairs:
-        return to_doc(kind, draw(arrays(np.int64, shape)))
-    parts = draw(arrays(np.float64, shape + (2,), elements=NUMBERS))
-    doc = to_doc(kind, parts.view(np.complex128)[..., 0])
-    if draw(st.booleans()):
-        leaves = st.one_of(st.integers(), NUMBERS)
-        doc[schema.payload] = draw(arrays(object, shape + (2,), elements=leaves)).tolist()
-    return doc
 
 
 TEXT = st.one_of(st.text(max_size=8),
@@ -306,43 +280,6 @@ def test_the_reader_parses_what_dumps_writes_as_the_stdlib_does(tmp_path_factory
     assert _payload_or_error(ours, kind) == _payload_or_error(theirs, kind)
 
 
-# leaves no payload may hold, and leaves at the edges of what one may
-BAD_LEAVES = ["1.0", True, False, None, 10**400, 2**63, -2**63 - 1, 2**64, float("nan"),
-              float("-inf"), 1, -0.0, 0.5]
-PAYLOAD_EDITS = {
-    "a leaf": lambda value, leaf: leaf,
-    "a short list": lambda value, leaf: value[:-1] if type(value) is list else value,
-    "a long list": lambda value, leaf: value + value[:1] if type(value) is list else [value, value],
-    "one level deeper": lambda value, leaf: [value],
-    "one level shallower": lambda value, leaf: value[0] if type(value) is list and value else leaf,
-    "a tuple": lambda value, leaf: tuple(value) if type(value) is list else (value,),
-    "a dict": lambda value, leaf: {"re": value},
-    "an empty list": lambda value, leaf: [],
-}
-HEADERS = st.sampled_from(["3", "1", 0, 1, 2, 3, 4, 9, True, 2.0, None])
-
-
-@st.composite
-def mutated_documents(draw):
-    """A ``documents()`` document with up to three edits: a value somewhere
-    in its payload replaced by a bad leaf, a list made ragged, deeper,
-    shallower, a tuple, a dict or empty; or a header value changed."""
-    doc = draw(documents())
-    schema = SCHEMAS[doc["kind"]]
-    for _ in range(draw(st.integers(0, 3))):
-        if draw(st.booleans()):
-            doc[draw(st.sampled_from(schema.axes))] = draw(HEADERS)
-            continue
-        owner, key = doc, schema.payload
-        for _ in range(draw(st.integers(0, len(schema.axes) + 1))):
-            if type(owner[key]) is not list or not owner[key]:
-                break
-            owner, key = owner[key], draw(st.integers(0, len(owner[key]) - 1))
-        edit = PAYLOAD_EDITS[draw(st.sampled_from(sorted(PAYLOAD_EDITS)))]
-        owner[key] = edit(owner[key], draw(st.sampled_from(BAD_LEAVES)))
-    return doc
-
-
 def _edited(kind, array, edit):
     doc = to_doc(kind, array)
     edit(doc)
@@ -354,6 +291,9 @@ def _set(doc, path, value):
     for key in path[:-1]:
         owner = owner[key]
     owner[path[-1]] = value
+
+
+NESTED_70 = json.loads("[" * 70 + "1.0" + "]" * 70)  # deeper than numpy's 64 dimensions
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -378,6 +318,8 @@ def _set(doc, path, value):
 @example(_edited("latin", CYCLIC3.cells, lambda d: _set(d, ["cells"], [])))
 @example(_edited("grid", np.ones((1, 1, 1)), lambda d: _set(d, ["n"], "1")))
 @example(_edited("matrix", np.eye(2), lambda d: _set(d, ["rows"], "2")))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries"], NESTED_70)))
+@example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 1], tuple(d["entries"][1]))))
 def test_from_doc_reads_as_the_nested_reader_does(doc):
     """The one-walk reader returns what a nested ``np.asarray`` and a scan
     of the leaf types return: the same dtype, shape and bytes, or the same
