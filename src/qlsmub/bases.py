@@ -78,6 +78,17 @@ class MubReport:
     def passed(self) -> bool:
         return self.max_dev <= self.tol
 
+    def __str__(self) -> str:
+        verdict = "mutually unbiased" if self.passed else "NOT mutually unbiased"
+        return f"dim {self.dim}: {self._overlaps()}\n{verdict}"
+
+    def _overlaps(self) -> str:
+        """The summary above the verdict in ``str``; a subclass names its own."""
+        return (
+            f"|overlap|^2 min {self.min_sq:.12g}, max {self.max_sq:.12g}, "
+            f"mean {self.mean_sq:.12g}, target {self.target:.12g}"
+        )
+
 
 @dataclass(frozen=True)
 class PhaseMatch:

@@ -96,14 +96,19 @@ def _fields(record) -> dict:
     }
 
 
-def _checked(result, kind: type, prefix: str, inputs: dict, text) -> Outcome:
-    """A validator's verdict.  A ``kind`` passes: ``text(result)`` gives the
-    report fields it adds to ``inputs`` and its text.  Anything else is a
-    violation record: its fields follow ``inputs``, its text is ``prefix: record``."""
+def _reported(record, ok: bool, prefix: str = "", **inputs) -> Outcome:
+    """A check record as an Outcome: ``inputs`` and the record's fields are
+    the report, ``str(record)`` the text, after ``prefix: `` on a violation."""
+    report = {**inputs, **_fields(record)}
+    return Outcome(ok, report, f"{prefix}: {record}" if prefix and not ok else str(record))
+
+
+def _checked(result, kind: type, prefix: str, line: str, **inputs) -> Outcome:
+    """A validator's verdict: a ``kind`` passes with the text ``line``, and
+    anything else is a violation record, reported as ``prefix: record``."""
     if isinstance(result, kind):
-        extra, line = text(result)
-        return Outcome(True, {**inputs, **extra}, line)
-    return Outcome(False, {**inputs, **_fields(result)}, f"{prefix}: {result}")
+        return Outcome(True, inputs, line)
+    return _reported(result, False, prefix, **inputs)
 
 
 def _built(basis: BipartiteBasis, **inputs) -> Outcome:
@@ -118,8 +123,8 @@ def _built(basis: BipartiteBasis, **inputs) -> Outcome:
 def _cmd_validate_qls(args) -> Outcome:
     grid = serialize.read(args.grid, "grid")
     line = f"valid quantum Latin square of order {grid.n} (tol {args.tol:g})"
-    return _checked(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID",
-                    {"n": grid.n, "tol": args.tol}, lambda _: ({}, line))
+    return _checked(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID", line,
+                    n=grid.n, tol=args.tol)
 
 
 def _cmd_validate_hadamard(args) -> Outcome:
@@ -127,21 +132,14 @@ def _cmd_validate_hadamard(args) -> Outcome:
     result = validate_hadamard(mat, args.tol)
     prefix = f"INVALID: {getattr(result, 'constraint', None)} violated"  # read on a violation
     line = f"valid complex Hadamard matrix of order {mat.shape[0]} (tol {args.tol:g})"
-    return _checked(result, HadamardMatrix, prefix, {"n": int(mat.shape[0]), "tol": args.tol},
-                    lambda _: ({}, line))
+    return _checked(result, HadamardMatrix, prefix, line, n=int(mat.shape[0]), tol=args.tol)
 
 
 def _cmd_check_weak_orth(args) -> Outcome:
-    qg = serialize.read(args.grid_q, "grid")
-    pg = serialize.read(args.grid_p, "grid")
-
-    def table(w):
-        rows = ("  " + " ".join(str(int(x)) for x in row) for row in w.table)
-        head = "weakly orthogonal; witness table (rows of first vs rows of second):"
-        return _fields(w), "\n".join((head, *rows))
-
-    return _checked(weak_orth_witness(qg, pg, args.tol), WeakOrthWitness,
-                    "NOT weakly orthogonal", {"n": qg.n, "tol": args.tol}, table)
+    qg, pg = (serialize.read(path, "grid") for path in (args.grid_q, args.grid_p))
+    w = weak_orth_witness(qg, pg, args.tol)
+    ok = isinstance(w, WeakOrthWitness)
+    return _reported(w, ok, "NOT weakly orthogonal", n=qg.n, tol=args.tol)
 
 
 def _cmd_check_orth(args) -> Outcome:
@@ -190,12 +188,7 @@ def _cmd_build_lbw(args) -> Outcome:
 def _cmd_check_mub(args) -> Outcome:
     a, b = (serialize.read(path, "basis") for path in (args.basis_a, args.basis_b))
     rep = check_mub(a, b, args.tol)
-    text = (
-        f"dim {rep.dim}: |overlap|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
-        f"mean {rep.mean_sq:.12g}, target {rep.target:.12g}\n"
-        + ("mutually unbiased" if rep.passed else "NOT mutually unbiased")
-    )
-    return Outcome(rep.passed, _fields(rep), text)
+    return _reported(rep, rep.passed)
 
 
 def _cmd_dual(args) -> Outcome:
@@ -214,11 +207,11 @@ def _cmd_dual(args) -> Outcome:
 
 
 def _cmd_check_ueb(args) -> Outcome:
-    members = serialize.read(args.ueb, "matrix-list")
-    return _checked(
-        validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID", {"tol": args.tol},
-        lambda u: ({"n": u.n}, f"valid unitary error basis of order {u.n} ({len(u)} members)"),
-    )
+    u = validate_ueb(serialize.read(args.ueb, "matrix-list"), args.tol)
+    if not isinstance(u, UnitaryErrorBasis):
+        return _reported(u, False, "INVALID", tol=args.tol)
+    line = f"valid unitary error basis of order {u.n} ({len(u)} members)"
+    return Outcome(True, {"tol": args.tol, "n": u.n}, line)
 
 
 def _cmd_check_mu_ueb(args) -> Outcome:
@@ -228,34 +221,14 @@ def _cmd_check_mu_ueb(args) -> Outcome:
         for path in (args.ueb_a, args.ueb_b)
     )
     rep = check_mu_ueb(u, v, args.tol)
-    text = (
-        f"dim {rep.dim}: normalized |tr|^2 min {rep.min_sq:.12g}, max {rep.max_sq:.12g}, "
-        f"target {rep.target:.12g}\n"
-        f"raw |tr|^2 range [{rep.raw_trace_sq_min:.12g}, {rep.raw_trace_sq_max:.12g}]\n"
-        + ("mutually unbiased" if rep.passed else "NOT mutually unbiased")
-    )
-    return Outcome(rep.passed, _fields(rep), text)
+    return _reported(rep, rep.passed)
 
 
 def _cmd_monomial_obstruction(args) -> Outcome:
     members = serialize.read(args.ueb, "matrix-list")
     u = _valid(validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis")
     rep = monomial_obstruction(u)
-    bound = f"noise bound {rep.noise_bound:.3e}"
-    head = f"mu {rep.mu}, normalizer {rep.normalizer_index}:"
-    if rep.worst_pair is None:
-        text = f"{head} sweep skipped\nno obstruction proved: nothing can exceed the {bound}"
-    else:
-        verdict = (
-            f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
-            if rep.obstructed
-            else f"no obstruction proved: worst norm is within the {bound}"
-        )
-        text = (
-            f"{head} worst commutator |[U^mu, V^mu]|_F = {rep.worst_norm:.6g} "
-            f"at pair {rep.worst_pair}\n{verdict}"
-        )
-    return Outcome(not rep.obstructed, _fields(rep), text)
+    return _reported(rep, not rep.obstructed)
 
 
 def _cmd_fixtures(args) -> Outcome:
@@ -287,12 +260,7 @@ def _cmd_search(args) -> Outcome:
         text = f"order {args.order}: {count} ordered orthogonal pairs"
         return Outcome(True, {"what": "orth-pairs", "order": args.order, "count": count}, text)
     rep = cross_validate_lemma16(args.order, args.tol)
-    report = {"what": "lemma16", **_fields(rep)}
-    line = (
-        f"order {rep.order}: {rep.pairs_checked} ordered pairs, {rep.positives} weakly "
-        f"orthogonal, {report['disagreements']} disagreements between the three routes"
-    )
-    return Outcome(rep.consistent, report, line)
+    return _reported(rep, rep.consistent, what="lemma16")
 
 
 def _cmd_reproduce_appendix_c(args) -> Outcome:

@@ -102,9 +102,7 @@ def validate_hadamard(m, tol: float = DEFAULT_TOL):
     ):
         hit = first_gram_defect(gram, n, tol)
         if hit is not None:
-            i, j = hit
-            off_by = float(abs(gram[i, j] - (n if i == j else 0)))
-            return HadamardViolation(constraint, hit, complex(gram[i, j]), off_by)
+            return HadamardViolation(constraint, *hit)
 
     return HadamardMatrix(arr, tol)
 

@@ -41,17 +41,23 @@ def kron(a, b) -> np.ndarray:
 
 
 def first_gram_defect(grams, scale: float, tol: float):
-    """First index where a Gram matrix, or a stack of them, leaves ``scale * I``.
+    """First entry where a Gram matrix, or a stack of them, leaves ``scale * I``.
 
-    Scans in row-major order (stack index first) and returns the index tuple
-    of the first entry more than ``tol`` away, or None.  NaN counts as a defect.
+    Scans in row-major order (stack index first) and returns ``(index, value,
+    off_by)`` for the first entry more than ``tol`` away: its index tuple, the
+    entry, and its distance from ``scale * I``.  None when there is no such
+    entry.  NaN counts as a defect.
     """
     grams = np.asarray(grams)
-    n = grams.shape[-1]
-    defect = ~(np.abs(grams - scale * np.eye(n)) <= tol)
+    defect = ~(np.abs(grams - scale * np.eye(grams.shape[-1])) <= tol)
     if not defect.any():
         return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(defect), defect.shape))
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(defect), defect.shape))
+    value = complex(grams[index])
+    # the scalar modulus, not the array's entry: numpy's SIMD abs of a complex
+    # array can differ from it in the last bit, and every record's margin is a
+    # scalar modulus
+    return index, value, modulus(value - (scale if index[-1] == index[-2] else 0.0))
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:

@@ -167,6 +167,12 @@ class EquivalenceReport:
     def consistent(self) -> bool:
         return not self.disagreements
 
+    def __str__(self) -> str:
+        return (
+            f"order {self.order}: {self.pairs_checked} ordered pairs, {self.positives} weakly "
+            f"orthogonal, {len(self.disagreements)} disagreements between the three routes"
+        )
+
 
 def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """Check witness/left-conjugate/permutation agreement exhaustively (n <= 4).

@@ -139,9 +139,8 @@ def validate_qls(grid: VectorGrid, tol: float = DEFAULT_TOL):
         grams = lines.conj() @ lines.transpose(0, 2, 1)
         hit = first_gram_defect(grams, 1.0, tol)
         if hit is not None:
-            u, v = hit[1:]
-            value = complex(grams[hit])
-            return GridViolation(line, hit[0], (u, v), value, modulus(value - float(u == v)))
+            (index, u, v), value, off_by = hit
+            return GridViolation(line, index, (u, v), value, off_by)
     return QuantumLatinSquare(grid, tol)
 
 
@@ -204,6 +203,11 @@ class WeakOrthWitness:
     n: int
     table: np.ndarray
 
+    def __str__(self) -> str:
+        rows = ("  " + " ".join(str(int(x)) for x in row) for row in self.table)
+        head = "weakly orthogonal; witness table (rows of first vs rows of second):"
+        return "\n".join((head, *rows))
+
 
 @dataclass(frozen=True)
 class WeakOrthFailure:
@@ -251,15 +255,12 @@ def weak_orth_defects(prods, tol: float = DEFAULT_TOL):
     Returns ``(near_one, defect)``.  ``defect[..., i, j, k < n]`` marks a
     second unit (near one wins over near zero) or a stray value at column k,
     ``defect[..., i, j, n]`` a row pair with no unit at all; a pair of grids
-    is weakly orthogonal iff its slice holds no True.  Order 1 is degenerate:
-    its one product is a defect only if it is not finite.
+    is weakly orthogonal iff its slice holds no True.
     """
     near_one = np.abs(prods - 1.0) <= tol
     near_zero = np.abs(prods) <= tol
     units = near_one.cumsum(axis=-1)
     defect = np.concatenate([np.where(near_one, units > 1, ~near_zero), units[..., -1:] == 0], -1)
-    if prods.shape[-1] == 1:
-        defect[..., 0], defect[..., 1] = ~np.isfinite(prods[..., 0]), False
     return near_one, defect
 
 
@@ -270,10 +271,8 @@ def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
     <q[i,k]|p[j,k]> must consist of n-1 zeros and a single entry equal to 1,
     phase included.  Returns the table of unit positions as a
     :class:`WeakOrthWitness`, or a :class:`WeakOrthFailure` for the first
-    violating (i, j, k) in lexicographic order.
-
-    Order 1 is degenerate and succeeds with table [[0]] unless the product
-    overflows.
+    violating (i, j, k) in lexicographic order.  At order 1 the one product
+    must be 1.
     """
     qg, pg = _grid_of(q), _grid_of(p)
     if qg.n != pg.n:

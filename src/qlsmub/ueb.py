@@ -101,7 +101,7 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
     products = arr.conj().transpose(0, 2, 1) @ arr  # U*U for every member
     hit = first_gram_defect(products, 1.0, tol)
     if hit is not None:
-        idx = hit[0]
+        idx = hit[0][0]
         gap = np.abs(products[idx] - np.eye(n))
         worst = np.unravel_index(np.argmax(gap), gap.shape)
         value, off_by = complex(products[idx][worst]), float(gap[worst])
@@ -113,11 +113,8 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
     gram = flat.conj() @ flat.T
     hit = first_gram_defect(gram, n, tol)
     if hit is not None:
-        i, j = hit
-        off_by = float(abs(gram[i, j] - (n if i == j else 0)))
-        return UebViolation(
-            "trace-orthogonality", pair=hit, value=complex(gram[i, j]), off_by=off_by
-        )
+        pair, value, off_by = hit
+        return UebViolation("trace-orthogonality", pair=pair, value=value, off_by=off_by)
 
     return UnitaryErrorBasis(n, arr)
 
@@ -171,6 +168,13 @@ class MuUebReport(MubReport):
     raw_trace_sq_min: float
     raw_trace_sq_max: float
 
+    def _overlaps(self) -> str:
+        return (
+            f"normalized |tr|^2 min {self.min_sq:.12g}, max {self.max_sq:.12g}, "
+            f"target {self.target:.12g}\n"
+            f"raw |tr|^2 range [{self.raw_trace_sq_min:.12g}, {self.raw_trace_sq_max:.12g}]"
+        )
+
 
 def check_mu_ueb(
     u: UnitaryErrorBasis, v: UnitaryErrorBasis, tol: float = DEFAULT_TOL
@@ -216,6 +220,21 @@ class ObstructionReport:
     sample_entry: complex | None
     obstructed: bool
     noise_bound: float
+
+    def __str__(self) -> str:
+        bound = f"noise bound {self.noise_bound:.3e}"
+        head = f"mu {self.mu}, normalizer {self.normalizer_index}:"
+        if self.worst_pair is None:
+            return f"{head} sweep skipped\nno obstruction proved: nothing can exceed the {bound}"
+        verdict = (
+            f"OBSTRUCTED: not equivalent to a monomial basis ({bound})"
+            if self.obstructed
+            else f"no obstruction proved: worst norm is within the {bound}"
+        )
+        return (
+            f"{head} worst commutator |[U^mu, V^mu]|_F = {self.worst_norm:.6g} "
+            f"at pair {self.worst_pair}\n{verdict}"
+        )
 
 
 def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> ObstructionReport:

@@ -1168,6 +1168,60 @@ def test_text_rendering_is_pinned(pinned_files, capsys, case):
     assert run(capsys, *argv) == (code, text.format_map(pinned_files), "")
 
 
+MUB_KEYS = "dim max_dev max_sq mean_sq min_sq target tol"
+OBSTRUCTION_KEYS = "mu noise_bound normalizer_index obstructed sample_entry worst_norm worst_pair"
+
+# The keys of each PINNED_TEXT case's json-report besides "command" and "ok",
+# so that a change to a check record cannot add, drop or rename one unseen
+REPORT_KEYS = {
+    "validate-qls pass": "n tol",
+    "validate-qls violation": "index line n off_by pair tol value",
+    "validate-hadamard pass": "n tol",
+    "validate-hadamard violation": "constraint indices n off_by tol value",
+    "check-weak-orth pass": "n table tol",
+    "check-weak-orth violation": "column kind n off_by p_row q_row tol value",
+    "check-orth pass": "n",
+    "check-orth violation": "n",
+    "check-left-orth pass": "n",
+    "check-left-orth violation": "n",
+    "left-conj built": "n",
+    "build-meb built": "n states",
+    "build-meb grid rejection": "reason",
+    "build-meb member rejection": "reason",
+    "build-meb length rejection": "reason",
+    "build-lbw built": "n states",
+    "build-lbw rejection": "reason",
+    "check-mub pass": MUB_KEYS,
+    "check-mub violation": MUB_KEYS,
+    "dual to-ueb built": "direction n",
+    "dual to-ueb rejection": "reason",
+    "dual to-meb built": "direction n",
+    "dual to-meb rejection": "reason",
+    "check-ueb pass": "n tol",
+    "check-ueb violation": "index kind off_by pair tol value",
+    "check-mu-ueb pass": MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
+    "check-mu-ueb violation": MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
+    "check-mu-ueb rejection": "reason",
+    "monomial-obstruction pass": OBSTRUCTION_KEYS,
+    "monomial-obstruction violation": OBSTRUCTION_KEYS,
+    "monomial-obstruction rejection": "reason",
+    "fixtures built": "kind name",
+    "search latin": "count order recount what",
+    "search orth-pairs": "count order what",
+    "search lemma16": "disagreements order pairs_checked positives what",
+    "reproduce-appendix-c pass": MUB_KEYS + " maximally_entangled orthonormal overlaps",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TEXT))
+def test_a_json_report_has_its_pinned_keys(pinned_files, capsys, case):
+    template, code, _ = PINNED_TEXT[case]
+    argv = [arg.format_map(pinned_files) for arg in template]
+    got, out, err = run(capsys, *argv, "--format", "json-report")
+    assert (got, err) == (code, "")
+    assert sorted(json.loads(out)) == sorted(["command", "ok", *REPORT_KEYS[case].split()])
+
+
 # json-reports holding what the stdlib spells its own way (a key with an "e"
 # over an int, tol 1e-09, a complex value, nulls, an escaped non-ASCII
 # character), each with a piece of its text that shows it

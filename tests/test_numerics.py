@@ -37,7 +37,7 @@ def test_gram_defect_scan_of_one_matrix():
     assert first_gram_defect(gram, 2, 1e-9) is None
     gram[2, 1] = 1e-6
     gram[1, 1] = 2 + 1e-6
-    assert first_gram_defect(gram, 2, 1e-9) == (1, 1)
+    assert first_gram_defect(gram, 2, 1e-9) == ((1, 1), 2 + 1e-6, (2 + 1e-6) - 2)
     assert first_gram_defect(gram, 2, 1e-3) is None
 
 
@@ -45,14 +45,17 @@ def test_gram_defect_scan_of_a_stack_returns_the_earlier_matrix():
     grams = np.stack([np.eye(3, dtype=complex)] * 4)
     grams[3, 0, 0] = 0.5
     grams[1, 2, 0] = 1e-6
-    assert first_gram_defect(grams, 1.0, 1e-9) == (1, 2, 0)
-    assert all(type(i) is int for i in first_gram_defect(grams, 1.0, 1e-9))
+    index, value, off_by = first_gram_defect(grams, 1.0, 1e-9)
+    assert (index, value, off_by) == ((1, 2, 0), 1e-6, 1e-6)
+    assert all(type(i) is int for i in index)
+    assert type(value) is complex and type(off_by) is float
 
 
 def test_gram_defect_scan_counts_nan_as_a_defect():
     gram = np.eye(2, dtype=complex)
     gram[0, 1] = np.nan
-    assert first_gram_defect(gram, 1.0, 1e-9) == (0, 1)
+    index, value, off_by = first_gram_defect(gram, 1.0, 1e-9)
+    assert index == (0, 1) and np.isnan(value) and np.isnan(off_by)
 
 
 def test_mat_power_small_cases():

@@ -209,8 +209,8 @@ def test_trace_grams_are_the_einsum_contraction(latin, seed, data):
     if hit is None:
         assert isinstance(result, UnitaryErrorBasis)
     else:
-        assert (result.kind, result.pair) == ("trace-orthogonality", hit)
-        assert_allclose(result.value, gram[hit], rtol=0, atol=atol)
+        assert (result.kind, result.pair) == ("trace-orthogonality", hit[0])
+        assert_allclose(result.value, hit[1], rtol=0, atol=atol)
 
 
 @PROPERTY

@@ -261,12 +261,16 @@ def test_witness_requires_exact_unit_phase():
     assert_allclose(f.value, -1.0)
 
 
-def test_witness_order_one_degenerate():
-    a = VectorGrid(np.ones((1, 1, 1), dtype=complex))
-    b = VectorGrid(np.full((1, 1, 1), 1j))
-    w = weak_orth_witness(a, b)
+def test_witness_order_one_needs_a_product_of_one():
+    one = VectorGrid(np.ones((1, 1, 1), dtype=complex))
+    w = weak_orth_witness(one, one)
     assert isinstance(w, WeakOrthWitness)
     assert w.table.tolist() == [[0]]
+    # a phase or a scale off 1 is a stray value, as it is at every larger order
+    f = weak_orth_witness(VectorGrid(np.full((1, 1, 1), 1j)), one)
+    assert (f.kind, f.column, f.off_by) == ("stray-value", 0, 1.0)
+    f = weak_orth_witness(VectorGrid(np.full((1, 1, 1), 0.5 + 0j)), one)
+    assert (f.kind, f.column) == ("stray-value", 0)
 
 
 def test_witness_order_one_fails_on_an_overflowed_product():
