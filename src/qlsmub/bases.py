@@ -120,19 +120,17 @@ def qls_meb(q: QuantumLatinSquare, family: HadamardFamily) -> BipartiteBasis:
         (1/sqrt(n)) * H_j[k, i] * <p | grid(j, k)>
 
     so row j of the grid supplies the vectors and the j-th family member the
-    phases.  Requires matching orders.
+    phases.  With the family stacked as h[j, k, i] = H_j[k, i], this is
+    einsum("jki,jkp->ijkp"): row i*n + j, column k*n + p.  Requires matching
+    orders.
     """
     n = q.n
     if family.n != n:
         raise ValueError(f"order mismatch: square {n}, family {family.n}")
-    states = np.empty((n * n, n * n), dtype=np.complex128)
-    scale = 1.0 / math.sqrt(n)
-    for j in range(n):
-        h = family[j].mat
-        vecs = q.grid.array[j]  # (k, p)
-        block = np.einsum("ki,kp->ikp", h, vecs) * scale
-        states[j::n] = block.reshape(n, n * n)
-    return BipartiteBasis(n, states)
+    h = np.stack([member.mat for member in family.members])
+    states = np.einsum("jki,jkp->ijkp", h, q.grid.array)
+    states *= 1.0 / math.sqrt(n)
+    return BipartiteBasis(n, states.reshape(n * n, n * n))
 
 
 def lbw_meb(latin: LatinSquare, h: HadamardMatrix) -> BipartiteBasis:
@@ -143,18 +141,16 @@ def lbw_meb(latin: LatinSquare, h: HadamardMatrix) -> BipartiteBasis:
         (1/sqrt(n)) * H[i, k] * [cells[p, k] = j]
 
     placing the k-th phase of row i of H on the unique |k, p> whose cell in
-    column k holds symbol j.
+    column k holds symbol j.  With mask[j, k, p] = [cells[p, k] = j], this is
+    einsum("ik,jkp->ijkp"): row i*n + j, column k*n + p.
     """
     n = latin.n
     if h.n != n:
         raise ValueError(f"order mismatch: square {n}, matrix {h.n}")
-    states = np.empty((n * n, n * n), dtype=np.complex128)
-    scale = 1.0 / math.sqrt(n)
-    for j in range(n):
-        mask = (latin.cells.T == j).astype(np.complex128)  # (k, p)
-        block = np.einsum("ik,kp->ikp", h.mat, mask) * scale
-        states[j::n] = block.reshape(n, n * n)
-    return BipartiteBasis(n, states)
+    mask = (latin.cells.T == np.arange(n)[:, None, None]).astype(np.complex128)
+    states = np.einsum("ik,jkp->ijkp", h.mat, mask)
+    states *= 1.0 / math.sqrt(n)
+    return BipartiteBasis(n, states.reshape(n * n, n * n))
 
 
 def _residuals(m: np.ndarray) -> np.ndarray:

@@ -89,12 +89,11 @@ def validate_hadamard(m, tol: float = DEFAULT_TOL):
     if arr.shape[0] != arr.shape[1] or n < 1:
         return HadamardViolation("shape", arr.shape, 0j)
 
-    off = ~(np.abs(np.abs(arr) - 1.0) <= tol)
+    dev = np.abs(np.abs(arr) - 1.0)
+    off = ~(dev <= tol)
     if off.any():
-        flat = int(np.argmax(off))
-        i, j = divmod(flat, n)
-        value = complex(arr[i, j])
-        return HadamardViolation("unimodular", (i, j), value, abs(modulus(value) - 1.0))
+        i, j = divmod(int(np.argmax(off)), n)
+        return HadamardViolation("unimodular", (i, j), complex(arr[i, j]), float(dev[i, j]))
 
     for constraint, gram in (
         ("row-orthogonality", arr @ arr.conj().T),

@@ -45,19 +45,17 @@ def first_gram_defect(grams, scale: float, tol: float):
 
     Scans in row-major order (stack index first) and returns ``(index, value,
     off_by)`` for the first entry more than ``tol`` away: its index tuple, the
-    entry, and its distance from ``scale * I``.  None when there is no such
+    entry, and the distance from ``scale * I`` that was judged against
+    ``tol``, so a finite one always exceeds it.  None when there is no such
     entry.  NaN counts as a defect.
     """
     grams = np.asarray(grams)
-    defect = ~(np.abs(grams - scale * np.eye(grams.shape[-1])) <= tol)
+    dev = np.abs(grams - scale * np.eye(grams.shape[-1]))
+    defect = ~(dev <= tol)
     if not defect.any():
         return None
     index = tuple(int(i) for i in np.unravel_index(np.argmax(defect), defect.shape))
-    value = complex(grams[index])
-    # the scalar modulus, not the array's entry: numpy's SIMD abs of a complex
-    # array can differ from it in the last bit, and every record's margin is a
-    # scalar modulus
-    return index, value, modulus(value - (scale if index[-1] == index[-2] else 0.0))
+    return index, complex(grams[index]), float(dev[index])
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:

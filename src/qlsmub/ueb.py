@@ -145,18 +145,17 @@ def shift_multiply_ueb(
     """Shift-and-multiply basis: member (i, j) = sum_k H_j[k, i] |grid(j, k)><k|.
 
     Column k of the member is the grid vector at (row j, column k) scaled by
-    the (k, i) phase of the j-th family member.  Coincides with
-    meb_to_ueb(qls_meb(q, family)) entry for entry.
+    the (k, i) phase of the j-th family member.  With the family stacked as
+    h[j, k, i] = H_j[k, i], this is einsum("jki,jkp->ijpk"): member i*n + j,
+    entry [p, k].  Coincides with meb_to_ueb(qls_meb(q, family)) entry for
+    entry.
     """
     n = q.n
     if family.n != n:
         raise ValueError(f"order mismatch: square {n}, family {family.n}")
-    members = np.empty((n * n, n, n), dtype=np.complex128)
-    for j in range(n):
-        h = family[j].mat
-        vecs = q.grid.array[j]  # (k, p)
-        members[j::n] = np.einsum("ki,kp->ipk", h, vecs)
-    return UnitaryErrorBasis(n, members)
+    h = np.stack([member.mat for member in family.members])
+    members = np.einsum("jki,jkp->ijpk", h, q.grid.array)
+    return UnitaryErrorBasis(n, members.reshape(n * n, n, n))
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,25 @@ COMMANDS = [
     ["validate-hadamard", "{in}/absent.json"],
     ["check-weak-orth", "{out}/paper-P.json", "{in}/paper-Q.json"],
     ["check-orth", "{in}/latin.json", "{in}/latin.json"],
+    ["check-left-orth", "{in}/latin.json", "{in}/latin.json"],
+    ["check-left-orth", "{in}/latin.json", "{in}/latin-2.json", "--format", "json-report"],
+    ["check-left-orth", "{in}/latin.json", "{in}/latin-2.json"],
+    ["check-left-orth", "{in}/latin.json", "{in}/latin.json", "--format", "json-report"],
+    ["fixtures", "emit", "hadamard-9-corrected", "--out", "{out}/hadamard.json"],
+    ["build-lbw", "{in}/latin.json", "{out}/hadamard.json", "--out", "{out}/lbw.json"],
+    ["build-lbw", "{in}/latin.json", "{out}/hadamard.json", "--format", "json-report"],
+    ["build-lbw", "{in}/latin.json", "{in}/hadamard-9-printed.json"],
+    ["build-lbw", "{in}/latin.json", "{in}/hadamard-9-printed.json", "--format", "json-report"],
     ["left-conj", "{in}/latin.json", "--out", "{out}/left.json", "--format", "json-report"],
     ["build-meb", "{out}/paper-P.json", "{in}/family.json", "--out", "{out}/basis.json"],
     ["dual", "--to-ueb", "{out}/basis.json", "--out", "{out}/ueb.json"],
     ["dual", "--to-meb", "{out}/ueb.json", "--out", "{out}/back.json"],
     ["check-ueb", "{out}/ueb.json", "--format", "json-report"],
     ["check-mub", "{out}/basis.json", "{out}/back.json"],
+    ["check-mu-ueb", "{out}/ueb.json", "{in}/ueb-Q.json"],
+    ["check-mu-ueb", "{out}/ueb.json", "{in}/ueb-Q.json", "--format", "json-report"],
+    ["check-mu-ueb", "{out}/ueb.json", "{out}/ueb.json"],
+    ["check-mu-ueb", "{out}/ueb.json", "{out}/ueb.json", "--format", "json-report"],
     ["monomial-obstruction", "{out}/ueb.json"],
     ["monomial-obstruction", "{out}/ueb.json", "--format", "json-report", "--out", "{out}/ob.json"],
     ["reproduce-appendix-c", "--tol", "1e-30"],
@@ -79,8 +92,11 @@ def write_inputs(folder: Path) -> None:
         "hadamard-9-printed": serialize.to_doc("matrix", fixture("hadamard-9-printed")),
         "family": serialize.to_doc("matrix-list", [h.mat for h in family.members]),
         "latin": serialize.to_doc("latin", [[(r + c) % 9 for c in range(9)] for r in range(9)]),
+        "latin-2": serialize.to_doc("latin", [[(r + 2 * c) % 9 for c in range(9)] for r in range(9)]),
         "basis": serialize.to_doc("basis", np.eye(81)),
         "ueb": serialize.to_doc("matrix-list", shift_multiply_ueb(qls, family).members),
+        "ueb-Q": serialize.to_doc(
+            "matrix-list", shift_multiply_ueb(validate_qls(fixture("paper-Q")), family).members),
     }
     for name, doc in docs.items():
         serialize.save_path(str(folder / f"{name}.json"), doc)

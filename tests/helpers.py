@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qlsmub.bases import BipartiteBasis
-from qlsmub.hadamard import hadamard_family, random_hadamard
+from qlsmub.hadamard import HadamardFamily, HadamardMatrix, hadamard_family, random_hadamard
 from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix, lcm_up_to, mat_power
 from qlsmub.search import EquivalenceReport
 from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError, to_doc
 from qlsmub.squares import (
     LatinSquare,
+    QuantumLatinSquare,
     VectorGrid,
     WeakOrthFailure,
     WeakOrthWitness,
@@ -45,6 +46,57 @@ def linear_grid(n: int, k: int, u: np.ndarray) -> VectorGrid:
     """
     r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return VectorGrid(u.T[(r + k * c) % n])
+
+
+def product_grid(g: VectorGrid, latin: LatinSquare) -> VectorGrid:
+    """The grid (G (x) L)[(i,k),(j,l)] = G[i,j] (x) |L[k,l]> of order n*m.
+
+    Each row is a tensor product of a row of G and a row of L, so it is a
+    quantum Latin square when G is one; two such grids are weakly orthogonal
+    when the G are and the L are orthogonal Latin squares.
+    """
+    n, m = g.n, latin.n
+    basis = np.eye(m)[latin.cells]  # (k, l, m)
+    array = np.einsum("ija,klb->ikjlab", g.array, basis)
+    return VectorGrid(array.reshape(n * m, n * m, n * m))
+
+
+def reference_qls_meb(q: QuantumLatinSquare, family: HadamardFamily) -> BipartiteBasis:
+    """``qls_meb`` as one block of states per label j, written to rows j::n;
+    the array product must match it bit for bit."""
+    n = q.n
+    states = np.empty((n * n, n * n), dtype=np.complex128)
+    scale = 1.0 / math.sqrt(n)
+    for j in range(n):
+        h = family[j].mat
+        vecs = q.grid.array[j]  # (k, p)
+        block = np.einsum("ki,kp->ikp", h, vecs) * scale
+        states[j::n] = block.reshape(n, n * n)
+    return BipartiteBasis(n, states)
+
+
+def reference_lbw_meb(latin: LatinSquare, h: HadamardMatrix) -> BipartiteBasis:
+    """``lbw_meb`` as one block of states per symbol j, written to rows j::n."""
+    n = latin.n
+    states = np.empty((n * n, n * n), dtype=np.complex128)
+    scale = 1.0 / math.sqrt(n)
+    for j in range(n):
+        mask = (latin.cells.T == j).astype(np.complex128)  # (k, p)
+        block = np.einsum("ik,kp->ikp", h.mat, mask) * scale
+        states[j::n] = block.reshape(n, n * n)
+    return BipartiteBasis(n, states)
+
+
+def reference_shift_multiply_ueb(q: QuantumLatinSquare, family: HadamardFamily) -> UnitaryErrorBasis:
+    """``shift_multiply_ueb`` as one block of members per label j, written to
+    members j::n."""
+    n = q.n
+    members = np.empty((n * n, n, n), dtype=np.complex128)
+    for j in range(n):
+        h = family[j].mat
+        vecs = q.grid.array[j]  # (k, p)
+        members[j::n] = np.einsum("ki,kp->ipk", h, vecs)
+    return UnitaryErrorBasis(n, members)
 
 
 def monomial_equivalent_ueb(latin: LatinSquare, rng: np.random.Generator) -> UnitaryErrorBasis:

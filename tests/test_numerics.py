@@ -58,6 +58,20 @@ def test_gram_defect_scan_counts_nan_as_a_defect():
     assert index == (0, 1) and np.isnan(value) and np.isnan(off_by)
 
 
+def test_gram_defect_margin_is_the_deviation_it_was_judged_on():
+    # numpy's array abs and the scalar modulus differ in the last bit here:
+    # a margin re-measured with the scalar would read exactly tol
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    k = next(k for k in range(64) if np.abs(z)[k] > modulus(z[k]))
+    gram = np.zeros(64, dtype=complex)
+    gram[k] = z[k]
+    tol = modulus(z[k])
+    index, value, off_by = first_gram_defect(gram.reshape(8, 8), 0.0, tol)
+    assert (index, value) == (divmod(k, 8), z[k])
+    assert off_by > tol and off_by == np.abs(z)[k]
+
+
 def test_mat_power_small_cases():
     assert_allclose(mat_power(X, 0), np.eye(2))
     assert_allclose(mat_power(X, 5), X)

@@ -18,9 +18,17 @@ from qlsmub.bases import (
     extract_unitary,
     is_maximally_entangled,
     is_orthonormal_basis,
+    lbw_meb,
     qls_meb,
 )
-from qlsmub.hadamard import HadamardMatrix, hadamard_family, random_hadamard, validate_hadamard
+from qlsmub.fixtures import fixture
+from qlsmub.hadamard import (
+    HadamardMatrix,
+    HadamardViolation,
+    hadamard_family,
+    random_hadamard,
+    validate_hadamard,
+)
 from qlsmub.numerics import DEFAULT_TOL, first_gram_defect, is_permutation_matrix
 from qlsmub.squares import (
     GridViolation,
@@ -51,10 +59,14 @@ from qlsmub.ueb import (
 from helpers import (
     linear_grid,
     monomial_equivalent_ueb,
+    product_grid,
     random_unitary,
+    reference_lbw_meb,
     reference_meb_to_ueb,
     reference_obstruction,
+    reference_qls_meb,
     reference_residual,
+    reference_shift_multiply_ueb,
     reference_trace_gram,
     reference_weak_orth,
 )
@@ -173,6 +185,22 @@ def test_shift_multiply_ueb_is_the_dual_of_the_qls_basis(latin, seed):
 
 
 @PROPERTY
+@given(latin_squares(), SEEDS)
+def test_constructions_are_the_per_label_loops_bit_for_bit(latin, seed):
+    rng = np.random.default_rng(seed)
+    qls = validate_qls(rotated_grid(latin, seed))
+    family = random_family(latin.n, rng)
+    h = random_hadamard(latin.n, rng)
+    pairs = [
+        (qls_meb(qls, family).states, reference_qls_meb(qls, family).states),
+        (lbw_meb(latin, h).states, reference_lbw_meb(latin, h).states),
+        (shift_multiply_ueb(qls, family).members, reference_shift_multiply_ueb(qls, family).members),
+    ]
+    for built, expected in pairs:
+        assert built.shape == expected.shape and built.tobytes() == expected.tobytes()
+
+
+@PROPERTY
 @given(latin_squares(), SEEDS, st.floats(-16.0, 0.0))
 def test_check_mub_passes_exactly_when_every_overlap_is_within_tol(latin, seed, log_tol):
     rng = np.random.default_rng(seed)
@@ -277,6 +305,31 @@ def test_noise_bound_covers_monomial_equivalent_bases(latin, seed):
     report = monomial_obstruction(u, normalizer=seed % latin.n**2)
     assert 0 < report.noise_bound < 1e-6
     assert report.worst_norm <= report.noise_bound and not report.obstructed
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 5), SEEDS, st.floats(-2.0, 2.0), st.data())
+def test_margins_are_the_deviations_the_checks_decided_on(count, n, seed, scale, data):
+    # a tol drawn at an entry's own deviation, or one ulp below it, puts the
+    # decision at the last bit; the margin must be the entry that was judged
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    checks = [
+        (lambda tol: first_gram_defect(z, scale, tol), np.abs(z - scale * np.eye(n))),
+        (lambda tol: validate_hadamard(z[0], tol), np.abs(np.abs(z[0]) - 1.0)),
+    ]
+    for check, dev in checks:
+        edge = data.draw(st.sampled_from(sorted(dev.ravel())), label="edge deviation")
+        tol = data.draw(st.sampled_from([edge, np.nextafter(edge, 0)]), label="tol")
+        if not (dev > tol).any():
+            continue
+        result = check(tol)
+        if isinstance(result, HadamardViolation):
+            assert result.constraint == "unimodular"
+            index, off_by = result.indices, result.off_by
+        else:
+            index, _, off_by = result
+        assert off_by > tol and off_by == dev[index]
 
 
 # Entry edits that break weak orthogonality in each way: a factor moves a
@@ -433,3 +486,24 @@ def test_linear_grids_give_n_minus_one_mubs_at_prime_orders(n):
         assert all(is_maximally_entangled(state) for state in basis.states)
     for a, b in combinations(bases, 2):
         assert check_mub(a, b).passed
+
+
+def test_product_grids_give_mubs_at_order_27():
+    """paper-P (x) L1 and paper-Q (x) L2, with L_k(r, c) = r + k*c mod 3: genuinely
+    quantum grids of order 27 that are quantum Latin squares, weakly
+    orthogonal both ways, and give two unbiased, orthonormal bases of
+    maximally entangled states."""
+    rng = np.random.default_rng(27)
+    r, c = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    grids = [product_grid(fixture(name), LatinSquare((r + k * c) % 3))
+             for name, k in (("paper-P", 1), ("paper-Q", 2))]
+    squares = [validate_qls(grid) for grid in grids]
+    assert all(isinstance(q, QuantumLatinSquare) for q in squares)
+    assert isinstance(weak_orth_witness(*grids), WeakOrthWitness)
+    assert isinstance(weak_orth_witness(*grids[::-1]), WeakOrthWitness)
+    a, b = (qls_meb(q, random_family(27, rng)) for q in squares)
+    for basis in (a, b):
+        assert is_orthonormal_basis(basis)
+        assert len(basis.states) == 729
+        assert all(is_maximally_entangled(state) for state in basis.states)
+    assert check_mub(a, b).passed
