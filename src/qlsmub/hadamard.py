@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, first_gram_defect, kron, modulus
+from .numerics import DEFAULT_TOL, first_gram_defect, kron
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +65,7 @@ class HadamardViolation:
             return f"matrix of shape {self.indices} is {'empty' if rows == cols else 'not square'}"
         if self.constraint == "unimodular":
             return (
-                f"entry {self.indices} has modulus {modulus(self.value):.6g}, expected 1 "
+                f"entry {self.indices} has modulus {np.abs(self.value):.6g}, expected 1 "
                 f"(off by {self.off_by:.3e})"
             )
         kind = "rows" if self.constraint == "row-orthogonality" else "columns"

@@ -26,13 +26,6 @@ def as_state_vector(v) -> np.ndarray:
     return arr
 
 
-def modulus(z) -> float:
-    """|z| as a float, inf where it overflows: there Python's ``abs`` raises
-    OverflowError.  numpy's scalar takes the same ``hypot`` as ``abs``, so
-    the two agree wherever ``abs`` returns."""
-    return float(abs(np.complex128(z)))
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with complex128 output."""
     return np.kron(

@@ -270,7 +270,7 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     anchor = u.members[normalizer].conj().T
     translated = u.members @ anchor
     gram = translated.conj().transpose(0, 2, 1) @ translated
-    delta = float(np.linalg.norm(gram - np.eye(n), axis=(1, 2)).max())
+    delta = float(frobenius_norms(gram - np.eye(n)).max())
     eta = math.sqrt(2) * n * (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
     beta = (delta + eta) / (1 - eta) ** 2
     try:

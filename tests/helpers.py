@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qlsmub.bases import BipartiteBasis
-from qlsmub.hadamard import HadamardFamily, HadamardMatrix, hadamard_family, random_hadamard
+from qlsmub.fixtures import fixture, hadamard_9_corrected
+from qlsmub.hadamard import (
+    HadamardFamily,
+    HadamardMatrix,
+    constant_family,
+    fourier,
+    hadamard_family,
+    random_hadamard,
+    tensor_hadamard,
+)
 from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix, lcm_up_to, mat_power
 from qlsmub.search import EquivalenceReport
 from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError, to_doc
@@ -22,7 +31,6 @@ from qlsmub.squares import (
     WeakOrthWitness,
     are_orthogonal,
     computational_grid,
-    left_conjugate,
     orthogonality_map,
     validate_qls,
     weak_orth_witness,
@@ -38,14 +46,55 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def linear_grid(n: int, k: int, u: np.ndarray) -> VectorGrid:
-    """Grid whose (r, c) entry is column (r + k*c) mod n of the unitary u.
+def linear_grid(latin: LatinSquare, u: np.ndarray) -> VectorGrid:
+    """Grid whose (r, c) entry is column ``latin[r, c]`` of the unitary u.
 
-    For k = 1 it is a quantum Latin square of any order; for odd n the grids
-    of k = 1 and k = 2 are quantum Latin squares and weakly orthogonal.
+    It is a quantum Latin square for every Latin square, and two such grids
+    are weakly orthogonal when the left conjugates of their squares are
+    orthogonal, since u keeps every inner product of the computational grids.
     """
-    r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return VectorGrid(u.T[(r + k * c) % n])
+    return VectorGrid(u.T[latin.cells])
+
+
+# Multiplication tables of GF(4), GF(8) and GF(9), the finite fields of 4, 8
+# and 9 elements.  The element a + b x (+ c x^2) is the base-p number with
+# digits (c,) b, a; the products are reduced by x^2 + x + 1 and x^3 + x + 1
+# over GF(2) and by x^2 + 1 over GF(3).
+GF_MUL = {
+    4: [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
+    8: [[0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7], [0, 2, 4, 6, 3, 1, 7, 5],
+        [0, 3, 6, 5, 7, 4, 1, 2], [0, 4, 3, 7, 6, 2, 5, 1], [0, 5, 1, 4, 2, 7, 3, 6],
+        [0, 6, 7, 1, 5, 3, 2, 4], [0, 7, 5, 2, 1, 6, 4, 3]],
+    9: [[0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7, 8], [0, 2, 1, 6, 8, 7, 3, 5, 4],
+        [0, 3, 6, 2, 5, 8, 1, 4, 7], [0, 4, 8, 5, 6, 1, 7, 2, 3], [0, 5, 7, 8, 1, 3, 4, 6, 2],
+        [0, 6, 3, 1, 7, 4, 2, 8, 5], [0, 7, 5, 4, 2, 6, 8, 3, 1], [0, 8, 4, 7, 3, 2, 5, 1, 6]],
+}
+
+
+def field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication tables of GF(q), for q a prime or 4, 8, 9.
+
+    A prime field is the integers mod q.  In GF(4), GF(8) and GF(9) addition
+    adds the base-p digits mod p, and multiplication is ``GF_MUL``.
+    """
+    r = np.arange(q)
+    if q not in GF_MUL:
+        return np.add.outer(r, r) % q, np.multiply.outer(r, r) % q
+    p = next(d for d in range(2, q) if q % d == 0)
+    shape = (p,) * round(math.log(q, p))
+    digits = np.array(np.unravel_index(r, shape))  # (digit, element)
+    add = np.ravel_multi_index(tuple((digits[:, :, None] + digits[:, None, :]) % p), shape)
+    return add, np.array(GF_MUL[q])
+
+
+def field_square(q: int, k: int) -> LatinSquare:
+    """The Latin square L_k(r, c) = r + k*c over GF(q), for k != 0.
+
+    The q - 1 squares of k = 1..q-1 are pairwise orthogonal, and so are their
+    left conjugates.
+    """
+    add, mul = field_tables(q)
+    return LatinSquare(add[:, mul[k]])
 
 
 def product_grid(g: VectorGrid, latin: LatinSquare) -> VectorGrid:
@@ -59,6 +108,33 @@ def product_grid(g: VectorGrid, latin: LatinSquare) -> VectorGrid:
     basis = np.eye(m)[latin.cells]  # (k, l, m)
     array = np.einsum("ija,klb->ikjlab", g.array, basis)
     return VectorGrid(array.reshape(n * m, n * m, n * m))
+
+
+def order_18_product_ueb() -> UnitaryErrorBasis:
+    """The shift-and-multiply basis of paper-P (x) the order-2 Latin square,
+    with the constant family of H_9 (x) F_2: a genuinely quantum basis of
+    order 18 that the obstruction proves non-monomial."""
+    grid = validate_qls(product_grid(fixture("paper-P"), LatinSquare([[0, 1], [1, 0]])))
+    family = constant_family(tensor_hadamard(hadamard_9_corrected(), fourier(2)))
+    return shift_multiply_ueb(grid, family)
+
+
+def reference_computational_grid(latin: LatinSquare) -> VectorGrid:
+    """``computational_grid`` as a scatter of ones into zeros."""
+    n = latin.n
+    arr = np.zeros((n, n, n), dtype=np.complex128)
+    rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    arr[rows, cols, latin.cells] = 1.0
+    return VectorGrid(arr)
+
+
+def reference_left_conjugate(latin: LatinSquare) -> LatinSquare:
+    """``left_conjugate`` as a scatter of each row index to its symbol's
+    place: ``out[cells[b, a], a] = b``."""
+    n = latin.n
+    out = np.empty((n, n), dtype=np.int64)
+    out[latin.cells, np.arange(n)[None, :]] = np.arange(n)[:, None]
+    return LatinSquare(out)
 
 
 def reference_qls_meb(q: QuantumLatinSquare, family: HadamardFamily) -> BipartiteBasis:
@@ -272,11 +348,12 @@ def reference_weak_orth(q: VectorGrid, p: VectorGrid, tol: float = DEFAULT_TOL):
                 if near_one[i, j, k]:
                     if unit_at >= 0:
                         value = complex(prods[i, j, k])
-                        return WeakOrthFailure(i, j, "non-unique-unit", k, value, abs(value))
+                        off_by = float(np.abs(value))
+                        return WeakOrthFailure(i, j, "non-unique-unit", k, value, off_by)
                     unit_at = k
                 elif not near_zero[i, j, k]:
                     value = complex(prods[i, j, k])
-                    off_by = min(abs(value), abs(value - 1.0))
+                    off_by = float(min(np.abs(value), np.abs(value - 1.0)))
                     return WeakOrthFailure(i, j, "stray-value", k, value, off_by)
             if unit_at < 0:
                 off_by = float(np.abs(prods[i, j] - 1.0).min())
@@ -329,10 +406,12 @@ def reference_orthogonal_pairs(n: int) -> np.ndarray:
 def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> EquivalenceReport:
     """``cross_validate_lemma16`` as one Python iteration per ordered pair,
     through the single-pair library calls, over the squares ``ia`` in
-    ``rows`` (all by default) against every partner."""
+    ``rows`` (all by default) against every partner.  Grids and conjugates
+    are the scatter references, not the formulas the search shares with the
+    library."""
     squares = [LatinSquare(c) for c in reference_enumerate_latin(n)]
-    grids = [computational_grid(s) for s in squares]
-    conjugates = [left_conjugate(s) for s in squares]
+    grids = [reference_computational_grid(s) for s in squares]
+    conjugates = [reference_left_conjugate(s) for s in squares]
     rows = range(len(squares)) if rows is None else rows
     positives = 0
     disagreements = []

@@ -504,6 +504,23 @@ def test_a_modulus_beyond_the_doubles_is_a_violation(tmp_path, capsys, command):
     assert (code, err) == (1, "") and strict_json(out)["off_by"] is None
 
 
+def test_a_weak_orth_margin_exceeds_tol_in_the_last_bit(tmp_path, capsys):
+    # Python's abs of z is one ulp below numpy's, and tol is Python's abs
+    z = -0.11355392122558595 + 0.011131792185154497j
+    one = write_grid(tmp_path, "one.json", VectorGrid(np.ones((1, 1, 1))))
+    stray = write_grid(tmp_path, "z.json", VectorGrid(np.full((1, 1, 1), z)))
+    argv = ("check-weak-orth", one, stray, "--tol", "0.1140982463623348")
+    code, out, err = run(capsys, *argv, "--format", "json-report")
+    doc = strict_json(out)
+    assert (code, err, doc["kind"], doc["tol"]) == (1, "", "stray-value", 0.1140982463623348)
+    assert doc["off_by"] == 0.11409824636233482
+    assert run(capsys, *argv)[:2] == (
+        1,
+        "NOT weakly orthogonal: rows (0, 0): column 0 product -0.113554+0.0111318j (stray-value) "
+        "(off by 1.141e-01)\n",
+    )
+
+
 def test_dumps_writes_no_non_json_token(tmp_path):
     for value in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError):

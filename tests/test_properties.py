@@ -1,13 +1,14 @@
 """Property tests over permuted cyclic Latin squares of orders 1..8 (7..12 for
-the obstruction's noise bound), over broken inputs of orders 1..5, and over the
-paper's linear grids at the prime orders up to 13."""
+the obstruction's noise bound), over broken inputs of orders 1..5, over the
+paper's linear grids at the prime powers up to 13, and over product grids at
+orders 18 and 27."""
 
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -37,6 +38,8 @@ from qlsmub.squares import (
     VectorGrid,
     WeakOrthFailure,
     WeakOrthWitness,
+    are_left_orthogonal,
+    are_orthogonal,
     computational_grid,
     is_moqls,
     left_conjugate,
@@ -57,8 +60,12 @@ from qlsmub.ueb import (
 )
 
 from helpers import (
+    GF_MUL,
+    field_square,
+    field_tables,
     linear_grid,
     monomial_equivalent_ueb,
+    order_18_product_ueb,
     product_grid,
     random_unitary,
     reference_lbw_meb,
@@ -332,6 +339,31 @@ def test_margins_are_the_deviations_the_checks_decided_on(count, n, seed, scale,
         assert off_by > tol and off_by == dev[index]
 
 
+@PROPERTY
+@given(st.integers(1, 5), SEEDS, st.data())
+def test_weak_orth_margins_exceed_tol(n, seed, data):
+    # products scattered around 0 and 1, and a tol drawn at one product's own
+    # deviation from the nearer of them, or one ulp below it, put the decision
+    # at the last bit.  Below 1/2 no product is near both, so a stray value or
+    # a second unit is more than tol from 0 and a stray value from 1 as well.
+    rng = np.random.default_rng(seed)
+    centre = rng.integers(0, 2, (n, n))
+    q = np.zeros((n, n, n), dtype=complex)
+    q[..., 0] = 1.0
+    p = np.zeros((n, n, n), dtype=complex)  # <q[i,k]|p[j,k]> = p[j, k, 0]
+    p[..., 0] = centre + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    prods = np.einsum("ikc,jkc->ijk", q.conj(), p)
+    near = np.minimum(np.abs(prods), np.abs(prods - 1.0))
+    edges = sorted(near[near < 0.5])
+    assume(edges)
+    edge = data.draw(st.sampled_from(edges), label="edge deviation")
+    tol = data.draw(st.sampled_from([edge, np.nextafter(edge, 0)]), label="tol")
+    f = weak_orth_witness(VectorGrid(q), VectorGrid(p), tol)
+    if isinstance(f, WeakOrthFailure) and f.kind != "missing-unit":
+        dev = np.abs(prods) if f.kind == "non-unique-unit" else near
+        assert f.off_by > tol and f.off_by == dev[f.q_row, f.p_row, f.column]
+
+
 # Entry edits that break weak orthogonality in each way: a factor moves a
 # product off 0 or 1 (stray), onto 0 (missing unit) or near 1; a copied
 # vector from another row of the column makes a second unit or removes one.
@@ -444,7 +476,8 @@ def passes(check, *args) -> bool:
 def test_no_check_passes_on_non_finite_arithmetic(n, seed, data):
     rng = np.random.default_rng(seed)
     u = random_unitary(n, rng)
-    q, p = linear_grid(n, 1, u), linear_grid(n, 2 if n % 2 else 1, u)
+    r = np.arange(n)
+    q, p = (linear_grid(LatinSquare(np.add.outer(r, k * r) % n), u) for k in (1, 2 if n % 2 else 1))
     qls, family, h = validate_qls(q), random_family(n, rng), random_hadamard(n, rng).mat
     states = qls_meb(qls, family).states
     partner = np.kron(h, h) @ states / n  # <states[s]|partner[t]> = kron(h, h)[t, s] / n: unbiased
@@ -468,15 +501,43 @@ def test_no_check_passes_on_non_finite_arithmetic(n, seed, data):
         assert not passes(check, *args), name
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_field_tables_satisfy_the_field_axioms(q):
+    add, mul = field_tables(q)
+    r = np.arange(q)
+    a, b, c = np.ix_(r, r, r)
+    for op in (add, mul):
+        assert np.array_equal(op, op.T)
+        assert np.array_equal(op[op[a, b], c], op[a, op[b, c]])
+    assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
+    assert np.array_equal(add[0], r) and np.array_equal(mul[1], r)
+    assert ((add == 0).sum(axis=1) == 1).all()  # every element has a negative
+    assert ((mul[1:, 1:] == 1).sum(axis=1) == 1).all()  # every nonzero one an inverse
+    if q in GF_MUL:  # x, the base-p number 10, is a root of its polynomial
+        x, coefficients = {4: (2, (1, 1, 1)), 8: (2, (1, 0, 1, 1)), 9: (3, (1, 0, 1))}[q]
+        value = 0
+        for coefficient in coefficients:  # Horner's rule
+            value = add[mul[value, x], coefficient]
+        assert value == 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_field_squares_are_orthogonal_and_left_orthogonal(q):
+    squares = [field_square(q, k) for k in range(1, q)]
+    for a, b in combinations(squares, 2):
+        assert are_orthogonal(a, b) and are_left_orthogonal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_linear_grids_give_n_minus_one_mubs_at_prime_orders(n):
-    """The paper's construction at a prime order n: the linear grids of k =
-    1..n-1 over one Haar unitary are quantum Latin squares, weakly orthogonal
-    in pairs, and with any Hadamard families they give n - 1 pairwise
-    unbiased, orthonormal bases of maximally entangled states."""
+    """The paper's construction at a prime power n: the grids of the squares
+    r + k*c over GF(n), k = 1..n-1, over one Haar unitary are quantum Latin
+    squares, weakly orthogonal in pairs, and with any Hadamard families they
+    give n - 1 pairwise unbiased, orthonormal bases of maximally entangled
+    states."""
     rng = np.random.default_rng(n)
     u = random_unitary(n, rng)
-    squares = [validate_qls(linear_grid(n, k, u)) for k in range(1, n)]
+    squares = [validate_qls(linear_grid(field_square(n, k), u)) for k in range(1, n)]
     assert all(isinstance(q, QuantumLatinSquare) for q in squares)
     assert n < 3 or is_moqls(squares)
     bases = [qls_meb(q, hadamard_family([random_hadamard(n, rng) for _ in range(n)]))
@@ -494,8 +555,7 @@ def test_product_grids_give_mubs_at_order_27():
     orthogonal both ways, and give two unbiased, orthonormal bases of
     maximally entangled states."""
     rng = np.random.default_rng(27)
-    r, c = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    grids = [product_grid(fixture(name), LatinSquare((r + k * c) % 3))
+    grids = [product_grid(fixture(name), field_square(3, k))
              for name, k in (("paper-P", 1), ("paper-Q", 2))]
     squares = [validate_qls(grid) for grid in grids]
     assert all(isinstance(q, QuantumLatinSquare) for q in squares)
@@ -507,3 +567,23 @@ def test_product_grids_give_mubs_at_order_27():
         assert len(basis.states) == 729
         assert all(is_maximally_entangled(state) for state in basis.states)
     assert check_mub(a, b).passed
+
+
+def test_the_order_18_product_is_obstructed():
+    """paper-P (x) the order-2 Latin square, a genuinely quantum grid of order
+    18: its shift-and-multiply basis is proved non-monomial, and stays so
+    after Haar unitaries on both sides."""
+    u = order_18_product_ueb()
+    rng = np.random.default_rng(18)
+    rotated = UnitaryErrorBasis(18, random_unitary(18, rng) @ u.members @ random_unitary(18, rng))
+    for basis in (u, rotated):
+        report = monomial_obstruction(basis)
+        assert report.obstructed and report.worst_norm > report.noise_bound
+
+
+@PROPERTY
+@given(latin_squares(min_order=2, max_order=7), SEEDS)
+def test_lbw_bases_are_never_obstructed(latin, seed):
+    h = random_hadamard(latin.n, np.random.default_rng(seed))
+    report = monomial_obstruction(meb_to_ueb(lbw_meb(latin, h)))
+    assert not report.obstructed and report.worst_norm <= report.noise_bound

@@ -23,7 +23,7 @@ from qlsmub.squares import (
     weak_orth_witness,
 )
 
-from helpers import as_latin_square
+from helpers import as_latin_square, reference_computational_grid, reference_left_conjugate
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
@@ -278,6 +278,30 @@ def test_witness_order_one_fails_on_an_overflowed_product():
     f = weak_orth_witness(big, big)
     assert isinstance(f, WeakOrthFailure)
     assert (f.kind, f.column, f.value, f.off_by) == ("stray-value", 0, complex(np.inf, 0), np.inf)
+
+
+def test_witness_margin_is_the_deviation_it_was_judged_on():
+    # Python's abs of z is one ulp below numpy's: judged against tol = abs(z),
+    # the product is near neither 0 nor 1, and its margin must exceed tol
+    z = -0.11355392122558595 + 0.011131792185154497j
+    tol = abs(z)
+    assert tol == 0.1140982463623348
+    f = weak_orth_witness(VectorGrid(np.ones((1, 1, 1))), VectorGrid(np.full((1, 1, 1), z)), tol)
+    assert (f.kind, f.column, f.value) == ("stray-value", 0, z)
+    assert f.off_by > tol and f.off_by == np.abs(z) == 0.11409824636233482
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grid_and_conjugate_are_the_scatter_references_byte_for_byte(n):
+    cells = enumerate_latin(n).cells
+    for latin in map(LatinSquare, cells if n < 5 else cells[::97]):
+        pairs = (
+            (computational_grid(latin).array, reference_computational_grid(latin).array),
+            (left_conjugate(latin).cells, reference_left_conjugate(latin).cells),
+        )
+        for got, expected in pairs:
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_witness_agrees_with_left_orthogonality_on_latin_squares():
