@@ -136,6 +136,8 @@ def _cmd_validate_hadamard(args) -> Outcome:
 
 
 def _cmd_check_weak_orth(args) -> Outcome:
+    if args.tol >= 0.5:  # a product could be near both 0 and 1: its margin is not judged
+        raise ValueError(f"check-weak-orth needs --tol below 0.5, got {args.tol:g}")
     qg, pg = (serialize.read(path, "grid") for path in (args.grid_q, args.grid_p))
     w = weak_orth_witness(qg, pg, args.tol)
     ok = isinstance(w, WeakOrthWitness)

@@ -5,11 +5,16 @@ fields that size its payload, and the payload; ``SCHEMAS`` lists them per
 kind.  Complex numbers are [re, im] pairs.  Serialization is canonical (sorted
 keys, fixed indentation, trailing newline): re-encoding reproduces the bytes.
 
+In memory a payload stays a numpy array: ``to_doc`` builds it as one and
+``load_path`` reads it into one, float64 [re, im] pairs or int64 cells, so no
+payload becomes nested Python lists on the way.  ``from_doc`` takes such an
+array or nested lists.
+
 orjson is the codec.  Reading is strict RFC 8259.  Writing gives exactly the
-stdlib's ``indent=2`` text: orjson writes the whole document, whose floats it
-spells as ``repr`` does once a few exponent forms are re-spelled.  The stdlib
-writes it only when orjson refuses it, or when orjson's text holds ``null`` or
-a byte from 0x7f up.
+stdlib's ``indent=2`` text: orjson writes the whole document, arrays included,
+and spells its floats as ``repr`` does once a few exponent forms are
+re-spelled.  The stdlib writes it only when orjson refuses it, or when
+orjson's text holds ``null`` or a byte from 0x7f up.
 """
 
 from __future__ import annotations
@@ -71,21 +76,51 @@ def dumps(doc: dict) -> str:
 def _encode(doc: dict) -> list:
     """The text of ``dumps(doc)`` as UTF-8 pieces: bytes, or views of orjson's."""
     _check_spelling()
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+    if all(type(v) in (str, int) or type(v) is np.ndarray and v.dtype in _NATIVE and v.flags.c_contiguous
+           for v in doc.values()):  # shaped as to_doc's
+        option |= orjson.OPT_SERIALIZE_NUMPY
     try:
-        text = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
-    except TypeError:  # an int wider than 64 bits, a float subclass, a non-str key, a cycle
+        text = orjson.dumps(doc, option=option)
+    except TypeError:  # an int wider than 64 bits, a float subclass, a non-str key, a cycle, an array
         text = None
-    if text is None or b"null" in text or not text.isascii() or b"\x7f" in text:
-        return [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode(), b"\n"]
+    if text is None or _holds_null(text) or not text.isascii() or b"\x7f" in text:
+        return [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_listed).encode(), b"\n"]
     return _respelled(text) + [b"\n"]
 
 
+# the payload dtypes, native-endian: the arrays orjson writes as the stdlib
+# writes their tolist(), if C-contiguous too.  orjson writes float32 at
+# float32's shortest digits and a byte-swapped array as if it were native.
+_NATIVE = (np.dtype(np.float64), np.dtype(np.int64))
+
+
+def _listed(value):
+    """An array as nested lists for the stdlib writer, which refuses the rest."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _holds_null(text: bytes) -> bool:
+    """``b"null" in text``, found as each ``u``: a one-byte ``find`` is a
+    memchr, while the substring search steps byte by byte through digits."""
+    at = text.find(b"u")
+    while at >= 0 and text[at - 1:at + 3] != b"null":
+        at = text.find(b"u", at + 1)
+    return at >= 0
+
+
 # floats that orjson may spell differently from repr: integral, exponent and
-# small forms, and the ends of the doubles; under keys too, one holding an "e"
+# small forms, and the ends of the doubles; under keys too, one holding an
+# "e"; and in arrays, which orjson spells by its own code, with int64's ends
+_FLOATS = [100.0, 1e15, 1e16, 1e22, 0.0001, 1e-05, 1.5e-07, -0.0, 0.1, 5e-324, 1.7976931348623157e308, 7]
 _PROBE = {
     "e": 1,
     "float": 1e16,
-    "floats": [100.0, 1e15, 1e16, 1e22, 0.0001, 1e-05, 1.5e-07, -0.0, 0.1, 5e-324, 1.7976931348623157e308, 7],
+    "floats": _FLOATS,
+    "ints": np.array([[-2**63, 0], [7, 2**63 - 1]], dtype=np.int64),
+    "pairs": np.array(_FLOATS, dtype=np.float64).reshape(-1, 2),
     "tol": 1e-09,
 }
 
@@ -94,9 +129,10 @@ _PROBE = {
 def _check_spelling() -> None:
     """Raise unless the installed orjson's text of ``_PROBE``, re-spelled, is
     the stdlib's: orjson does not promise the float notation that
-    :func:`_respelled` undoes."""
-    text = orjson.dumps(_PROBE, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
-    if b"".join(_respelled(text)) != json.dumps(_PROBE, sort_keys=True, indent=2).encode():
+    :func:`_respelled` undoes, nor that it spells an array as its list."""
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+    text = orjson.dumps(_PROBE, option=option)
+    if b"".join(_respelled(text)) != json.dumps(_PROBE, sort_keys=True, indent=2, default=_listed).encode():
         raise RuntimeError(f"orjson {orjson.__version__} spells floats as this module cannot re-spell")
 
 
@@ -146,7 +182,8 @@ def loads(text: str | bytes) -> dict:
 
 
 def to_doc(kind: str, array) -> dict:
-    """The ``kind`` document of ``array``, its header read off the shape; an
+    """The ``kind`` document of ``array``, its header read off the shape and its
+    payload a C-contiguous array: float64 [re, im] pairs, or int64 cells.  An
     empty axis, which nested lists cannot carry, raises :class:`SerializeError`."""
     schema = SCHEMAS[kind]
     arr = np.asarray(array, dtype=np.complex128 if schema.pairs else np.int64)
@@ -155,8 +192,7 @@ def to_doc(kind: str, array) -> dict:
     doc = {"format": FORMAT, "kind": kind}
     for key, size in zip(schema.axes, arr.shape):
         doc[key] = isqrt(size) if schema.square else size
-    payload = np.stack([arr.real, arr.imag], axis=-1) if schema.pairs else arr
-    doc[schema.payload] = payload.tolist()
+    doc[schema.payload] = np.stack([arr.real, arr.imag], axis=-1) if schema.pairs else arr.copy()
     return doc
 
 
@@ -164,14 +200,15 @@ def from_doc(doc, kind: str) -> np.ndarray:
     """The payload array of a ``kind`` document, or a :class:`SerializeError`.
 
     Header values must be JSON integers >= 1, integer leaves JSON integers,
-    and [re, im] leaves finite JSON numbers (int or float, never bool).  One
-    walk reads the payload's shape: while a level holds only lists and
-    tuples, their one length joins the shape and the level is flattened.
-    Then, in order: (1) a ragged level, of two lengths or of sequences beside
-    other values, and (2) leaves that one ``np.array`` cannot convert to that
-    shape are not numbers; (3) [re, im] pairs must nest to the header's
-    depth; (4) a leaf must be of a JSON type the kind allows; (5) [re, im]
-    leaves must be finite, and the shape must be the header's.
+    and [re, im] leaves finite JSON numbers (int or float, never bool).  A
+    payload in nested lists is walked as :func:`_walk` says.  Then, in order:
+    (1) a ragged level and (2) leaves that one ``np.array`` cannot convert to
+    the walk's shape are not numbers; (3) [re, im] pairs must nest to the
+    header's depth; (4) a leaf must be of a JSON type the kind allows; (5)
+    [re, im] leaves must be finite, and the shape must be the header's.  An
+    int64 or float64 array payload, as :func:`to_doc` and :func:`load_path`
+    leave it, is what the walk would read: its shape, and int leaves for
+    int64 or at least one float leaf for float64; checks (3) to (5) follow.
     """
     if not isinstance(doc, dict):
         raise SerializeError("document is not a JSON object")
@@ -184,25 +221,25 @@ def from_doc(doc, kind: str) -> np.ndarray:
     for key in schema.axes:
         if type(doc.get(key)) is int and doc[key] < 1:
             raise SerializeError(f"{kind} header {key} is {doc[key]}, expected at least 1")
-    what, level = f"{kind} {schema.payload}", [doc.get(schema.payload)]
+    what, arr = f"{kind} {schema.payload}", doc.get(schema.payload)
     bad = f"{what}: entries are not numbers" if schema.pairs else f"{what} are not integers"
-    shape, types = [], set(map(type, level))
-    while types <= {list, tuple} and len(sizes := set(map(len, level))) == 1:
-        shape += sizes
-        level = list(chain.from_iterable(level))
-        types = set(map(type, level))
-    if types & {list, tuple}:  # a ragged level: two lengths, or sequences beside other values
-        raise SerializeError(bad)
-    try:
-        arr = np.array(level, dtype=np.float64 if schema.pairs else np.int64).reshape(shape)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SerializeError(bad) from exc
+    if type(arr) is np.ndarray and arr.dtype in _NATIVE:
+        types = {int} if arr.dtype == np.int64 else {float}
+    else:
+        shape, types, leaves = _walk([arr])
+        if types & {list, tuple}:  # a ragged level
+            raise SerializeError(bad)
+        try:
+            arr = np.array(leaves, dtype=np.float64 if schema.pairs else np.int64).reshape(shape)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SerializeError(bad) from exc
     depth = len(schema.axes)
     if schema.pairs and (arr.ndim != depth + 1 or arr.shape[-1] != 2):
         raise SerializeError(f"{what}: expected nesting depth {depth} of [re, im] pairs")
     if not types <= ({int, float} if schema.pairs else {int}):
         raise SerializeError(bad)
     if schema.pairs:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise SerializeError(f"{what}: non-finite entries")
         arr = arr.view(np.complex128)[..., 0]  # exact, signed zeros included
@@ -212,6 +249,19 @@ def from_doc(doc, kind: str) -> np.ndarray:
         detail = f"n={reprlib.repr(doc.get('n'))}" if set(schema.axes) == {"n"} else "header"
         raise SerializeError(f"{what} shape {arr.shape} does not match {detail}")
     return arr
+
+
+def _walk(level: list) -> tuple[list, set, list]:
+    """The shape, leaf types and leaves of the values in ``level``: while a
+    level holds only lists and tuples, their one length joins the shape and
+    the level is flattened.  A list or tuple among the leaves marks a ragged
+    level, of two lengths or of sequences beside other values."""
+    shape, types = [], set(map(type, level))
+    while types <= {list, tuple} and len(sizes := set(map(len, level))) == 1:
+        shape += sizes
+        level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+    return shape, types, level
 
 
 def read(path: str, kind: str):
@@ -237,7 +287,9 @@ def matrix_list_doc(members) -> dict:
 
 
 def load_path(path: str) -> dict:
-    """The JSON object in the file at ``path``, parsed as :func:`loads` does."""
+    """The JSON object in the file at ``path``, parsed as :func:`loads` does,
+    except that a payload in the canonical layout comes back as one array:
+    int64 if every leaf is an int, float64 if any is a float."""
     try:
         with open(path, "rb") as fh:
             text = fh.read()
@@ -254,44 +306,57 @@ _RUN = 1 << 18  # bytes of text parsed at a time, at least
 
 
 def _loads_in_runs(text: bytes) -> dict | None:
-    """The JSON object in ``text`` with its first top-level list of lists
-    parsed a run of elements at a time, or None if the whole text is to be
-    parsed.
+    """The JSON object in ``text`` with its payload, the first top-level list
+    of lists, parsed a run of elements at a time into one array, or None if
+    the whole text is to be parsed.
 
-    orjson keeps a parsed copy of its input while it builds the objects, so a
-    multi-megabyte document parsed whole costs about half as much memory
-    again as it did with the stdlib parser; parsed in runs, that copy is one
-    run's.  Runs are cut where the canonical layout puts ``_NEXT``.  When
-    every run parses, and the rest of the text, with ``[]`` in the list's
-    place, parses to an object whose only occurrence of the list's key holds
-    that ``[]``, the text is that object with the runs' elements in the list,
-    as a whole parse reads it.  Anything else, such as an escape in the rest,
-    is left to the whole parse, which also words the error for text that is
-    not JSON.
+    orjson keeps a parsed copy of its input while it builds the objects, and
+    nested lists cost many times their array; each run is made an array as
+    soon as it is parsed, so the copy and the lists alive are one run's.
+    Runs are cut where the canonical layout puts ``_NEXT``.  Each must be a
+    regular array of JSON numbers (:func:`_run_array`) with the element
+    shape of the others.  The rest of the text, with ``[]`` in the list's
+    place, must parse to an object whose only occurrence of the list's key
+    holds that ``[]``, the payload key of its kind; the text is that object
+    with the runs joined there.  Anything else, such as an escape in the
+    rest, is left to the whole parse, which also words the error for text
+    that is not JSON.
     """
     opened = text.find(_OPEN)
     if opened < 0:
         return None
-    items, start = [], opened + 3
+    runs, start = [], opened + 3
     try:  # a run of elements ends at its last "]"
         while (end := text.find(_NEXT, start + _RUN)) >= 0:
-            items += orjson.loads(b"[" + text[start:end + 6] + b"]")
+            runs.append(_run_array(orjson.loads(b"[" + text[start:end + 6] + b"]")))
             start = end + 7
         end = text.find(_CLOSE, start)
         if end < 0:
             return None
-        items += orjson.loads(b"[" + text[start:end + 6] + b"]")
+        runs.append(_run_array(orjson.loads(b"[" + text[start:end + 6] + b"]")))
+        payload = np.concatenate(runs)  # a ValueError if element shapes differ
         key = text[text.rfind(b"\n", 0, opened) + 1:opened].strip()
         rest = text[:opened + 2] + b"[]" + text[end + len(_CLOSE):]
         if b"\\" in rest or rest.count(key) != 1:
             return None
         doc, name = orjson.loads(rest), orjson.loads(key)
-    except (orjson.JSONDecodeError, RecursionError):
+    except (ValueError, OverflowError, RecursionError):  # JSONDecodeError is a ValueError
         return None
-    if type(doc) is not dict or doc.get(name) != []:
+    if type(doc) is not dict or doc.get(name) != [] or name not in {
+            schema.payload for kind, schema in SCHEMAS.items() if kind == doc.get("kind")}:
         return None
-    doc[name] = items
+    doc[name] = payload
     return doc
+
+
+def _run_array(run: list) -> np.ndarray:
+    """A run of payload elements as an int64 array if every leaf is an int,
+    or float64 if any is a float; a ``ValueError`` if the run is ragged or
+    holds another leaf, an ``OverflowError`` for an int beyond int64."""
+    shape, types, leaves = _walk([run])
+    if not types <= {int, float}:
+        raise ValueError("not a regular array of numbers")
+    return np.array(leaves, dtype=np.float64 if float in types else np.int64).reshape(shape)
 
 
 def save_path(path: str, doc: dict) -> None:

@@ -110,11 +110,12 @@ def product_grid(g: VectorGrid, latin: LatinSquare) -> VectorGrid:
     return VectorGrid(array.reshape(n * m, n * m, n * m))
 
 
-def order_18_product_ueb() -> UnitaryErrorBasis:
-    """The shift-and-multiply basis of paper-P (x) the order-2 Latin square,
-    with the constant family of H_9 (x) F_2: a genuinely quantum basis of
-    order 18 that the obstruction proves non-monomial."""
-    grid = validate_qls(product_grid(fixture("paper-P"), LatinSquare([[0, 1], [1, 0]])))
+def order_18_product_ueb(name: str = "paper-P") -> UnitaryErrorBasis:
+    """The shift-and-multiply basis of the order-9 fixture grid ``name`` (x)
+    the order-2 Latin square, with the constant family of H_9 (x) F_2: for
+    paper-P and paper-Q, a genuinely quantum basis of order 18 that the
+    obstruction proves non-monomial."""
+    grid = validate_qls(product_grid(fixture(name), LatinSquare([[0, 1], [1, 0]])))
     family = constant_family(tensor_hadamard(hadamard_9_corrected(), fourier(2)))
     return shift_multiply_ueb(grid, family)
 
@@ -207,8 +208,9 @@ def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare |
 
 
 def reference_dumps(doc: dict) -> str:
-    """``serialize.dumps`` as the stdlib writes it, through its indenting encoder."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``serialize.dumps`` as the stdlib writes it, through its indenting
+    encoder, with each array as its ``tolist()``."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=np.ndarray.tolist) + "\n"
 
 
 def reference_from_doc(doc, kind: str) -> np.ndarray:
@@ -438,8 +440,9 @@ NUMBERS = st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS), st.integers(-2**60, 2*
 
 @st.composite
 def documents(draw):
-    """A ``to_doc`` document of a random kind and shape, at times with its
-    [re, im] leaves replaced by a mix of Python ints and floats."""
+    """A ``to_doc`` document of a random kind and shape, its payload the array
+    ``to_doc`` builds, or at times [re, im] leaves in nested lists of a mix of
+    Python ints and floats."""
     kind = draw(st.sampled_from(sorted(SCHEMAS)))
     schema = SCHEMAS[kind]
     sizes = {key: draw(st.integers(1, 3)) for key in schema.axes}
@@ -451,6 +454,15 @@ def documents(draw):
     if draw(st.booleans()):
         leaves = st.one_of(st.integers(), NUMBERS)
         doc[schema.payload] = draw(arrays(object, shape + (2,), elements=leaves)).tolist()
+    return doc
+
+
+def listed(doc: dict) -> dict:
+    """``doc``, its payload made nested lists in place if it is an array, so
+    that it can be edited as JSON."""
+    key = SCHEMAS[doc["kind"]].payload
+    if isinstance(doc.get(key), np.ndarray):
+        doc[key] = doc[key].tolist()
     return doc
 
 
@@ -475,7 +487,7 @@ def mutated_documents(draw, docs=documents()):
     """A document of ``docs`` with up to three edits, made in place: a value
     somewhere in its payload replaced by a bad leaf, a list made ragged,
     deeper, shallower, a tuple, a dict or empty; or a header value changed."""
-    doc = draw(docs)
+    doc = listed(draw(docs))
     schema = SCHEMAS[doc["kind"]]
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):

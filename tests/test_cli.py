@@ -39,7 +39,7 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import mutated_documents, reference_lemma16
+from helpers import listed, mutated_documents, reference_lemma16
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
@@ -205,6 +205,22 @@ def test_check_weak_orth(tmp_path, capsys):
     code, out, _ = run(capsys, "check-weak-orth", p, p)
     assert code == 1
     assert "NOT weakly orthogonal" in out
+
+
+def test_check_weak_orth_refuses_a_tol_of_one_half_and_above(tmp_path, capsys):
+    """At tol >= 1/2 a product can be near both 0 and 1; the (1, 0.5) pair
+    would fail as a second unit "off by" 0.5, a margin within tol."""
+    first = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=complex)
+    second = first.copy()
+    second[0, 1] = [np.sqrt(0.75), 0.5]  # its product with first[0, 1] is 0.5
+    q = write_grid(tmp_path, "q.json", VectorGrid(first))
+    p = write_grid(tmp_path, "p.json", VectorGrid(second))
+    for tol in ("0.5", "0.6", "1"):
+        for fmt in ("text", "json-report"):
+            code, out, err = run(capsys, "check-weak-orth", q, p, "--tol", tol, "--format", fmt)
+            assert_error_exit(code, out, err)
+            assert err == f"error: check-weak-orth needs --tol below 0.5, got {float(tol):g}\n"
+    assert run(capsys, "check-weak-orth", q, p, "--tol", "0.4999")[0] == 1
 
 
 def test_check_orth_and_left_orth(tmp_path, capsys):
@@ -738,7 +754,7 @@ def _order_two_latin(cells):
 
 def _fourier2_with_leaves(leaf):
     doc = serialize.to_doc("matrix", fourier(2).mat)
-    doc["entries"] = [[[leaf(x) for x in pair] for pair in row] for row in doc["entries"]]
+    doc["entries"] = [[[leaf(x) for x in pair] for pair in row] for row in doc["entries"].tolist()]
     return doc
 
 
@@ -1381,7 +1397,7 @@ def damaged(data, path) -> bytes:
     """The text of the valid document at ``path``, damaged one way."""
     with open(path, "rb") as fh:
         text = fh.read()
-    doc = serialize.load_path(path)
+    doc = listed(serialize.load_path(path))
     schema = serialize.SCHEMAS[doc["kind"]]
     damage = data.draw(st.sampled_from(DAMAGES))
     if damage == "edited":

@@ -570,15 +570,16 @@ def test_product_grids_give_mubs_at_order_27():
 
 
 def test_the_order_18_product_is_obstructed():
-    """paper-P (x) the order-2 Latin square, a genuinely quantum grid of order
-    18: its shift-and-multiply basis is proved non-monomial, and stays so
-    after Haar unitaries on both sides."""
-    u = order_18_product_ueb()
+    """paper-P and paper-Q (x) the order-2 Latin square, genuinely quantum
+    grids of order 18: their shift-and-multiply bases are proved
+    non-monomial, and stay so after Haar unitaries on both sides."""
     rng = np.random.default_rng(18)
-    rotated = UnitaryErrorBasis(18, random_unitary(18, rng) @ u.members @ random_unitary(18, rng))
-    for basis in (u, rotated):
-        report = monomial_obstruction(basis)
-        assert report.obstructed and report.worst_norm > report.noise_bound
+    for name in ("paper-P", "paper-Q"):
+        u = order_18_product_ueb(name)
+        rotated = UnitaryErrorBasis(18, random_unitary(18, rng) @ u.members @ random_unitary(18, rng))
+        for basis in (u, rotated):
+            report = monomial_obstruction(basis)
+            assert report.obstructed and report.worst_norm > report.noise_bound
 
 
 @PROPERTY

@@ -2,10 +2,11 @@ import json
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_array_equal
 
 from qlsmub import serialize
@@ -26,7 +27,8 @@ from qlsmub.serialize import (
 from qlsmub.squares import LatinSquare, VectorGrid
 
 from helpers import (
-    FLOATS, NUMBERS, documents, mutated_documents, reference_dumps, reference_from_doc,
+    EDGE_FLOATS, FLOATS, NUMBERS, documents, listed, mutated_documents, reference_dumps,
+    reference_from_doc,
 )
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
@@ -48,6 +50,7 @@ def test_round_trip_is_canonical(kind):
     back = from_doc(loads(text), kind)
     assert_array_equal(back, SAMPLES[kind])
     assert dumps(to_doc(kind, back)) == text
+    assert from_doc(to_doc(kind, SAMPLES[kind]), kind).tobytes() == back.tobytes()
 
 
 def test_file_round_trip(tmp_path):
@@ -104,7 +107,7 @@ def test_rejects_malformed_payloads():
     with pytest.raises(SerializeError, match="re, im"):
         from_doc(g, "grid")
 
-    m = to_doc("matrix", np.eye(2))
+    m = listed(to_doc("matrix", np.eye(2)))
     m["entries"][0][0] = ["x", "y"]
     with pytest.raises(SerializeError, match="not numbers"):
         from_doc(m, "matrix")
@@ -140,7 +143,7 @@ PAIR_LEAVES = {
 def test_pair_leaves_must_be_json_numbers(case):
     doc = to_doc("matrix", np.eye(2))
     leaf = PAIR_LEAVES[case]
-    doc["entries"] = [[[leaf(x) for x in pair] for pair in row] for row in doc["entries"]]
+    doc["entries"] = [[[leaf(x) for x in pair] for pair in row] for row in doc["entries"].tolist()]
     with pytest.raises(SerializeError, match="matrix entries: entries are not numbers"):
         from_doc(doc, "matrix")
 
@@ -242,6 +245,53 @@ def test_an_orjson_that_spells_floats_otherwise_is_refused(tmp_path, monkeypatch
     assert not path.exists()
 
 
+def test_an_orjson_that_spells_arrays_otherwise_is_refused(tmp_path, monkeypatch):
+    """An orjson that writes an array's numbers as strings, and lists as it
+    should, is refused before the first write, arrays or not."""
+    orjson_dumps = serialize.orjson.dumps
+
+    def spelled(obj, option=0):
+        if option & orjson.OPT_SERIALIZE_NUMPY:
+            obj = {k: v.astype(str).tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+        return orjson_dumps(obj, option=option)
+
+    monkeypatch.setattr(serialize.orjson, "dumps", spelled)
+    serialize._check_spelling.cache_clear()
+    for doc in (to_doc("matrix", np.eye(2) * 0.1), {"payload": [0.1]}):
+        path = tmp_path / "doc.json"
+        with pytest.raises(RuntimeError, match="spells floats"):
+            save_path(str(path), doc)
+        assert not path.exists()
+
+
+# float64 bit patterns: random ones, NaNs and infinities among them, and EDGE_FLOATS
+_BITS = st.integers(0, 2**64 - 1) | st.sampled_from(np.array(EDGE_FLOATS).view(np.uint64).tolist())
+_SHAPES = array_shapes(max_dims=3, max_side=4)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(arrays(np.uint64, _SHAPES, elements=_BITS).map(lambda a: a.view(np.float64))
+       | arrays(np.int64, _SHAPES))
+@example(np.array([[-2**63, 2**63 - 1], [0, -1]], dtype=np.int64))
+@example(np.array([[0.1, -0.0], [1e16, 5e-324]]))
+def test_orjson_spells_an_array_as_its_list(arr):
+    """orjson's text of a float64 or int64 array, which ``dumps`` has it
+    write, is its text of the array's ``tolist()``; NaN and infinities,
+    which become null, included."""
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+    assert orjson.dumps(arr, option=option) == orjson.dumps(arr.tolist(), option=option)
+
+
+def test_an_array_orjson_cannot_write_as_its_list_is_written_by_the_stdlib():
+    """A float32, a strided or a byte-swapped array is written as the stdlib
+    writes its ``tolist()``: orjson refuses a strided array and would spell
+    the others otherwise."""
+    base = np.arange(12.0).reshape(3, 4) / 3 + 1e-5
+    for arr in (base.astype(np.float32), base[:, ::2], base.astype(">f8"), base.astype(">i8")):
+        doc = {**to_doc("matrix", np.eye(3, 2)), "entries": arr}
+        assert dumps(doc) == reference_dumps({**doc, "entries": arr.tolist()})
+
+
 def _exact(value):
     """A parsed JSON value with each float as its hex spelling, so that ``==``
     compares floats bit for bit, and each int outside 64 bits as the float
@@ -263,6 +313,19 @@ def _payload_or_error(doc, kind, reader=from_doc):
     return arr.dtype, arr.shape, arr.tobytes()
 
 
+def _outcome(read, kind):
+    """What ``read()`` gives: its document's ``kind`` payload through
+    ``from_doc`` (dtype, shape and bytes, or the error) and every other value
+    of it, floats bit for bit; or the error of the read itself."""
+    try:
+        doc = read()
+    except SerializeError as exc:
+        return str(exc)
+    key = SCHEMAS[kind].payload
+    rest = {k: v for k, v in doc.items() if k != key} if type(doc) is dict else doc
+    return _payload_or_error(doc, kind), _exact(rest)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(documents())
 def test_the_reader_parses_what_dumps_writes_as_the_stdlib_does(tmp_path_factory, doc):
@@ -276,12 +339,19 @@ def test_the_reader_parses_what_dumps_writes_as_the_stdlib_does(tmp_path_factory
         with pytest.raises(SerializeError, match="entries are not numbers"):
             from_doc(theirs, kind)
         return
-    assert _exact(ours) == _exact(theirs)
-    assert _payload_or_error(ours, kind) == _payload_or_error(theirs, kind)
+    assert _outcome(lambda: ours, kind) == _outcome(lambda: theirs, kind)
+    # read in runs into an int64 array exactly when every leaf is an int; only
+    # an int beyond int64, which orjson reads as an int, leaves it to the lists
+    leaves = np.array(theirs[SCHEMAS[kind].payload], dtype=object).ravel().tolist()
+    payload = ours[SCHEMAS[kind].payload]
+    if type(payload) is np.ndarray:
+        assert (payload.dtype == np.int64) == all(type(x) is int for x in leaves)
+    else:
+        assert any(type(x) is int and x >= 2**63 for x in leaves)
 
 
 def _edited(kind, array, edit):
-    doc = to_doc(kind, array)
+    doc = listed(to_doc(kind, array))
     edit(doc)
     return doc
 
@@ -328,39 +398,47 @@ def test_from_doc_reads_as_the_nested_reader_does(doc):
     assert _payload_or_error(doc, kind) == _payload_or_error(doc, kind, reference_from_doc)
 
 
-def _read_outcome(text: bytes, path) -> object:
-    """What ``load_path`` reads from a file holding ``text``: the value, its
-    floats compared bit for bit, or the error."""
+def _read_outcome(text: bytes, path, kind) -> object:
+    """``_outcome`` of ``load_path`` on a file holding ``text``."""
     path.write_bytes(text)
-    try:
-        return _exact(load_path(str(path)))
-    except SerializeError as exc:
-        return str(exc)
+    return _outcome(lambda: load_path(str(path)), kind)
 
 
-def _whole_outcome(text: bytes) -> object:
-    try:
-        return _exact(loads(text))
-    except SerializeError as exc:
-        return str(exc)
+def _whole_outcome(text: bytes, kind) -> object:
+    return _outcome(lambda: loads(text), kind)
 
 
 _OPEN_TEXT = b": [\n    [\n"
 MATRIX_TEXT = dumps(to_doc("matrix", np.arange(6).reshape(3, 2) + 0.5j)).encode()
+LATIN_TEXT = dumps(to_doc("latin", CYCLIC3.cells)).encode()
+
+
+def _text(kind, payload, **header):
+    return dumps({"format": FORMAT, "kind": kind, SCHEMAS[kind].payload: payload, **header}).encode()
+
+
 # texts in the canonical layout whose payload a run-by-run parse must not
-# read differently from a whole parse
+# read differently from a whole parse, each with the kind it is read as
 LOOKALIKES = {
-    "a later duplicate key": MATRIX_TEXT.replace(b"\n}", b',\n  "entries": []\n}'),
-    "an escaped duplicate key": MATRIX_TEXT.replace(b"\n}", b',\n  "\\u0065ntries": []\n}'),
-    "the key as a value too": MATRIX_TEXT.replace(b'"matrix"', b'"entries"'),
-    "the list nested a level deeper": b'{"outer": ' + MATRIX_TEXT + b"}",
-    "the list in a list": b"[" + MATRIX_TEXT + b"]",
-    "the key after another on its line": MATRIX_TEXT.replace(b'2,\n  "entries"', b'2, "entries"'),
-    "an exponent after the list": MATRIX_TEXT.replace(b"\n  ],", b"\n  ]e5,"),
-    "a fraction after the list": MATRIX_TEXT.replace(b"\n  ],", b"\n  ].5,"),
-    "a NaN in an element": MATRIX_TEXT.replace(b"0.5", b"NaN", 1),
-    "an element cut short": MATRIX_TEXT.replace(b"\n    ],\n    [", b"\n    ,\n    [", 1),
-    "an unclosed list": MATRIX_TEXT.replace(b"\n    ]\n  ]", b"\n    ]\n  "),
+    "a later duplicate key": ("matrix", MATRIX_TEXT.replace(b"\n}", b',\n  "entries": []\n}')),
+    "an escaped duplicate key": ("matrix", MATRIX_TEXT.replace(b"\n}", b',\n  "\\u0065ntries": []\n}')),
+    "the key as a value too": ("matrix", MATRIX_TEXT.replace(b'"matrix"', b'"entries"')),
+    "the list nested a level deeper": ("matrix", b'{"outer": ' + MATRIX_TEXT + b"}"),
+    "the list in a list": ("matrix", b"[" + MATRIX_TEXT + b"]"),
+    "the key after another on its line": ("matrix", MATRIX_TEXT.replace(b'2,\n  "entries"', b'2, "entries"')),
+    "an exponent after the list": ("matrix", MATRIX_TEXT.replace(b"\n  ],", b"\n  ]e5,")),
+    "a fraction after the list": ("matrix", MATRIX_TEXT.replace(b"\n  ],", b"\n  ].5,")),
+    "a NaN in an element": ("matrix", MATRIX_TEXT.replace(b"0.5", b"NaN", 1)),
+    "an element cut short": ("matrix", MATRIX_TEXT.replace(b"\n    ],\n    [", b"\n    ,\n    [", 1)),
+    "an unclosed list": ("matrix", MATRIX_TEXT.replace(b"\n    ]\n  ]", b"\n    ]\n  ")),
+    "a true leaf in a later run": ("matrix", MATRIX_TEXT.replace(b"4.0", b"true")),
+    "a 2**63 leaf in an all-int run": ("latin", LATIN_TEXT.replace(b"2", str(2**63).encode(), 1)),
+    "a 2**64 leaf in an all-int run": ("latin", LATIN_TEXT.replace(b"2", str(2**64).encode(), 1)),
+    "a run whose element shape differs": ("matrix", _text("matrix", [[[0.0, 0.5]], [[1.0, 0.5, 2.0]]],
+                                                          rows=2, cols=1)),
+    "the payload of another kind": ("basis", MATRIX_TEXT.replace(b'"matrix"', b'"basis"')),
+    "int runs beside a float run, latin": ("latin", _text("latin", [[0, 1], [1.0, 0]], n=2)),
+    "int runs beside a float run, pairs": ("matrix", _text("matrix", [[[1, 0]], [[0.5, 0.0]]], rows=2, cols=1)),
 }
 
 
@@ -368,16 +446,18 @@ LOOKALIKES = {
 def test_the_canonical_layout_is_read_in_runs(monkeypatch, kind):
     text = dumps(to_doc(kind, SAMPLES[kind])).encode()
     monkeypatch.setattr(serialize, "_RUN", 0)
-    assert serialize._loads_in_runs(text) == loads(text)
+    doc = serialize._loads_in_runs(text)
+    assert type(doc[SCHEMAS[kind].payload]) is np.ndarray
+    assert _outcome(lambda: doc, kind) == _whole_outcome(text, kind)
 
 
 @pytest.mark.parametrize("run", [0, 1 << 18])
 @pytest.mark.parametrize("name", sorted(LOOKALIKES))
 def test_a_lookalike_of_the_layout_reads_as_a_whole_parse(tmp_path, monkeypatch, name, run):
-    text = LOOKALIKES[name]
+    kind, text = LOOKALIKES[name]
     assert _OPEN_TEXT in text
     monkeypatch.setattr(serialize, "_RUN", run)
-    assert _read_outcome(text, tmp_path / "doc.json") == _whole_outcome(text)
+    assert _read_outcome(text, tmp_path / "doc.json", kind) == _whole_outcome(text, kind)
 
 EDITS = st.sampled_from([b"", b" ", b"\n", b",", b"[", b"]", b"{", b"}", b'"', b"\\", b"0", b".5", b"e5",
                          b"NaN", b"\n    ],\n    [", b'"entries": [],', b"\xff"])
@@ -386,15 +466,17 @@ EDITS = st.sampled_from([b"", b" ", b"\n", b",", b"[", b"]", b"{", b"}", b'"', b
 @settings(max_examples=200, deadline=None, database=None)
 @given(documents(), st.lists(st.tuples(st.floats(0, 1), st.integers(0, 3), EDITS), max_size=3))
 def test_an_edited_document_reads_as_a_whole_parse(tmp_path_factory, doc, edits):
-    """Texts near the canonical layout, parsed one element per run, read as
-    the whole text parses: the same value or the same error."""
+    """Texts near the canonical layout, parsed one element per run or in one
+    run, read as the whole text parses: the same payload through ``from_doc``
+    and the same other values, or the same error."""
     text = dumps(doc).encode()
     for where, cut, edit in edits:
         at = round(where * len(text))
         text = text[:at] + edit + text[at + cut:]
-    with mock.patch.object(serialize, "_RUN", 0):
-        ours = _read_outcome(text, tmp_path_factory.mktemp("doc") / "doc.json")
-    assert ours == _whole_outcome(text)
+    path, kind = tmp_path_factory.mktemp("doc") / "doc.json", doc["kind"]
+    for run in (0, 1 << 18):
+        with mock.patch.object(serialize, "_RUN", run):
+            assert _read_outcome(text, path, kind) == _whole_outcome(text, kind)
 
 
 @settings(max_examples=100, deadline=None, database=None)
