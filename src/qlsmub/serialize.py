@@ -5,10 +5,12 @@ fields that size its payload, and the payload; ``SCHEMAS`` lists them per
 kind.  Complex numbers are [re, im] pairs.  Serialization is canonical (sorted
 keys, fixed indentation, trailing newline): re-encoding reproduces the bytes.
 
-In memory a payload stays a numpy array: ``to_doc`` builds it as one and
-``load_path`` reads it into one, float64 [re, im] pairs or int64 cells, so no
-payload becomes nested Python lists on the way.  ``from_doc`` takes such an
-array or nested lists.
+In memory a payload is a numpy array, float64 [re, im] pairs or int64
+cells: ``to_doc`` builds it as one, which orjson writes directly.
+``load_path`` reads a payload a run of elements at a time: orjson parses the
+run into nested lists, and they become the run's part of one array at once,
+so only one run's lists are ever alive.  ``from_doc`` takes such an array or
+nested lists.
 
 orjson is the codec.  Reading is strict RFC 8259.  Writing gives exactly the
 stdlib's ``indent=2`` text: orjson writes the whole document, arrays included,
@@ -23,7 +25,8 @@ import json
 import reprlib
 from functools import cache
 from itertools import chain
-from math import isqrt
+from math import isqrt, prod
+from operator import index
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -226,8 +229,13 @@ def from_doc(doc, kind: str) -> np.ndarray:
     if type(arr) is np.ndarray and arr.dtype in _NATIVE:
         types = {int} if arr.dtype == np.int64 else {float}
     else:
-        shape, types, leaves = _walk([arr])
-        if types & {list, tuple}:  # a ragged level
+        try:
+            shape, parents = _walk(arr, _sequence_length)
+        except ValueError as exc:  # a ragged level
+            raise SerializeError(bad) from exc
+        leaves = list(chain.from_iterable(parents))
+        types = set(map(type, leaves))
+        if types & {list, tuple}:  # a sequence among the leaves
             raise SerializeError(bad)
         try:
             arr = np.array(leaves, dtype=np.float64 if schema.pairs else np.int64).reshape(shape)
@@ -251,17 +259,29 @@ def from_doc(doc, kind: str) -> np.ndarray:
     return arr
 
 
-def _walk(level: list) -> tuple[list, set, list]:
-    """The shape, leaf types and leaves of the values in ``level``: while a
-    level holds only lists and tuples, their one length joins the shape and
-    the level is flattened.  A list or tuple among the leaves marks a ragged
-    level, of two lengths or of sequences beside other values."""
-    shape, types = [], set(map(type, level))
-    while types <= {list, tuple} and len(sizes := set(map(len, level))) == 1:
+def _walk(top, length=len) -> tuple[list, list]:
+    """The shape of ``top`` and the sequences that hold its leaves, found from
+    lengths alone: while the first value of a level is a list or tuple, the
+    one ``length`` of the level's values joins the shape and the level is
+    flattened; a ``top`` that is no list or tuple is its own leaf.  Two
+    lengths raise ``ValueError``, and so does ``None`` beside a length.
+    ``len`` raises ``TypeError`` on a number among sequences but takes a str
+    or dict for one, so a caller that may meet those passes a ``length`` that
+    gives ``None`` for them."""
+    shape, level = [], [top]
+    while type(level[0]) in (list, tuple):
+        sizes = set(map(length, level))
+        if len(sizes) != 1:
+            raise ValueError("a ragged level")
         shape += sizes
+        if not shape[-1] or type(level[0][0]) not in (list, tuple):
+            return shape, level
         level = list(chain.from_iterable(level))
-        types = set(map(type, level))
-    return shape, types, level
+    return shape, [level]
+
+
+def _sequence_length(value) -> int | None:
+    return len(value) if type(value) in (list, tuple) else None
 
 
 def read(path: str, kind: str):
@@ -328,12 +348,12 @@ def _loads_in_runs(text: bytes) -> dict | None:
     runs, start = [], opened + 3
     try:  # a run of elements ends at its last "]"
         while (end := text.find(_NEXT, start + _RUN)) >= 0:
-            runs.append(_run_array(orjson.loads(b"[" + text[start:end + 6] + b"]")))
+            runs.append(_run_array(text, start, end + 6))
             start = end + 7
         end = text.find(_CLOSE, start)
         if end < 0:
             return None
-        runs.append(_run_array(orjson.loads(b"[" + text[start:end + 6] + b"]")))
+        runs.append(_run_array(text, start, end + 6))
         payload = np.concatenate(runs)  # a ValueError if element shapes differ
         key = text[text.rfind(b"\n", 0, opened) + 1:opened].strip()
         rest = text[:opened + 2] + b"[]" + text[end + len(_CLOSE):]
@@ -349,14 +369,34 @@ def _loads_in_runs(text: bytes) -> dict | None:
     return doc
 
 
-def _run_array(run: list) -> np.ndarray:
-    """A run of payload elements as an int64 array if every leaf is an int,
-    or float64 if any is a float; a ``ValueError`` if the run is ragged or
-    holds another leaf, an ``OverflowError`` for an int beyond int64."""
-    shape, types, leaves = _walk([run])
-    if not types <= {int, float}:
+def _run_array(text: bytes, start: int, end: int) -> np.ndarray:
+    """The run of payload elements in ``text[start:end]`` as one array; a
+    ``ValueError`` if it is not a regular array of JSON numbers, or an
+    ``OverflowError`` for an int beyond int64.
+
+    One-byte scans of the run stand in for a pass over its leaves: a string,
+    literal or object spells a ``"``, ``t``, ``f``, ``n`` or ``{``, and the
+    array is float64 if a ``.``, ``e`` or ``E`` spells a float, else int64.
+    The dtype is given, never inferred: numpy makes 2**63 beside small ints
+    a float.  The shape comes from the lengths alone (:func:`_walk`), and
+    ``np.fromiter`` takes the leaves without a list of them.  An int leaf
+    goes through ``operator.index``, which refuses a list and the float that
+    orjson reads for an int beyond 64 bits.  The scans read ``text`` in
+    place, so the run's bracketed copy lives only as long as its parse.
+    """
+    if any(text.find(byte, start, end) >= 0 for byte in b'"tfn{'):
         raise ValueError("not a regular array of numbers")
-    return np.array(leaves, dtype=np.float64 if float in types else np.int64).reshape(shape)
+    floats = any(text.find(byte, start, end) >= 0 for byte in b".eE")
+    try:
+        shape, parents = _walk(orjson.loads(b"[" + text[start:end] + b"]"))
+        leaves = chain.from_iterable(parents)
+        if floats:
+            arr = np.fromiter(leaves, np.float64, prod(shape))
+        else:
+            arr = np.fromiter(map(index, leaves), np.int64, prod(shape))
+    except TypeError as exc:  # a number at a list level, or a list among the leaves
+        raise ValueError("not a regular array of numbers") from exc
+    return arr.reshape(shape)
 
 
 def save_path(path: str, doc: dict) -> None:

@@ -569,6 +569,25 @@ def test_product_grids_give_mubs_at_order_27():
     assert check_mub(a, b).passed
 
 
+def test_product_grids_give_mubs_at_order_36():
+    """paper-P (x) L1 and paper-Q (x) L2, with L_k over GF(4): quantum Latin
+    squares of order 36, weakly orthogonal both ways, whose bases are
+    orthonormal, maximally entangled and mutually unbiased."""
+    rng = np.random.default_rng(36)
+    grids = [product_grid(fixture(name), field_square(4, k))
+             for name, k in (("paper-P", 1), ("paper-Q", 2))]
+    squares = [validate_qls(grid) for grid in grids]
+    assert all(isinstance(q, QuantumLatinSquare) for q in squares)
+    assert isinstance(weak_orth_witness(*grids), WeakOrthWitness)
+    assert isinstance(weak_orth_witness(*grids[::-1]), WeakOrthWitness)
+    a, b = (qls_meb(q, random_family(36, rng)) for q in squares)
+    for basis in (a, b):
+        assert is_orthonormal_basis(basis)
+        assert len(basis.states) == 1296
+        assert all(is_maximally_entangled(state) for state in basis.states)
+    assert check_mub(a, b).passed
+
+
 def test_the_order_18_product_is_obstructed():
     """paper-P and paper-Q (x) the order-2 Latin square, genuinely quantum
     grids of order 18: their shift-and-multiply bases are proved

@@ -390,6 +390,7 @@ NESTED_70 = json.loads("[" * 70 + "1.0" + "]" * 70)  # deeper than numpy's 64 di
 @example(_edited("matrix", np.eye(2), lambda d: _set(d, ["rows"], "2")))
 @example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries"], NESTED_70)))
 @example(_edited("matrix", np.eye(2), lambda d: _set(d, ["entries", 1], tuple(d["entries"][1]))))
+@example(_edited("matrix", np.ones((1, 2)), lambda d: _set(d, ["entries", 0], [[1.0, 0.0, 5.0], "123"])))
 def test_from_doc_reads_as_the_nested_reader_does(doc):
     """The one-walk reader returns what a nested ``np.asarray`` and a scan
     of the leaf types return: the same dtype, shape and bytes, or the same
@@ -411,6 +412,8 @@ def _whole_outcome(text: bytes, kind) -> object:
 _OPEN_TEXT = b": [\n    [\n"
 MATRIX_TEXT = dumps(to_doc("matrix", np.arange(6).reshape(3, 2) + 0.5j)).encode()
 LATIN_TEXT = dumps(to_doc("latin", CYCLIC3.cells)).encode()
+_CLOSE_TEXT = b"\n    ]\n  ]"
+_LAST_CELL = b"1" + _CLOSE_TEXT  # the last leaf of LATIN_TEXT, in its third element
 
 
 def _text(kind, payload, **header):
@@ -439,6 +442,17 @@ LOOKALIKES = {
     "the payload of another kind": ("basis", MATRIX_TEXT.replace(b'"matrix"', b'"basis"')),
     "int runs beside a float run, latin": ("latin", _text("latin", [[0, 1], [1.0, 0]], n=2)),
     "int runs beside a float run, pairs": ("matrix", _text("matrix", [[[1, 0]], [[0.5, 0.0]]], rows=2, cols=1)),
+    "a 1E5 leaf in a later int run": ("latin", LATIN_TEXT.replace(_LAST_CELL, b"1E5" + _CLOSE_TEXT)),
+    "a 2**63 leaf in a later element": ("latin", LATIN_TEXT.replace(_LAST_CELL, str(2**63).encode() + _CLOSE_TEXT)),
+    "a -2**63 - 1 leaf in a later element": ("latin", LATIN_TEXT.replace(
+        _LAST_CELL, str(-2**63 - 1).encode() + _CLOSE_TEXT)),
+    "a string leaf in a later run": ("matrix", MATRIX_TEXT.replace(b"4.0", b'"4.0"')),
+    "a null leaf in a later run": ("matrix", MATRIX_TEXT.replace(b"4.0", b"null")),
+    "an object leaf in a later run": ("matrix", MATRIX_TEXT.replace(b"4.0", b"{}")),
+    "a list at leaf depth in a later element, pairs": ("matrix", MATRIX_TEXT.replace(b"4.0", b"[4.0]")),
+    "a list at leaf depth in a later element, latin": ("latin", LATIN_TEXT.replace(_LAST_CELL, b"[1]" + _CLOSE_TEXT)),
+    "an empty element": ("latin", _text("latin", [[0, 1], [], [1, 0]], n=2)),
+    "empty elements only": ("matrix-list", _text("matrix-list", [[[]], [[]]], count=2, rows=1, cols=1)),
 }
 
 
@@ -458,6 +472,17 @@ def test_a_lookalike_of_the_layout_reads_as_a_whole_parse(tmp_path, monkeypatch,
     assert _OPEN_TEXT in text
     monkeypatch.setattr(serialize, "_RUN", run)
     assert _read_outcome(text, tmp_path / "doc.json", kind) == _whole_outcome(text, kind)
+    # a payload read in runs is int64 exactly when every leaf is an int
+    doc = serialize._loads_in_runs(text)
+    if doc is not None:
+        key = SCHEMAS[kind].payload
+        leaves = _leaves(loads(text)[key])
+        assert (doc[key].dtype == np.int64) == all(type(x) is int for x in leaves)
+
+
+def _leaves(value) -> list:
+    return [leaf for item in value for leaf in _leaves(item)] if type(value) is list else [value]
+
 
 EDITS = st.sampled_from([b"", b" ", b"\n", b",", b"[", b"]", b"{", b"}", b'"', b"\\", b"0", b".5", b"e5",
                          b"NaN", b"\n    ],\n    [", b'"entries": [],', b"\xff"])
