@@ -48,7 +48,7 @@ class MubReport:
     """Summary of the squared overlaps between two bases.
 
     ``max_dev`` is the largest distance of a squared overlap from ``target``
-    (1/dim); the report passes when it is within ``tol``.
+    (1/dim); the report is ``ok`` when it is within ``tol``.
     """
 
     dim: int
@@ -75,11 +75,11 @@ class MubReport:
         )
 
     @property
-    def passed(self) -> bool:
+    def ok(self) -> bool:
         return self.max_dev <= self.tol
 
     def __str__(self) -> str:
-        verdict = "mutually unbiased" if self.passed else "NOT mutually unbiased"
+        verdict = "mutually unbiased" if self.ok else "NOT mutually unbiased"
         return f"dim {self.dim}: {self._overlaps()}\n{verdict}"
 
     def _overlaps(self) -> str:

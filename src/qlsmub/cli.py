@@ -24,18 +24,16 @@ from .bases import (
     BipartiteBasis, check_mub, is_maximally_entangled, is_orthonormal_basis, lbw_meb, qls_meb,
 )
 from .fixtures import FIXTURE_NAMES, fixture, hadamard_9_corrected, paper_p_grid, paper_q_grid
-from .hadamard import HadamardMatrix, constant_family, hadamard_family, validate_hadamard
+from .hadamard import constant_family, hadamard_family, validate_hadamard
 from .numerics import DEFAULT_TOL
 from .search import (
     count_latin_by_columns, cross_validate_lemma16, enumerate_latin, find_orthogonal_pairs,
 )
 from .squares import (
-    QuantumLatinSquare, VectorGrid, WeakOrthWitness, are_left_orthogonal, are_orthogonal,
-    left_conjugate, validate_qls, weak_orth_witness,
+    VectorGrid, are_left_orthogonal, are_orthogonal, left_conjugate, validate_qls,
+    weak_orth_witness,
 )
-from .ueb import (
-    UnitaryErrorBasis, check_mu_ueb, meb_to_ueb, monomial_obstruction, ueb_to_meb, validate_ueb,
-)
+from .ueb import check_mu_ueb, meb_to_ueb, monomial_obstruction, ueb_to_meb, validate_ueb
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,9 @@ class Rejected(Exception):
         self.reason = reason
 
 
-def _valid(result, kind: type, prefix: str, where: str = ""):
-    """``result`` if it is a ``kind``, else reject it as ``prefix: [where: ]result``."""
-    if not isinstance(result, kind):
+def _valid(result, prefix: str, where: str = ""):
+    """``result`` if it is ``ok``, else reject it as ``prefix: [where: ]result``."""
+    if not result.ok:
         raise Rejected(prefix, f"{where}: {result}" if where else result)
     return result
 
@@ -88,27 +86,19 @@ def _plain(value):
 
 
 def _fields(record) -> dict:
-    """A check record's dataclass fields as report fields; a field's
-    ``report`` metadata, if any, maps its value first."""
+    """A check record's dataclass fields as report fields: a field's ``report``
+    metadata maps its value first, and a ``report`` of None leaves it out."""
     return {
         f.name: _plain(f.metadata.get("report", lambda v: v)(getattr(record, f.name)))
-        for f in fields(record)
+        for f in fields(record) if f.metadata.get("report", True) is not None
     }
 
 
-def _reported(record, ok: bool, prefix: str = "", **inputs) -> Outcome:
-    """A check record as an Outcome: ``inputs`` and the record's fields are
-    the report, ``str(record)`` the text, after ``prefix: `` on a violation."""
-    report = {**inputs, **_fields(record)}
-    return Outcome(ok, report, f"{prefix}: {record}" if prefix and not ok else str(record))
-
-
-def _checked(result, kind: type, prefix: str, line: str, **inputs) -> Outcome:
-    """A validator's verdict: a ``kind`` passes with the text ``line``, and
-    anything else is a violation record, reported as ``prefix: record``."""
-    if isinstance(result, kind):
-        return Outcome(True, inputs, line)
-    return _reported(result, False, prefix, **inputs)
+def _reported(record, prefix: str = "", **inputs) -> Outcome:
+    """A check result as an Outcome: its ``ok`` the verdict, ``inputs`` and its
+    fields the report, ``str(record)`` the text, after ``prefix: `` if not ok."""
+    text = f"{prefix}: {record}" if prefix and not record.ok else str(record)
+    return Outcome(record.ok, {**inputs, **_fields(record)}, text)
 
 
 def _built(basis: BipartiteBasis, **inputs) -> Outcome:
@@ -122,17 +112,14 @@ def _built(basis: BipartiteBasis, **inputs) -> Outcome:
 
 def _cmd_validate_qls(args) -> Outcome:
     grid = serialize.read(args.grid, "grid")
-    line = f"valid quantum Latin square of order {grid.n} (tol {args.tol:g})"
-    return _checked(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID", line,
-                    n=grid.n, tol=args.tol)
+    return _reported(validate_qls(grid, args.tol), "INVALID", n=grid.n, tol=args.tol)
 
 
 def _cmd_validate_hadamard(args) -> Outcome:
     mat = serialize.read(args.matrix, "matrix")
     result = validate_hadamard(mat, args.tol)
     prefix = f"INVALID: {getattr(result, 'constraint', None)} violated"  # read on a violation
-    line = f"valid complex Hadamard matrix of order {mat.shape[0]} (tol {args.tol:g})"
-    return _checked(result, HadamardMatrix, prefix, line, n=int(mat.shape[0]), tol=args.tol)
+    return _reported(result, prefix, n=int(mat.shape[0]), tol=args.tol)
 
 
 def _cmd_check_weak_orth(args) -> Outcome:
@@ -140,8 +127,7 @@ def _cmd_check_weak_orth(args) -> Outcome:
         raise ValueError(f"check-weak-orth needs --tol below 0.5, got {args.tol:g}")
     qg, pg = (serialize.read(path, "grid") for path in (args.grid_q, args.grid_p))
     w = weak_orth_witness(qg, pg, args.tol)
-    ok = isinstance(w, WeakOrthWitness)
-    return _reported(w, ok, "NOT weakly orthogonal", n=qg.n, tol=args.tol)
+    return _reported(w, "NOT weakly orthogonal", n=qg.n, tol=args.tol)
 
 
 def _cmd_check_orth(args) -> Outcome:
@@ -165,10 +151,9 @@ def _cmd_left_conj(args) -> Outcome:
 
 def _cmd_build_meb(args) -> Outcome:
     grid = serialize.read(args.grid, "grid")
-    qls = _valid(validate_qls(grid, args.tol), QuantumLatinSquare, "INVALID grid")
+    qls = _valid(validate_qls(grid, args.tol), "INVALID grid")
     members = [
-        _valid(validate_hadamard(mat, args.tol), HadamardMatrix, "INVALID family",
-               f"family member {idx}")
+        _valid(validate_hadamard(mat, args.tol), "INVALID family", f"family member {idx}")
         for idx, mat in enumerate(serialize.read(args.family, "matrix-list"))
     ]
     try:
@@ -182,15 +167,14 @@ def _cmd_build_meb(args) -> Outcome:
 def _cmd_build_lbw(args) -> Outcome:
     latin = serialize.read(args.latin, "latin")
     mat = serialize.read(args.matrix, "matrix")
-    hadamard = _valid(validate_hadamard(mat, args.tol), HadamardMatrix, "INVALID matrix")
+    hadamard = _valid(validate_hadamard(mat, args.tol), "INVALID matrix")
     basis = lbw_meb(latin, hadamard)
     return _built(basis, states=basis.n**2)
 
 
 def _cmd_check_mub(args) -> Outcome:
     a, b = (serialize.read(path, "basis") for path in (args.basis_a, args.basis_b))
-    rep = check_mub(a, b, args.tol)
-    return _reported(rep, rep.passed)
+    return _reported(check_mub(a, b, args.tol))
 
 
 def _cmd_dual(args) -> Outcome:
@@ -204,33 +188,28 @@ def _cmd_dual(args) -> Outcome:
         text = f"extracted {len(u)} unitaries of order {u.n}"
         return Outcome(True, {"direction": "to-ueb", "n": u.n}, text, doc)
     members = serialize.read(args.to_meb, "matrix-list")
-    u = _valid(validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis")
+    u = _valid(validate_ueb(members, args.tol), "INVALID unitary error basis")
     return _built(ueb_to_meb(u), direction="to-meb")
 
 
 def _cmd_check_ueb(args) -> Outcome:
-    u = validate_ueb(serialize.read(args.ueb, "matrix-list"), args.tol)
-    if not isinstance(u, UnitaryErrorBasis):
-        return _reported(u, False, "INVALID", tol=args.tol)
-    line = f"valid unitary error basis of order {u.n} ({len(u)} members)"
-    return Outcome(True, {"tol": args.tol, "n": u.n}, line)
+    members = serialize.read(args.ueb, "matrix-list")
+    return _reported(validate_ueb(members, args.tol), "INVALID", tol=args.tol)
 
 
 def _cmd_check_mu_ueb(args) -> Outcome:
     u, v = (
-        _valid(validate_ueb(serialize.read(path, "matrix-list"), args.tol), UnitaryErrorBasis,
+        _valid(validate_ueb(serialize.read(path, "matrix-list"), args.tol),
                "INVALID unitary error basis", path)
         for path in (args.ueb_a, args.ueb_b)
     )
-    rep = check_mu_ueb(u, v, args.tol)
-    return _reported(rep, rep.passed)
+    return _reported(check_mu_ueb(u, v, args.tol))
 
 
 def _cmd_monomial_obstruction(args) -> Outcome:
     members = serialize.read(args.ueb, "matrix-list")
-    u = _valid(validate_ueb(members, args.tol), UnitaryErrorBasis, "INVALID unitary error basis")
-    rep = monomial_obstruction(u)
-    return _reported(rep, not rep.obstructed)
+    u = _valid(validate_ueb(members, args.tol), "INVALID unitary error basis")
+    return _reported(monomial_obstruction(u))
 
 
 def _cmd_fixtures(args) -> Outcome:
@@ -261,8 +240,7 @@ def _cmd_search(args) -> Outcome:
         count = len(find_orthogonal_pairs(args.order))
         text = f"order {args.order}: {count} ordered orthogonal pairs"
         return Outcome(True, {"what": "orth-pairs", "order": args.order, "count": count}, text)
-    rep = cross_validate_lemma16(args.order, args.tol)
-    return _reported(rep, rep.consistent, what="lemma16")
+    return _reported(cross_validate_lemma16(args.order, args.tol), what="lemma16")
 
 
 def _cmd_reproduce_appendix_c(args) -> Outcome:
@@ -270,13 +248,13 @@ def _cmd_reproduce_appendix_c(args) -> Outcome:
     family = constant_family(hadamard_9_corrected())
     bases = []
     for name, grid in (("P", paper_p_grid()), ("Q", paper_q_grid())):
-        qls = _valid(validate_qls(grid, tol), QuantumLatinSquare, f"grid {name} failed validation")
+        qls = _valid(validate_qls(grid, tol), f"grid {name} failed validation")
         bases.append(qls_meb(qls, family))
     a, b = bases
     orthonormal = is_orthonormal_basis(a, tol) and is_orthonormal_basis(b, tol)
     entangled = all(is_maximally_entangled(s, tol) for basis in bases for s in basis.states)
     rep = check_mub(a, b, tol)
-    ok = orthonormal and entangled and rep.passed
+    ok = orthonormal and entangled and rep.ok
     text = (
         f"two bases of {rep.dim} states each: orthonormal={orthonormal}, "
         f"maximally entangled={entangled}\n"

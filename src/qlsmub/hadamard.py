@@ -6,7 +6,7 @@ satisfies H H* = H* H = n I.  (1/sqrt(n)) H is then unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,12 +17,16 @@ from .numerics import DEFAULT_TOL, first_gram_defect, kron
 class HadamardMatrix:
     """A validated complex Hadamard matrix.  Build via :func:`validate_hadamard`."""
 
-    mat: np.ndarray
+    ok = True
+    mat: np.ndarray = field(metadata={"report": None})
     tol: float = DEFAULT_TOL
 
     @property
     def n(self) -> int:
         return self.mat.shape[0]
+
+    def __str__(self) -> str:
+        return f"valid complex Hadamard matrix of order {self.n} (tol {self.tol:g})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +58,7 @@ class HadamardViolation:
     which has no measured value to be off).
     """
 
+    ok = False
     constraint: str
     indices: tuple[int, int]
     value: complex
@@ -121,7 +126,7 @@ def fourier(n: int) -> HadamardMatrix:
 def tensor_hadamard(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product of two Hadamards, revalidated at the joint order."""
     result = validate_hadamard(kron(a.mat, b.mat), min(a.tol, b.tol))
-    if not isinstance(result, HadamardMatrix):
+    if not result.ok:
         raise ValueError(f"tensor product failed validation: {result}")
     return result
 

@@ -164,7 +164,7 @@ class EquivalenceReport:
     disagreements: list[tuple] = field(default_factory=list, metadata={"report": len})
 
     @property
-    def consistent(self) -> bool:
+    def ok(self) -> bool:
         return not self.disagreements
 
     def __str__(self) -> str:

@@ -8,7 +8,7 @@ as an integer table ``cells[row, col]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -91,12 +91,16 @@ class QuantumLatinSquare:
     Build via :func:`validate_qls`; ``tol`` records the tolerance it passed at.
     """
 
-    grid: VectorGrid
+    ok = True
+    grid: VectorGrid = field(metadata={"report": None})
     tol: float = DEFAULT_TOL
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    def __str__(self) -> str:
+        return f"valid quantum Latin square of order {self.n} (tol {self.tol:g})"
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,7 @@ class GridViolation:
     ``value`` differs from the identity's by ``off_by``.
     """
 
+    ok = False
     line: str  # "row" or "column"
     index: int
     pair: tuple[int, int]
@@ -193,6 +198,7 @@ class WeakOrthWitness:
     """Success record: ``table[i, j]`` is the unique column where row i of the
     first grid and row j of the second have componentwise inner product 1."""
 
+    ok = True
     n: int
     table: np.ndarray
 
@@ -214,6 +220,7 @@ class WeakOrthFailure:
     ``off_by`` from it).
     """
 
+    ok = False
     q_row: int
     p_row: int
     kind: str
@@ -298,6 +305,6 @@ def is_moqls(family, tol: float = DEFAULT_TOL) -> bool:
     if len(grids) < 2:
         raise ValueError("a mutually orthogonal family needs at least two members")
     for a, b in combinations(grids, 2):
-        if not isinstance(weak_orth_witness(a, b, tol), WeakOrthWitness):
+        if not weak_orth_witness(a, b, tol).ok:
             return False
     return True

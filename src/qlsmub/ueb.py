@@ -11,7 +11,7 @@ label (i, j) sits at index i*n + j, matching the basis layout in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,21 +21,23 @@ from .numerics import DEFAULT_TOL, first_gram_defect, frobenius_norms, lcm_up_to
 from .squares import QuantumLatinSquare
 
 
+@dataclass(frozen=True, eq=False)
 class UnitaryErrorBasis:
-    """Validated stack of n^2 trace-orthogonal unitaries of size n x n."""
+    """A read-only copy of n^2 unitaries of size n x n.  :func:`validate_ueb`
+    returns one only for unitary, trace-orthogonal members; :func:`meb_to_ueb`
+    and :func:`shift_multiply_ueb` build one without validating it."""
 
-    __slots__ = ("n", "members")
+    ok = True
+    n: int
+    members: np.ndarray = field(repr=False, metadata={"report": None})
 
-    def __init__(self, n: int, members):
-        arr = np.asarray(members, dtype=np.complex128)
+    def __post_init__(self):
+        n = self.n
+        arr = np.array(self.members, dtype=np.complex128, order="C")  # orjson writes C order fast
         if arr.shape != (n * n, n, n):
-            raise ValueError(
-                f"expected {n * n} matrices of size {n}x{n}, got shape {arr.shape}"
-            )
-        arr = arr.copy()
+            raise ValueError(f"expected {n * n} matrices of size {n}x{n}, got shape {arr.shape}")
         arr.setflags(write=False)
-        self.n = n
-        self.members = arr
+        object.__setattr__(self, "members", arr)
 
     def member(self, i: int, j: int) -> np.ndarray:
         return self.members[i * self.n + j]
@@ -43,8 +45,8 @@ class UnitaryErrorBasis:
     def __len__(self) -> int:
         return self.members.shape[0]
 
-    def __repr__(self) -> str:
-        return f"UnitaryErrorBasis(n={self.n})"
+    def __str__(self) -> str:
+        return f"valid unitary error basis of order {self.n} ({len(self)} members)"
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class UebViolation:
     trace inner product ``value`` is ``off_by`` away from n I).
     """
 
+    ok = False
     kind: str
     index: int | None = None
     pair: tuple[int, int] | None = None
@@ -219,6 +222,10 @@ class ObstructionReport:
     sample_entry: complex | None
     obstructed: bool
     noise_bound: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.obstructed
 
     def __str__(self) -> str:
         bound = f"noise bound {self.noise_bound:.3e}"

@@ -100,7 +100,7 @@ def test_criterion_01_order_nine_reproduction():
     elapsed = time.perf_counter() - start
     worst = max(abs(report.min_sq - 1 / 81), abs(report.max_sq - 1 / 81))
     ok = (
-        report.passed
+        report.ok
         and report.dim == 81
         and worst <= 1e-9
         and elapsed <= 10.0
@@ -153,7 +153,7 @@ def test_criterion_03_order_three_unbiased_pairs():
         report = check_mub(
             qls_meb(qa, fam_a).states, qls_meb(qb, fam_b).states, tol=1e-9
         )
-        assert report.passed
+        assert report.ok
         worst = max(
             worst, abs(report.min_sq - 1 / 9), abs(report.max_sq - 1 / 9)
         )
@@ -174,8 +174,8 @@ def test_criterion_04_orthogonality_route_equivalence():
     r3 = cross_validate_lemma16(3)
     elapsed = time.perf_counter() - start
     ok = (
-        r2.consistent
-        and r3.consistent
+        r2.ok
+        and r3.ok
         and r2.pairs_checked == 4
         and r3.pairs_checked == 144
         and r3.positives == 72

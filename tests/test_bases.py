@@ -243,14 +243,14 @@ def test_check_mub_fourier_vs_computational():
     f = fourier(3).mat / np.sqrt(3)
     report = check_mub(np.eye(3), f)
     assert isinstance(report, MubReport)
-    assert report.passed
+    assert report.ok
     assert report.dim == 3
     assert_allclose([report.min_sq, report.max_sq], [1 / 3, 1 / 3], atol=1e-12)
 
 
 def test_check_mub_fails_on_identical_bases():
     report = check_mub(np.eye(3), np.eye(3))
-    assert not report.passed
+    assert not report.ok
     assert_allclose(report.max_sq, 1.0)
     assert_allclose(report.min_sq, 0.0)
 
@@ -280,14 +280,14 @@ def test_weakly_orthogonal_squares_give_unbiased_bases():
         fam_a = hadamard_family([random_hadamard(3, rng) for _ in range(3)])
         fam_b = hadamard_family([random_hadamard(3, rng) for _ in range(3)])
         report = check_mub(qls_meb(qa, fam_a).states, qls_meb(qb, fam_b).states)
-        assert report.passed
+        assert report.ok
         assert abs(report.max_sq - 1 / 9) <= 1e-12
 
 
 def test_same_square_does_not_give_unbiased_bases():
     fam = constant_family(fourier(3))
     basis = qls_meb(qls_of(CYCLIC3), fam)
-    assert not check_mub(basis.states, basis.states).passed
+    assert not check_mub(basis.states, basis.states).ok
 
 
 # ------------------------------------------------------------- phase match

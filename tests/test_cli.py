@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qlsmub import serialize
-from qlsmub.bases import MubReport, qls_meb
+from qlsmub.bases import MubReport, check_mub, qls_meb
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
-from qlsmub.hadamard import HadamardViolation, constant_family, fourier
+from qlsmub.hadamard import HadamardViolation, constant_family, fourier, validate_hadamard
 from qlsmub.numerics import DEFAULT_TOL
 from qlsmub.search import cross_validate_lemma16
 from qlsmub.squares import (
@@ -29,11 +29,13 @@ from qlsmub.squares import (
     computational_grid,
     left_conjugate,
     validate_qls,
+    weak_orth_witness,
 )
 from qlsmub.ueb import (
     MuUebReport,
     ObstructionReport,
     UebViolation,
+    check_mu_ueb,
     monomial_obstruction,
     shift_multiply_ueb,
     validate_ueb,
@@ -1284,6 +1286,42 @@ def test_a_json_report_is_the_stdlib_text(pinned_files, tmp_path, capsys, case):
     code, out, err = run(capsys, *[arg.format_map(paths) for arg in template], "--format", "json-report")
     assert code in (0, 1) and err == "" and piece in out
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def read_ueb(path):
+    return validate_ueb(serialize.read(path, "matrix-list"))
+
+
+# The library call behind each check command, on the command's arguments
+CHECK_CALLS = {
+    "validate-qls": lambda path: validate_qls(serialize.read(path, "grid")),
+    "validate-hadamard": lambda path: validate_hadamard(serialize.read(path, "matrix")),
+    "check-weak-orth": lambda q, p: weak_orth_witness(*(serialize.read(x, "grid") for x in (q, p))),
+    "check-ueb": read_ueb,
+    "check-mub": lambda a, b: check_mub(*(serialize.read(x, "basis") for x in (a, b))),
+    "check-mu-ueb": lambda a, b: check_mu_ueb(read_ueb(a), read_ueb(b)),
+    "monomial-obstruction": lambda path: monomial_obstruction(read_ueb(path)),
+    "search": lambda what, order: cross_validate_lemma16(int(order)),
+}
+# The PINNED_TEXT cases a check result reports, pass and violation
+CHECK_RESULT_CASES = ["search lemma16"] + [
+    case for case in sorted(PINNED_TEXT)
+    if case.split()[0] in CHECK_CALLS and case.split()[-1] in ("pass", "violation")
+]
+
+
+@pytest.mark.parametrize("case", CHECK_RESULT_CASES)
+def test_a_check_result_judges_and_renders_itself(pinned_files, capsys, case):
+    template, code, text = PINNED_TEXT[case]
+    argv = [arg.format_map(pinned_files) for arg in template]
+    result = CHECK_CALLS[argv[0]](*argv[1:])
+    assert result.ok is (code == 0)
+    assert "ok" not in {f.name for f in fields(result)}  # a verdict, never a report field
+    text = obstruction_text(argv[1]) if text is None else text
+    assert text == f"{result}\n" or text.endswith(f": {result}\n")  # after a prefix
+    doc = json.loads(run(capsys, *argv, "--format", "json-report")[1])
+    assert doc["ok"] is result.ok
+    assert not {"grid", "mat", "members"} & set(doc)  # a payload is never reported
 
 
 # ------------------------------------------------------------ parser reuse

@@ -216,10 +216,10 @@ def test_check_mub_passes_exactly_when_every_overlap_is_within_tol(latin, seed, 
     tol = 10.0**log_tol
     report = check_mub(a, b, tol)
     target = 1.0 / report.dim
-    assert report.passed == (report.max_dev <= tol)
+    assert report.ok == (report.max_dev <= tol)
     assert report.max_dev == max(abs(report.min_sq - target), abs(report.max_sq - target))
     overlaps = np.abs(a.states.conj() @ b.states.T) ** 2
-    assert report.passed == bool(np.all(np.abs(overlaps - target) <= tol))
+    assert report.ok == bool(np.all(np.abs(overlaps - target) <= tol))
 
 
 @PROPERTY
@@ -285,7 +285,7 @@ def test_unbiased_uebs_are_unbiased_dual_bases(latin, seed, log_tol):
     by_states = check_mub(ueb_to_meb(u), ueb_to_meb(v), tol)
     assert_allclose(by_traces.min_sq, by_states.min_sq, rtol=0, atol=1e-15)
     assert_allclose(by_traces.max_sq, by_states.max_sq, rtol=0, atol=1e-15)
-    assert by_traces.passed == by_states.passed
+    assert by_traces.ok == by_states.ok
 
 
 @PROPERTY
@@ -465,7 +465,7 @@ def passes(check, *args) -> bool:
     except ValueError:
         return False
     if isinstance(result, MubReport):
-        return result.passed
+        return result.ok
     return result is True or isinstance(
         result, (HadamardMatrix, UnitaryErrorBasis, QuantumLatinSquare, WeakOrthWitness)
     )
@@ -546,7 +546,7 @@ def test_linear_grids_give_n_minus_one_mubs_at_prime_orders(n):
         assert is_orthonormal_basis(basis)
         assert all(is_maximally_entangled(state) for state in basis.states)
     for a, b in combinations(bases, 2):
-        assert check_mub(a, b).passed
+        assert check_mub(a, b).ok
 
 
 def test_product_grids_give_mubs_at_order_27():
@@ -566,7 +566,7 @@ def test_product_grids_give_mubs_at_order_27():
         assert is_orthonormal_basis(basis)
         assert len(basis.states) == 729
         assert all(is_maximally_entangled(state) for state in basis.states)
-    assert check_mub(a, b).passed
+    assert check_mub(a, b).ok
 
 
 def test_product_grids_give_mubs_at_order_36():
@@ -585,7 +585,7 @@ def test_product_grids_give_mubs_at_order_36():
         assert is_orthonormal_basis(basis)
         assert len(basis.states) == 1296
         assert all(is_maximally_entangled(state) for state in basis.states)
-    assert check_mub(a, b).passed
+    assert check_mub(a, b).ok
 
 
 def test_the_order_18_product_is_obstructed():

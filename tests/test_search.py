@@ -78,7 +78,7 @@ def test_orthogonal_pairs_cap():
 def test_cross_validation_agrees(n, positives):
     report = cross_validate_lemma16(n)
     assert isinstance(report, EquivalenceReport)
-    assert report.consistent
+    assert report.ok
     assert report.disagreements == []
     assert report.pairs_checked == KNOWN_COUNTS[n] ** 2
     assert report.positives == positives

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -94,6 +95,24 @@ def test_validate_accepts_existing_instance():
     assert_allclose(again.members, u.members)
 
 
+def test_a_unitary_error_basis_holds_a_read_only_copy():
+    members = np.stack([EYE2, X, Z, X @ Z])
+    u = UnitaryErrorBasis(2, members)
+    members[1] = Z  # the caller's array stays the caller's
+    assert_allclose(u.member(0, 1), X)
+    assert_allclose(u.member(1, 1), X @ Z)
+    with pytest.raises(ValueError, match="read-only"):
+        u.members[0, 0, 0] = 2
+    # C order, which orjson writes without a per-element fallback
+    assert UnitaryErrorBasis(2, members.transpose(0, 2, 1)).members.flags.c_contiguous
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.n = 3
+    assert repr(u) == "UnitaryErrorBasis(n=2)"
+    assert u.ok and str(u) == "valid unitary error basis of order 2 (4 members)"
+    with pytest.raises(ValueError, match=r"expected 4 matrices of size 2x2, got shape \(3, 2, 2\)"):
+        UnitaryErrorBasis(2, members[:3])
+
+
 # ----------------------------------------------------------------- duality
 
 
@@ -185,7 +204,7 @@ def test_mu_ueb_of_dual_unbiased_pair():
     ua = shift_multiply_ueb(qls_of(left_conjugate(CYCLIC3)), fam_a)
     ub = shift_multiply_ueb(qls_of(left_conjugate(twisted)), fam_b)
     report = check_mu_ueb(ua, ub)
-    assert report.passed
+    assert report.ok
     assert report.dim == 9
     # raw squared trace moduli sit near 1, not near 1/n
     assert_allclose([report.raw_trace_sq_min, report.raw_trace_sq_max], [1, 1], atol=1e-9)
@@ -194,7 +213,7 @@ def test_mu_ueb_of_dual_unbiased_pair():
 def test_mu_ueb_fails_on_self():
     u = pauli_basis()
     report = check_mu_ueb(u, u)
-    assert not report.passed
+    assert not report.ok
     assert_allclose(report.max_sq, 1.0)
 
 
@@ -233,6 +252,12 @@ def test_obstruction_detects_fixture_basis():
         -0.39313616793866807 - 1.3422555533689478j,
         atol=1e-6,
     )
+
+
+def test_an_obstruction_report_is_ok_when_nothing_is_proved():
+    clean, obstructed = monomial_obstruction(pauli_basis()), monomial_obstruction(fixture_ueb())
+    assert (clean.obstructed, clean.ok) == (False, True)
+    assert (obstructed.obstructed, obstructed.ok) == (True, False)
 
 
 def test_obstruction_all_zero_norms_give_the_first_pair():
