@@ -9,38 +9,34 @@ row i*n + j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hadamard import HadamardFamily, HadamardMatrix
-from .numerics import DEFAULT_TOL, as_state_vector, first_gram_defect, frobenius_norms
+from .numerics import DEFAULT_TOL, as_state_vector, first_gram_defect, frobenius_norms, owned
 from .squares import LatinSquare, QuantumLatinSquare
 
 
+@dataclass(frozen=True, eq=False)
 class BipartiteBasis:
     """n^2 states of C^n (x) C^n, one per label (i, j), stored row-wise."""
 
-    __slots__ = ("n", "states")
+    n: int
+    states: np.ndarray = field(repr=False)
 
-    def __init__(self, n: int, states):
-        arr = np.asarray(states, dtype=np.complex128)
+    def __post_init__(self):
+        n, arr = self.n, owned(self.states, np.complex128)
         if arr.shape != (n * n, n * n):
             raise ValueError(
                 f"expected {n * n} states of dimension {n * n}, got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
             raise ValueError("basis contains NaN or Inf amplitudes")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.n = n
-        self.states = arr
+        object.__setattr__(self, "states", arr)
 
     def state(self, i: int, j: int) -> np.ndarray:
         return self.states[i * self.n + j]
-
-    def __repr__(self) -> str:
-        return f"BipartiteBasis(n={self.n})"
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .hadamard import HadamardMatrix, fourier, tensor_hadamard
-from .numerics import kron
 from .squares import VectorGrid
 
 # Symbol tables for the three grids.  Digits are computational basis vectors;
@@ -155,7 +154,7 @@ def hadamard_9_printed() -> np.ndarray:
 
     Returned as a plain array because it does not validate.
     """
-    mat = kron(fourier(3).mat, fourier(3).mat)
+    mat = np.kron(fourier(3).mat, fourier(3).mat)
     mat[4] = mat[3]
     return mat
 

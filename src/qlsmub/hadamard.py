@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, first_gram_defect, kron
+from .numerics import DEFAULT_TOL, first_gram_defect, owned
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,6 +20,9 @@ class HadamardMatrix:
     ok = True
     mat: np.ndarray = field(metadata={"report": None})
     tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        object.__setattr__(self, "mat", owned(self.mat, np.complex128))
 
     @property
     def n(self) -> int:
@@ -125,7 +128,7 @@ def fourier(n: int) -> HadamardMatrix:
 
 def tensor_hadamard(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product of two Hadamards, revalidated at the joint order."""
-    result = validate_hadamard(kron(a.mat, b.mat), min(a.tol, b.tol))
+    result = validate_hadamard(np.kron(a.mat, b.mat), min(a.tol, b.tol))
     if not result.ok:
         raise ValueError(f"tensor product failed validation: {result}")
     return result
@@ -175,7 +178,7 @@ def random_hadamard(n: int, rng: np.random.Generator) -> HadamardMatrix:
     """
     mat = np.ones((1, 1), dtype=np.complex128)
     for d in _random_ordered_factorization(n, rng):
-        mat = kron(mat, fourier(d).mat)
+        mat = np.kron(mat, fourier(d).mat)
     mat = mat[rng.permutation(n)][:, rng.permutation(n)]
     mat = np.exp(2j * np.pi * rng.random(n))[:, None] * mat
     mat = mat * np.exp(2j * np.pi * rng.random(n))[None, :]

@@ -2,7 +2,8 @@
 
 Everything operates on plain numpy arrays with ``complex128`` entries and is
 pure: inputs are never mutated.  Tolerances are absolute unless stated
-otherwise.
+otherwise.  :func:`owned` makes the read-only copy that every value type of
+the package holds in place of its input.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ def as_state_vector(v) -> np.ndarray:
     return arr
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with complex128 output."""
-    return np.kron(
-        np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    )
+def owned(array, dtype) -> np.ndarray:
+    """A read-only C-order copy of ``array`` as ``dtype``, which no other
+    reference can change: a value type validates and holds this copy."""
+    arr = np.array(array, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 def first_gram_defect(grams, scale: float, tol: float):

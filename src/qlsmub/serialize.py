@@ -189,13 +189,13 @@ def to_doc(kind: str, array) -> dict:
     payload a C-contiguous array: float64 [re, im] pairs, or int64 cells.  An
     empty axis, which nested lists cannot carry, raises :class:`SerializeError`."""
     schema = SCHEMAS[kind]
-    arr = np.asarray(array, dtype=np.complex128 if schema.pairs else np.int64)
+    arr = np.array(array, dtype=np.complex128 if schema.pairs else np.int64, order="C")
     if 0 in arr.shape:
         raise SerializeError(f"cannot write a {kind} document with an empty axis {arr.shape}")
     doc = {"format": FORMAT, "kind": kind}
     for key, size in zip(schema.axes, arr.shape):
         doc[key] = isqrt(size) if schema.square else size
-    doc[schema.payload] = np.stack([arr.real, arr.imag], axis=-1) if schema.pairs else arr.copy()
+    doc[schema.payload] = arr.view(np.float64).reshape(*arr.shape, 2) if schema.pairs else arr
     return doc
 
 

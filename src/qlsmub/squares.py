@@ -13,23 +13,22 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, first_gram_defect
+from .numerics import DEFAULT_TOL, first_gram_defect, owned
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class VectorGrid:
     """Square array of complex vectors, shape (n, n, n): (row, col, component)."""
 
-    __slots__ = ("array",)
+    array: np.ndarray
 
-    def __init__(self, array):
-        arr = np.asarray(array, dtype=np.complex128)
+    def __post_init__(self):
+        arr = owned(self.array, np.complex128)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"expected an (n, n, n) array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("grid contains NaN or Inf entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.array = arr
+        object.__setattr__(self, "array", arr)
 
     @property
     def n(self) -> int:
@@ -42,13 +41,14 @@ class VectorGrid:
         return f"VectorGrid(n={self.n})"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class LatinSquare:
     """Integer table where every row and column is a permutation of 0..n-1."""
 
-    __slots__ = ("cells",)
+    cells: np.ndarray
 
-    def __init__(self, cells):
-        arr = np.asarray(cells, dtype=np.int64)
+    def __post_init__(self):
+        arr = owned(self.cells, np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a square table, got shape {arr.shape}")
         n = arr.shape[0]
@@ -57,9 +57,7 @@ class LatinSquare:
             bad = np.flatnonzero((np.sort(lines, axis=1) != target).any(axis=1))
             if bad.size:
                 raise ValueError(f"{line} {bad[0]} is not a permutation of 0..{n - 1}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.cells = arr
+        object.__setattr__(self, "cells", arr)
 
     @property
     def n(self) -> int:
@@ -201,6 +199,9 @@ class WeakOrthWitness:
     ok = True
     n: int
     table: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", owned(self.table, np.int64))
 
     def __str__(self) -> str:
         rows = ("  " + " ".join(str(int(x)) for x in row) for row in self.table)

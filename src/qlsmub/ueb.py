@@ -17,7 +17,7 @@ import numpy as np
 
 from .bases import BipartiteBasis, MubReport, extract_unitaries
 from .hadamard import HadamardFamily
-from .numerics import DEFAULT_TOL, first_gram_defect, frobenius_norms, lcm_up_to, mat_power
+from .numerics import DEFAULT_TOL, first_gram_defect, frobenius_norms, lcm_up_to, mat_power, owned
 from .squares import QuantumLatinSquare
 
 
@@ -32,11 +32,9 @@ class UnitaryErrorBasis:
     members: np.ndarray = field(repr=False, metadata={"report": None})
 
     def __post_init__(self):
-        n = self.n
-        arr = np.array(self.members, dtype=np.complex128, order="C")  # orjson writes C order fast
+        n, arr = self.n, owned(self.members, np.complex128)
         if arr.shape != (n * n, n, n):
             raise ValueError(f"expected {n * n} matrices of size {n}x{n}, got shape {arr.shape}")
-        arr.setflags(write=False)
         object.__setattr__(self, "members", arr)
 
     def member(self, i: int, j: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from qlsmub.fixtures import (
     random_orthonormal_triple,
 )
 from qlsmub.hadamard import HadamardMatrix, HadamardViolation, fourier, validate_hadamard
-from qlsmub.numerics import kron
 from qlsmub.squares import (
     GridViolation,
     QuantumLatinSquare,
@@ -164,7 +163,7 @@ def test_grids_accept_replacement_triples():
 def test_corrected_hadamard_is_fourier_square():
     h = hadamard_9_corrected()
     assert isinstance(h, HadamardMatrix)
-    assert_allclose(h.mat, kron(fourier(3).mat, fourier(3).mat))
+    assert_allclose(h.mat, np.kron(fourier(3).mat, fourier(3).mat))
 
 
 def test_printed_hadamard_defect():

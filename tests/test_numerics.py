@@ -7,7 +7,6 @@ from qlsmub.numerics import (
     first_gram_defect,
     frobenius_norms,
     is_permutation_matrix,
-    kron,
     lcm_up_to,
     mat_power,
 )
@@ -16,19 +15,6 @@ from helpers import is_monomial, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def test_kron_identities():
-    assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-    top = kron(X, np.eye(2))
-    assert_allclose(top[:2, 2:], np.eye(2))
-    assert_allclose(top[:2, :2], np.zeros((2, 2)))
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(0)
-    a, b, c = (rng.integers(-3, 4, (2, 2)) for _ in range(3))
-    assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
 def test_gram_defect_scan_of_one_matrix():

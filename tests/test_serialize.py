@@ -53,6 +53,14 @@ def test_round_trip_is_canonical(kind):
     assert from_doc(to_doc(kind, SAMPLES[kind]), kind).tobytes() == back.tobytes()
 
 
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_a_strided_input_gives_a_c_ordered_payload(kind):
+    strided = SAMPLES[kind].swapaxes(-1, -2)
+    doc = to_doc(kind, strided)
+    assert doc[SCHEMAS[kind].payload].flags.c_contiguous
+    assert dumps(doc) == dumps(to_doc(kind, np.ascontiguousarray(strided)))
+
+
 def test_file_round_trip(tmp_path):
     path = str(tmp_path / "square.json")
     save_path(path, to_doc("latin", CYCLIC3.cells))

@@ -237,6 +237,7 @@ def test_witness_missing_unit():
     assert isinstance(f, WeakOrthFailure)
     assert (f.q_row, f.p_row, f.kind) == (0, 0, "missing-unit")
     assert f.column is None and f.value is None
+    assert str(f) == "rows (0, 0): no columnwise inner product equals 1 (off by 1.000e+00)"
 
 
 def test_witness_stray_value():

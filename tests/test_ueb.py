@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -8,9 +9,21 @@ from numpy.testing import assert_allclose
 
 from qlsmub.bases import BipartiteBasis, qls_meb
 from qlsmub.fixtures import fixture, hadamard_9_corrected
-from qlsmub.hadamard import constant_family, fourier, hadamard_family, random_hadamard
-from qlsmub.numerics import kron
-from qlsmub.squares import LatinSquare, computational_grid, validate_qls
+from qlsmub.hadamard import (
+    constant_family,
+    fourier,
+    hadamard_family,
+    random_hadamard,
+    validate_hadamard,
+)
+from qlsmub.squares import (
+    LatinSquare,
+    VectorGrid,
+    computational_grid,
+    left_conjugate,
+    validate_qls,
+    weak_orth_witness,
+)
 from qlsmub.ueb import (
     ObstructionReport,
     UebViolation,
@@ -30,6 +43,7 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
+TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
 
 
 def pauli_basis() -> UnitaryErrorBasis:
@@ -61,6 +75,10 @@ def test_validate_rejects_wrong_count():
     assert isinstance(v, UebViolation) and v.kind == "count"
     v = validate_ueb(np.ones((4, 2, 3)))
     assert isinstance(v, UebViolation) and v.kind == "count"
+    v = validate_ueb([EYE2, X, Z, np.eye(3)])  # ragged: no one array holds them
+    assert isinstance(v, UebViolation) and v.kind == "count"
+    with pytest.raises(ValueError, match=r"expected 4 matrices of size 2x2, got shape \(3, 2, 2\)"):
+        UnitaryErrorBasis(2, [EYE2, X, Z])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -95,22 +113,64 @@ def test_validate_accepts_existing_instance():
     assert_allclose(again.members, u.members)
 
 
-def test_a_unitary_error_basis_holds_a_read_only_copy():
-    members = np.stack([EYE2, X, Z, X @ Z])
-    u = UnitaryErrorBasis(2, members)
-    members[1] = Z  # the caller's array stays the caller's
-    assert_allclose(u.member(0, 1), X)
-    assert_allclose(u.member(1, 1), X @ Z)
+# ------------------------------------------------------------- ownership
+
+# Every value type that holds an array: its input, how it is built from it,
+# the attribute path to the array it holds, and its repr.
+OWNERS = {
+    "VectorGrid": (
+        computational_grid(CYCLIC3).array, VectorGrid, "array", "VectorGrid(n=3)"
+    ),
+    "LatinSquare": (
+        CYCLIC3.cells, LatinSquare, "cells", "LatinSquare([[0, 1, 2], [1, 2, 0], [2, 0, 1]])"
+    ),
+    "BipartiteBasis": (
+        np.eye(4, dtype=complex), lambda a: BipartiteBasis(2, a), "states", "BipartiteBasis(n=2)"
+    ),
+    "UnitaryErrorBasis": (
+        np.stack([EYE2, X, Z, X @ Z]),
+        lambda a: UnitaryErrorBasis(2, a),
+        "members",
+        "UnitaryErrorBasis(n=2)",
+    ),
+    "HadamardMatrix": (
+        np.array([[1, 1], [1, -1]], dtype=complex),
+        validate_hadamard,
+        "mat",
+        "HadamardMatrix(mat=array([[ 1.+0.j,  1.+0.j],\n       [ 1.+0.j, -1.+0.j]]), tol=1e-09)",
+    ),
+    "QuantumLatinSquare": (
+        computational_grid(CYCLIC3).array,
+        lambda a: validate_qls(VectorGrid(a)),
+        "grid.array",
+        "QuantumLatinSquare(grid=VectorGrid(n=3), tol=1e-09)",
+    ),
+    "WeakOrthWitness": (
+        computational_grid(left_conjugate(CYCLIC3)).array,
+        lambda a: weak_orth_witness(VectorGrid(a), computational_grid(left_conjugate(TWISTED3))),
+        "table",
+        "WeakOrthWitness(n=3, table=array([[0, 1, 2],\n       [2, 0, 1],\n       [1, 2, 0]]))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWNERS))
+def test_a_value_holds_a_read_only_copy_of_its_input(name):
+    source, build, path, text = OWNERS[name]
+    given = np.array(source, order="F")  # a writable array the caller keeps
+    value = build(given)
+    *outer, attr = path.split(".")
+    holder = functools.reduce(getattr, outer, value)
+    held = getattr(holder, attr)
+    kept = held.copy()
+    given[...] = 0  # the caller's array stays the caller's
+    assert np.array_equal(held, kept)
+    assert held.flags.c_contiguous
     with pytest.raises(ValueError, match="read-only"):
-        u.members[0, 0, 0] = 2
-    # C order, which orjson writes without a per-element fallback
-    assert UnitaryErrorBasis(2, members.transpose(0, 2, 1)).members.flags.c_contiguous
+        held[(0,) * held.ndim] = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
-        u.n = 3
-    assert repr(u) == "UnitaryErrorBasis(n=2)"
-    assert u.ok and str(u) == "valid unitary error basis of order 2 (4 members)"
-    with pytest.raises(ValueError, match=r"expected 4 matrices of size 2x2, got shape \(3, 2, 2\)"):
-        UnitaryErrorBasis(2, members[:3])
+        setattr(holder, attr, kept)
+    assert repr(value) == text
 
 
 # ----------------------------------------------------------------- duality
@@ -263,7 +323,7 @@ def test_an_obstruction_report_is_ok_when_nothing_is_proved():
 def test_obstruction_all_zero_norms_give_the_first_pair():
     # the powers of these untranslated bases are exactly +-I, so every
     # commutator norm is 0.0 and the tie goes to pair (0, 1)
-    tensor_pauli = [kron(a, b) for a in (EYE2, X, Z, X @ Z) for b in (EYE2, X, Z, X @ Z)]
+    tensor_pauli = [np.kron(a, b) for a in (EYE2, X, Z, X @ Z) for b in (EYE2, X, Z, X @ Z)]
     for members in ([EYE2, X, Z, X @ Z], tensor_pauli):
         report = monomial_obstruction(validate_ueb(members))
         assert (report.worst_pair, report.worst_norm, report.sample_entry) == ((0, 1), 0.0, 0j)
@@ -322,7 +382,7 @@ def test_obstruction_order_twenty_monomial_equivalent_is_not_obstructed():
 
 
 def test_obstruction_tensor_pauli_clean():
-    members = [kron(a, b) for a in (EYE2, X, Z, X @ Z) for b in (EYE2, X, Z, X @ Z)]
+    members = [np.kron(a, b) for a in (EYE2, X, Z, X @ Z) for b in (EYE2, X, Z, X @ Z)]
     u = validate_ueb(members)
     assert isinstance(u, UnitaryErrorBasis)
     report = monomial_obstruction(u)
