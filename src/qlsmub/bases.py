@@ -86,7 +86,7 @@ class MubReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseMatch:
     """Result of matching two bases state-for-state up to phase.
 

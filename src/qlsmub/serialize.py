@@ -13,10 +13,14 @@ so only one run's lists are ever alive.  ``from_doc`` takes such an array or
 nested lists.
 
 orjson is the codec.  Reading is strict RFC 8259.  Writing gives exactly the
-stdlib's ``indent=2`` text: orjson writes the whole document, arrays included,
-and spells its floats as ``repr`` does once a few exponent forms are
-re-spelled.  The stdlib writes it only when orjson refuses it, or when
-orjson's text holds ``null`` or a byte from 0x7f up.
+stdlib's ``indent=2`` text: orjson writes the whole document, arrays included
+as lists of their rows, and spells its floats as ``repr`` does once a few
+forms are re-spelled.  Those are found without a search of the text for
+anything but the byte ``e``: an array's values 0 < |v| < 1e-4, which orjson
+spells ``0.0000...``, are found from the array and written as a sentinel that
+orjson spells with an ``e``.  The stdlib writes the document only when
+orjson refuses it, or when orjson's text holds ``null`` or a byte from 0x7f
+up.
 """
 
 from __future__ import annotations
@@ -77,25 +81,58 @@ def dumps(doc: dict) -> str:
 
 
 def _encode(doc: dict) -> list:
-    """The text of ``dumps(doc)`` as UTF-8 pieces: bytes, or views of orjson's."""
+    """The text of ``dumps(doc)`` as UTF-8 pieces: bytes, or views of orjson's.
+
+    orjson writes ``doc`` with the small values of its arrays marked, found
+    from the arrays (:func:`_orjson_text`), and :func:`_respelled` writes each
+    marked value back in ``repr``'s spelling.  The stdlib, when it writes,
+    gets ``doc`` itself, never the marked rows."""
     _check_spelling()
-    option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
-    if all(type(v) in (str, int) or type(v) is np.ndarray and v.dtype in _NATIVE and v.flags.c_contiguous
-           for v in doc.values()):  # shaped as to_doc's
-        option |= orjson.OPT_SERIALIZE_NUMPY
     try:
-        text = orjson.dumps(doc, option=option)
+        text, small = _orjson_text(doc)
     except TypeError:  # an int wider than 64 bits, a float subclass, a non-str key, a cycle, an array
         text = None
     if text is None or _holds_null(text) or not text.isascii() or b"\x7f" in text:
         return [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_listed).encode(), b"\n"]
-    return _respelled(text) + [b"\n"]
+    return _respelled(text, small) + [b"\n"]
 
 
 # the payload dtypes, native-endian: the arrays orjson writes as the stdlib
 # writes their tolist(), if C-contiguous too.  orjson writes float32 at
 # float32's shortest digits and a byte-swapped array as if it were native.
 _NATIVE = (np.dtype(np.float64), np.dtype(np.int64))
+
+# a float that orjson spells with an "e", written in place of each payload
+# value 0 < |v| < 1e-4, which it would spell as 0.0000...
+_SENTINEL, _SENTINEL_TEXT = 1e-300, b"1e-300"
+
+
+def _orjson_text(doc: dict) -> tuple[bytes, np.ndarray | None]:
+    """orjson's indented text of ``doc`` with sorted keys, and the floats
+    that :func:`_respelled` writes in place of its sentinels, in text order.
+
+    A document shaped as ``to_doc``'s, each value a str, an int or a
+    C-contiguous native array of two or more axes, goes to orjson with each
+    array as the list of its rows, views of it.  The values 0 < |v| < 1e-4 of
+    a float64 array are marked from the array: only the rows that hold one
+    are copied, each such value there replaced by ``_SENTINEL``, and the
+    values come back in sorted-key, C order.  Any other document goes to
+    orjson as it is, and the floats come back as None.
+    """
+    option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+    if not all(type(v) in (str, int) or type(v) is np.ndarray and v.dtype in _NATIVE and v.flags.c_contiguous
+               and v.ndim > 1 for v in doc.values()):
+        return orjson.dumps(doc, option=option), None
+    given, small = dict(doc), [np.empty(0)]
+    for key in sorted(key for key, value in doc.items() if type(value) is np.ndarray):
+        arr = doc[key]
+        given[key] = rows = list(arr)
+        if arr.dtype == np.float64:
+            marked = (arr < 1e-4) & (arr > -1e-4) & (arr != 0)  # no float temporary the size of arr
+            for i in np.flatnonzero(marked.reshape(len(arr), -1).any(axis=1)):
+                rows[i] = np.where(marked[i], _SENTINEL, rows[i])
+            small.append(arr[marked])
+    return orjson.dumps(given, option=option | orjson.OPT_SERIALIZE_NUMPY), np.concatenate(small)
 
 
 def _listed(value):
@@ -116,57 +153,69 @@ def _holds_null(text: bytes) -> bool:
 
 # floats that orjson may spell differently from repr: integral, exponent and
 # small forms, and the ends of the doubles; under keys too, one holding an
-# "e"; and in arrays, which orjson spells by its own code, with int64's ends
+# "e"; and in arrays, which orjson spells by its own code, with int64's ends,
+# and small floats marked in two keys, in rows beside rows without one
 _FLOATS = [100.0, 1e15, 1e16, 1e22, 0.0001, 1e-05, 1.5e-07, -0.0, 0.1, 5e-324, 1.7976931348623157e308, 7]
-_PROBE = {
-    "e": 1,
-    "float": 1e16,
-    "floats": _FLOATS,
-    "ints": np.array([[-2**63, 0], [7, 2**63 - 1]], dtype=np.int64),
-    "pairs": np.array(_FLOATS, dtype=np.float64).reshape(-1, 2),
-    "tol": 1e-09,
-}
+_PROBES = (
+    {"e": 1, "float": 1e16, "floats": _FLOATS, "tol": 1e-09},
+    {
+        "e": 1,
+        "ints": np.array([[-2**63, 0], [7, 2**63 - 1]], dtype=np.int64),
+        "pairs": np.array(_FLOATS + [_SENTINEL, -9.999999999999999e-05], dtype=np.float64).reshape(-1, 2),
+        "a": np.array([[-3e-05, 0.5], [2.0, 1e-300]]),
+    },
+)
 
 
 @cache
 def _check_spelling() -> None:
-    """Raise unless the installed orjson's text of ``_PROBE``, re-spelled, is
-    the stdlib's: orjson does not promise the float notation that
-    :func:`_respelled` undoes, nor that it spells an array as its list."""
-    option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-    text = orjson.dumps(_PROBE, option=option)
-    if b"".join(_respelled(text)) != json.dumps(_PROBE, sort_keys=True, indent=2, default=_listed).encode():
-        raise RuntimeError(f"orjson {orjson.__version__} spells floats as this module cannot re-spell")
+    """Raise unless the installed orjson's text of each of ``_PROBES``, as
+    :func:`_encode` has it written and re-spelled, is the stdlib's: orjson
+    does not promise the float notation that :func:`_respelled` undoes, the
+    sentinel's spelling, nor that it spells an array or a list of rows as
+    the list it holds."""
+    for probe in _PROBES:
+        if b"".join(_respelled(*_orjson_text(probe))) != json.dumps(
+                probe, sort_keys=True, indent=2, default=_listed).encode():
+            raise RuntimeError(f"orjson {orjson.__version__} spells floats as this module cannot re-spell")
 
 
-def _respelled(text: bytes) -> list:
+def _respelled(text: bytes, small: np.ndarray | None) -> list:
     """``text``, orjson's indented text of a document, in pieces, with each
     float spelled as ``repr`` spells it.
 
     orjson prints the same shortest round-trip digits as ``repr``, so only the
     notation can differ, and only in a token with an ``e`` (1e16 for 1e+16,
-    1.5e-7 for 1.5e-07) or a ``0.0000`` (0.00001 for 1e-05).  Each number ends
-    a line of its own, after the line's last ``": `` on a key line, which
+    1.5e-7 for 1.5e-07) or a ``0.0000`` (0.00001 for 1e-05).  The second
+    kind comes only from values 0 < |v| < 1e-4.  In an array payload,
+    :func:`_orjson_text` has written each of them as the sentinel ``1e-300``
+    and gives them as ``small``, in the text's order, so the lines to re-spell
+    are found by the one-byte ``e`` search alone and each sentinel becomes
+    ``repr`` of the next value.  Only a document written as it is
+    (``small`` None) is searched for ``0.0000`` too.  Each number ends a line
+    of its own, after the line's last ``": `` on a key line, which
     ``repr(float(token))`` rewrites exactly.  A token is a number if it starts
     with ``-`` or a digit and ends in a digit: a string ends in ``"``.  The
     other pieces are views of ``text``, so it is never copied.
     """
     lines = set()
-    for needle in (b"e", b"0.0000"):
+    for needle in (b"e",) if small is not None else (b"e", b"0.0000"):
         at = text.find(needle)
         while at >= 0:
             end = text.find(b"\n", at) % (len(text) + 1)  # the last line has no newline
             lines.add((text.rfind(b"\n", 0, at) + 1, end))
             at = text.find(needle, end)
     view, pieces, done = memoryview(text), [], 0
+    originals = iter(() if small is None else small.tolist())
     for start, end in sorted(lines):
         key = text.rfind(b'": ', start, end)
         start = start if key < 0 else key + 3
         line = text[start:end]  # indentation or a key, one value, maybe a comma
         token = line.strip(b" ,")
         if token[:1] in b"-0123456789" and token[-1:].isdigit() and (b"e" in token or b"0.0000" in token):
+            value = next(originals) if token == _SENTINEL_TEXT and small is not None else float(token)
             at = start + line.index(token)
-            pieces += [view[done:at], repr(float(token)).encode()]
+            pieces += [view[done:at], repr(value).encode()]
             done = at + len(token)
     return pieces + [view[done:]]
 
@@ -333,12 +382,15 @@ def _loads_in_runs(text: bytes) -> dict | None:
     orjson keeps a parsed copy of its input while it builds the objects, and
     nested lists cost many times their array; each run is made an array as
     soon as it is parsed, so the copy and the lists alive are one run's.
-    Runs are cut where the canonical layout puts ``_NEXT``.  Each must be a
-    regular array of JSON numbers (:func:`_run_array`) with the element
-    shape of the others.  The rest of the text, with ``[]`` in the list's
-    place, must parse to an object whose only occurrence of the list's key
-    holds that ``[]``, the payload key of its kind; the text is that object
-    with the runs joined there.  Anything else, such as an escape in the
+    Runs are cut where the canonical layout puts ``_NEXT``, and the last one
+    ends at the text's last ``_CLOSE``, found from the end so that no search
+    walks the last run's bytes; a close after the payload's is another
+    key's, whose ``"`` the run then holds.  Each run must be a regular array
+    of JSON numbers (:func:`_run_array`) with the element shape of the
+    others.  The rest of the text, with ``[]`` in the list's place, must
+    parse to an object whose only occurrence of the list's key holds that
+    ``[]``, the payload key of its kind; the text is that object with the
+    runs joined there.  Anything else, such as an escape in the
     rest, is left to the whole parse, which also words the error for text
     that is not JSON.
     """
@@ -350,7 +402,7 @@ def _loads_in_runs(text: bytes) -> dict | None:
         while (end := text.find(_NEXT, start + _RUN)) >= 0:
             runs.append(_run_array(text, start, end + 6))
             start = end + 7
-        end = text.find(_CLOSE, start)
+        end = text.rfind(_CLOSE, start)
         if end < 0:
             return None
         runs.append(_run_array(text, start, end + 6))

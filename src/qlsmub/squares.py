@@ -191,7 +191,7 @@ def are_left_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     return are_orthogonal(left_conjugate(a), left_conjugate(b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakOrthWitness:
     """Success record: ``table[i, j]`` is the unique column where row i of the
     first grid and row j of the second have componentwise inner product 1."""

@@ -439,20 +439,20 @@ NUMBERS = st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS), st.integers(-2**60, 2*
 
 
 @st.composite
-def documents(draw):
+def documents(draw, numbers=NUMBERS):
     """A ``to_doc`` document of a random kind and shape, its payload the array
     ``to_doc`` builds, or at times [re, im] leaves in nested lists of a mix of
-    Python ints and floats."""
+    Python ints and floats; the floats are drawn from ``numbers``."""
     kind = draw(st.sampled_from(sorted(SCHEMAS)))
     schema = SCHEMAS[kind]
     sizes = {key: draw(st.integers(1, 3)) for key in schema.axes}
     shape = tuple(sizes[key] ** 2 if schema.square else sizes[key] for key in schema.axes)
     if not schema.pairs:
         return to_doc(kind, draw(arrays(np.int64, shape)))
-    parts = draw(arrays(np.float64, shape + (2,), elements=NUMBERS))
+    parts = draw(arrays(np.float64, shape + (2,), elements=numbers))
     doc = to_doc(kind, parts.view(np.complex128)[..., 0])
     if draw(st.booleans()):
-        leaves = st.one_of(st.integers(), NUMBERS)
+        leaves = st.one_of(st.integers(), numbers)
         doc[schema.payload] = draw(arrays(object, shape + (2,), elements=leaves)).tolist()
     return doc
 

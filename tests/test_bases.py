@@ -300,6 +300,16 @@ def test_phase_match_identity():
     assert_allclose(m.phases, np.ones(4), atol=1e-12)
 
 
+def test_phase_match_equality_is_identity_and_it_hashes():
+    """A match holds arrays, so ``==`` compares identity rather than raising
+    on the arrays' truth value."""
+    basis = qls_meb(qls_of(CYCLIC3), constant_family(fourier(3)))
+    a, b = bases_match_up_to_phase(basis, basis), bases_match_up_to_phase(basis, basis)
+    assert a.matched and a.pairing.tolist() == b.pairing.tolist()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_phase_match_reconstruction():
     rng = np.random.default_rng(23)
     a = random_unitary(4, rng)

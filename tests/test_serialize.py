@@ -222,9 +222,23 @@ JSON_VALUES = st.recursive(
 )
 REPORTS = st.dictionaries(TEXT, JSON_VALUES | documents(), max_size=6)
 
+# floats at the edges of the payload values that the writer marks, 0 < |v| <
+# 1e-4, one ulp to each side too, and of orjson's other spellings; 1e-300 is
+# the value of the sentinel itself
+MARK_EDGES = [float(x) for v in (1e-05, -1e-05, 1e-04, -1e-04)
+              for x in (np.nextafter(v, 0.0), v, np.nextafter(v, 2 * v))]
+MARK_EDGES += [9.999999999999999e-05, 5e-324, 1e-300, 1e16, 1e22, -0.0]
+# amplitudes log-uniform over [1e-7, 1e-2], of either sign
+SMALL = st.builds(lambda sign, power: sign * 10.0 ** power, st.sampled_from([1.0, -1.0]), st.floats(-7, -2))
+
+
+def _pairs(values, *shape) -> np.ndarray:
+    """The complex array whose [re, im] pairs are ``values``, in C order."""
+    return np.array(values, dtype=np.float64).reshape(*shape, 2).view(np.complex128)[..., 0]
+
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.one_of(documents(), REPORTS))
+@given(st.one_of(documents(), REPORTS, documents(st.sampled_from(MARK_EDGES) | SMALL)))
 @example({})
 @example({"ragged": [[1, 2], [3]], "deeper": [[1, 2], [3, [4]]], "shallower": [[[1]], [2]]})
 @example({"empty": [], "empty rows": [[], []], "bools": [[0, True], [1, False]]})
@@ -237,11 +251,17 @@ REPORTS = st.dictionaries(TEXT, JSON_VALUES | documents(), max_size=6)
 @example({"s": "null", "n": None})
 @example({"big": 2**64 - 1, "small": -2**63, "wide": 2**64})
 @example({"d": {"a": [1e-07, {"b": 1e-05}]}})
+@example(to_doc("matrix", _pairs(MARK_EDGES, 3, 3)))
+@example(to_doc("matrix-list", _pairs(MARK_EDGES, 3, 1, 3)))
+@example({"format": FORMAT, "z": np.array([[3e-05, 1e-04], [0.5, -2e-06]]),
+          "a": np.array([[-2e-05, 0.5], [7e-05, 1e-300]]), "n": 2})  # marked values in sorted-key order
+@example({"vector": np.array([1e-05, 0.5, -3e-05]), "scalar": np.array(3e-05), "k": "x"})  # 1-D and 0-d
+@example({"wide": 2**64, "entries": np.array([[1e-05, 3e-05], [0.5, 1e-300]])})  # stdlib, never the sentinel
 def test_dumps_is_the_stdlib_text(doc):
     assert dumps(doc) == reference_dumps(doc)
 
 
-@pytest.mark.parametrize("theirs, other", [(b"100.0", b"100"), (b"0.1", b".1")])
+@pytest.mark.parametrize("theirs, other", [(b"100.0", b"100"), (b"0.1", b".1"), (b"1e-300", b"1.0e-300")])
 def test_an_orjson_that_spells_floats_otherwise_is_refused(tmp_path, monkeypatch, theirs, other):
     orjson_dumps = serialize.orjson.dumps
     monkeypatch.setattr(serialize.orjson, "dumps",
@@ -254,13 +274,15 @@ def test_an_orjson_that_spells_floats_otherwise_is_refused(tmp_path, monkeypatch
 
 
 def test_an_orjson_that_spells_arrays_otherwise_is_refused(tmp_path, monkeypatch):
-    """An orjson that writes an array's numbers as strings, and lists as it
-    should, is refused before the first write, arrays or not."""
+    """An orjson that writes an array's numbers as strings, wherever the
+    array is, and lists as it should, is refused before the first write,
+    arrays or not."""
     orjson_dumps = serialize.orjson.dumps
 
     def spelled(obj, option=0):
         if option & orjson.OPT_SERIALIZE_NUMPY:
-            obj = {k: v.astype(str).tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+            return orjson_dumps(obj, option=option & ~orjson.OPT_SERIALIZE_NUMPY,
+                                default=lambda arr: arr.astype(str).tolist())
         return orjson_dumps(obj, option=option)
 
     monkeypatch.setattr(serialize.orjson, "dumps", spelled)
@@ -471,6 +493,40 @@ def test_the_canonical_layout_is_read_in_runs(monkeypatch, kind):
     doc = serialize._loads_in_runs(text)
     assert type(doc[SCHEMAS[kind].payload]) is np.ndarray
     assert _outcome(lambda: doc, kind) == _whole_outcome(text, kind)
+
+
+_MEMBERS = _RNG.standard_normal((48, 16, 16)) + 1j * _RNG.standard_normal((48, 16, 16))
+# texts of several runs: the payload followed by another top-level list of
+# lists, whose close ends the text's last run, and the payload as the last key
+LONG_TEXTS = {
+    "a list after the payload": ("matrix-list", dumps({**to_doc("matrix-list", _MEMBERS),
+                                                        "zz": np.arange(4).reshape(2, 2)}).encode()),
+    "the payload last": ("vector-list", dumps(to_doc("vector-list", _MEMBERS.reshape(48, -1))).encode()),
+}
+LONG_EDITS = {
+    "as written": lambda text: text,
+    "a header that does not fit": lambda text: text.replace(b'"count": 48', b'"count": 47'),
+    "a true leaf in the last element": lambda text: _last_leaf_made(text, b"true"),
+}
+
+
+def _last_leaf_made(text: bytes, leaf: bytes) -> bytes:
+    """``text`` with the last leaf of its payload, the first top-level list of
+    lists, replaced by ``leaf``."""
+    dot = text.rindex(b".", 0, text.index(b"\n    ]\n  ]"))
+    start, end = text.rindex(b" ", 0, dot) + 1, text.index(b"\n", dot)
+    return text[:start] + leaf + text[end:]
+
+
+@pytest.mark.parametrize("edit", sorted(LONG_EDITS))
+@pytest.mark.parametrize("name", sorted(LONG_TEXTS))
+def test_a_text_of_several_runs_reads_as_a_whole_parse(tmp_path, name, edit):
+    kind, text = LONG_TEXTS[name]
+    text = LONG_EDITS[edit](text)
+    assert len(text) > 2 * serialize._RUN
+    assert _read_outcome(text, tmp_path / "doc.json", kind) == _whole_outcome(text, kind)
+    if edit == "as written" and name == "the payload last":  # read in runs
+        assert type(serialize._loads_in_runs(text)[SCHEMAS[kind].payload]) is np.ndarray
 
 
 @pytest.mark.parametrize("run", [0, 1 << 18])

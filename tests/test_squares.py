@@ -262,6 +262,16 @@ def test_witness_requires_exact_unit_phase():
     assert_allclose(f.value, -1.0)
 
 
+def test_witness_equality_is_identity_and_it_hashes():
+    """A witness holds an array, so ``==`` compares identity, as on the other
+    array-holding values, rather than raising on the array's truth value."""
+    q, p = validate_qls(fixture("paper-Q")), validate_qls(fixture("paper-P"))
+    a, b = weak_orth_witness(q.grid, p.grid), weak_orth_witness(q.grid, p.grid)
+    assert isinstance(a, WeakOrthWitness) and a.table.tolist() == b.table.tolist()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_witness_order_one_needs_a_product_of_one():
     one = VectorGrid(np.ones((1, 1, 1), dtype=complex))
     w = weak_orth_witness(one, one)
