@@ -240,7 +240,7 @@ def _cmd_search(args) -> Outcome:
         count = len(find_orthogonal_pairs(args.order))
         text = f"order {args.order}: {count} ordered orthogonal pairs"
         return Outcome(True, {"what": "orth-pairs", "order": args.order, "count": count}, text)
-    return _reported(cross_validate_lemma16(args.order, args.tol), what="lemma16")
+    return _reported(cross_validate_lemma16(args.order, args.tol), what="lemma16", tol=args.tol)
 
 
 def _cmd_reproduce_appendix_c(args) -> Outcome:

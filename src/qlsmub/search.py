@@ -21,9 +21,10 @@ PAIRS_CAP = 4
 # Partial squares tested against the row permutations in one step; bounds
 # the (block, n!) compatibility table that order 5 builds.
 _ENUMERATION_BLOCK = 4096
-# Squares decided against their partners in one step of the pair searches;
-# bounds the (block, count) table of find_orthogonal_pairs and the
-# (block, n^2, n^2) complex permutation maps of the lemma16 cross-check.
+# Squares decided against all partners in one step of find_orthogonal_pairs,
+# bounding its (block, count) table; and at most _PAIR_BLOCK ordered pairs per
+# step of the lemma16 cross-check, bounding its (pairs, n^2, n^2) complex
+# permutation maps.
 _PAIR_BLOCK = 96
 
 
@@ -66,12 +67,11 @@ def enumerate_latin(n: int) -> EnumerationResult:
     rows = np.zeros((1, 0), dtype=np.int64)  # permutation index of each row
     used = np.zeros(1, dtype=np.int64)
     for _ in range(n - 1):
-        partial, perm = [], []
-        for start in range(0, len(used), _ENUMERATION_BLOCK):
-            a, p = np.nonzero((used[start : start + _ENUMERATION_BLOCK, None] & keys) == 0)
-            partial.append(a + start)
-            perm.append(p)
-        partial, perm = np.concatenate(partial), np.concatenate(perm)
+        # flat hit indices, one divmod: 2-D np.nonzero is several times slower
+        partial, perm = np.divmod(np.concatenate([
+            np.flatnonzero((used[s : s + _ENUMERATION_BLOCK, None] & keys) == 0) + s * len(keys)
+            for s in range(0, len(used), _ENUMERATION_BLOCK)
+        ]), len(keys))
         rows = np.concatenate([rows[partial], perm[:, None]], axis=1)
         used = used[partial] | keys[perm]
     cells = np.empty((len(rows), n, n), dtype=np.int8)
@@ -139,10 +139,12 @@ def find_orthogonal_pairs(n: int) -> np.ndarray:
     codes = enumerate_latin(n).cells.reshape(-1, n * n)
     x, y = np.triu_indices(n * n, 1)
     agree = (codes[:, x] == codes[:, y]).astype(np.float32)
-    blocks = range(0, len(agree), _PAIR_BLOCK)
-    return np.concatenate(
-        [np.argwhere(agree[s : s + _PAIR_BLOCK] @ agree.T == 0) + (s, 0) for s in blocks]
-    )
+    count = len(agree)
+    hits = np.concatenate([
+        np.flatnonzero(agree[s : s + _PAIR_BLOCK] @ agree.T == 0) + s * count
+        for s in range(0, count, _PAIR_BLOCK)
+    ])
+    return np.stack(np.divmod(hits, count), axis=1)
 
 
 @dataclass(frozen=True)
@@ -177,11 +179,14 @@ class EquivalenceReport:
 def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceReport:
     """Check witness/left-conjugate/permutation agreement exhaustively (n <= 4).
 
-    Each square ``ia`` is decided against blocks of partners at once, by
-    three independent computations: the :func:`weak_orth_defects` rule on the
-    stacked columnwise products of computational grids, distinct sorted pair
-    codes of the left conjugates, and :func:`is_permutation_matrix` on the
-    stacked cell-to-symbol-pair maps of the left conjugates.
+    Each step decides a block of at most ``_PAIR_BLOCK`` ordered pairs: a run
+    of ``max(1, _PAIR_BLOCK // count)`` squares against a block of partners
+    (all of them once a run holds two or more squares, so blocks follow
+    row-major pair order).  Three independent computations decide each pair:
+    the :func:`weak_orth_defects` rule on the stacked columnwise products of
+    computational grids, distinct sorted pair codes of the left conjugates,
+    and :func:`is_permutation_matrix` on the stacked cell-to-symbol-pair maps
+    of the left conjugates.
     """
     _check_order(n, PAIRS_CAP)
     cells = enumerate_latin(n).cells
@@ -190,16 +195,20 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     # left conjugate: out[s, c] = r where cells[r, c] = s, each column inverted
     conj = np.argsort(cells, axis=1).reshape(count, n * n)
     cell = np.arange(n * n)
+    rows = max(1, _PAIR_BLOCK // count)
 
     positives = 0
     disagreements: list[tuple] = []
-    for ia in range(count):
-        q = basis[cells[ia]].conj()
+    for first in range(0, count, rows):
+        run = slice(first, first + rows)
+        q = basis[cells[run]].conj()
         for start in range(0, count, _PAIR_BLOCK):
             block = slice(start, start + _PAIR_BLOCK)
-            prods = np.einsum("ikc,bjkc->bijk", q, basis[cells[block]], optimize=True)
+            partners = basis[cells[block]]
+            prods = np.einsum("aikc,bjkc->abijk", q, partners, optimize=True)
+            prods = prods.reshape(-1, n, n, n)
             by_witness = ~weak_orth_defects(prods, tol)[1].any(axis=(1, 2, 3))
-            codes = conj[ia] * n + conj[block]
+            codes = (conj[run, None] * n + conj[block]).reshape(-1, n * n)
             srt = np.sort(codes, axis=1)
             by_left = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
             maps = np.zeros((len(codes), n * n, n * n), dtype=np.complex128)
@@ -208,8 +217,9 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
 
             positives += int(by_witness.sum())
             for k in np.flatnonzero((by_witness != by_left) | (by_left != by_perm)):
+                a, b = divmod(int(k), len(partners))
                 verdicts = (bool(by_witness[k]), bool(by_left[k]), bool(by_perm[k]))
-                disagreements.append((ia, start + int(k), *verdicts))
+                disagreements.append((first + a, start + b, *verdicts))
     return EquivalenceReport(
         order=n,
         pairs_checked=count**2,

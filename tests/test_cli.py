@@ -605,6 +605,7 @@ def test_search_lemma16_disagreement_exits_one(capsys):
             "pairs_checked": 144,
             "positives": 0,
             "disagreements": 72,
+            "tol": 1.0,
         }
     )
     code, out, _ = run(capsys, "search", "lemma16", "3", "--tol", "1")
@@ -1243,7 +1244,7 @@ REPORT_KEYS = {
     "fixtures built": "kind name",
     "search latin": "count order recount what",
     "search orth-pairs": "count order what",
-    "search lemma16": "disagreements order pairs_checked positives what",
+    "search lemma16": "disagreements order pairs_checked positives tol what",
     "reproduce-appendix-c pass": MUB_KEYS + " maximally_entangled orthonormal overlaps",
 }
 

@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from qlsmub import search
 from qlsmub.search import (
     ENUMERATION_CAP,
     PAIRS_CAP,
@@ -41,6 +44,16 @@ def test_enumeration_caps():
             enumerate_latin(bad)
         with pytest.raises(ValueError):
             count_latin_by_columns(bad)
+
+
+def test_a_table_that_is_not_latin_is_refused(monkeypatch):
+    def with_a_repeated_symbol(symbols):
+        yield from permutations(symbols)
+        yield (0, 0, 2)
+
+    monkeypatch.setattr(search, "permutations", with_a_repeated_symbol)
+    with pytest.raises(RuntimeError, match="not Latin"):
+        enumerate_latin(3)
 
 
 def test_orthogonal_pairs_small_orders():
@@ -117,6 +130,24 @@ def test_cross_validation_is_the_per_pair_loop(n, tol):
     assert report == reference_lemma16(n, tol)
     for record in report.disagreements:  # Python ints and bools, not numpy scalars
         assert [type(v) for v in record] == [int, int, bool, bool, bool]
+
+
+@pytest.mark.parametrize("enumeration_block", [1, 7])
+@pytest.mark.parametrize("pair_block", [1, 5, 25, 96])
+def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block, enumeration_block):
+    # partial partner blocks, and runs of several squares with a partial last
+    # run, which the default blocks reach only at order 3
+    monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(search, "_ENUMERATION_BLOCK", enumeration_block)
+    cells = enumerate_latin(4).cells
+    assert np.array_equal(cells, reference_enumerate_latin(4))
+    for n in (3, 4):
+        pairs = find_orthogonal_pairs(n)
+        expected = reference_orthogonal_pairs(n)
+        assert pairs.shape == expected.shape and pairs.dtype == np.int64
+        assert np.array_equal(pairs, expected)
+    for tol in (1e-9, 1.0):
+        assert cross_validate_lemma16(3, tol) == reference_lemma16(3, tol)
 
 
 @pytest.mark.parametrize("tol, disagreements", [(1e-9, 0), (1.0, 6912)])
