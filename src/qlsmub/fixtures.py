@@ -63,15 +63,19 @@ _BLOCK_SYMBOLS = [
 ]
 
 
+def _embedded(columns, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of a 3 x 3 block as vectors of C^9 on |start>..|start + 2>."""
+    out = np.zeros((3, 9), dtype=np.complex128)
+    out[:, start : start + 3] = np.transpose(columns)
+    return tuple(out)
+
+
 def printed_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The verbatim (a, b, c) vectors in span{|3>, |4>, |5>} of C^9."""
-    a = np.zeros(9, dtype=np.complex128)
-    b = np.zeros(9, dtype=np.complex128)
-    c = np.zeros(9, dtype=np.complex128)
-    a[3:6] = np.array([1, 1, 1j]) / np.sqrt(3)
-    b[3:6] = np.array([2, -1, 1j]) / np.sqrt(6)
-    c[3:6] = np.array([-2j, -1j, 3]) / np.sqrt(14)
-    return a, b, c
+    a = np.array([1, 1, 1j]) / np.sqrt(3)
+    b = np.array([2, -1, 1j]) / np.sqrt(6)
+    c = np.array([-2j, -1j, 3]) / np.sqrt(14)
+    return _embedded(np.column_stack([a, b, c]), 3)
 
 
 def corrected_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,13 +91,7 @@ def corrected_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def fourier_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The order-3 Fourier vectors in span{|0>, |1>, |2>} of C^9."""
-    f = fourier(3).mat / np.sqrt(3)
-    out = []
-    for k in range(3):
-        v = np.zeros(9, dtype=np.complex128)
-        v[:3] = f[:, k]
-        out.append(v)
-    return tuple(out)
+    return _embedded(fourier(3).mat / np.sqrt(3), 0)
 
 
 def random_orthonormal_triple(
@@ -102,13 +100,7 @@ def random_orthonormal_triple(
     """A Haar-random orthonormal triple spanning span{|3>, |4>, |5>}."""
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    out = []
-    for k in range(3):
-        v = np.zeros(9, dtype=np.complex128)
-        v[3:6] = q[:, k]
-        out.append(v)
-    return tuple(out)
+    return _embedded(q * (np.diag(r) / np.abs(np.diag(r))), 3)
 
 
 def _grid_from_symbols(symbols, triple) -> VectorGrid:

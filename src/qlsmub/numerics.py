@@ -1,14 +1,14 @@
-"""Dense complex linear algebra helpers shared by the rest of the package.
+"""The dense complex linear algebra the package shares and numpy lacks.
 
-Everything operates on plain numpy arrays with ``complex128`` entries and is
-pure: inputs are never mutated.  Tolerances are absolute unless stated
-otherwise.  :func:`owned` makes the read-only copy that every value type of
-the package holds in place of its input.
+Where numpy or the stdlib has the routine (``np.kron``,
+``np.linalg.matrix_power``, ``math.lcm``), the package calls it directly.
+Everything here operates on plain numpy arrays with ``complex128`` entries
+and is pure: inputs are never mutated.  Tolerances are absolute unless
+stated otherwise.  :func:`owned` makes the read-only copy that every value
+type of the package holds in place of its input.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -63,41 +63,6 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     flat = stack.reshape(count, 1, rows * cols)
     re, im = flat.real, flat.imag
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
-
-
-def mat_power(u, e: int) -> np.ndarray:
-    """e-th power of a square matrix, or of every matrix in a stack
-    ``(..., n, n)``, by repeated squaring (e >= 0).
-
-    A stack is powered in one pass that performs, slice by slice, the same
-    products in the same order as powering each matrix alone, so both give
-    bitwise equal results.
-    """
-    arr = np.asarray(u, dtype=np.complex128)
-    if arr.ndim < 2:
-        raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    if arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape[-2:]}")
-    if e < 0:
-        raise ValueError(f"exponent must be non-negative, got {e}")
-    result = np.broadcast_to(np.eye(arr.shape[-1], dtype=np.complex128), arr.shape).copy()
-    base = arr
-    while e:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
-
-
-def lcm_up_to(n: int) -> int:
-    """Least common multiple of 1..n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return math.lcm(*range(1, n + 1))
 
 
 def is_permutation_matrix(m, tol: float = DEFAULT_TOL):

@@ -76,7 +76,7 @@ def enumerate_latin(n: int) -> EnumerationResult:
         used = used[partial] | keys[perm]
     cells = np.empty((len(rows), n, n), dtype=np.int8)
     cells[:, :-1] = perms[rows]
-    cells[:, -1] = n * (n - 1) // 2 - cells[:, :-1].sum(axis=1)
+    cells[:, -1] = n * (n - 1) // 2 - cells[:, :-1].sum(axis=1, dtype=np.int8)
 
     target = np.arange(n)
     rows_ok = (np.sort(cells, axis=2) == target).all()

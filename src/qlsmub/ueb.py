@@ -17,7 +17,7 @@ import numpy as np
 
 from .bases import BipartiteBasis, MubReport, extract_unitaries
 from .hadamard import HadamardFamily
-from .numerics import DEFAULT_TOL, first_gram_defect, frobenius_norms, lcm_up_to, mat_power, owned
+from .numerics import DEFAULT_TOL, first_gram_defect, frobenius_norms, owned
 from .squares import QuantumLatinSquare
 
 
@@ -255,8 +255,9 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     |X||Y| entrywise, so by eta ||X|| ||Y|| with eta = sqrt(2) n gamma_{n+2}.
     The measured delta = max_i ||T_i* T_i - I||_F of the translates, rounded
     as it is, puts each T_i within beta = (delta + eta) / (1 - eta)^2 of a
-    unitary W_i (its polar factor).  Each product of the repeated squaring
-    rounds once, so by induction over the products ||fl(T_i^mu) - W_i^mu||
+    unitary W_i (its polar factor).  For any product tree that rounds once
+    per product, such as the repeated squaring that ``np.linalg.matrix_power``
+    documents, induction over the products gives ||fl(T_i^mu) - W_i^mu||
     <= e = ((1 + beta)(1 + eta))^mu - 1.  The W_i^mu of a basis monomial up
     to unitaries commute, so a computed commutator is at most
     2 ((1 + e)^2 - 1) + 2 eta (1 + e)^2 in norm, sqrt(n) times that in
@@ -271,7 +272,7 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
         raise ValueError(f"the obstruction sweep needs order >= 2, got order {n}")
     if not 0 <= normalizer < count:
         raise ValueError(f"normalizer index {normalizer} out of range 0..{count - 1}")
-    mu = lcm_up_to(n)
+    mu = math.lcm(*range(1, n + 1))
     anchor = u.members[normalizer].conj().T
     translated = u.members @ anchor
     gram = translated.conj().transpose(0, 2, 1) @ translated
@@ -286,7 +287,7 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     if not noise_bound < math.inf:
         # no commutator can exceed this bound, and the powers would overflow
         return ObstructionReport(mu, normalizer, None, None, None, False, noise_bound)
-    powers = mat_power(translated, mu)
+    powers = np.linalg.matrix_power(translated, mu)
 
     # One batched step per row i against every j > i.  argmax keeps the first
     # maximum of a row and the strict > the first row, so equal norms go to

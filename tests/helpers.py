@@ -20,7 +20,7 @@ from qlsmub.hadamard import (
     random_hadamard,
     tensor_hadamard,
 )
-from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix, lcm_up_to, mat_power
+from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix
 from qlsmub.search import EquivalenceReport
 from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError, to_doc
 from qlsmub.squares import (
@@ -303,11 +303,11 @@ def reference_obstruction(u, normalizer: int = 0):
     member at a time too, so ``noise_bound`` agrees only to rounding.
     """
     n, count = u.n, u.n * u.n
-    mu = lcm_up_to(n)
+    mu = math.lcm(*range(1, n + 1))
     translated = u.members @ u.members[normalizer].conj().T
     powers = np.empty_like(translated)
     for s in range(count):
-        powers[s] = mat_power(translated[s], mu)
+        powers[s] = np.linalg.matrix_power(translated[s], mu)
     eye = np.eye(n)
     delta = max(float(np.linalg.norm(t.conj().T @ t - eye)) for t in translated)
 

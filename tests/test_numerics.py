@@ -7,14 +7,10 @@ from qlsmub.numerics import (
     first_gram_defect,
     frobenius_norms,
     is_permutation_matrix,
-    lcm_up_to,
-    mat_power,
 )
 
 from helpers import is_monomial, random_unitary
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_gram_defect_scan_of_one_matrix():
@@ -55,71 +51,6 @@ def test_gram_defect_margin_is_the_deviation_it_was_judged_on():
     index, value, off_by = first_gram_defect(gram.reshape(8, 8), 0.0, tol)
     assert (index, value) == (divmod(k, 8), z[k])
     assert off_by > tol and off_by == np.abs(z)[k]
-
-
-def test_mat_power_small_cases():
-    assert_allclose(mat_power(X, 0), np.eye(2))
-    assert_allclose(mat_power(X, 5), X)
-    d = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
-    assert_allclose(mat_power(d, 4), np.eye(4), atol=1e-14)
-
-
-def test_mat_power_matches_numpy_reference():
-    rng = np.random.default_rng(3)
-    u = random_unitary(4, rng)
-    for e in (1, 2, 7, 63, 2520):
-        assert_allclose(mat_power(u, e), np.linalg.matrix_power(u, e), atol=1e-9)
-
-
-def test_mat_power_additivity():
-    rng = np.random.default_rng(4)
-    u = random_unitary(3, rng)
-    assert_allclose(mat_power(u, 13) @ mat_power(u, 29), mat_power(u, 42), atol=1e-12)
-
-
-def test_mat_power_unitary_stability():
-    # powering to the lcm exponent must not drift off the unitary group
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        u = random_unitary(9, rng)
-        p = mat_power(u, 2520)
-        assert np.linalg.norm(p @ p.conj().T - np.eye(9)) <= 1e-10
-
-
-def test_mat_power_rejects_bad_input():
-    with pytest.raises(ValueError):
-        mat_power(np.ones((2, 3)), 2)
-    with pytest.raises(ValueError):
-        mat_power(np.eye(2), -1)
-    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
-        mat_power(np.ones((4, 2, 3)), 2)
-    stack = np.stack([np.eye(3)] * 4)
-    with pytest.raises(ValueError, match="non-negative"):
-        mat_power(stack, -1)
-    stack[2, 1, 0] = np.nan
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        mat_power(stack, 2)
-    with pytest.raises(ValueError, match="ndim 1"):
-        mat_power(np.ones(3), 2)
-
-
-def test_mat_power_of_a_stack_is_bitwise_the_per_matrix_power():
-    rng = np.random.default_rng(6)
-    for n in (9, 16):
-        stack = np.stack([random_unitary(n, rng) for _ in range(6)])
-        e = lcm_up_to(n)
-        single = np.stack([mat_power(m, e) for m in stack])
-        assert mat_power(stack, e).tobytes() == single.tobytes()
-    grid = stack.reshape(2, 3, 16, 16)
-    assert mat_power(grid, 7).tobytes() == mat_power(stack, 7).tobytes()
-    identities = mat_power(grid, 0)
-    identities[0, 0, 0, 0] = 2.0  # a fresh array, not a broadcast view
-    assert_allclose(identities[1, 2], np.eye(16))
-
-
-@pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (4, 12), (6, 60), (9, 2520)])
-def test_lcm_up_to(n, expected):
-    assert lcm_up_to(n) == expected
 
 
 def test_is_permutation_matrix():
