@@ -36,7 +36,7 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import is_monomial, monomial_equivalent_ueb
+from helpers import is_monomial, monomial_equivalent_ueb, reference_obstruction
 
 EYE2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -379,6 +379,51 @@ def test_obstruction_order_twenty_monomial_equivalent_is_not_obstructed():
     report = monomial_obstruction(monomial_equivalent_ueb(cyclic, np.random.default_rng(0)))
     assert 1e-7 < report.worst_norm <= report.noise_bound
     assert not report.obstructed
+
+
+@pytest.mark.parametrize("n,mu", [(5, 60), (6, 60), (7, 420), (8, 840), (16, 720720)])
+def test_obstruction_powers_to_the_lcm_of_one_to_n(n, mu):
+    cyclic = LatinSquare(np.add.outer(np.arange(n), np.arange(n)) % n)
+    report = monomial_obstruction(monomial_equivalent_ueb(cyclic, np.random.default_rng(n)))
+    assert report.mu == mu
+    assert report.worst_norm <= report.noise_bound < math.inf
+    assert not report.obstructed
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_matrix_power_of_a_stack_is_bitwise_the_per_member_power(n):
+    # the batched sweep powers the whole translated stack at once and the
+    # per-member reference powers one member at a time; they agree bit for
+    # bit only if numpy powers every matrix of a stack alike
+    cyclic = LatinSquare(np.add.outer(np.arange(n), np.arange(n)) % n)
+    u = monomial_equivalent_ueb(cyclic, np.random.default_rng(6))
+    translated = u.members @ u.members[0].conj().T
+    mu = monomial_obstruction(u).mu
+    single = np.stack([np.linalg.matrix_power(t, mu) for t in translated])
+    assert np.linalg.matrix_power(translated, mu).tobytes() == single.tobytes()
+
+
+def test_obstruction_powers_drift_from_unitary_by_less_than_the_noise_bound():
+    # the bound's induction keeps every computed power within e of a unitary,
+    # so the measured defect of the powers, about 2 sqrt(n) e, stays under
+    # noise_bound, about 4 sqrt(n) e
+    u = fixture_ueb()
+    report = monomial_obstruction(u)
+    translated = u.members @ u.members[0].conj().T
+    powers = np.linalg.matrix_power(translated, report.mu)
+    gram = powers.conj().transpose(0, 2, 1) @ powers
+    drift = np.linalg.norm(gram - np.eye(u.n), axis=(1, 2)).max()
+    assert 0 < drift <= report.noise_bound < 1e-6
+
+
+def test_obstruction_of_the_fixture_basis_is_the_per_pair_loop_bit_for_bit():
+    # the property test compares clean bases; this one compares the
+    # obstructed paper-P basis, whose worst pair is far above the noise
+    report = monomial_obstruction(fixture_ueb())
+    expected = reference_obstruction(fixture_ueb())
+    assert report.obstructed and expected.obstructed
+    assert_allclose(report.noise_bound, expected.noise_bound, rtol=1e-9)
+    assert report == dataclasses.replace(expected, noise_bound=report.noise_bound)
 
 
 def test_obstruction_tensor_pauli_clean():
