@@ -27,7 +27,7 @@ from .fixtures import FIXTURE_NAMES, fixture, hadamard_9_corrected, paper_p_grid
 from .hadamard import constant_family, hadamard_family, validate_hadamard
 from .numerics import DEFAULT_TOL
 from .search import (
-    count_latin_by_columns, cross_validate_lemma16, enumerate_latin, find_orthogonal_pairs,
+    count_latin_by_columns, count_orthogonal_pairs, cross_validate_lemma16, enumerate_latin,
 )
 from .squares import (
     VectorGrid, are_left_orthogonal, are_orthogonal, left_conjugate, validate_qls,
@@ -87,9 +87,10 @@ def _plain(value):
 
 def _fields(record) -> dict:
     """A check record's dataclass fields as report fields: a field's ``report``
-    metadata maps its value first, and a ``report`` of None leaves it out."""
+    metadata, a function of the record, gives its value, and a ``report`` of
+    None leaves it out."""
     return {
-        f.name: _plain(f.metadata.get("report", lambda v: v)(getattr(record, f.name)))
+        f.name: _plain(f.metadata.get("report", lambda r: getattr(r, f.name))(record))
         for f in fields(record) if f.metadata.get("report", True) is not None
     }
 
@@ -237,7 +238,7 @@ def _cmd_search(args) -> Outcome:
             f"order {args.order}: {result.count} Latin squares (column-major recount {recount})",
         )
     if args.what == "orth-pairs":
-        count = len(find_orthogonal_pairs(args.order))
+        count = count_orthogonal_pairs(args.order)
         text = f"order {args.order}: {count} ordered orthogonal pairs"
         return Outcome(True, {"what": "orth-pairs", "order": args.order, "count": count}, text)
     return _reported(cross_validate_lemma16(args.order, args.tol), what="lemma16", tol=args.tol)

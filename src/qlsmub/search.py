@@ -1,14 +1,17 @@
 """Exhaustive small-order searches.
 
-Enumeration is capped at order 5 and all-pairs work at order 4; beyond that
-the counts explode past desk-scale runtimes.  Each search works on the whole
-enumeration as one ``(count, n, n)`` array rather than square by square.
+Enumeration and the pair counts are capped at order 5, the listing of
+orthogonal pairs at order 4; beyond that the counts explode past desk-scale
+runtimes.  Each search works on the whole enumeration as one ``(count, n,
+n)`` array rather than square by square, and the pair counts decide one
+representative per orbit of a symmetry that keeps every verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -16,15 +19,15 @@ from .numerics import DEFAULT_TOL, is_permutation_matrix
 from .squares import LatinSquare, weak_orth_defects
 
 ENUMERATION_CAP = 5
-PAIRS_CAP = 4
+PAIRS_CAP = 5
 
 # Partial squares tested against the row permutations in one step; bounds
-# the (block, n!) compatibility table that order 5 builds.
+# the (block, n!) compatibility table that order 5 builds, and (rounded up to
+# whole bytes) the (n!, block) transversal table of the orthogonal pairs.
 _ENUMERATION_BLOCK = 4096
-# Squares decided against all partners in one step of find_orthogonal_pairs,
-# bounding its (block, count) table; and at most _PAIR_BLOCK ordered pairs per
-# step of the lemma16 cross-check, bounding its (pairs, n^2, n^2) complex
-# permutation maps.
+# Squares whose mates are found in one step, bounding the (block, count / 8)
+# packed table; and at most _PAIR_BLOCK representative pairs per step of the
+# lemma16 cross-check, bounding its (pairs, n^2, n^2) complex permutation maps.
 _PAIR_BLOCK = 96
 
 
@@ -122,29 +125,71 @@ def count_latin_by_columns(n: int) -> int:
     return completions((0,) * n)
 
 
+def _mates(cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Ascending flat indices ``i * count + b`` of the orthogonal pairs
+    ``(cells[rows[i]], cells[b])``.
+
+    A symbol class of a square, the cells that hold one symbol, is a
+    permutation (row r to its column), and b is orthogonal to a iff each of
+    a's classes is a transversal of b.  Bit b of ``transversal[p]`` says that
+    permutation p meets n distinct symbols of square b.
+    """
+    count, n = len(cells), cells.shape[1]
+    perms = np.array(list(permutations(range(n))))
+    digits = n ** np.arange(n - 1, -1, -1)
+    # classes[i, s]: the index in perms of symbol s's class in square rows[i]
+    columns = np.argsort(cells[rows], axis=2).transpose(0, 2, 1)  # [i, s, r]
+    classes = np.searchsorted(perms @ digits, columns @ digits)
+    step = -(-_ENUMERATION_BLOCK // 8) * 8  # whole bytes
+    blocks = []
+    for s in range(0, count, step):
+        masks = np.ascontiguousarray((1 << cells[s : s + step]).transpose(1, 2, 0))  # [r, c, b]
+        union = masks[0][perms[:, 0]]
+        for r in range(1, n):
+            union |= masks[r][perms[:, r]]
+        blocks.append(np.packbits(union == (1 << n) - 1, axis=1))
+    transversal = np.concatenate(blocks, axis=1)
+    hits = []
+    for first in range(0, len(rows), _PAIR_BLOCK):
+        found = np.bitwise_and.reduce(transversal[classes[first : first + _PAIR_BLOCK]], axis=1)
+        row, byte = np.divmod(np.flatnonzero(found), found.shape[1])
+        k, bit = np.nonzero(np.unpackbits(found[row, byte][:, None], axis=1))
+        hits.append((first + row[k]) * count + byte[k] * 8 + bit)
+    return np.concatenate(hits)
+
+
+def _representatives(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the reduced squares (first row and first column 0..n-1) and
+    of the squares whose first column is 0..n-1."""
+    target = np.arange(cells.shape[1])
+    in_order = np.flatnonzero((cells[:, :, 0] == target).all(axis=1))
+    return in_order[(cells[in_order, 0] == target).all(axis=1)], in_order
+
+
 def find_orthogonal_pairs(n: int) -> np.ndarray:
     """All ordered orthogonal pairs over the full enumeration (n <= 4), as an
     ``(m, 2)`` array of row-major ``(ia, ib)`` indices into
     ``enumerate_latin(n).cells``.
 
-    Two squares are orthogonal iff no two distinct cells agree in both.
-    ``agree[a]`` marks the cell pairs x < y where square a repeats a symbol,
-    so a and b are orthogonal iff ``agree[a] . agree[b] == 0``: the table is
-    ``agree @ agree.T == 0``, taken a block of rows at a time (its entries
-    count cell pairs, at most n^2 (n^2 - 1) / 2, exact in float32).
-
     Order 1 yields the single trivial self-pair; order 2 yields nothing.
     """
+    _check_order(n, 4)
+    cells = enumerate_latin(n).cells
+    return np.stack(np.divmod(_mates(cells, np.arange(len(cells))), len(cells)), axis=1)
+
+
+def count_orthogonal_pairs(n: int) -> int:
+    """The number of ordered orthogonal pairs at order n (n <= 5).
+
+    Permuting a square's rows carries its mates along and relabelling its
+    symbols keeps them, so each square of an orbit under these n!^2 maps has
+    as many mates.  As in :func:`cross_validate_lemma16`, exactly n of them
+    take a square to a reduced one, so each reduced square's mates count
+    n! (n-1)! times.
+    """
     _check_order(n, PAIRS_CAP)
-    codes = enumerate_latin(n).cells.reshape(-1, n * n)
-    x, y = np.triu_indices(n * n, 1)
-    agree = (codes[:, x] == codes[:, y]).astype(np.float32)
-    count = len(agree)
-    hits = np.concatenate([
-        np.flatnonzero(agree[s : s + _PAIR_BLOCK] @ agree.T == 0) + s * count
-        for s in range(0, count, _PAIR_BLOCK)
-    ])
-    return np.stack(np.divmod(hits, count), axis=1)
+    cells = enumerate_latin(n).cells
+    return len(_mates(cells, _representatives(cells)[0])) * factorial(n) * factorial(n - 1)
 
 
 @dataclass(frozen=True)
@@ -154,75 +199,101 @@ class EquivalenceReport:
     grids, the left-conjugate pair test, and the permutation test on the
     left conjugates' cell-to-symbol-pair map.
 
-    ``disagreements`` lists (index_a, index_b, witness, left, perm) for any
-    pair where the three booleans differ, in row-major pair order; all three
-    agreeing everywhere is the expected outcome.  A json-report carries
-    their count.
+    ``pairs_checked``, ``positives`` and the reported ``disagreements`` count
+    ordered pairs, each of the ``representatives`` pairs the routes decided
+    standing for ``pairs_checked // representatives`` of them.  The
+    ``disagreements`` list holds (index_a, index_b, witness, left, perm) for
+    each representative pair whose three booleans differ, in row-major
+    order; all three agreeing everywhere is the expected outcome.
     """
 
     order: int
     pairs_checked: int
     positives: int
-    disagreements: list[tuple] = field(default_factory=list, metadata={"report": len})
+    representatives: int
+    disagreements: list[tuple] = field(
+        default_factory=list, metadata={"report": lambda rep: rep.disagreeing}
+    )
 
     @property
     def ok(self) -> bool:
         return not self.disagreements
 
+    @property
+    def disagreeing(self) -> int:
+        """The ordered pairs on which the routes disagree."""
+        return len(self.disagreements) * (self.pairs_checked // self.representatives)
+
     def __str__(self) -> str:
         return (
             f"order {self.order}: {self.pairs_checked} ordered pairs, {self.positives} weakly "
-            f"orthogonal, {len(self.disagreements)} disagreements between the three routes"
+            f"orthogonal, {self.disagreeing} disagreements between the three routes"
         )
 
 
-def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceReport:
-    """Check witness/left-conjugate/permutation agreement exhaustively (n <= 4).
-
-    Each step decides a block of at most ``_PAIR_BLOCK`` ordered pairs: a run
-    of ``max(1, _PAIR_BLOCK // count)`` squares against a block of partners
-    (all of them once a run holds two or more squares, so blocks follow
-    row-major pair order).  Three independent computations decide each pair:
-    the :func:`weak_orth_defects` rule on the stacked columnwise products of
+def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float):
+    """The witness, left and perm verdicts, as bool arrays in row-major
+    order, of every pair ``(firsts[a], partners[b])`` of two cell stacks:
+    the :func:`weak_orth_defects` rule on the columnwise products of
     computational grids, distinct sorted pair codes of the left conjugates,
-    and :func:`is_permutation_matrix` on the stacked cell-to-symbol-pair maps
-    of the left conjugates.
+    and :func:`is_permutation_matrix` on their cell-to-symbol-pair maps."""
+    n = firsts.shape[1]
+    basis = np.eye(n, dtype=np.complex128)  # basis[cells] are the computational grids
+    prods = np.einsum("aikc,bjkc->abijk", basis[firsts].conj(), basis[partners], optimize=True)
+    by_witness = ~weak_orth_defects(prods.reshape(-1, n, n, n), tol)[1].any(axis=(1, 2, 3))
+    # left conjugate: out[s, c] = r where cells[r, c] = s, each column inverted
+    left, right = np.argsort(firsts, axis=1), np.argsort(partners, axis=1)
+    codes = (left[:, None] * n + right).reshape(-1, n * n)
+    srt = np.sort(codes, axis=1)
+    by_left = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+    maps = np.zeros((len(codes), n * n, n * n), dtype=np.complex128)
+    maps[np.arange(len(codes))[:, None], np.arange(n * n), codes] = 1.0
+    return by_witness, by_left, is_permutation_matrix(maps, tol)
+
+
+def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceReport:
+    """Check witness/left-conjugate/permutation agreement on every ordered
+    pair (n <= 5), deciding one representative pair per orbit.
+
+    Each route decides (L1, L2) from the incidences L1[r1, c] == L2[r2, c]
+    alone, and keeps its verdict under the n!^3 maps that permute L1's rows,
+    L2's rows and the symbols of both.  They permute the row pairs of the
+    witness's products, which it judges one at a time, and leave each
+    product as it is; and they relabel a left conjugate's symbols or permute
+    both conjugates' cells, which permutes the pair codes and the columns or
+    rows of the map.  Exactly n maps take a pair to a representative, with
+    L1 reduced (first row and column 0..n-1) and L2's first column 0..n-1:
+    the row of L1 put first fixes the relabelling, and the relabelled first
+    columns fix the row orders.  So, counting each pair once per map and
+    each representative once per map onto it, the representatives with a
+    verdict, each weighted n!^3 / n, count the ordered pairs with it.
+
+    Each step decides at most ``_PAIR_BLOCK`` representative pairs: a run of
+    ``max(1, _PAIR_BLOCK // partners)`` reduced squares against a block of
+    partners (all of them once a run holds two or more squares, so blocks
+    follow row-major pair order).
     """
     _check_order(n, PAIRS_CAP)
     cells = enumerate_latin(n).cells
-    count = len(cells)
-    basis = np.eye(n, dtype=np.complex128)  # basis[cells] are the computational grids
-    # left conjugate: out[s, c] = r where cells[r, c] = s, each column inverted
-    conj = np.argsort(cells, axis=1).reshape(count, n * n)
-    cell = np.arange(n * n)
-    rows = max(1, _PAIR_BLOCK // count)
-
+    firsts, partners = _representatives(cells)
+    rows = max(1, _PAIR_BLOCK // len(partners))
     positives = 0
     disagreements: list[tuple] = []
-    for first in range(0, count, rows):
-        run = slice(first, first + rows)
-        q = basis[cells[run]].conj()
-        for start in range(0, count, _PAIR_BLOCK):
-            block = slice(start, start + _PAIR_BLOCK)
-            partners = basis[cells[block]]
-            prods = np.einsum("aikc,bjkc->abijk", q, partners, optimize=True)
-            prods = prods.reshape(-1, n, n, n)
-            by_witness = ~weak_orth_defects(prods, tol)[1].any(axis=(1, 2, 3))
-            codes = (conj[run, None] * n + conj[block]).reshape(-1, n * n)
-            srt = np.sort(codes, axis=1)
-            by_left = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-            maps = np.zeros((len(codes), n * n, n * n), dtype=np.complex128)
-            maps[np.arange(len(codes))[:, None], cell, codes] = 1.0
-            by_perm = is_permutation_matrix(maps, tol)
-
+    for first in range(0, len(firsts), rows):
+        run = firsts[first : first + rows]
+        for start in range(0, len(partners), _PAIR_BLOCK):
+            block = partners[start : start + _PAIR_BLOCK]
+            by_witness, by_left, by_perm = _routes(cells[run], cells[block], tol)
             positives += int(by_witness.sum())
             for k in np.flatnonzero((by_witness != by_left) | (by_left != by_perm)):
-                a, b = divmod(int(k), len(partners))
+                a, b = divmod(int(k), len(block))
                 verdicts = (bool(by_witness[k]), bool(by_left[k]), bool(by_perm[k]))
-                disagreements.append((first + a, start + b, *verdicts))
+                disagreements.append((int(run[a]), int(block[b]), *verdicts))
+    weight = factorial(n) ** 2 * factorial(n - 1)
     return EquivalenceReport(
         order=n,
-        pairs_checked=count**2,
-        positives=positives,
+        pairs_checked=len(firsts) * len(partners) * weight,
+        positives=positives * weight,
+        representatives=len(firsts) * len(partners),
         disagreements=disagreements,
     )

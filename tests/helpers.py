@@ -408,9 +408,9 @@ def reference_orthogonal_pairs(n: int) -> np.ndarray:
 def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> EquivalenceReport:
     """``cross_validate_lemma16`` as one Python iteration per ordered pair,
     through the single-pair library calls, over the squares ``ia`` in
-    ``rows`` (all by default) against every partner.  Grids and conjugates
-    are the scatter references, not the formulas the search shares with the
-    library."""
+    ``rows`` (all by default) against every partner, each pair its own
+    representative.  Grids and conjugates are the scatter references, not the
+    formulas the search shares with the library."""
     squares = [LatinSquare(c) for c in reference_enumerate_latin(n)]
     grids = [reference_computational_grid(s) for s in squares]
     conjugates = [reference_left_conjugate(s) for s in squares]
@@ -425,7 +425,32 @@ def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> Equivalenc
             positives += by_witness
             if not (by_witness == by_left == by_perm):
                 disagreements.append((ia, ib, by_witness, by_left, by_perm))
-    return EquivalenceReport(n, len(rows) * len(squares), positives, disagreements)
+    pairs = len(rows) * len(squares)
+    return EquivalenceReport(n, pairs, positives, pairs, disagreements)
+
+
+def representative_pairs(n: int) -> tuple[set, set]:
+    """The reduced squares and the squares whose first column is 0..n-1, as
+    sets of indices into the enumeration."""
+    cells = reference_enumerate_latin(n)
+    in_order = (cells[:, :, 0] == np.arange(n)).all(axis=1)
+    reduced = in_order & (cells[:, 0] == np.arange(n)).all(axis=1)
+    return set(np.flatnonzero(reduced).tolist()), set(np.flatnonzero(in_order).tolist())
+
+
+def assert_is_the_oracle(report, oracle, weight=1):
+    """Totals are the oracle's, times ``weight`` when the oracle ran over the
+    reduced squares only, and the records are the oracle's at the
+    representative pairs, in the same order."""
+    reduced, partners = representative_pairs(report.order)
+    assert report.pairs_checked == oracle.pairs_checked * weight
+    assert report.positives == oracle.positives * weight
+    assert report.disagreeing == oracle.disagreeing * weight
+    assert report.representatives == len(reduced) * len(partners)
+    at_representatives = [d for d in oracle.disagreements if d[0] in reduced and d[1] in partners]
+    assert report.disagreements == at_representatives
+    for record in report.disagreements:  # Python ints and bools, not numpy scalars
+        assert [type(v) for v in record] == [int, int, bool, bool, bool]
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,8 +1,12 @@
 import tracemalloc
+from functools import cache
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlsmub import search
 from qlsmub.search import (
@@ -11,13 +15,17 @@ from qlsmub.search import (
     EnumerationResult,
     EquivalenceReport,
     count_latin_by_columns,
+    count_orthogonal_pairs,
     cross_validate_lemma16,
     enumerate_latin,
     find_orthogonal_pairs,
 )
 from qlsmub.squares import LatinSquare, are_orthogonal
 
-from helpers import reference_enumerate_latin, reference_lemma16, reference_orthogonal_pairs
+from helpers import (
+    assert_is_the_oracle, field_square, reference_enumerate_latin, reference_lemma16,
+    reference_orthogonal_pairs, representative_pairs,
+)
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
 
@@ -96,12 +104,38 @@ def test_orthogonal_pairs_contain_the_two_cyclic_twists():
 
 
 def test_orthogonal_pairs_cap():
-    with pytest.raises(ValueError):
-        find_orthogonal_pairs(PAIRS_CAP + 1)
+    for bad in (0, 5, PAIRS_CAP + 1):
+        with pytest.raises(ValueError):
+            find_orthogonal_pairs(bad)
+    for bad in (0, PAIRS_CAP + 1):
+        with pytest.raises(ValueError):
+            count_orthogonal_pairs(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orthogonal_pairs_counted_on_reduced_squares_are_the_listed_ones(n):
+    assert count_orthogonal_pairs(n) == len(find_orthogonal_pairs(n))
+
+
+def test_order_five_orthogonal_pairs_are_counted_in_blocks():
+    # numpy reports its buffers to tracemalloc.  The packed transversal table
+    # (2.4 MB) and the blocked mates fit in what the enumeration frees; one
+    # bool table of all squares against all permutations would be 19.4 MB.
+    tracemalloc.start()
+    try:
+        enumerate_latin(5)
+        enumerated = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        count = count_orthogonal_pairs(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 6220800
+    assert peak < enumerated + 2**20
 
 
 @pytest.mark.parametrize(
-    "n, positives", [(1, 1), (2, 0), (3, 72)]
+    "n, positives", [(1, 1), (2, 0), (3, 72), (4, 6912)]
 )
 def test_cross_validation_agrees(n, positives):
     report = cross_validate_lemma16(n)
@@ -110,11 +144,14 @@ def test_cross_validation_agrees(n, positives):
     assert report.disagreements == []
     assert report.pairs_checked == KNOWN_COUNTS[n] ** 2
     assert report.positives == positives
+    # reduced squares (McKay and Wanless) times squares with first column 0..n-1
+    assert report.representatives == {1: 1, 2: 1, 3: 1 * 2, 4: 4 * 24}[n]
 
 
 def test_cross_validation_cap():
-    with pytest.raises(ValueError):
-        cross_validate_lemma16(5)
+    for bad in (0, 6):
+        with pytest.raises(ValueError):
+            cross_validate_lemma16(bad)
 
 
 # ----------------------------------------------- the loops they replaced
@@ -141,17 +178,15 @@ def test_orthogonal_pairs_are_the_per_square_loop(n):
 @pytest.mark.parametrize("tol", [1e-9, 0.6, 1.0, -1.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cross_validation_is_the_per_pair_loop(n, tol):
-    report = cross_validate_lemma16(n, tol)
-    assert report == reference_lemma16(n, tol)
-    for record in report.disagreements:  # Python ints and bools, not numpy scalars
-        assert [type(v) for v in record] == [int, int, bool, bool, bool]
+    assert_is_the_oracle(cross_validate_lemma16(n, tol), reference_lemma16(n, tol))
 
 
 @pytest.mark.parametrize("enumeration_block", [1, 7])
-@pytest.mark.parametrize("pair_block", [1, 5, 25, 96])
+@pytest.mark.parametrize("pair_block", [1, 5, 25, 72, 96])
 def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block, enumeration_block):
-    # partial partner blocks, and runs of several squares with a partial last
-    # run, which the default blocks reach only at order 3
+    # partial partner blocks, transversal tables of a byte's worth of squares,
+    # and at order 4 runs of several reduced squares with a partial last run
+    default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
     monkeypatch.setattr(search, "_ENUMERATION_BLOCK", enumeration_block)
     cells = enumerate_latin(4).cells
@@ -161,15 +196,44 @@ def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block, 
         expected = reference_orthogonal_pairs(n)
         assert pairs.shape == expected.shape and pairs.dtype == np.int64
         assert np.array_equal(pairs, expected)
+        assert count_orthogonal_pairs(n) == len(expected)
     for tol in (1e-9, 1.0):
-        assert cross_validate_lemma16(3, tol) == reference_lemma16(3, tol)
+        assert_is_the_oracle(cross_validate_lemma16(3, tol), reference_lemma16(3, tol))
+        assert cross_validate_lemma16(4, tol) == default[tol]
 
 
 @pytest.mark.parametrize("tol, disagreements", [(1e-9, 0), (1.0, 6912)])
-def test_cross_validation_at_order_four_matches_the_loop_on_sampled_rows(tol, disagreements):
+def test_cross_validation_at_order_four_is_the_loop_on_the_reduced_rows(tol, disagreements):
     report = cross_validate_lemma16(4, tol)
     assert (report.pairs_checked, report.positives) == (331776, 6912 - disagreements)
-    assert len(report.disagreements) == disagreements
-    rows = sorted(np.random.default_rng(16).choice(576, size=20, replace=False).tolist())
-    expected = reference_lemma16(4, tol, rows)
-    assert [d for d in report.disagreements if d[0] in rows] == expected.disagreements
+    assert report.disagreeing == disagreements
+    # permuting L1's rows and relabelling both squares keeps every verdict,
+    # and n of these n!^2 maps take each square to a reduced one, so the
+    # oracle over the reduced rows, times n! (n-1)! = 144, counts every pair
+    reduced, _ = representative_pairs(4)
+    oracle = reference_lemma16(4, tol, sorted(reduced))
+    assert_is_the_oracle(report, oracle, factorial(4) * factorial(3))
+
+
+@cache
+def latin_cells(n: int) -> np.ndarray:
+    return enumerate_latin(n).cells
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(3, 5), tol=st.sampled_from([1e-9, 1.0]))
+def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, tol):
+    # a row permutation of L1, one of L2 and one relabelling of both symbols
+    if data.draw(st.booleans(), label="orthogonal"):  # few enumerated pairs are
+        k1, k2 = data.draw(st.permutations(range(1, n)), label="slopes")[:2]
+        l1, l2 = field_square(n, k1).cells, field_square(n, k2).cells
+    else:
+        cells = latin_cells(n)
+        l1, l2 = (cells[data.draw(st.integers(0, len(cells) - 1))] for _ in range(2))
+    rows1, rows2, symbols = (
+        np.array(data.draw(st.permutations(range(n)), label=name))
+        for name in ("rows1", "rows2", "symbols")
+    )
+    before = search._routes(l1[None], l2[None], tol)
+    after = search._routes(symbols[l1[rows1]][None], symbols[l2[rows2]][None], tol)
+    assert [bool(v[0]) for v in after] == [bool(v[0]) for v in before]
