@@ -1,10 +1,10 @@
 """Exhaustive small-order searches.
 
-Enumeration and the pair counts are capped at order 5, the listing of
-orthogonal pairs at order 4; beyond that the counts explode past desk-scale
-runtimes.  Each search works on the whole enumeration as one ``(count, n,
-n)`` array rather than square by square, and the pair counts decide one
-representative per orbit of a symmetry that keeps every verdict.
+Enumeration and the pair counts are capped at order 5; beyond that the
+counts explode past desk-scale runtimes.  Each search works on the whole
+enumeration as one ``(count, n, n)`` array rather than square by square, and
+the pair counts decide one representative per orbit of a symmetry that keeps
+every verdict.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ from .numerics import DEFAULT_TOL, is_permutation_matrix
 from .squares import LatinSquare, weak_orth_defects
 
 ENUMERATION_CAP = 5
-PAIRS_CAP = 5
 
-# Partial squares tested against the row permutations in one step; bounds
-# the (block, n!) compatibility table that order 5 builds, and (rounded up to
-# whole bytes) the (n!, block) transversal table of the orthogonal pairs.
+# Squares tested or tabulated against the row permutations in one step:
+# bounds the (block, n!) compatibility table that order 5 builds, and the
+# (n!, block) transversal table of the orthogonal pairs.
 _ENUMERATION_BLOCK = 4096
-# Squares whose mates are found in one step, bounding the (block, count / 8)
-# packed table; and at most _PAIR_BLOCK representative pairs per step of the
-# lemma16 cross-check, bounding its (pairs, n^2, n^2) complex permutation maps.
+# Reduced squares whose mates are counted in one step, bounding the (block,
+# n, count / 8) packed table; and at most _PAIR_BLOCK representative pairs
+# per step of the lemma16 cross-check, bounding its (pairs, n^2, n^2) complex
+# permutation maps.
 _PAIR_BLOCK = 96
 
 
@@ -49,9 +49,9 @@ class EnumerationResult:
         return [LatinSquare(c) for c in self.cells]
 
 
-def _check_order(n: int, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"order {n} out of range 1..{cap}")
+def _check_order(n: int) -> None:
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"order {n} out of range 1..{ENUMERATION_CAP}")
 
 
 def enumerate_latin(n: int) -> EnumerationResult:
@@ -63,8 +63,13 @@ def enumerate_latin(n: int) -> EnumerationResult:
     sorted.  A row's key has bit ``n*c + s`` set for symbol s in column c,
     and the OR of a partial square's keys marks the symbols each column has
     used.  The last row is forced: each column's missing symbol.
+
+    The result is checked against what was built rather than re-sorted:
+    every row permutation sorts to 0..n-1, each forced row sets n distinct
+    bits below bit n (so it too is a permutation), and its symbols' bits fill
+    the used marks to all n^2 bits, so each column holds n distinct symbols.
     """
-    _check_order(n, ENUMERATION_CAP)
+    _check_order(n)
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     keys = (1 << (perms + n * np.arange(n))).sum(axis=1)
     rows = np.zeros((1, 0), dtype=np.int64)  # permutation index of each row
@@ -81,10 +86,15 @@ def enumerate_latin(n: int) -> EnumerationResult:
     cells[:, :-1] = perms[rows]
     cells[:, -1] = n * (n - 1) // 2 - cells[:, :-1].sum(axis=1, dtype=np.int8)
 
-    target = np.arange(n)
-    rows_ok = (np.sort(cells, axis=2) == target).all()
-    cols_ok = (np.sort(cells, axis=1) == target[:, None]).all()
-    if not (rows_ok and cols_ok):
+    forced = np.zeros_like(used)
+    for c in range(n):
+        forced |= np.left_shift(1, cells[:, -1, c], dtype=np.int64)
+        used |= np.left_shift(1, cells[:, -1, c] + n * c, dtype=np.int64)
+    if not (
+        (np.sort(perms) == np.arange(n)).all()
+        and (forced == (1 << n) - 1).all()
+        and (used == (1 << n * n) - 1).all()
+    ):
         raise RuntimeError(f"order-{n} enumeration produced a table that is not Latin")
     cells.setflags(write=False)
     return EnumerationResult(n, cells)
@@ -100,7 +110,7 @@ def count_latin_by_columns(n: int) -> int:
     order of the rows, so counts are memoised per call under the sorted
     tuple of those sets (as bitmasks).
     """
-    _check_order(n, ENUMERATION_CAP)
+    _check_order(n)
     full = (1 << n) - 1
     memo: dict[tuple[int, ...], int] = {}
 
@@ -125,39 +135,6 @@ def count_latin_by_columns(n: int) -> int:
     return completions((0,) * n)
 
 
-def _mates(cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Ascending flat indices ``i * count + b`` of the orthogonal pairs
-    ``(cells[rows[i]], cells[b])``.
-
-    A symbol class of a square, the cells that hold one symbol, is a
-    permutation (row r to its column), and b is orthogonal to a iff each of
-    a's classes is a transversal of b.  Bit b of ``transversal[p]`` says that
-    permutation p meets n distinct symbols of square b.
-    """
-    count, n = len(cells), cells.shape[1]
-    perms = np.array(list(permutations(range(n))))
-    digits = n ** np.arange(n - 1, -1, -1)
-    # classes[i, s]: the index in perms of symbol s's class in square rows[i]
-    columns = np.argsort(cells[rows], axis=2).transpose(0, 2, 1)  # [i, s, r]
-    classes = np.searchsorted(perms @ digits, columns @ digits)
-    step = -(-_ENUMERATION_BLOCK // 8) * 8  # whole bytes
-    blocks = []
-    for s in range(0, count, step):
-        masks = np.ascontiguousarray((1 << cells[s : s + step]).transpose(1, 2, 0))  # [r, c, b]
-        union = masks[0][perms[:, 0]]
-        for r in range(1, n):
-            union |= masks[r][perms[:, r]]
-        blocks.append(np.packbits(union == (1 << n) - 1, axis=1))
-    transversal = np.concatenate(blocks, axis=1)
-    hits = []
-    for first in range(0, len(rows), _PAIR_BLOCK):
-        found = np.bitwise_and.reduce(transversal[classes[first : first + _PAIR_BLOCK]], axis=1)
-        row, byte = np.divmod(np.flatnonzero(found), found.shape[1])
-        k, bit = np.nonzero(np.unpackbits(found[row, byte][:, None], axis=1))
-        hits.append((first + row[k]) * count + byte[k] * 8 + bit)
-    return np.concatenate(hits)
-
-
 def _representatives(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the reduced squares (first row and first column 0..n-1) and
     of the squares whose first column is 0..n-1."""
@@ -166,20 +143,16 @@ def _representatives(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return in_order[(cells[in_order, 0] == target).all(axis=1)], in_order
 
 
-def find_orthogonal_pairs(n: int) -> np.ndarray:
-    """All ordered orthogonal pairs over the full enumeration (n <= 4), as an
-    ``(m, 2)`` array of row-major ``(ia, ib)`` indices into
-    ``enumerate_latin(n).cells``.
-
-    Order 1 yields the single trivial self-pair; order 2 yields nothing.
-    """
-    _check_order(n, 4)
-    cells = enumerate_latin(n).cells
-    return np.stack(np.divmod(_mates(cells, np.arange(len(cells))), len(cells)), axis=1)
-
-
 def count_orthogonal_pairs(n: int) -> int:
     """The number of ordered orthogonal pairs at order n (n <= 5).
+
+    A symbol class of a square, the cells that hold one symbol, is a
+    permutation (row r to its column), and b is orthogonal to a iff each of
+    a's classes is a transversal of b.  ``transversal[p]`` holds one bit per
+    square b, set when permutation p meets n distinct symbols of b, so the
+    AND of a's classes' rows has one bit set per mate of a.  Each block of
+    squares is packed on its own; the 0 bits that pad it to whole bytes count
+    no pair.
 
     Permuting a square's rows carries its mates along and relabelling its
     symbols keeps them, so each square of an orbit under these n!^2 maps has
@@ -187,9 +160,26 @@ def count_orthogonal_pairs(n: int) -> int:
     take a square to a reduced one, so each reduced square's mates count
     n! (n-1)! times.
     """
-    _check_order(n, PAIRS_CAP)
+    _check_order(n)
     cells = enumerate_latin(n).cells
-    return len(_mates(cells, _representatives(cells)[0])) * factorial(n) * factorial(n - 1)
+    perms = np.array(list(permutations(range(n))))
+    digits = n ** np.arange(n - 1, -1, -1)
+    # classes[i, s]: the index in perms of symbol s's class in reduced square i
+    columns = np.argsort(cells[_representatives(cells)[0]], axis=2).transpose(0, 2, 1)  # [i, s, r]
+    classes = np.searchsorted(perms @ digits, columns @ digits)
+    blocks = []
+    for s in range(0, len(cells), _ENUMERATION_BLOCK):
+        masks = np.ascontiguousarray((1 << cells[s : s + _ENUMERATION_BLOCK]).transpose(1, 2, 0))  # [r, c, b]
+        union = masks[0][perms[:, 0]]
+        for r in range(1, n):
+            union |= masks[r][perms[:, r]]
+        blocks.append(np.packbits(union == (1 << n) - 1, axis=1))
+    transversal = np.concatenate(blocks, axis=1)
+    mates = 0
+    for i in range(0, len(classes), _PAIR_BLOCK):
+        found = np.bitwise_and.reduce(transversal[classes[i : i + _PAIR_BLOCK]], axis=1)
+        mates += int(np.unpackbits(found).sum())
+    return mates * factorial(n) * factorial(n - 1)
 
 
 @dataclass(frozen=True)
@@ -273,7 +263,7 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     partners (all of them once a run holds two or more squares, so blocks
     follow row-major pair order).
     """
-    _check_order(n, PAIRS_CAP)
+    _check_order(n)
     cells = enumerate_latin(n).cells
     firsts, partners = _representatives(cells)
     rows = max(1, _PAIR_BLOCK // len(partners))

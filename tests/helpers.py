@@ -394,8 +394,9 @@ def reference_enumerate_latin(n: int) -> np.ndarray:
 
 
 def reference_orthogonal_pairs(n: int) -> np.ndarray:
-    """``find_orthogonal_pairs(n)`` as one distinct-pair-code test of each
-    square against all squares."""
+    """The ordered orthogonal pairs of order n, as an ``(m, 2)`` array of
+    row-major ``(ia, ib)`` indices into ``reference_enumerate_latin(n)``: one
+    distinct-pair-code test of each square against all squares."""
     codes = reference_enumerate_latin(n).reshape(-1, n * n)
     pairs = []
     for ia in range(len(codes)):

@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from qlsmub import search
 from qlsmub.search import (
     ENUMERATION_CAP,
-    PAIRS_CAP,
     EnumerationResult,
     EquivalenceReport,
     count_latin_by_columns,
     count_orthogonal_pairs,
     cross_validate_lemma16,
     enumerate_latin,
-    find_orthogonal_pairs,
 )
-from qlsmub.squares import LatinSquare, are_orthogonal
 
 from helpers import (
     assert_is_the_oracle, field_square, reference_enumerate_latin, reference_lemma16,
@@ -58,7 +55,7 @@ def test_enumeration_caps():
 def test_order_five_fills_its_forced_row_without_int64_temporaries():
     # numpy reports its buffers to tracemalloc.  Summing the int8 cells in
     # int64 makes two (161280, 5) int64 temporaries and a peak of 24.8 MiB;
-    # summing in int8 (exact, at most 10) peaks at 20.3 MiB.
+    # summing in int8 (exact, at most 10) peaks at 15.5 MiB.
     tracemalloc.start()
     try:
         result = enumerate_latin(5)
@@ -66,7 +63,7 @@ def test_order_five_fills_its_forced_row_without_int64_temporaries():
     finally:
         tracemalloc.stop()
     assert result.count == 161280
-    assert peak < 22.5 * 2**20
+    assert peak < 18 * 2**20
 
 
 def test_a_table_that_is_not_latin_is_refused(monkeypatch):
@@ -79,59 +76,30 @@ def test_a_table_that_is_not_latin_is_refused(monkeypatch):
         enumerate_latin(3)
 
 
-def test_orthogonal_pairs_small_orders():
-    assert len(find_orthogonal_pairs(1)) == 1
-    assert find_orthogonal_pairs(2).shape == (0, 2)
-    pairs = find_orthogonal_pairs(3)
-    assert len(pairs) == 72
-
-
-def test_orthogonal_pairs_are_orthogonal_and_symmetric():
-    squares = enumerate_latin(3).squares
-    pairs = find_orthogonal_pairs(3)
-    for ia, ib in pairs:
-        assert are_orthogonal(squares[ia], squares[ib])
-    keyed = {(int(ia), int(ib)) for ia, ib in pairs}
-    assert all((ib, ia) in keyed for ia, ib in keyed)
-
-
-def test_orthogonal_pairs_contain_the_two_cyclic_twists():
-    cyclic = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
-    twisted = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
-    squares = enumerate_latin(3).squares
-    pairs = find_orthogonal_pairs(3)
-    assert any(squares[ia] == cyclic and squares[ib] == twisted for ia, ib in pairs)
-
-
 def test_orthogonal_pairs_cap():
-    for bad in (0, 5, PAIRS_CAP + 1):
-        with pytest.raises(ValueError):
-            find_orthogonal_pairs(bad)
-    for bad in (0, PAIRS_CAP + 1):
+    for bad in (0, ENUMERATION_CAP + 1):
         with pytest.raises(ValueError):
             count_orthogonal_pairs(bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orthogonal_pairs_counted_on_reduced_squares_are_the_listed_ones(n):
-    assert count_orthogonal_pairs(n) == len(find_orthogonal_pairs(n))
+    assert count_orthogonal_pairs(n) == len(reference_orthogonal_pairs(n))
 
 
 def test_order_five_orthogonal_pairs_are_counted_in_blocks():
     # numpy reports its buffers to tracemalloc.  The packed transversal table
-    # (2.4 MB) and the blocked mates fit in what the enumeration frees; one
-    # bool table of all squares against all permutations would be 19.4 MB.
+    # (2.4 MB) and the blocked mates, next to the cells, peak at 18.4 MiB; one
+    # bool table of all squares against all permutations would be 19.4 MB,
+    # and built in one step it peaks at 46.9 MiB.
     tracemalloc.start()
     try:
-        enumerate_latin(5)
-        enumerated = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         count = count_orthogonal_pairs(5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == 6220800
-    assert peak < enumerated + 2**20
+    assert peak < 19.5 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -167,14 +135,6 @@ def test_enumeration_is_the_recursive_fill(n):
     assert [s.cells.tolist() for s in result.squares] == expected.tolist()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_orthogonal_pairs_are_the_per_square_loop(n):
-    pairs = find_orthogonal_pairs(n)
-    expected = reference_orthogonal_pairs(n)
-    assert pairs.shape == expected.shape and pairs.dtype == np.int64
-    assert np.array_equal(pairs, expected)  # same pairs, same row-major order
-
-
 @pytest.mark.parametrize("tol", [1e-9, 0.6, 1.0, -1.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cross_validation_is_the_per_pair_loop(n, tol):
@@ -184,19 +144,15 @@ def test_cross_validation_is_the_per_pair_loop(n, tol):
 @pytest.mark.parametrize("enumeration_block", [1, 7])
 @pytest.mark.parametrize("pair_block", [1, 5, 25, 72, 96])
 def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block, enumeration_block):
-    # partial partner blocks, transversal tables of a byte's worth of squares,
-    # and at order 4 runs of several reduced squares with a partial last run
+    # partial partner blocks, transversal tables padded to whole bytes, and
+    # at order 4 runs of several reduced squares with a partial last run
     default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
     monkeypatch.setattr(search, "_ENUMERATION_BLOCK", enumeration_block)
     cells = enumerate_latin(4).cells
     assert np.array_equal(cells, reference_enumerate_latin(4))
     for n in (3, 4):
-        pairs = find_orthogonal_pairs(n)
-        expected = reference_orthogonal_pairs(n)
-        assert pairs.shape == expected.shape and pairs.dtype == np.int64
-        assert np.array_equal(pairs, expected)
-        assert count_orthogonal_pairs(n) == len(expected)
+        assert count_orthogonal_pairs(n) == len(reference_orthogonal_pairs(n))
     for tol in (1e-9, 1.0):
         assert_is_the_oracle(cross_validate_lemma16(3, tol), reference_lemma16(3, tol))
         assert cross_validate_lemma16(4, tol) == default[tol]
