@@ -18,6 +18,7 @@ from qlsmub.search import (
     cross_validate_lemma16,
     enumerate_latin,
 )
+from qlsmub.squares import LatinSquare, are_orthogonal
 
 from helpers import (
     assert_is_the_oracle, field_square, reference_enumerate_latin, reference_lemma16,
@@ -74,6 +75,35 @@ def test_a_table_that_is_not_latin_is_refused(monkeypatch):
     monkeypatch.setattr(search, "permutations", with_a_repeated_symbol)
     with pytest.raises(RuntimeError, match="not Latin"):
         enumerate_latin(3)
+
+
+def test_orthogonal_pairs_small_orders():
+    # order 1 has its one trivial self-pair, order 2 none
+    assert [count_orthogonal_pairs(n) for n in (1, 2, 3, 4)] == [1, 0, 72, 6912]
+
+
+def test_orthogonal_pairs_are_orthogonal_and_symmetric():
+    squares = enumerate_latin(3).squares
+    keyed = {
+        (ia, ib)
+        for ia, a in enumerate(squares)
+        for ib, b in enumerate(squares)
+        if are_orthogonal(a, b)
+    }
+    assert all((ib, ia) in keyed for ia, ib in keyed)
+    assert count_orthogonal_pairs(3) == len(keyed)
+
+
+def test_orthogonal_pairs_contain_the_two_cyclic_twists(monkeypatch):
+    # on a table of these squares alone, the reduced cyclic square's one mate
+    # is the twist, weighted by the 3! 2! squares of its orbit
+    cyclic = [[(r + c) % 3 for c in range(3)] for r in range(3)]
+    twisted = [[(r + 2 * c) % 3 for c in range(3)] for r in range(3)]
+    assert are_orthogonal(LatinSquare(cyclic), LatinSquare(twisted))
+    for table, mates in (([cyclic, twisted], 1), ([cyclic], 0)):
+        cells = np.array(table, dtype=np.int8)
+        monkeypatch.setattr(search, "enumerate_latin", lambda n, cells=cells: EnumerationResult(n, cells))
+        assert count_orthogonal_pairs(3) == mates * factorial(3) * factorial(2)
 
 
 def test_orthogonal_pairs_cap():
@@ -133,6 +163,17 @@ def test_enumeration_is_the_recursive_fill(n):
     assert np.array_equal(result.cells, expected)
     assert not result.cells.flags.writeable
     assert [s.cells.tolist() for s in result.squares] == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orthogonal_pairs_are_the_per_square_loop(n):
+    # each reduced square's mates, one are_orthogonal call per square, times
+    # the n! (n-1)! squares of its orbit
+    squares = enumerate_latin(n).squares
+    target = list(range(n))
+    reduced = [a for a in squares if a.cells[0].tolist() == target and a.cells[:, 0].tolist() == target]
+    mates = sum(are_orthogonal(a, b) for a in reduced for b in squares)
+    assert count_orthogonal_pairs(n) == mates * factorial(n) * factorial(n - 1)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.6, 1.0, -1.0])
