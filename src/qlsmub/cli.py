@@ -27,7 +27,7 @@ from .fixtures import FIXTURE_NAMES, fixture, hadamard_9_corrected, paper_p_grid
 from .hadamard import constant_family, hadamard_family, validate_hadamard
 from .numerics import DEFAULT_TOL
 from .search import (
-    count_latin_by_columns, count_orthogonal_pairs, cross_validate_lemma16, enumerate_latin,
+    count_latin, count_latin_by_columns, count_orthogonal_pairs, cross_validate_lemma16,
 )
 from .squares import (
     VectorGrid, are_left_orthogonal, are_orthogonal, left_conjugate, validate_qls,
@@ -230,12 +230,12 @@ def _cmd_fixtures(args) -> Outcome:
 
 def _cmd_search(args) -> Outcome:
     if args.what == "latin":
-        result = enumerate_latin(args.order)
+        count = count_latin(args.order)
         recount = count_latin_by_columns(args.order)
         return Outcome(
-            result.count == recount,
-            {"what": "latin", "order": args.order, "count": result.count, "recount": recount},
-            f"order {args.order}: {result.count} Latin squares (column-major recount {recount})",
+            count == recount,
+            {"what": "latin", "order": args.order, "count": count, "recount": recount},
+            f"order {args.order}: {count} Latin squares (column-major recount {recount})",
         )
     if args.what == "orth-pairs":
         count = count_orthogonal_pairs(args.order)

@@ -1,10 +1,13 @@
 """Exhaustive small-order searches.
 
 Enumeration and the pair counts are capped at order 5; beyond that the
-counts explode past desk-scale runtimes.  Each search works on the whole
-enumeration as one ``(count, n, n)`` array rather than square by square, and
-the pair counts decide one representative per orbit of a symmetry that keeps
-every verdict.
+counts explode past desk-scale runtimes.  Each search works on a table of
+squares as one ``(count, n, n)`` array rather than square by square, and
+decides one representative per orbit of a symmetry that keeps every
+verdict.  The two counts, of Latin squares and of orthogonal pairs, grow
+only the count / n! squares whose first row is 0..n-1, since relabelling
+symbols makes all n! first rows alike; the lemma16 cross-check takes the
+whole enumeration.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from .squares import LatinSquare, weak_orth_defects
 
 ENUMERATION_CAP = 5
 
-# Squares tested or tabulated against the row permutations in one step:
-# bounds the (block, n!) compatibility table that order 5 builds, and the
-# (n!, block) transversal table of the orthogonal pairs.
+# Partial squares tested against the row permutations in one step: bounds
+# the (block, n!) compatibility table that the full order-5 enumeration
+# builds.
 _ENUMERATION_BLOCK = 4096
-# Reduced squares whose mates are counted in one step, bounding the (block,
-# n, count / 8) packed table; and at most _PAIR_BLOCK representative pairs
-# per step of the lemma16 cross-check, bounding its (pairs, n^2, n^2) complex
-# permutation maps.
+# Representative pairs decided in one step of the lemma16 cross-check:
+# bounds its (pairs, n^2, n^2) complex permutation maps.
 _PAIR_BLOCK = 96
 
 
@@ -54,12 +55,15 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} out of range 1..{ENUMERATION_CAP}")
 
 
-def enumerate_latin(n: int) -> EnumerationResult:
-    """All Latin squares of order n in lexicographic cell order (n <= 5).
+def _latin_cells(n: int, first_row: bool) -> np.ndarray:
+    """The Latin squares of order n (n <= 5) as a read-only ``(count, n, n)``
+    int8 array in lexicographic cell order; with ``first_row``, only those
+    whose first row is 0..n-1, which are the first count / n! of them.
 
-    Squares grow a row at a time: each partial square, in order, takes every
-    row permutation (in ``itertools.permutations`` order, which is
-    lexicographic) that repeats no symbol in any column, so the stack stays
+    Squares grow a row at a time from the empty square, or from the identity
+    row: each partial square, in order, takes every row permutation (in
+    ``itertools.permutations`` order, which is lexicographic and starts with
+    the identity) that repeats no symbol in any column, so the stack stays
     sorted.  A row's key has bit ``n*c + s`` set for symbol s in column c,
     and the OR of a partial square's keys marks the symbols each column has
     used.  The last row is forced: each column's missing symbol.
@@ -72,9 +76,10 @@ def enumerate_latin(n: int) -> EnumerationResult:
     _check_order(n)
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     keys = (1 << (perms + n * np.arange(n))).sum(axis=1)
-    rows = np.zeros((1, 0), dtype=np.int64)  # permutation index of each row
-    used = np.zeros(1, dtype=np.int64)
-    for _ in range(n - 1):
+    start = min(int(first_row), n - 1)  # at order 1 the forced row is the identity
+    rows = np.zeros((1, start), dtype=np.int64)  # permutation index of each row
+    used = np.full(1, keys[0] if start else 0, dtype=np.int64)
+    for _ in range(start, n - 1):
         # flat hit indices, one divmod: 2-D np.nonzero is several times slower
         partial, perm = np.divmod(np.concatenate([
             np.flatnonzero((used[s : s + _ENUMERATION_BLOCK, None] & keys) == 0) + s * len(keys)
@@ -97,18 +102,30 @@ def enumerate_latin(n: int) -> EnumerationResult:
     ):
         raise RuntimeError(f"order-{n} enumeration produced a table that is not Latin")
     cells.setflags(write=False)
-    return EnumerationResult(n, cells)
+    return cells
+
+
+def enumerate_latin(n: int) -> EnumerationResult:
+    """All Latin squares of order n in lexicographic cell order (n <= 5)."""
+    return EnumerationResult(n, _latin_cells(n, first_row=False))
+
+
+def count_latin(n: int) -> int:
+    """The number of Latin squares of order n (n <= 5): n! times the number
+    whose first row is 0..n-1, since exactly one relabelling of its symbols
+    gives a square that first row."""
+    return factorial(n) * len(_latin_cells(n, first_row=True))
 
 
 def count_latin_by_columns(n: int) -> int:
     """Independent recount filling column-major instead of row-major.
 
-    Exists purely to cross-check :func:`enumerate_latin`; shares no code or
-    state with it.  Columns are filled one at a time, each cell taking a
-    symbol its row has not used.  How many ways the remaining columns can be
-    filled depends only on the set of symbols each row has used, not on the
-    order of the rows, so counts are memoised per call under the sorted
-    tuple of those sets (as bitmasks).
+    Exists purely to cross-check :func:`count_latin`; shares no code or
+    state with it or with :func:`enumerate_latin`.  Columns are filled one
+    at a time, each cell taking a symbol its row has not used.  How many
+    ways the remaining columns can be filled depends only on the set of
+    symbols each row has used, not on the order of the rows, so counts are
+    memoised per call under the sorted tuple of those sets (as bitmasks).
     """
     _check_order(n)
     full = (1 << n) - 1
@@ -148,38 +165,33 @@ def count_orthogonal_pairs(n: int) -> int:
 
     A symbol class of a square, the cells that hold one symbol, is a
     permutation (row r to its column), and b is orthogonal to a iff each of
-    a's classes is a transversal of b.  ``transversal[p]`` holds one bit per
-    square b, set when permutation p meets n distinct symbols of b, so the
-    AND of a's classes' rows has one bit set per mate of a.  Each block of
-    squares is packed on its own; the 0 bits that pad it to whole bytes count
-    no pair.
+    a's classes is a transversal of b.  ``transversal[p, b]`` is True when
+    permutation p meets n distinct symbols of b, so the AND of a's classes'
+    rows is True once per mate of a.
 
-    Permuting a square's rows carries its mates along and relabelling its
-    symbols keeps them, so each square of an orbit under these n!^2 maps has
-    as many mates.  As in :func:`cross_validate_lemma16`, exactly n of them
-    take a square to a reduced one, so each reduced square's mates count
-    n! (n-1)! times.
+    Permuting a's rows carries its mates along and relabelling its symbols
+    keeps them, so each square of an orbit under these n!^2 maps has as many
+    mates.  As in :func:`cross_validate_lemma16`, exactly n of them take a
+    square to a reduced one (first row and column 0..n-1), so each reduced
+    square's mates count n! (n-1)! times.  Relabelling b's symbols keeps b
+    orthogonal to a, and exactly one relabelling gives b the first row
+    0..n-1, so a's mates are n! times those with that first row.  The reduced
+    squares are therefore paired only with the count / n! squares of that
+    first row, and each mate found counts n! n! (n-1)! ordered pairs.
     """
-    _check_order(n)
-    cells = enumerate_latin(n).cells
+    cells = _latin_cells(n, first_row=True)
     perms = np.array(list(permutations(range(n))))
     digits = n ** np.arange(n - 1, -1, -1)
     # classes[i, s]: the index in perms of symbol s's class in reduced square i
     columns = np.argsort(cells[_representatives(cells)[0]], axis=2).transpose(0, 2, 1)  # [i, s, r]
     classes = np.searchsorted(perms @ digits, columns @ digits)
-    blocks = []
-    for s in range(0, len(cells), _ENUMERATION_BLOCK):
-        masks = np.ascontiguousarray((1 << cells[s : s + _ENUMERATION_BLOCK]).transpose(1, 2, 0))  # [r, c, b]
-        union = masks[0][perms[:, 0]]
-        for r in range(1, n):
-            union |= masks[r][perms[:, r]]
-        blocks.append(np.packbits(union == (1 << n) - 1, axis=1))
-    transversal = np.concatenate(blocks, axis=1)
-    mates = 0
-    for i in range(0, len(classes), _PAIR_BLOCK):
-        found = np.bitwise_and.reduce(transversal[classes[i : i + _PAIR_BLOCK]], axis=1)
-        mates += int(np.unpackbits(found).sum())
-    return mates * factorial(n) * factorial(n - 1)
+    masks = (1 << cells).transpose(1, 2, 0)  # [r, c, b]
+    union = masks[0][perms[:, 0]]
+    for r in range(1, n):
+        union |= masks[r][perms[:, r]]
+    transversal = union == (1 << n) - 1
+    mates = int(transversal[classes].all(axis=1).sum())
+    return mates * factorial(n) ** 2 * factorial(n - 1)
 
 
 @dataclass(frozen=True)
@@ -229,7 +241,11 @@ def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float):
     and :func:`is_permutation_matrix` on their cell-to-symbol-pair maps."""
     n = firsts.shape[1]
     basis = np.eye(n, dtype=np.complex128)  # basis[cells] are the computational grids
-    prods = np.einsum("aikc,bjkc->abijk", basis[firsts].conj(), basis[partners], optimize=True)
+    # one product per column k, [k, (a, i), (b, j)]; exact in any summation
+    # order, since every term is 0 or 1 and at most one is nonzero
+    grids = [basis[cells.transpose(2, 0, 1)].reshape(n, -1, n) for cells in (firsts, partners)]
+    prods = grids[0].conj() @ grids[1].transpose(0, 2, 1)
+    prods = prods.reshape(n, len(firsts), n, len(partners), n).transpose(1, 3, 2, 4, 0)
     by_witness = ~weak_orth_defects(prods.reshape(-1, n, n, n), tol)[1].any(axis=(1, 2, 3))
     # left conjugate: out[s, c] = r where cells[r, c] = s, each column inverted
     left, right = np.argsort(firsts, axis=1), np.argsort(partners, axis=1)

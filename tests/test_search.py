@@ -13,6 +13,7 @@ from qlsmub.search import (
     ENUMERATION_CAP,
     EnumerationResult,
     EquivalenceReport,
+    count_latin,
     count_latin_by_columns,
     count_orthogonal_pairs,
     cross_validate_lemma16,
@@ -43,6 +44,22 @@ def test_enumeration_is_lexicographic_and_distinct():
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     assert squares[0].cells.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("n, rows", [(1, 1), (2, 1), (3, 2), (4, 24), (5, 1344)])
+def test_the_first_row_table_is_the_start_of_the_enumeration(n, rows):
+    full = enumerate_latin(n).cells
+    table = search._latin_cells(n, first_row=True)
+    assert table.shape == (rows, n, n)
+    assert table.dtype == full.dtype and not table.flags.writeable
+    assert np.array_equal(table, full[(full[:, 0] == np.arange(n)).all(axis=1)])
+
+
+def test_latin_counts_from_the_first_row_table():
+    assert [count_latin(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 12, 576, 161280]
+    for bad in (0, ENUMERATION_CAP + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            count_latin(bad)
 
 
 def test_enumeration_caps():
@@ -95,15 +112,17 @@ def test_orthogonal_pairs_are_orthogonal_and_symmetric():
 
 
 def test_orthogonal_pairs_contain_the_two_cyclic_twists(monkeypatch):
-    # on a table of these squares alone, the reduced cyclic square's one mate
-    # is the twist, weighted by the 3! 2! squares of its orbit
+    # on a first-row table of these squares alone, the reduced cyclic
+    # square's one mate is the twist, weighted by the 3! 2! squares of its
+    # orbit and the 3! relabellings of the twist
     cyclic = [[(r + c) % 3 for c in range(3)] for r in range(3)]
-    twisted = [[(r + 2 * c) % 3 for c in range(3)] for r in range(3)]
+    twisted = [[(2 * r + c) % 3 for c in range(3)] for r in range(3)]
+    assert cyclic[0] == twisted[0] == [0, 1, 2]
     assert are_orthogonal(LatinSquare(cyclic), LatinSquare(twisted))
     for table, mates in (([cyclic, twisted], 1), ([cyclic], 0)):
         cells = np.array(table, dtype=np.int8)
-        monkeypatch.setattr(search, "enumerate_latin", lambda n, cells=cells: EnumerationResult(n, cells))
-        assert count_orthogonal_pairs(3) == mates * factorial(3) * factorial(2)
+        monkeypatch.setattr(search, "_latin_cells", lambda n, first_row, cells=cells: cells)
+        assert count_orthogonal_pairs(3) == mates * factorial(3) * factorial(3) * factorial(2)
 
 
 def test_orthogonal_pairs_cap():
@@ -118,10 +137,11 @@ def test_orthogonal_pairs_counted_on_reduced_squares_are_the_listed_ones(n):
 
 
 def test_order_five_orthogonal_pairs_are_counted_in_blocks():
-    # numpy reports its buffers to tracemalloc.  The packed transversal table
-    # (2.4 MB) and the blocked mates, next to the cells, peak at 18.4 MiB; one
-    # bool table of all squares against all permutations would be 19.4 MB,
-    # and built in one step it peaks at 46.9 MiB.
+    # numpy reports its buffers to tracemalloc.  The 1,344 squares with first
+    # row 0..4 against the 120 permutations make a 161 kB bool transversal
+    # table, and the 56 reduced squares' class rows of it 376 kB: the count
+    # peaks at 0.82 MiB.  Counted over all 161,280 squares, the enumeration
+    # alone would hold more than 15 MiB.
     tracemalloc.start()
     try:
         count = count_orthogonal_pairs(5)
@@ -129,7 +149,7 @@ def test_order_five_orthogonal_pairs_are_counted_in_blocks():
     finally:
         tracemalloc.stop()
     assert count == 6220800
-    assert peak < 19.5 * 2**20
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -185,8 +205,8 @@ def test_cross_validation_is_the_per_pair_loop(n, tol):
 @pytest.mark.parametrize("enumeration_block", [1, 7])
 @pytest.mark.parametrize("pair_block", [1, 5, 25, 72, 96])
 def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block, enumeration_block):
-    # partial partner blocks, transversal tables padded to whole bytes, and
-    # at order 4 runs of several reduced squares with a partial last run
+    # partial enumeration and partner blocks, and at order 4 runs of several
+    # reduced squares with a partial last run
     default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
     monkeypatch.setattr(search, "_ENUMERATION_BLOCK", enumeration_block)
