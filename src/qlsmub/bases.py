@@ -27,7 +27,7 @@ class BipartiteBasis:
 
     def __post_init__(self):
         n, arr = self.n, owned(self.states, np.complex128)
-        if arr.shape != (n * n, n * n):
+        if n < 1 or arr.shape != (n * n, n * n):
             raise ValueError(
                 f"expected {n * n} states of dimension {n * n}, got shape {arr.shape}"
             )
@@ -103,8 +103,8 @@ def _states_of(b) -> np.ndarray:
     if isinstance(b, BipartiteBasis):
         return b.states
     arr = np.asarray(b, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a stack of states, got ndim {arr.ndim}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"expected a non-empty stack of states, got shape {arr.shape}")
     return arr
 
 

@@ -6,8 +6,8 @@ squares as one ``(count, n, n)`` array rather than square by square, and
 decides one representative per orbit of a symmetry that keeps every
 verdict.  The two counts, of Latin squares and of orthogonal pairs, grow
 only the count / n! squares whose first row is 0..n-1, since relabelling
-symbols makes all n! first rows alike; the lemma16 cross-check takes the
-whole enumeration.
+symbols makes all n! first rows alike; the full enumeration that the
+lemma16 cross-check takes is those squares relabelled n! ways.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .squares import LatinSquare, weak_orth_defects
 
 ENUMERATION_CAP = 5
 
-# Partial squares tested against the row permutations in one step: bounds
-# the (block, n!) compatibility table that the full order-5 enumeration
-# builds.
-_ENUMERATION_BLOCK = 4096
 # Representative pairs decided in one step of the lemma16 cross-check:
 # bounds its (pairs, n^2, n^2) complex permutation maps.
 _PAIR_BLOCK = 96
@@ -55,18 +51,17 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} out of range 1..{ENUMERATION_CAP}")
 
 
-def _latin_cells(n: int, first_row: bool) -> np.ndarray:
-    """The Latin squares of order n (n <= 5) as a read-only ``(count, n, n)``
-    int8 array in lexicographic cell order; with ``first_row``, only those
-    whose first row is 0..n-1, which are the first count / n! of them.
+def _latin_cells(n: int) -> np.ndarray:
+    """The Latin squares of order n (n <= 5) whose first row is 0..n-1, as a
+    read-only ``(count / n!, n, n)`` int8 array in lexicographic cell order.
 
-    Squares grow a row at a time from the empty square, or from the identity
-    row: each partial square, in order, takes every row permutation (in
-    ``itertools.permutations`` order, which is lexicographic and starts with
-    the identity) that repeats no symbol in any column, so the stack stays
-    sorted.  A row's key has bit ``n*c + s`` set for symbol s in column c,
-    and the OR of a partial square's keys marks the symbols each column has
-    used.  The last row is forced: each column's missing symbol.
+    Squares grow a row at a time from the identity row: each partial square,
+    in order, takes every row permutation (in lexicographic
+    ``itertools.permutations`` order) that repeats no symbol in any column,
+    so the stack stays sorted.  A row's key has bit ``n*c + s`` set for symbol
+    s in column c, and the OR of a partial square's keys marks the symbols
+    each column has used.  The last row is forced: each column's missing
+    symbol.
 
     The result is checked against what was built rather than re-sorted:
     every row permutation sorts to 0..n-1, each forced row sets n distinct
@@ -76,15 +71,12 @@ def _latin_cells(n: int, first_row: bool) -> np.ndarray:
     _check_order(n)
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     keys = (1 << (perms + n * np.arange(n))).sum(axis=1)
-    start = min(int(first_row), n - 1)  # at order 1 the forced row is the identity
+    start = min(1, n - 1)  # at order 1 the forced row is the identity
     rows = np.zeros((1, start), dtype=np.int64)  # permutation index of each row
     used = np.full(1, keys[0] if start else 0, dtype=np.int64)
     for _ in range(start, n - 1):
         # flat hit indices, one divmod: 2-D np.nonzero is several times slower
-        partial, perm = np.divmod(np.concatenate([
-            np.flatnonzero((used[s : s + _ENUMERATION_BLOCK, None] & keys) == 0) + s * len(keys)
-            for s in range(0, len(used), _ENUMERATION_BLOCK)
-        ]), len(keys))
+        partial, perm = np.divmod(np.flatnonzero((used[:, None] & keys) == 0), len(keys))
         rows = np.concatenate([rows[partial], perm[:, None]], axis=1)
         used = used[partial] | keys[perm]
     cells = np.empty((len(rows), n, n), dtype=np.int8)
@@ -106,15 +98,22 @@ def _latin_cells(n: int, first_row: bool) -> np.ndarray:
 
 
 def enumerate_latin(n: int) -> EnumerationResult:
-    """All Latin squares of order n in lexicographic cell order (n <= 5)."""
-    return EnumerationResult(n, _latin_cells(n, first_row=False))
+    """All Latin squares of order n in lexicographic cell order (n <= 5):
+    the n! symbol relabellings of :func:`_latin_cells`, sorted once in place
+    on each square's cells as one void, which numpy compares bytewise."""
+    table = _latin_cells(n)
+    perms = np.array(list(permutations(range(n))), dtype=np.int8)
+    flat = np.ascontiguousarray(perms[:, table]).reshape(-1, n * n)
+    flat.view(f"V{n * n}").sort(axis=0)
+    flat.setflags(write=False)
+    return EnumerationResult(n, flat.reshape(-1, n, n))
 
 
 def count_latin(n: int) -> int:
     """The number of Latin squares of order n (n <= 5): n! times the number
     whose first row is 0..n-1, since exactly one relabelling of its symbols
     gives a square that first row."""
-    return factorial(n) * len(_latin_cells(n, first_row=True))
+    return factorial(n) * len(_latin_cells(n))
 
 
 def count_latin_by_columns(n: int) -> int:
@@ -179,7 +178,7 @@ def count_orthogonal_pairs(n: int) -> int:
     squares are therefore paired only with the count / n! squares of that
     first row, and each mate found counts n! n! (n-1)! ordered pairs.
     """
-    cells = _latin_cells(n, first_row=True)
+    cells = _latin_cells(n)
     perms = np.array(list(permutations(range(n))))
     digits = n ** np.arange(n - 1, -1, -1)
     # classes[i, s]: the index in perms of symbol s's class in reduced square i

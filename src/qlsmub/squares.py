@@ -24,8 +24,8 @@ class VectorGrid:
 
     def __post_init__(self):
         arr = owned(self.array, np.complex128)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise ValueError(f"expected an (n, n, n) array, got shape {arr.shape}")
+        if arr.ndim != 3 or len(set(arr.shape)) != 1 or arr.size == 0:
+            raise ValueError(f"expected an (n, n, n) array with n >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("grid contains NaN or Inf entries")
         object.__setattr__(self, "array", arr)
@@ -48,6 +48,9 @@ class LatinSquare:
     cells: np.ndarray
 
     def __post_init__(self):
+        dtype = np.asarray(self.cells).dtype
+        if not np.issubdtype(dtype, np.integer):
+            raise ValueError(f"expected an integer table, got dtype {dtype}")
         arr = owned(self.cells, np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a square table, got shape {arr.shape}")

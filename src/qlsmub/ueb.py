@@ -33,7 +33,7 @@ class UnitaryErrorBasis:
 
     def __post_init__(self):
         n, arr = self.n, owned(self.members, np.complex128)
-        if arr.shape != (n * n, n, n):
+        if n < 1 or arr.shape != (n * n, n, n):
             raise ValueError(f"expected {n * n} matrices of size {n}x{n}, got shape {arr.shape}")
         object.__setattr__(self, "members", arr)
 
@@ -93,7 +93,7 @@ def validate_ueb(members, tol: float = DEFAULT_TOL):
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         return UebViolation("count")
     n = arr.shape[1]
-    if arr.shape[0] != n * n:
+    if n < 1 or arr.shape[0] != n * n:
         return UebViolation("count")
     finite = np.isfinite(arr).all(axis=(1, 2))
     if not finite.all():

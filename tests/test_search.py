@@ -49,7 +49,7 @@ def test_enumeration_is_lexicographic_and_distinct():
 @pytest.mark.parametrize("n, rows", [(1, 1), (2, 1), (3, 2), (4, 24), (5, 1344)])
 def test_the_first_row_table_is_the_start_of_the_enumeration(n, rows):
     full = enumerate_latin(n).cells
-    table = search._latin_cells(n, first_row=True)
+    table = search._latin_cells(n)
     assert table.shape == (rows, n, n)
     assert table.dtype == full.dtype and not table.flags.writeable
     assert np.array_equal(table, full[(full[:, 0] == np.arange(n)).all(axis=1)])
@@ -71,9 +71,10 @@ def test_enumeration_caps():
 
 
 def test_order_five_fills_its_forced_row_without_int64_temporaries():
-    # numpy reports its buffers to tracemalloc.  Summing the int8 cells in
-    # int64 makes two (161280, 5) int64 temporaries and a peak of 24.8 MiB;
-    # summing in int8 (exact, at most 10) peaks at 15.5 MiB.
+    # numpy reports its buffers to tracemalloc.  Grown from the empty square
+    # in int8, the full table peaked at 15.5 MiB (24.8 MiB when the forced
+    # row was summed in int64).  Relabelling the 1,344 squares with first row
+    # 0..4 and sorting the 4 MB result in place peaks below 8 MiB.
     tracemalloc.start()
     try:
         result = enumerate_latin(5)
@@ -81,7 +82,21 @@ def test_order_five_fills_its_forced_row_without_int64_temporaries():
     finally:
         tracemalloc.stop()
     assert result.count == 161280
-    assert peak < 18 * 2**20
+    assert peak < 12 * 2**20
+
+
+def test_order_five_is_the_sorted_relabellings_of_the_first_row_table():
+    # no oracle reaches order 5: the table must be strictly increasing, and
+    # be the 120 relabellings of the 1,344 squares with first row 0..4
+    cells = enumerate_latin(5).cells
+    flat = cells.reshape(len(cells), -1).astype(np.int64)
+    assert len(cells) == factorial(5) * len(search._latin_cells(5))
+    diff = flat[1:] - flat[:-1]
+    first = np.argmax(diff != 0, axis=1)  # the first cell in which neighbours differ
+    assert (diff[np.arange(len(diff)), first] > 0).all()
+    symbols = np.array(list(permutations(range(5))), dtype=np.int8)
+    relabelled = symbols[:, search._latin_cells(5)].reshape(len(cells), 25)
+    assert np.array_equal(np.unique(relabelled, axis=0), flat)
 
 
 def test_a_table_that_is_not_latin_is_refused(monkeypatch):
@@ -121,7 +136,7 @@ def test_orthogonal_pairs_contain_the_two_cyclic_twists(monkeypatch):
     assert are_orthogonal(LatinSquare(cyclic), LatinSquare(twisted))
     for table, mates in (([cyclic, twisted], 1), ([cyclic], 0)):
         cells = np.array(table, dtype=np.int8)
-        monkeypatch.setattr(search, "_latin_cells", lambda n, first_row, cells=cells: cells)
+        monkeypatch.setattr(search, "_latin_cells", lambda n, cells=cells: cells)
         assert count_orthogonal_pairs(3) == mates * factorial(3) * factorial(3) * factorial(2)
 
 
@@ -202,14 +217,12 @@ def test_cross_validation_is_the_per_pair_loop(n, tol):
     assert_is_the_oracle(cross_validate_lemma16(n, tol), reference_lemma16(n, tol))
 
 
-@pytest.mark.parametrize("enumeration_block", [1, 7])
 @pytest.mark.parametrize("pair_block", [1, 5, 25, 72, 96])
-def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block, enumeration_block):
-    # partial enumeration and partner blocks, and at order 4 runs of several
-    # reduced squares with a partial last run
+def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block):
+    # partial partner blocks, and at order 4 runs of several reduced squares
+    # with a partial last run
     default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
-    monkeypatch.setattr(search, "_ENUMERATION_BLOCK", enumeration_block)
     cells = enumerate_latin(4).cells
     assert np.array_equal(cells, reference_enumerate_latin(4))
     for n in (3, 4):

@@ -59,6 +59,22 @@ def test_latin_square_rejects_non_latin():
         LatinSquare([[0, 2], [2, 0]])
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [[0.5, 1.9], [1.2, 0.7]],
+        np.array([[0, 1], [1, 0]]) + 0.9,
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        [[False, True], [True, False]],
+    ],
+    ids=["fractions", "shifted", "whole-floats", "bools"],
+)
+def test_latin_square_refuses_a_table_that_is_not_integer(cells):
+    # truncating to int64 would have read each of these as [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match="integer table"):
+        LatinSquare(cells)
+
+
 def test_computational_grid_round_trip():
     grid = computational_grid(CYCLIC3)
     assert as_latin_square(grid) == CYCLIC3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qlsmub.bases import BipartiteBasis, qls_meb
+from qlsmub.bases import BipartiteBasis, check_mub, is_orthonormal_basis, qls_meb
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import (
     constant_family,
@@ -77,8 +77,26 @@ def test_validate_rejects_wrong_count():
     assert isinstance(v, UebViolation) and v.kind == "count"
     v = validate_ueb([EYE2, X, Z, np.eye(3)])  # ragged: no one array holds them
     assert isinstance(v, UebViolation) and v.kind == "count"
+    v = validate_ueb(np.zeros((0, 0, 0)))  # order 0
+    assert isinstance(v, UebViolation) and v.kind == "count"
     with pytest.raises(ValueError, match=r"expected 4 matrices of size 2x2, got shape \(3, 2, 2\)"):
         UnitaryErrorBasis(2, [EYE2, X, Z])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: VectorGrid(np.zeros((0, 0, 0))),
+        lambda: BipartiteBasis(0, np.zeros((0, 0))),
+        lambda: UnitaryErrorBasis(0, np.zeros((0, 0, 0))),
+        lambda: is_orthonormal_basis(np.zeros((0, 0))),
+        lambda: check_mub(np.zeros((0, 0)), np.zeros((0, 0))),
+    ],
+    ids=["grid", "basis", "ueb", "orthonormal", "mub"],
+)
+def test_an_order_zero_value_is_refused(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
