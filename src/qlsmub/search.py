@@ -1,13 +1,15 @@
 """Exhaustive small-order searches.
 
-Enumeration and the pair counts are capped at order 5; beyond that the
-counts explode past desk-scale runtimes.  Each search works on a table of
-squares as one ``(count, n, n)`` array rather than square by square, and
-decides one representative per orbit of a symmetry that keeps every
-verdict.  The two counts, of Latin squares and of orthogonal pairs, grow
-only the count / n! squares whose first row is 0..n-1, since relabelling
-symbols makes all n! first rows alike; the full enumeration that the
-lemma16 cross-check takes is those squares relabelled n! ways.
+Every search is capped at order 5; beyond that the counts explode past
+desk-scale runtimes.  Each works on a table of squares as one
+``(count, n, n)`` array rather than square by square, and reads one table:
+the reduced squares R, whose first row and first column are 0..n-1 (McKay
+and Wanless, *On the number of Latin squares*, 2005).  Each search decides
+one representative per orbit of a symmetry that keeps every verdict, and
+weights it by the orbit's size: n! (n-1)! Latin squares per reduced square,
+n! n! (n-1)! ordered pairs per mate of one and per representative pair of
+the lemma16 cross-check.  The squares those searches pair R with are R with
+its rows, or its columns, 1..n-1 permuted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import factorial
 import numpy as np
 
 from .numerics import DEFAULT_TOL, is_permutation_matrix
-from .squares import LatinSquare, weak_orth_defects
+from .squares import weak_orth_defects
 
 ENUMERATION_CAP = 5
 
@@ -28,40 +30,23 @@ ENUMERATION_CAP = 5
 _PAIR_BLOCK = 96
 
 
-@dataclass(frozen=True, eq=False)
-class EnumerationResult:
-    """The Latin squares of one order as a read-only ``(count, n, n)`` int8
-    array, in lexicographic cell order."""
-
-    order: int
-    cells: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.cells)
-
-    @property
-    def squares(self) -> list[LatinSquare]:
-        """The squares as validated :class:`LatinSquare` objects, built on access."""
-        return [LatinSquare(c) for c in self.cells]
-
-
 def _check_order(n: int) -> None:
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"order {n} out of range 1..{ENUMERATION_CAP}")
 
 
 def _latin_cells(n: int) -> np.ndarray:
-    """The Latin squares of order n (n <= 5) whose first row is 0..n-1, as a
-    read-only ``(count / n!, n, n)`` int8 array in lexicographic cell order.
+    """The reduced Latin squares of order n (n <= 5), those whose first row
+    and first column are 0..n-1, as a read-only ``(count, n, n)`` int8 array
+    in lexicographic cell order.
 
-    Squares grow a row at a time from the identity row: each partial square,
-    in order, takes every row permutation (in lexicographic
-    ``itertools.permutations`` order) that repeats no symbol in any column,
-    so the stack stays sorted.  A row's key has bit ``n*c + s`` set for symbol
-    s in column c, and the OR of a partial square's keys marks the symbols
-    each column has used.  The last row is forced: each column's missing
-    symbol.
+    Squares grow a row at a time from the identity row: at row r each
+    partial square, in order, takes every permutation that starts with r
+    (one block of the lexicographic ``itertools.permutations`` order) and
+    repeats no symbol in any column, so the stack stays sorted.  A row's key
+    has bit ``n*c + s`` set for symbol s in column c, and the OR of a partial
+    square's keys marks the symbols each column has used.  The last row is
+    forced: each column's missing symbol, n-1 in the first.
 
     The result is checked against what was built rather than re-sorted:
     every row permutation sorts to 0..n-1, each forced row sets n distinct
@@ -71,12 +56,15 @@ def _latin_cells(n: int) -> np.ndarray:
     _check_order(n)
     perms = np.array(list(permutations(range(n))), dtype=np.int8)
     keys = (1 << (perms + n * np.arange(n))).sum(axis=1)
+    block = factorial(n - 1)  # the permutations that start with one symbol
     start = min(1, n - 1)  # at order 1 the forced row is the identity
     rows = np.zeros((1, start), dtype=np.int64)  # permutation index of each row
     used = np.full(1, keys[0] if start else 0, dtype=np.int64)
-    for _ in range(start, n - 1):
+    for r in range(start, n - 1):
+        starts_r = keys[r * block : (r + 1) * block]
         # flat hit indices, one divmod: 2-D np.nonzero is several times slower
-        partial, perm = np.divmod(np.flatnonzero((used[:, None] & keys) == 0), len(keys))
+        partial, perm = np.divmod(np.flatnonzero((used[:, None] & starts_r) == 0), block)
+        perm += r * block
         rows = np.concatenate([rows[partial], perm[:, None]], axis=1)
         used = used[partial] | keys[perm]
     cells = np.empty((len(rows), n, n), dtype=np.int8)
@@ -97,30 +85,21 @@ def _latin_cells(n: int) -> np.ndarray:
     return cells
 
 
-def enumerate_latin(n: int) -> EnumerationResult:
-    """All Latin squares of order n in lexicographic cell order (n <= 5):
-    the n! symbol relabellings of :func:`_latin_cells`, sorted once in place
-    on each square's cells as one void, which numpy compares bytewise."""
-    table = _latin_cells(n)
-    perms = np.array(list(permutations(range(n))), dtype=np.int8)
-    flat = np.ascontiguousarray(perms[:, table]).reshape(-1, n * n)
-    flat.view(f"V{n * n}").sort(axis=0)
-    flat.setflags(write=False)
-    return EnumerationResult(n, flat.reshape(-1, n, n))
-
-
 def count_latin(n: int) -> int:
-    """The number of Latin squares of order n (n <= 5): n! times the number
-    whose first row is 0..n-1, since exactly one relabelling of its symbols
-    gives a square that first row."""
-    return factorial(n) * len(_latin_cells(n))
+    """The number of Latin squares of order n (n <= 5): n! (n-1)! times the
+    number of reduced ones.  Of the n! (n-1)! maps that relabel a square's
+    symbols and permute its rows 1..n-1, exactly one makes a given Latin
+    square reduced: the relabelling that gives it the first row 0..n-1, then
+    the row order that sorts its first column."""
+    reduced = len(_latin_cells(n))  # refuses the order before any factorial
+    return reduced * factorial(n) * factorial(n - 1)
 
 
 def count_latin_by_columns(n: int) -> int:
     """Independent recount filling column-major instead of row-major.
 
     Exists purely to cross-check :func:`count_latin`; shares no code or
-    state with it or with :func:`enumerate_latin`.  Columns are filled one
+    state with it or with the reduced table.  Columns are filled one
     at a time, each cell taking a symbol its row has not used.  How many
     ways the remaining columns can be filled depends only on the set of
     symbols each row has used, not on the order of the rows, so counts are
@@ -151,14 +130,6 @@ def count_latin_by_columns(n: int) -> int:
     return completions((0,) * n)
 
 
-def _representatives(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the reduced squares (first row and first column 0..n-1) and
-    of the squares whose first column is 0..n-1."""
-    target = np.arange(cells.shape[1])
-    in_order = np.flatnonzero((cells[:, :, 0] == target).all(axis=1))
-    return in_order[(cells[in_order, 0] == target).all(axis=1)], in_order
-
-
 def count_orthogonal_pairs(n: int) -> int:
     """The number of ordered orthogonal pairs at order n (n <= 5).
 
@@ -169,22 +140,25 @@ def count_orthogonal_pairs(n: int) -> int:
     rows is True once per mate of a.
 
     Permuting a's rows carries its mates along and relabelling its symbols
-    keeps them, so each square of an orbit under these n!^2 maps has as many
-    mates.  As in :func:`cross_validate_lemma16`, exactly n of them take a
-    square to a reduced one (first row and column 0..n-1), so each reduced
-    square's mates count n! (n-1)! times.  Relabelling b's symbols keeps b
-    orthogonal to a, and exactly one relabelling gives b the first row
-    0..n-1, so a's mates are n! times those with that first row.  The reduced
-    squares are therefore paired only with the count / n! squares of that
-    first row, and each mate found counts n! n! (n-1)! ordered pairs.
+    keeps them, so each square of an orbit under these maps has as many
+    mates, and by the argument of :func:`count_latin` each reduced square's
+    mates count n! (n-1)! times.  Relabelling b's symbols keeps b orthogonal
+    to a, and exactly one relabelling gives b the first row 0..n-1, so a's
+    mates are n! times those with that first row.  Those are the reduced
+    squares with rows 1..n-1 permuted, each once: the one order of rows
+    1..n-1 that sorts a first-row square's first column makes it reduced.
+    So the reduced squares are paired with that table, one gather through
+    the permutations that fix 0, and each mate found counts n! n! (n-1)!
+    ordered pairs.
     """
     cells = _latin_cells(n)
     perms = np.array(list(permutations(range(n))))
+    first_row = cells[:, perms[: factorial(n - 1)]].reshape(-1, n, n)  # first row 0..n-1
     digits = n ** np.arange(n - 1, -1, -1)
     # classes[i, s]: the index in perms of symbol s's class in reduced square i
-    columns = np.argsort(cells[_representatives(cells)[0]], axis=2).transpose(0, 2, 1)  # [i, s, r]
+    columns = np.argsort(cells, axis=2).transpose(0, 2, 1)  # [i, s, r]
     classes = np.searchsorted(perms @ digits, columns @ digits)
-    masks = (1 << cells).transpose(1, 2, 0)  # [r, c, b]
+    masks = (1 << first_row).transpose(1, 2, 0)  # [r, c, b]
     union = masks[0][perms[:, 0]]
     for r in range(1, n):
         union |= masks[r][perms[:, r]]
@@ -205,7 +179,11 @@ class EquivalenceReport:
     standing for ``pairs_checked // representatives`` of them.  The
     ``disagreements`` list holds (index_a, index_b, witness, left, perm) for
     each representative pair whose three booleans differ, in row-major
-    order; all three agreeing everywhere is the expected outcome.
+    order; all three agreeing everywhere is the expected outcome.  index_a
+    points into the reduced squares in lexicographic order, and index_b into
+    their partners: partner b is reduced square ``b // (n-1)!`` with its
+    columns 1..n-1 permuted by the ``b % (n-1)!``-th permutation of them in
+    lexicographic order.
     """
 
     order: int
@@ -232,12 +210,14 @@ class EquivalenceReport:
         )
 
 
-def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float):
+def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float, maps: np.ndarray):
     """The witness, left and perm verdicts, as bool arrays in row-major
     order, of every pair ``(firsts[a], partners[b])`` of two cell stacks:
     the :func:`weak_orth_defects` rule on the columnwise products of
     computational grids, distinct sorted pair codes of the left conjugates,
-    and :func:`is_permutation_matrix` on their cell-to-symbol-pair maps."""
+    and :func:`is_permutation_matrix` on their cell-to-symbol-pair maps.
+    The maps are built in the zeroed complex buffer ``maps``, which must
+    hold one per pair, and cleared again."""
     n = firsts.shape[1]
     basis = np.eye(n, dtype=np.complex128)  # basis[cells] are the computational grids
     # one product per column k, [k, (a, i), (b, j)]; exact in any summation
@@ -246,14 +226,17 @@ def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float):
     prods = grids[0].conj() @ grids[1].transpose(0, 2, 1)
     prods = prods.reshape(n, len(firsts), n, len(partners), n).transpose(1, 3, 2, 4, 0)
     by_witness = ~weak_orth_defects(prods.reshape(-1, n, n, n), tol)[1].any(axis=(1, 2, 3))
+    del grids, prods  # freed before the permutation test's larger temporaries
     # left conjugate: out[s, c] = r where cells[r, c] = s, each column inverted
     left, right = np.argsort(firsts, axis=1), np.argsort(partners, axis=1)
     codes = (left[:, None] * n + right).reshape(-1, n * n)
     srt = np.sort(codes, axis=1)
     by_left = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-    maps = np.zeros((len(codes), n * n, n * n), dtype=np.complex128)
-    maps[np.arange(len(codes))[:, None], np.arange(n * n), codes] = 1.0
-    return by_witness, by_left, is_permutation_matrix(maps, tol)
+    maps, units = maps[: len(codes)], (np.arange(len(codes))[:, None], np.arange(n * n), codes)
+    maps[units] = 1.0
+    by_perm = is_permutation_matrix(maps, tol)
+    maps[units] = 0.0
+    return by_witness, by_left, by_perm
 
 
 def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceReport:
@@ -271,29 +254,36 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     the row of L1 put first fixes the relabelling, and the relabelled first
     columns fix the row orders.  So, counting each pair once per map and
     each representative once per map onto it, the representatives with a
-    verdict, each weighted n!^3 / n, count the ordered pairs with it.
+    verdict, each weighted n!^3 / n, count the ordered pairs with it.  The
+    partners are the reduced squares with columns 1..n-1 permuted, each
+    once: the one order of columns 1..n-1 that sorts a partner's first row
+    makes it reduced.  So they come from the reduced squares by the gather
+    of :func:`count_orthogonal_pairs`, on columns instead of rows.
 
     Each step decides at most ``_PAIR_BLOCK`` representative pairs: a run of
     ``max(1, _PAIR_BLOCK // partners)`` reduced squares against a block of
     partners (all of them once a run holds two or more squares, so blocks
     follow row-major pair order).
     """
-    _check_order(n)
-    cells = enumerate_latin(n).cells
-    firsts, partners = _representatives(cells)
+    firsts = _latin_cells(n)
+    perms = np.array(list(permutations(range(n))))
+    partners = firsts[:, :, perms[: factorial(n - 1)]].transpose(0, 2, 1, 3).reshape(-1, n, n)
     rows = max(1, _PAIR_BLOCK // len(partners))
+    # one buffer for every step's permutation maps: at order 5 a fresh one per
+    # step (0.9 MiB) had the C heap shrunk and faulted in again at each step
+    per_step = min(_PAIR_BLOCK, len(firsts) * len(partners))
+    maps = np.zeros((per_step, n * n, n * n), dtype=np.complex128)
     positives = 0
     disagreements: list[tuple] = []
     for first in range(0, len(firsts), rows):
-        run = firsts[first : first + rows]
         for start in range(0, len(partners), _PAIR_BLOCK):
             block = partners[start : start + _PAIR_BLOCK]
-            by_witness, by_left, by_perm = _routes(cells[run], cells[block], tol)
+            by_witness, by_left, by_perm = _routes(firsts[first : first + rows], block, tol, maps)
             positives += int(by_witness.sum())
             for k in np.flatnonzero((by_witness != by_left) | (by_left != by_perm)):
                 a, b = divmod(int(k), len(block))
                 verdicts = (bool(by_witness[k]), bool(by_left[k]), bool(by_perm[k]))
-                disagreements.append((int(run[a]), int(block[b]), *verdicts))
+                disagreements.append((first + a, start + b, *verdicts))
     weight = factorial(n) ** 2 * factorial(n - 1)
     return EquivalenceReport(
         order=n,

@@ -3,7 +3,7 @@
 import json
 import math
 import reprlib
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -365,8 +365,9 @@ def reference_weak_orth(q: VectorGrid, p: VectorGrid, tol: float = DEFAULT_TOL):
 
 
 def reference_enumerate_latin(n: int) -> np.ndarray:
-    """``enumerate_latin(n).cells`` as a recursive fill of the cells in
-    row-major order, each trying the symbols in increasing order."""
+    """All Latin squares of order n as an ``(count, n, n)`` array in
+    lexicographic cell order: a recursive fill of the cells in row-major
+    order, each trying the symbols in increasing order."""
     grid = np.zeros((n, n), dtype=np.int64)
     row_used = [0] * n  # bitmasks
     col_used = [0] * n
@@ -393,6 +394,11 @@ def reference_enumerate_latin(n: int) -> np.ndarray:
     return np.stack(squares)
 
 
+def reference_squares(n: int) -> list[LatinSquare]:
+    """``reference_enumerate_latin(n)`` as validated :class:`LatinSquare` objects."""
+    return [LatinSquare(c) for c in reference_enumerate_latin(n)]
+
+
 def reference_orthogonal_pairs(n: int) -> np.ndarray:
     """The ordered orthogonal pairs of order n, as an ``(m, 2)`` array of
     row-major ``(ia, ib)`` indices into ``reference_enumerate_latin(n)``: one
@@ -412,7 +418,7 @@ def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> Equivalenc
     ``rows`` (all by default) against every partner, each pair its own
     representative.  Grids and conjugates are the scatter references, not the
     formulas the search shares with the library."""
-    squares = [LatinSquare(c) for c in reference_enumerate_latin(n)]
+    squares = reference_squares(n)
     grids = [reference_computational_grid(s) for s in squares]
     conjugates = [reference_left_conjugate(s) for s in squares]
     rows = range(len(squares)) if rows is None else rows
@@ -442,14 +448,29 @@ def representative_pairs(n: int) -> tuple[set, set]:
 def assert_is_the_oracle(report, oracle, weight=1):
     """Totals are the oracle's, times ``weight`` when the oracle ran over the
     reduced squares only, and the records are the oracle's at the
-    representative pairs, in the same order."""
-    reduced, partners = representative_pairs(report.order)
+    representative pairs.  The report's records, in row-major order of its
+    indices into the reduced squares and their partners (each reduced square
+    with its columns 1..n-1 permuted, in lexicographic permutation order),
+    name the same squares once mapped into the enumeration through their
+    cells."""
+    n = report.order
+    reduced, partners = representative_pairs(n)
     assert report.pairs_checked == oracle.pairs_checked * weight
     assert report.positives == oracle.positives * weight
     assert report.disagreeing == oracle.disagreeing * weight
     assert report.representatives == len(reduced) * len(partners)
+    cells = reference_enumerate_latin(n)
+    index = {c.tobytes(): i for i, c in enumerate(cells)}
+    rows = sorted(reduced)
+    columns = [p for p in permutations(range(n)) if p[0] == 0]
+    partner_cells = [cells[i][:, p] for i in rows for p in columns]
+    mapped = [
+        (rows[ia], index[partner_cells[ib].tobytes()], *verdicts)
+        for ia, ib, *verdicts in report.disagreements
+    ]
     at_representatives = [d for d in oracle.disagreements if d[0] in reduced and d[1] in partners]
-    assert report.disagreements == at_representatives
+    assert sorted(mapped) == at_representatives
+    assert report.disagreements == sorted(report.disagreements)
     for record in report.disagreements:  # Python ints and bools, not numpy scalars
         assert [type(v) for v in record] == [int, int, bool, bool, bool]
 

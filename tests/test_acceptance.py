@@ -37,10 +37,10 @@ from qlsmub.hadamard import (
     validate_hadamard,
 )
 from qlsmub.search import (
+    count_latin,
     count_latin_by_columns,
     count_orthogonal_pairs,
     cross_validate_lemma16,
-    enumerate_latin,
 )
 from qlsmub.squares import (
     computational_grid,
@@ -59,7 +59,7 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import reference_orthogonal_pairs
+from helpers import reference_orthogonal_pairs, reference_squares
 
 # Frozen oracle values for criterion 8 (commutator sweep of the fixture
 # basis): worst Frobenius norm, the pair attaining it, and the (0, 0) entry
@@ -144,7 +144,7 @@ def test_criterion_03_order_three_unbiased_pairs():
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
     pairs = reference_orthogonal_pairs(3)
-    squares = enumerate_latin(3).squares
+    squares = reference_squares(3)
     worst = 0.0
     for ia, ib in pairs:
         a, b = squares[ia], squares[ib]
@@ -193,7 +193,7 @@ def test_criterion_04_orthogonality_route_equivalence():
 
 
 def test_criterion_05_conjugation_involution():
-    squares = enumerate_latin(4).squares
+    squares = reference_squares(4)
     ok = len(squares) == 576 and all(
         left_conjugate(left_conjugate(sq)) == sq for sq in squares
     )
@@ -245,7 +245,7 @@ def test_criterion_07_duality_round_trips():
     constructed = [a, b]
     rng = np.random.default_rng(9)
     fam = hadamard_family([random_hadamard(3, rng) for _ in range(3)])
-    cyclic = enumerate_latin(3).squares[0]
+    cyclic = reference_squares(3)[0]
     constructed.append(qls_meb(validate_qls(computational_grid(cyclic)), fam))
     constructed.append(lbw_meb(cyclic, fourier(3)))
 
@@ -308,7 +308,7 @@ def test_criterion_08_monomiality_obstruction():
             np.array([[0, -1], [1, 0]], dtype=complex),
         ]
     )
-    cyclic = enumerate_latin(3).squares[0]
+    cyclic = reference_squares(3)[0]
     latin_sm = shift_multiply_ueb(
         validate_qls(computational_grid(cyclic)), constant_family(fourier(3))
     )
@@ -380,7 +380,7 @@ def test_criterion_10_single_square_correspondence():
         "left-conjugate+HT": (left_conjugate, ht),
     }
     surviving = set(candidates)
-    for latin in enumerate_latin(3).squares:
+    for latin in reference_squares(3):
         via_qls = qls_meb(
             validate_qls(computational_grid(latin)), constant_family(h)
         )
@@ -403,7 +403,7 @@ def test_criterion_10_single_square_correspondence():
 
 
 def test_criterion_11_search_results():
-    counts = [enumerate_latin(n).count for n in range(1, 5)]
+    counts = [count_latin(n) for n in range(1, 5)]
     recounts = [count_latin_by_columns(n) for n in range(1, 5)]
     ok = (
         count_orthogonal_pairs(2) == 0
@@ -412,7 +412,7 @@ def test_criterion_11_search_results():
     )
     _criterion(
         11,
-        f"no orthogonal pairs at order 2; enumeration counts {counts} match "
+        f"no orthogonal pairs at order 2; Latin square counts {counts} match "
         "the column-major recount",
         ok,
     )

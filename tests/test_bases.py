@@ -23,7 +23,6 @@ from qlsmub.hadamard import (
     random_hadamard,
     validate_hadamard,
 )
-from qlsmub.search import enumerate_latin
 from qlsmub.squares import (
     LatinSquare,
     computational_grid,
@@ -31,7 +30,7 @@ from qlsmub.squares import (
     validate_qls,
 )
 
-from helpers import random_unitary
+from helpers import random_unitary, reference_squares
 
 CYCLIC2 = LatinSquare([[0, 1], [1, 0]])
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
@@ -129,7 +128,7 @@ def test_random_order_three_mebs_are_orthonormal_and_entangled():
 
 def test_lbw_meb_orthonormal_for_every_order_three_square():
     h = fourier(3)
-    for latin in enumerate_latin(3).squares:
+    for latin in reference_squares(3):
         basis = lbw_meb(latin, h)
         assert is_orthonormal_basis(basis)
         assert all(is_maximally_entangled(s) for s in basis.states)
@@ -343,7 +342,7 @@ def test_single_square_constructions_agree_up_to_phase():
     # conjugate built from the transposed Hadamard, exactly
     h = asymmetric_hadamard_3()
     ht = validate_hadamard(h.mat.T)
-    for latin in enumerate_latin(3).squares:
+    for latin in reference_squares(3):
         via_qls = qls_meb(qls_of(latin), constant_family(h))
         via_lbw = lbw_meb(left_conjugate(latin), ht)
         assert_allclose(via_qls.states, via_lbw.states, atol=1e-12)
@@ -357,7 +356,7 @@ def test_single_square_correspondence_needs_the_transpose():
     # with an asymmetric Hadamard the untransposed pairing must not even
     # match up to phase
     h = asymmetric_hadamard_3()
-    for latin in enumerate_latin(3).squares[:4]:
+    for latin in reference_squares(3)[:4]:
         via_qls = qls_meb(qls_of(latin), constant_family(h))
         via_lbw = lbw_meb(left_conjugate(latin), h)
         assert not bases_match_up_to_phase(via_qls, via_lbw).matched

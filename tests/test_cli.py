@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import qlsmub
 from qlsmub import serialize
 from qlsmub.bases import MubReport, check_mub, qls_meb
 from qlsmub.cli import build_parser, main
@@ -576,6 +579,18 @@ def test_search_commands(capsys):
 
     code, _, err = run(capsys, "search", "latin", "9")
     assert code == 2 and "out of range" in err
+
+
+def test_search_refuses_a_huge_order_before_any_arithmetic():
+    # as its own process, so nothing but the command's handling decides the
+    # exit status and what reaches stderr; math.factorial overflows at 2**63
+    src = os.path.dirname(os.path.dirname(qlsmub.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "qlsmub.cli", "search", "latin", str(2**63)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "out of range" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_search_latin_five_matches_its_recount(capsys):

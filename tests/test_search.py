@@ -11,92 +11,67 @@ from hypothesis import strategies as st
 from qlsmub import search
 from qlsmub.search import (
     ENUMERATION_CAP,
-    EnumerationResult,
     EquivalenceReport,
     count_latin,
     count_latin_by_columns,
     count_orthogonal_pairs,
     cross_validate_lemma16,
-    enumerate_latin,
 )
 from qlsmub.squares import LatinSquare, are_orthogonal
 
 from helpers import (
     assert_is_the_oracle, field_square, reference_enumerate_latin, reference_lemma16,
-    reference_orthogonal_pairs, representative_pairs,
+    reference_orthogonal_pairs, reference_squares, representative_pairs,
 )
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_enumeration_counts(n):
-    result = enumerate_latin(n)
-    assert isinstance(result, EnumerationResult)
-    assert result.order == n
-    assert result.count == KNOWN_COUNTS[n]
-    assert count_latin_by_columns(n) == KNOWN_COUNTS[n]
-
-
-def test_enumeration_is_lexicographic_and_distinct():
-    squares = enumerate_latin(3).squares
-    keys = [tuple(s.cells.ravel().tolist()) for s in squares]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-    assert squares[0].cells.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-
-
-@pytest.mark.parametrize("n, rows", [(1, 1), (2, 1), (3, 2), (4, 24), (5, 1344)])
-def test_the_first_row_table_is_the_start_of_the_enumeration(n, rows):
-    full = enumerate_latin(n).cells
-    table = search._latin_cells(n)
-    assert table.shape == (rows, n, n)
-    assert table.dtype == full.dtype and not table.flags.writeable
-    assert np.array_equal(table, full[(full[:, 0] == np.arange(n)).all(axis=1)])
-
-
-def test_latin_counts_from_the_first_row_table():
+def test_latin_counts_from_the_reduced_table():
     assert [count_latin(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 12, 576, 161280]
-    for bad in (0, ENUMERATION_CAP + 1):
-        with pytest.raises(ValueError, match="out of range"):
-            count_latin(bad)
+    assert [count_latin_by_columns(n) for n in (1, 2, 3, 4)] == [1, 2, 12, 576]
 
 
-def test_enumeration_caps():
-    for bad in (0, ENUMERATION_CAP + 1, -2):
-        with pytest.raises(ValueError):
-            enumerate_latin(bad)
-        with pytest.raises(ValueError):
-            count_latin_by_columns(bad)
+@pytest.mark.parametrize(
+    "count", [count_latin, count_latin_by_columns, count_orthogonal_pairs, cross_validate_lemma16]
+)
+@pytest.mark.parametrize("bad", [0, -2, ENUMERATION_CAP + 1, 2**63])
+def test_searches_refuse_an_order_out_of_range(count, bad):
+    # refused before any arithmetic on the order: math.factorial overflows at 2**63
+    with pytest.raises(ValueError, match="out of range"):
+        count(bad)
 
 
-def test_order_five_fills_its_forced_row_without_int64_temporaries():
-    # numpy reports its buffers to tracemalloc.  Grown from the empty square
-    # in int8, the full table peaked at 15.5 MiB (24.8 MiB when the forced
-    # row was summed in int64).  Relabelling the 1,344 squares with first row
-    # 0..4 and sorting the 4 MB result in place peaks below 8 MiB.
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_reduced_table_is_the_reduced_rows_of_the_reference(n):
+    table = search._latin_cells(n)
+    full = reference_enumerate_latin(n)
+    reduced = (full[:, 0] == np.arange(n)).all(axis=1) & (full[:, :, 0] == np.arange(n)).all(axis=1)
+    assert table.shape == (reduced.sum(), n, n)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    assert np.array_equal(table, full[reduced])
+
+
+def test_order_five_reduced_table_is_strictly_increasing_and_small():
+    # no oracle reaches order 5: the 56 reduced squares must be Latin, in
+    # strictly increasing cell order.  numpy reports its buffers to
+    # tracemalloc: growing them peaks at 0.03-0.04 MiB, against 0.66 MiB for
+    # the 1,344 squares with first row 0..4
     tracemalloc.start()
     try:
-        result = enumerate_latin(5)
+        cells = search._latin_cells(5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.count == 161280
-    assert peak < 12 * 2**20
-
-
-def test_order_five_is_the_sorted_relabellings_of_the_first_row_table():
-    # no oracle reaches order 5: the table must be strictly increasing, and
-    # be the 120 relabellings of the 1,344 squares with first row 0..4
-    cells = enumerate_latin(5).cells
+    assert peak < 2**16
+    assert cells.shape == (56, 5, 5)
+    assert (cells[:, 0] == np.arange(5)).all() and (cells[:, :, 0] == np.arange(5)).all()
+    assert (np.sort(cells, axis=1) == np.arange(5)[:, None]).all()
+    assert (np.sort(cells, axis=2) == np.arange(5)).all()
     flat = cells.reshape(len(cells), -1).astype(np.int64)
-    assert len(cells) == factorial(5) * len(search._latin_cells(5))
     diff = flat[1:] - flat[:-1]
     first = np.argmax(diff != 0, axis=1)  # the first cell in which neighbours differ
     assert (diff[np.arange(len(diff)), first] > 0).all()
-    symbols = np.array(list(permutations(range(5))), dtype=np.int8)
-    relabelled = symbols[:, search._latin_cells(5)].reshape(len(cells), 25)
-    assert np.array_equal(np.unique(relabelled, axis=0), flat)
 
 
 def test_a_table_that_is_not_latin_is_refused(monkeypatch):
@@ -106,7 +81,7 @@ def test_a_table_that_is_not_latin_is_refused(monkeypatch):
 
     monkeypatch.setattr(search, "permutations", with_a_repeated_symbol)
     with pytest.raises(RuntimeError, match="not Latin"):
-        enumerate_latin(3)
+        search._latin_cells(3)
 
 
 def test_orthogonal_pairs_small_orders():
@@ -115,7 +90,7 @@ def test_orthogonal_pairs_small_orders():
 
 
 def test_orthogonal_pairs_are_orthogonal_and_symmetric():
-    squares = enumerate_latin(3).squares
+    squares = reference_squares(3)
     keyed = {
         (ia, ib)
         for ia, a in enumerate(squares)
@@ -127,23 +102,19 @@ def test_orthogonal_pairs_are_orthogonal_and_symmetric():
 
 
 def test_orthogonal_pairs_contain_the_two_cyclic_twists(monkeypatch):
-    # on a first-row table of these squares alone, the reduced cyclic
-    # square's one mate is the twist, weighted by the 3! 2! squares of its
-    # orbit and the 3! relabellings of the twist
+    # on a reduced table of the cyclic square alone, its one mate with first
+    # row 0..2 is the twist, its rows 1 and 2 swapped, weighted by the 3! 2!
+    # squares of its orbit and the 3! relabellings of the twist.  The cyclic
+    # square of order 4 has no transversal, so no mate.
     cyclic = [[(r + c) % 3 for c in range(3)] for r in range(3)]
-    twisted = [[(2 * r + c) % 3 for c in range(3)] for r in range(3)]
-    assert cyclic[0] == twisted[0] == [0, 1, 2]
+    twisted = [cyclic[0], cyclic[2], cyclic[1]]
+    assert twisted == [[(2 * r + c) % 3 for c in range(3)] for r in range(3)]
     assert are_orthogonal(LatinSquare(cyclic), LatinSquare(twisted))
-    for table, mates in (([cyclic, twisted], 1), ([cyclic], 0)):
+    cyclic4 = [[(r + c) % 4 for c in range(4)] for r in range(4)]
+    for n, table, mates in ((3, [cyclic], 1), (4, [cyclic4], 0)):
         cells = np.array(table, dtype=np.int8)
         monkeypatch.setattr(search, "_latin_cells", lambda n, cells=cells: cells)
-        assert count_orthogonal_pairs(3) == mates * factorial(3) * factorial(3) * factorial(2)
-
-
-def test_orthogonal_pairs_cap():
-    for bad in (0, ENUMERATION_CAP + 1):
-        with pytest.raises(ValueError):
-            count_orthogonal_pairs(bad)
+        assert count_orthogonal_pairs(n) == mates * factorial(n) * factorial(n) * factorial(n - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -153,10 +124,10 @@ def test_orthogonal_pairs_counted_on_reduced_squares_are_the_listed_ones(n):
 
 def test_order_five_orthogonal_pairs_are_counted_in_blocks():
     # numpy reports its buffers to tracemalloc.  The 1,344 squares with first
-    # row 0..4 against the 120 permutations make a 161 kB bool transversal
-    # table, and the 56 reduced squares' class rows of it 376 kB: the count
-    # peaks at 0.82 MiB.  Counted over all 161,280 squares, the enumeration
-    # alone would hold more than 15 MiB.
+    # row 0..4, gathered from the 56 reduced ones, against the 120
+    # permutations make a 161 kB bool transversal table, and the reduced
+    # squares' class rows of it 376 kB: the count peaks at 0.82 MiB.  Counted
+    # over all 161,280 squares, their cells alone would take 3.9 MiB.
     tracemalloc.start()
     try:
         count = count_orthogonal_pairs(5)
@@ -181,30 +152,14 @@ def test_cross_validation_agrees(n, positives):
     assert report.representatives == {1: 1, 2: 1, 3: 1 * 2, 4: 4 * 24}[n]
 
 
-def test_cross_validation_cap():
-    for bad in (0, 6):
-        with pytest.raises(ValueError):
-            cross_validate_lemma16(bad)
-
-
 # ----------------------------------------------- the loops they replaced
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_enumeration_is_the_recursive_fill(n):
-    result = enumerate_latin(n)
-    expected = reference_enumerate_latin(n)
-    assert result.cells.shape == expected.shape == (KNOWN_COUNTS[n], n, n)
-    assert np.array_equal(result.cells, expected)
-    assert not result.cells.flags.writeable
-    assert [s.cells.tolist() for s in result.squares] == expected.tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orthogonal_pairs_are_the_per_square_loop(n):
     # each reduced square's mates, one are_orthogonal call per square, times
     # the n! (n-1)! squares of its orbit
-    squares = enumerate_latin(n).squares
+    squares = reference_squares(n)
     target = list(range(n))
     reduced = [a for a in squares if a.cells[0].tolist() == target and a.cells[:, 0].tolist() == target]
     mates = sum(are_orthogonal(a, b) for a in reduced for b in squares)
@@ -223,8 +178,6 @@ def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block):
     # with a partial last run
     default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
-    cells = enumerate_latin(4).cells
-    assert np.array_equal(cells, reference_enumerate_latin(4))
     for n in (3, 4):
         assert count_orthogonal_pairs(n) == len(reference_orthogonal_pairs(n))
     for tol in (1e-9, 1.0):
@@ -247,7 +200,7 @@ def test_cross_validation_at_order_four_is_the_loop_on_the_reduced_rows(tol, dis
 
 @cache
 def latin_cells(n: int) -> np.ndarray:
-    return enumerate_latin(n).cells
+    return reference_enumerate_latin(n) if n < 5 else search._latin_cells(n)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -264,6 +217,8 @@ def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, tol):
         np.array(data.draw(st.permutations(range(n)), label=name))
         for name in ("rows1", "rows2", "symbols")
     )
-    before = search._routes(l1[None], l2[None], tol)
-    after = search._routes(symbols[l1[rows1]][None], symbols[l2[rows2]][None], tol)
+    maps = np.zeros((1, n * n, n * n), dtype=np.complex128)  # left zeroed by each call
+    before = search._routes(l1[None], l2[None], tol, maps)
+    after = search._routes(symbols[l1[rows1]][None], symbols[l2[rows2]][None], tol, maps)
+    assert not maps.any()
     assert [bool(v[0]) for v in after] == [bool(v[0]) for v in before]
