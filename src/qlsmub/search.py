@@ -216,8 +216,8 @@ def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float, maps: np.ndarr
     the :func:`weak_orth_defects` rule on the columnwise products of
     computational grids, distinct sorted pair codes of the left conjugates,
     and :func:`is_permutation_matrix` on their cell-to-symbol-pair maps.
-    The maps are built in the zeroed complex buffer ``maps``, which must
-    hold one per pair, and cleared again."""
+    The maps are built in the complex buffer ``maps``, which must hold one
+    per pair; whatever it held is overwritten."""
     n = firsts.shape[1]
     basis = np.eye(n, dtype=np.complex128)  # basis[cells] are the computational grids
     # one product per column k, [k, (a, i), (b, j)]; exact in any summation
@@ -232,10 +232,10 @@ def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float, maps: np.ndarr
     codes = (left[:, None] * n + right).reshape(-1, n * n)
     srt = np.sort(codes, axis=1)
     by_left = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-    maps, units = maps[: len(codes)], (np.arange(len(codes))[:, None], np.arange(n * n), codes)
-    maps[units] = 1.0
+    maps = maps[: len(codes)]
+    maps[...] = 0.0
+    maps[np.arange(len(codes))[:, None], np.arange(n * n), codes] = 1.0
     by_perm = is_permutation_matrix(maps, tol)
-    maps[units] = 0.0
     return by_witness, by_left, by_perm
 
 
@@ -272,7 +272,7 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     # one buffer for every step's permutation maps: at order 5 a fresh one per
     # step (0.9 MiB) had the C heap shrunk and faulted in again at each step
     per_step = min(_PAIR_BLOCK, len(firsts) * len(partners))
-    maps = np.zeros((per_step, n * n, n * n), dtype=np.complex128)
+    maps = np.empty((per_step, n * n, n * n), dtype=np.complex128)
     positives = 0
     disagreements: list[tuple] = []
     for first in range(0, len(firsts), rows):

@@ -3,6 +3,7 @@
 import json
 import math
 import reprlib
+from functools import cache
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -21,7 +22,7 @@ from qlsmub.hadamard import (
     tensor_hadamard,
 )
 from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix
-from qlsmub.search import EquivalenceReport
+from qlsmub.search import EquivalenceReport, _latin_cells
 from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError, to_doc
 from qlsmub.squares import (
     LatinSquare,
@@ -397,6 +398,19 @@ def reference_enumerate_latin(n: int) -> np.ndarray:
 def reference_squares(n: int) -> list[LatinSquare]:
     """``reference_enumerate_latin(n)`` as validated :class:`LatinSquare` objects."""
     return [LatinSquare(c) for c in reference_enumerate_latin(n)]
+
+
+@cache
+def every_latin_cells(n: int) -> np.ndarray:
+    """Every Latin square of order n <= 5 as a ``(count, n, n)`` array: the
+    reference fill up to order 4 and, at order 5, where the fill is too
+    slow, each of the 56 reduced squares with its symbols relabelled and its
+    rows 1..4 permuted, nested in that order (not lexicographic)."""
+    if n < 5:
+        return reference_enumerate_latin(n)
+    perms = np.array(list(permutations(range(n))))
+    relabelled = perms.astype(np.int8)[:, _latin_cells(n)]  # [symbols, reduced, r, c]
+    return relabelled[:, :, perms[: math.factorial(n - 1)]].reshape(-1, n, n)
 
 
 def reference_orthogonal_pairs(n: int) -> np.ndarray:

@@ -1,5 +1,4 @@
 import tracemalloc
-from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -20,8 +19,8 @@ from qlsmub.search import (
 from qlsmub.squares import LatinSquare, are_orthogonal
 
 from helpers import (
-    assert_is_the_oracle, field_square, reference_enumerate_latin, reference_lemma16,
-    reference_orthogonal_pairs, reference_squares, representative_pairs,
+    assert_is_the_oracle, every_latin_cells, field_square, reference_enumerate_latin,
+    reference_lemma16, reference_orthogonal_pairs, reference_squares, representative_pairs,
 )
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
@@ -72,6 +71,17 @@ def test_order_five_reduced_table_is_strictly_increasing_and_small():
     diff = flat[1:] - flat[:-1]
     first = np.argmax(diff != 0, axis=1)  # the first cell in which neighbours differ
     assert (diff[np.arange(len(diff)), first] > 0).all()
+
+
+def test_the_order_five_squares_the_tests_draw_are_every_latin_square():
+    # the reduced table's relabellings with rows 1..4 permuted: the squares
+    # drawn at order 5, where no reference fill runs, vary in first row and
+    # first column, and none is missed or repeated
+    cells = every_latin_cells(5)
+    assert cells.shape == (count_latin(5), 5, 5)
+    assert (np.sort(cells, axis=1) == np.arange(5)[:, None]).all()
+    assert (np.sort(cells, axis=2) == np.arange(5)).all()
+    assert len(np.unique(cells.reshape(len(cells), -1), axis=0)) == len(cells)
 
 
 def test_a_table_that_is_not_latin_is_refused(monkeypatch):
@@ -198,11 +208,6 @@ def test_cross_validation_at_order_four_is_the_loop_on_the_reduced_rows(tol, dis
     assert_is_the_oracle(report, oracle, factorial(4) * factorial(3))
 
 
-@cache
-def latin_cells(n: int) -> np.ndarray:
-    return reference_enumerate_latin(n) if n < 5 else search._latin_cells(n)
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data(), n=st.integers(3, 5), tol=st.sampled_from([1e-9, 1.0]))
 def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, tol):
@@ -211,14 +216,13 @@ def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, tol):
         k1, k2 = data.draw(st.permutations(range(1, n)), label="slopes")[:2]
         l1, l2 = field_square(n, k1).cells, field_square(n, k2).cells
     else:
-        cells = latin_cells(n)
+        cells = every_latin_cells(n)
         l1, l2 = (cells[data.draw(st.integers(0, len(cells) - 1))] for _ in range(2))
     rows1, rows2, symbols = (
         np.array(data.draw(st.permutations(range(n)), label=name))
         for name in ("rows1", "rows2", "symbols")
     )
-    maps = np.zeros((1, n * n, n * n), dtype=np.complex128)  # left zeroed by each call
+    maps = np.ones((1, n * n, n * n), dtype=np.complex128)  # overwritten by each call
     before = search._routes(l1[None], l2[None], tol, maps)
     after = search._routes(symbols[l1[rows1]][None], symbols[l2[rows2]][None], tol, maps)
-    assert not maps.any()
     assert [bool(v[0]) for v in after] == [bool(v[0]) for v in before]

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from qlsmub.fixtures import fixture
 from qlsmub.numerics import is_permutation_matrix
-from qlsmub.search import _latin_cells
 from qlsmub.squares import (
     GridViolation,
     LatinSquare,
@@ -24,7 +23,7 @@ from qlsmub.squares import (
 )
 
 from helpers import (
-    as_latin_square, reference_computational_grid, reference_enumerate_latin, reference_left_conjugate,
+    as_latin_square, every_latin_cells, reference_computational_grid, reference_left_conjugate,
     reference_squares,
 )
 
@@ -323,9 +322,8 @@ def test_witness_margin_is_the_deviation_it_was_judged_on():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_grid_and_conjugate_are_the_scatter_references_byte_for_byte(n):
-    # at order 5 the 56 reduced squares
-    cells = reference_enumerate_latin(n) if n < 5 else _latin_cells(n)
-    for latin in map(LatinSquare, cells):
+    cells = every_latin_cells(n)
+    for latin in map(LatinSquare, cells if n < 5 else cells[::97]):
         pairs = (
             (computational_grid(latin).array, reference_computational_grid(latin).array),
             (left_conjugate(latin).cells, reference_left_conjugate(latin).cells),
