@@ -27,7 +27,8 @@ from .fixtures import FIXTURE_NAMES, fixture, hadamard_9_corrected, paper_p_grid
 from .hadamard import constant_family, hadamard_family, validate_hadamard
 from .numerics import DEFAULT_TOL
 from .search import (
-    count_latin, count_latin_by_columns, count_orthogonal_pairs, cross_validate_lemma16,
+    ENUMERATION_CAP, LEMMA16_CAP, count_latin, count_latin_by_columns, count_orthogonal_pairs,
+    cross_validate_lemma16,
 )
 from .squares import (
     VectorGrid, are_left_orthogonal, are_orthogonal, left_conjugate, validate_qls,
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help=f"one of: {', '.join(FIXTURE_NAMES)}")
     p = command("search", _cmd_search, "exhaustive small-order searches")
     p.add_argument("what", choices=("latin", "orth-pairs", "lemma16"))
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=int, help=f"1..{ENUMERATION_CAP}; 1..{LEMMA16_CAP} for lemma16")
     command("reproduce-appendix-c", _cmd_reproduce_appendix_c,
             "rebuild the bundled order-9 pair and verify all cross overlaps")
 

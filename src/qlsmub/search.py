@@ -1,15 +1,15 @@
 """Exhaustive small-order searches.
 
-Every search is capped at order 5; beyond that the counts explode past
-desk-scale runtimes.  Each works on a table of squares as one
-``(count, n, n)`` array rather than square by square, and reads one table:
-the reduced squares R, whose first row and first column are 0..n-1 (McKay
-and Wanless, *On the number of Latin squares*, 2005).  Each search decides
-one representative per orbit of a symmetry that keeps every verdict, and
-weights it by the orbit's size: n! (n-1)! Latin squares per reduced square,
-n! n! (n-1)! ordered pairs per mate of one and per representative pair of
-the lemma16 cross-check.  The squares those searches pair R with are R with
-its rows, or its columns, 1..n-1 permuted.
+The counts stop at order 6 and the lemma16 cross-check at order 5; beyond
+them the work explodes past desk-scale runtimes.  Each search works on a
+table of squares as one ``(count, n, n)`` array rather than square by
+square, and reads one table: the reduced squares R, whose first row and
+first column are 0..n-1 (McKay and Wanless, *On the number of Latin
+squares*, 2005).  Each decides one representative per orbit of a symmetry
+that keeps every verdict, and weights it by the orbit's size: n! (n-1)!
+Latin squares per reduced square, and n! n! (n-1)! ordered pairs per
+partition of one into n transversals and per representative pair of the
+lemma16 cross-check, which pairs R with R's columns 1..n-1 permuted.
 """
 
 from __future__ import annotations
@@ -23,20 +23,21 @@ import numpy as np
 from .numerics import DEFAULT_TOL, is_permutation_matrix
 from .squares import weak_orth_defects
 
-ENUMERATION_CAP = 5
+ENUMERATION_CAP = 6
+LEMMA16_CAP = 5  # order 6 would take 9,408 x 1,128,960 representative pairs
 
 # Representative pairs decided in one step of the lemma16 cross-check:
 # bounds its (pairs, n^2, n^2) complex permutation maps.
 _PAIR_BLOCK = 96
 
 
-def _check_order(n: int) -> None:
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"order {n} out of range 1..{ENUMERATION_CAP}")
+def _check_order(n: int, cap: int = ENUMERATION_CAP) -> None:
+    if not 1 <= n <= cap:
+        raise ValueError(f"order {n} out of range 1..{cap}")
 
 
 def _latin_cells(n: int) -> np.ndarray:
-    """The reduced Latin squares of order n (n <= 5), those whose first row
+    """The reduced Latin squares of order n (n <= 6), those whose first row
     and first column are 0..n-1, as a read-only ``(count, n, n)`` int8 array
     in lexicographic cell order.
 
@@ -86,7 +87,7 @@ def _latin_cells(n: int) -> np.ndarray:
 
 
 def count_latin(n: int) -> int:
-    """The number of Latin squares of order n (n <= 5): n! (n-1)! times the
+    """The number of Latin squares of order n (n <= 6): n! (n-1)! times the
     number of reduced ones.  Of the n! (n-1)! maps that relabel a square's
     symbols and permute its rows 1..n-1, exactly one makes a given Latin
     square reduced: the relabelling that gives it the first row 0..n-1, then
@@ -131,40 +132,37 @@ def count_latin_by_columns(n: int) -> int:
 
 
 def count_orthogonal_pairs(n: int) -> int:
-    """The number of ordered orthogonal pairs at order n (n <= 5).
+    """The number of ordered orthogonal pairs at order n (n <= 6).
 
-    A symbol class of a square, the cells that hold one symbol, is a
-    permutation (row r to its column), and b is orthogonal to a iff each of
-    a's classes is a transversal of b.  ``transversal[p, b]`` is True when
-    permutation p meets n distinct symbols of b, so the AND of a's classes'
-    rows is True once per mate of a.
+    b is orthogonal to a iff b's symbol classes (each symbol's cells), which
+    partition the cells, are transversals of a: one cell per row and column,
+    holding n distinct symbols of a.  Any partition of a's cells into n
+    transversals, labelled with the n symbols, is the class partition of a
+    Latin square, so a has n! D(a) mates, D(a) its number of such
+    partitions.  D keeps its value when a's rows are permuted or its symbols
+    relabelled, so by the argument of :func:`count_latin` the pairs number
+    n! n! (n-1)! times D summed over R.
 
-    Permuting a's rows carries its mates along and relabelling its symbols
-    keeps them, so each square of an orbit under these maps has as many
-    mates, and by the argument of :func:`count_latin` each reduced square's
-    mates count n! (n-1)! times.  Relabelling b's symbols keeps b orthogonal
-    to a, and exactly one relabelling gives b the first row 0..n-1, so a's
-    mates are n! times those with that first row.  Those are the reduced
-    squares with rows 1..n-1 permuted, each once: the one order of rows
-    1..n-1 that sorts a first-row square's first column makes it reduced.
-    So the reduced squares are paired with that table, one gather through
-    the permutations that fix 0, and each mate found counts n! n! (n-1)!
-    ordered pairs.
+    ``transversal[a, c, k]`` is True when the k-th permutation p with
+    p[0] = c (row r to column p[r]; lexicographic order) meets n distinct
+    symbols of a.  A partition holds one transversal through each cell
+    (0, c), so taking at c = 0..n-1 those that miss the cells covered so far
+    (bit n*r + p[r] of an int64 mask) grows each partition once.
     """
     cells = _latin_cells(n)
-    perms = np.array(list(permutations(range(n))))
-    first_row = cells[:, perms[: factorial(n - 1)]].reshape(-1, n, n)  # first row 0..n-1
-    digits = n ** np.arange(n - 1, -1, -1)
-    # classes[i, s]: the index in perms of symbol s's class in reduced square i
-    columns = np.argsort(cells, axis=2).transpose(0, 2, 1)  # [i, s, r]
-    classes = np.searchsorted(perms @ digits, columns @ digits)
-    masks = (1 << first_row).transpose(1, 2, 0)  # [r, c, b]
-    union = masks[0][perms[:, 0]]
+    perms = np.array(list(permutations(range(n))), dtype=np.int8)
+    bits = np.left_shift(1, cells, dtype=np.int8)
+    union = bits[:, 0, perms[:, 0]]
     for r in range(1, n):
-        union |= masks[r][perms[:, r]]
-    transversal = union == (1 << n) - 1
-    mates = int(transversal[classes].all(axis=1).sum())
-    return mates * factorial(n) ** 2 * factorial(n - 1)
+        union |= bits[:, r, perms[:, r]]
+    transversal = (union == (1 << n) - 1).reshape(len(cells), n, -1)
+    masks = (1 << (perms + n * np.arange(n))).sum(axis=1).reshape(n, -1)
+    square, covered = np.arange(len(cells)), np.zeros(len(cells), dtype=np.int64)
+    for c in range(n):
+        partial, perm = np.nonzero(transversal[square, c])
+        fits = (covered[partial] & masks[c, perm]) == 0
+        square, covered = square[partial[fits]], covered[partial[fits]] | masks[c, perm[fits]]
+    return len(square) * factorial(n) ** 2 * factorial(n - 1)
 
 
 @dataclass(frozen=True)
@@ -257,14 +255,15 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     verdict, each weighted n!^3 / n, count the ordered pairs with it.  The
     partners are the reduced squares with columns 1..n-1 permuted, each
     once: the one order of columns 1..n-1 that sorts a partner's first row
-    makes it reduced.  So they come from the reduced squares by the gather
-    of :func:`count_orthogonal_pairs`, on columns instead of rows.
+    makes it reduced.  So they are gathered from the reduced squares through
+    the (n-1)! permutations that fix 0, the first in lexicographic order.
 
     Each step decides at most ``_PAIR_BLOCK`` representative pairs: a run of
     ``max(1, _PAIR_BLOCK // partners)`` reduced squares against a block of
     partners (all of them once a run holds two or more squares, so blocks
     follow row-major pair order).
     """
+    _check_order(n, LEMMA16_CAP)
     firsts = _latin_cells(n)
     perms = np.array(list(permutations(range(n))))
     partners = firsts[:, :, perms[: factorial(n - 1)]].transpose(0, 2, 1, 3).reshape(-1, n, n)

@@ -580,6 +580,9 @@ def test_search_commands(capsys):
     code, _, err = run(capsys, "search", "latin", "9")
     assert code == 2 and "out of range" in err
 
+    code, out, _ = run(capsys, "search", "--help")  # the range, before any exit 2
+    assert code == 0 and "1..6; 1..5 for lemma16" in out
+
 
 def test_search_refuses_a_huge_order_before_any_arithmetic():
     # as its own process, so nothing but the command's handling decides the

@@ -1,15 +1,15 @@
 import tracemalloc
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlsmub import search
 from qlsmub.search import (
-    ENUMERATION_CAP,
     EquivalenceReport,
     count_latin,
     count_latin_by_columns,
@@ -27,16 +27,21 @@ KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
 
 
 def test_latin_counts_from_the_reduced_table():
-    assert [count_latin(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 12, 576, 161280]
+    assert [count_latin(n) for n in (1, 2, 3, 4, 5, 6)] == [1, 2, 12, 576, 161280, 812851200]
     assert [count_latin_by_columns(n) for n in (1, 2, 3, 4)] == [1, 2, 12, 576]
 
 
+SEARCHES = [count_latin, count_latin_by_columns, count_orthogonal_pairs, cross_validate_lemma16]
+
+
 @pytest.mark.parametrize(
-    "count", [count_latin, count_latin_by_columns, count_orthogonal_pairs, cross_validate_lemma16]
+    "count, bad",
+    [(count, bad) for count in SEARCHES for bad in (0, -2, 7, 2**63)]
+    + [(cross_validate_lemma16, 6)],
 )
-@pytest.mark.parametrize("bad", [0, -2, ENUMERATION_CAP + 1, 2**63])
 def test_searches_refuse_an_order_out_of_range(count, bad):
-    # refused before any arithmetic on the order: math.factorial overflows at 2**63
+    # refused before any arithmetic on the order (math.factorial overflows at
+    # 2**63), and lemma16 at order 6 before it grows a table
     with pytest.raises(ValueError, match="out of range"):
         count(bad)
 
@@ -132,20 +137,39 @@ def test_orthogonal_pairs_counted_on_reduced_squares_are_the_listed_ones(n):
     assert count_orthogonal_pairs(n) == len(reference_orthogonal_pairs(n))
 
 
-def test_order_five_orthogonal_pairs_are_counted_in_blocks():
-    # numpy reports its buffers to tracemalloc.  The 1,344 squares with first
-    # row 0..4, gathered from the 56 reduced ones, against the 120
-    # permutations make a 161 kB bool transversal table, and the reduced
-    # squares' class rows of it 376 kB: the count peaks at 0.82 MiB.  Counted
-    # over all 161,280 squares, their cells alone would take 3.9 MiB.
+def test_order_six_has_no_orthogonal_pair_and_a_small_count():
+    # Tarry (1900).  numpy reports its buffers to tracemalloc: the 9,408
+    # reduced squares against the 720 permutations make a 6.5 MiB int8 table
+    # of the symbols each meets and a bool transversal table as large; with
+    # both alive the partial covers take the count to a peak of 15.4 MiB
     tracemalloc.start()
     try:
-        count = count_orthogonal_pairs(5)
+        count = count_orthogonal_pairs(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 6220800
-    assert peak < 2 * 2**20
+    assert count == 0
+    assert peak < 24 * 2**20
+
+
+@cache
+def first_row_squares(n: int) -> list[LatinSquare]:
+    cells = every_latin_cells(n)
+    return [LatinSquare(b) for b in cells[(cells[:, 0] == np.arange(n)).all(axis=1)]]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(index=st.integers(0, count_latin(5) - 1))
+@example(index=44698)  # (2r + c + 1) mod 5, not reduced; most draws have no mate
+def test_each_square_counts_its_partitions_into_transversals(index):
+    # on a table of one square, reduced or not, the count is n! n! (n-1)!
+    # times its partitions into transversals, which are its mates with first
+    # row 0..n-1 (the transversal through cell (0, c) holds symbol c)
+    a = every_latin_cells(5)[index]
+    mates = sum(are_orthogonal(LatinSquare(a), b) for b in first_row_squares(5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_latin_cells", lambda n: a[None])
+        assert count_orthogonal_pairs(5) == mates * factorial(5) ** 2 * factorial(4)
 
 
 @pytest.mark.parametrize(
@@ -188,8 +212,6 @@ def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block):
     # with a partial last run
     default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
-    for n in (3, 4):
-        assert count_orthogonal_pairs(n) == len(reference_orthogonal_pairs(n))
     for tol in (1e-9, 1.0):
         assert_is_the_oracle(cross_validate_lemma16(3, tol), reference_lemma16(3, tol))
         assert cross_validate_lemma16(4, tol) == default[tol]
