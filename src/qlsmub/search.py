@@ -26,6 +26,10 @@ from .squares import weak_orth_defects
 ENUMERATION_CAP = 6
 LEMMA16_CAP = 5  # order 6 would take 9,408 x 1,128,960 representative pairs
 
+# (partial square, permutation) tests in one step of the reduced squares'
+# growth: bounds its int64 temporary at 256 KiB.
+_CELLS_BLOCK = 2**15
+
 # Representative pairs decided in one step of the lemma16 cross-check:
 # bounds its (pairs, n^2, n^2) complex permutation maps.
 _PAIR_BLOCK = 96
@@ -63,8 +67,13 @@ def _latin_cells(n: int) -> np.ndarray:
     used = np.full(1, keys[0] if start else 0, dtype=np.int64)
     for r in range(start, n - 1):
         starts_r = keys[r * block : (r + 1) * block]
+        step = max(1, _CELLS_BLOCK // block)
         # flat hit indices, one divmod: 2-D np.nonzero is several times slower
-        partial, perm = np.divmod(np.flatnonzero((used[:, None] & starts_r) == 0), block)
+        hits = [
+            np.flatnonzero((used[k : k + step, None] & starts_r) == 0) + k * block
+            for k in range(0, len(used), step)
+        ]
+        partial, perm = np.divmod(np.concatenate(hits), block)
         perm += r * block
         rows = np.concatenate([rows[partial], perm[:, None]], axis=1)
         used = used[partial] | keys[perm]

@@ -241,6 +241,65 @@ class ObstructionReport:
         )
 
 
+def _screen(powers: np.ndarray, growth: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """First-order commutator norms s of every pair of powers, and margins
+    eps with |a_ij - s_ij| <= eps_ij, a_ij the norm the sweep of
+    :func:`monomial_obstruction` computes for the pair; both (count, count),
+    for i >= j too (a_ji = a_ij and a_ii = 0).  ``growth`` bounds every
+    ||P_i||, and ``eta`` is the product error; that docstring derives s and
+    eps.  Raises numpy.linalg.LinAlgError where eigh does.
+    """
+    count, n, _ = powers.shape
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    # the Hermitian part of sum_k c_k P_k, c_k = exp(2 pi i k phi) with phi
+    # the golden ratio's fractional part: simple eigenvalues where the powers
+    # share an eigenbasis
+    coeffs = np.exp(2j * np.pi * 0.6180339887498949 * np.arange(count))
+    mix = (coeffs @ powers.reshape(count, n * n)).reshape(n, n)
+    basis = np.linalg.eigh(mix + mix.conj().T)[1]
+    defect = float(frobenius_norms((basis.conj().T @ basis - np.eye(n))[None])[0])
+    sigma = (defect * (1 + 2 * gamma(n * n + 3)) + eta) / (1 - eta)
+    # Q_i transposed, as two products of count * n rows; then E_i once its
+    # diagonal is split off
+    off = (powers.reshape(count * n, n) @ basis).reshape(count, n, n).transpose(0, 2, 1)
+    off = (off.reshape(count * n, n) @ basis.conj()).reshape(count, n, n)
+    diag = np.diagonal(off, axis1=1, axis2=2).copy()  # lambda_i
+    off[:, np.arange(n), np.arange(n)] = 0
+    weights = (off.real**2 + off.imag**2).reshape(count, n * n)  # |E_i|^2
+    sizes = np.sqrt(weights.sum(axis=1)) / (1 - gamma(n * n + 3))  # >= ||E_i||_F
+    gaps = diag[:, :, None] - diag[:, None, :]  # D_i
+    cross = (gaps.real**2 + gaps.imag**2).reshape(count, n * n) @ weights.T  # T
+    del weights
+    np.conjugate(gaps, out=gaps)
+    gaps *= off  # U_i = conj(D_i) E_i
+    del off
+    flat = gaps.view(np.float64).reshape(count, 2 * n * n)
+    first = flat @ flat.T  # Re(U U*)
+    del gaps, flat
+    total = cross + cross.T
+    del cross
+    first *= -2
+    first += total
+    np.maximum(first, 0.0, out=first)
+    np.sqrt(first, out=first)
+
+    tau = growth * (eta * (1 + sigma) * (2 + eta) + sigma * (2 + sigma))
+    kernel = 2 * growth**2 * (1 + u) * (1 + gamma(n * n + 2))
+    kernel *= eta + math.sqrt(n) * (u + gamma(n * n + 2))
+    margin = total
+    margin *= 2 * gamma(3 * n * n + 21)
+    np.sqrt(margin, out=margin)
+    margin += 2 * np.outer(sizes, sizes)
+    margin += 2 * u * first
+    margin += kernel + 2 * tau * (2 * growth + tau)
+    margin *= 2
+    return first, margin
+
+
 def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> ObstructionReport:
     """Sweep all pairwise commutators of mu-th powers of the translated basis.
 
@@ -265,6 +324,63 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     and of the norm: noise_bound = sqrt(n) (1 + eta) (2 (1 + eta) (1 + e)^2
     - 2), about 4 sqrt(n) mu (delta + 3 eta); inf where it overflows, and
     then the sweep is skipped.
+
+    Screen.  Only the pairs that can be the worst are multiplied out.  Let
+    P_i be the computed powers, g = 1 + e >= ||P_i||, C_ij = P_i P_j - P_j P_i
+    exactly, and a_ij the Frobenius norm the sweep computes for it.  Below,
+    Frobenius norms unless marked 2 for spectral; the entrywise error of a
+    product gives ||fl(XY) - XY||_F <= sqrt(2) gamma_{n+2} ||X||_F ||Y||_F,
+    at most eta ||X||_2 ||Y||_2, and ``frobenius_norms`` (two dot products
+    of n^2 squares, a sum and a square root) is within a factor
+    1 +- gamma_{n^2+2} of the norm.
+
+    (a) The kernel.  Each product errs by at most eta g^2, the difference
+    rounds by u relative, and ||C_ij|| <= 2 sqrt(n) g^2, so |a_ij - ||C_ij||| <=
+    kappa = 2 g^2 (1 + u) (1 + gamma_{n^2+2}) (eta + sqrt(n) (u + gamma_{n^2+2})).
+
+    (b) One shared eigenbasis.  S holds the eigenvectors that eigh gives for
+    the Hermitian part of sum_k c_k P_k, fixed weights c_k of modulus 1;
+    where the powers share an eigenbasis and these eigenvalues are simple, S
+    is it.  Its measured defect d = ||fl(S*S) - I||, as computed, bounds
+    sigma = ||S*S - I|| <= (d (1 + 2 gamma_{n^2+3}) + eta) / (1 - eta), since
+    ||S||_F^2 = tr(S*S) <= n (1 + sigma).  With S = WH its polar form,
+    ||S - W|| = ||H - I|| <= sigma and ||S||_2 <= 1 + sigma.  The computed
+    Q_i = fl(S* fl(P_i S)) is then within tau = g (eta (1 + sigma) (2 + eta)
+    + sigma (2 + sigma)) of W* P_i W, whose commutators have the norms
+    ||C_ij|| exactly, so | ||[Q_i, Q_j]|| - ||C_ij|| | <= 2 tau (2 g + tau).
+    (Q_i is formed as its transpose fl(fl(P_i S)^T conj(S)); transposing
+    every Q_i changes none of the norms below.)
+
+    (c) First order.  Split Q_i = Lambda_i + E_i into its diagonal lambda_i
+    and the rest.  The diagonal parts commute, so [Q_i, Q_j] = F_ij +
+    [E_i, E_j] with F_ij,rc = D_i,rc E_j,rc - D_j,rc E_i,rc, D_i,rc =
+    lambda_i,r - lambda_i,c, and ||[E_i, E_j]|| <= 2 ||E_i|| ||E_j||.  Then
+    s_ij = ||F_ij|| has s_ij^2 = T_ij + T_ji - 2 Re(U U*)_ij with T =
+    |D|^2 |E|^2^T and U_i = conj(D_i) E_i, flattened to rows: two real GEMMs
+    (one a Gram) of O(n^6) flops in all, against the sweep's O(n^7).
+
+    (d) Rounding of (c).  With D, |D|^2, |E|^2 and U formed entrywise, T
+    has relative error gamma_{n^2+7} and Re(U U*) absolute error
+    gamma_{2n^2+10} sum |U_i||U_j| <= gamma_{2n^2+10} (T_ij + T_ji) / 2, so
+    the computed s_ij^2 errs by at most rho_ij = 2 gamma_{3n^2+21} t_ij,
+    t_ij the computed T_ij + T_ji.  Then |sqrt(max(x, 0)) - s| <= sqrt(rho)
+    and the square root's rounding leave the computed s_ij within
+    sqrt(rho_ij) + 2u s_ij of s_ij.  The computed ||E_i||, over n^2 squares,
+    is at least (1 - gamma_{n^2+3}) ||E_i||.
+
+    So |a_ij - s_ij| <= kappa + 2 tau (2 g + tau) + 2 ||E_i|| ||E_j|| +
+    sqrt(rho_ij) + 2u s_ij, s_ij here as computed, and eps_ij is twice that
+    as computed, which covers the rounding of its own dozen nonnegative
+    terms and of g.  Every a_ij lies in [s_ij - eps_ij, s_ij + eps_ij], so
+    the worst norm is at least floor = max(s - eps), and a pair with
+    s_ij + eps_ij < floor is not the worst, nor tied with it: only the other
+    pairs are multiplied out, each row by the kernel the full sweep runs
+    (the whole row, where nothing in it is pruned), so the report is the
+    full sweep's bit for bit.  A floor that is not finite, or an eigh that
+    fails, prunes nothing.  Nor does the screen prune where E is large
+    (obstructed bases) or where every norm is rounding below the margins
+    (powers that are scalars up to rounding, as at prime orders on cyclic
+    squares).
     """
     n = u.n
     count = n * n
@@ -277,6 +393,7 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     translated = u.members @ anchor
     gram = translated.conj().transpose(0, 2, 1) @ translated
     delta = float(frobenius_norms(gram - np.eye(n)).max())
+    del gram
     eta = math.sqrt(2) * n * (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
     beta = (delta + eta) / (1 - eta) ** 2
     try:
@@ -288,17 +405,36 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
         # no commutator can exceed this bound, and the powers would overflow
         return ObstructionReport(mu, normalizer, None, None, None, False, noise_bound)
     powers = np.linalg.matrix_power(translated, mu)
+    del translated
+    growth = math.exp(mu * math.log1p(beta + eta + beta * eta))  # 1 + e
+    live = np.ones((count, count), dtype=bool)
+    try:
+        first, margin = _screen(powers, growth, eta)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        floor = np.max(first - margin)  # NaN if any entry is
+        if np.isfinite(floor):
+            live = first + margin >= floor
+        del first, margin
 
-    # One batched step per row i against every j > i.  argmax keeps the first
-    # maximum of a row and the strict > the first row, so equal norms go to
-    # the lexicographically first pair.
-    for i in range(count - 1):
-        rest = powers[i + 1 :]
+    # One batched step per row i against every live j > i.  argmax keeps the
+    # first maximum of a row and the strict > the first row, so equal norms
+    # go to the lexicographically first pair.
+    worst_pair = None
+    for i, width in enumerate(np.count_nonzero(np.triu(live, 1), axis=1).tolist()):
+        if not width:
+            continue
+        if width == count - 1 - i:  # nothing pruned: the whole row
+            cols, rest = range(i + 1, count), powers[i + 1 :]
+        else:
+            cols = np.flatnonzero(live[i, i + 1 :]) + (i + 1)
+            rest = powers[cols]
         comm = powers[i] @ rest - rest @ powers[i]
         norms = frobenius_norms(comm)
         k = int(np.argmax(norms))
-        if i == 0 or norms[k] > worst_norm:
-            worst_pair, worst_norm = (i, i + 1 + k), float(norms[k])
+        if worst_pair is None or norms[k] > worst_norm:
+            worst_pair, worst_norm = (i, int(cols[k])), float(norms[k])
             sample_entry = complex(comm[k, 0, 0])
 
     return ObstructionReport(

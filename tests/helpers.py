@@ -36,7 +36,7 @@ from qlsmub.squares import (
     validate_qls,
     weak_orth_witness,
 )
-from qlsmub.ueb import ObstructionReport, UnitaryErrorBasis, shift_multiply_ueb
+from qlsmub.ueb import ObstructionReport, UnitaryErrorBasis, _screen, shift_multiply_ueb
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -284,15 +284,61 @@ def reference_meb_to_ueb(basis: BipartiteBasis, tol: float = DEFAULT_TOL) -> Uni
     return UnitaryErrorBasis(n, members)
 
 
-def reference_noise_bound(n: int, mu: int, delta: float) -> float:
-    """The noise bound of ``monomial_obstruction``, step by step as its
-    docstring derives it rather than in the library's folded form."""
+def reference_growth(n: int, mu: int, delta: float) -> tuple[float, float]:
+    """eta and e of the ``monomial_obstruction`` docstring, step by step:
+    every computed mu-th power of a translate has norm at most 1 + e."""
     u = 2.0**-53
     eta = math.sqrt(2) * n * (n + 2) * u / (1 - (n + 2) * u)
     beta = (delta + eta) / (1 - eta) ** 2
-    e = math.expm1(mu * (math.log1p(beta) + math.log1p(eta)))  # ((1+beta)(1+eta))^mu - 1
+    return eta, math.expm1(mu * (math.log1p(beta) + math.log1p(eta)))  # ((1+beta)(1+eta))^mu - 1
+
+
+def reference_noise_bound(n: int, mu: int, delta: float) -> float:
+    """The noise bound of ``monomial_obstruction``, step by step as its
+    docstring derives it rather than in the library's folded form."""
+    eta, e = reference_growth(n, mu, delta)
     spectral = 2 * e * (2 + e) + 2 * eta * (1 + e) ** 2  # 2((1+e)^2 - 1) + 2 eta (1+e)^2
     return math.sqrt(n) * spectral * (1 + eta)
+
+
+def reference_powers(u, normalizer: int = 0) -> tuple[int, np.ndarray, float]:
+    """mu, the mu-th powers of the translates, each member powered alone,
+    and their unitarity defect delta, measured one member at a time."""
+    n = u.n
+    mu = math.lcm(*range(1, n + 1))
+    translated = u.members @ u.members[normalizer].conj().T
+    powers = np.stack([np.linalg.matrix_power(t, mu) for t in translated])
+    eye = np.eye(n)
+    delta = max(float(np.linalg.norm(t.conj().T @ t - eye)) for t in translated)
+    return mu, powers, delta
+
+
+def reference_commutator_norms(powers: np.ndarray) -> dict[tuple[int, int], float]:
+    """||P_i P_j - P_j P_i||_F of every pair i < j, one pair at a time with
+    ``np.linalg.norm``, in lexicographic order."""
+    return {
+        (i, j): float(np.linalg.norm(powers[i] @ powers[j] - powers[j] @ powers[i]))
+        for i, j in combinations(range(len(powers)), 2)
+    }
+
+
+def reference_screen(u, normalizer: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The powers of ``reference_powers`` and the obstruction screen's s and
+    eps for them, with the growth and eta of ``reference_growth``."""
+    mu, powers, delta = reference_powers(u, normalizer)
+    eta, e = reference_growth(u.n, mu, delta)
+    return (powers, *_screen(powers, 1 + e, eta))
+
+
+def assert_the_screen_brackets_every_norm(u, normalizer: int = 0) -> None:
+    """The obstruction screen prunes by [s - eps, s + eps]: the interval must
+    hold the per-pair loop's norm of every pair, both ways round, and the
+    zero of i = j."""
+    powers, first, margin = reference_screen(u, normalizer)
+    norms = np.zeros_like(first)
+    for (i, j), norm in reference_commutator_norms(powers).items():
+        norms[i, j] = norms[j, i] = norm
+    assert (np.abs(norms - first) <= margin).all()
 
 
 def reference_obstruction(u, normalizer: int = 0):
@@ -303,20 +349,12 @@ def reference_obstruction(u, normalizer: int = 0):
     bit for bit, tie-break included.  The unitarity defect is measured one
     member at a time too, so ``noise_bound`` agrees only to rounding.
     """
-    n, count = u.n, u.n * u.n
-    mu = math.lcm(*range(1, n + 1))
-    translated = u.members @ u.members[normalizer].conj().T
-    powers = np.empty_like(translated)
-    for s in range(count):
-        powers[s] = np.linalg.matrix_power(translated[s], mu)
-    eye = np.eye(n)
-    delta = max(float(np.linalg.norm(t.conj().T @ t - eye)) for t in translated)
-
+    n = u.n
+    mu, powers, delta = reference_powers(u, normalizer)
     worst_pair, worst_norm = None, 0.0
-    for i, j in combinations(range(count), 2):
-        norm = float(np.linalg.norm(powers[i] @ powers[j] - powers[j] @ powers[i]))
+    for pair, norm in reference_commutator_norms(powers).items():
         if worst_pair is None or norm > worst_norm:
-            worst_pair, worst_norm = (i, j), norm
+            worst_pair, worst_norm = pair, norm
     i, j = worst_pair
     comm = powers[i] @ powers[j] - powers[j] @ powers[i]
     noise_bound = reference_noise_bound(n, mu, delta)

@@ -61,6 +61,7 @@ from qlsmub.ueb import (
 
 from helpers import (
     GF_MUL,
+    assert_the_screen_brackets_every_norm,
     field_square,
     field_tables,
     linear_grid,
@@ -303,6 +304,14 @@ def test_obstruction_sweep_is_the_per_pair_loop_bit_for_bit(latin, seed, data):
     assert_allclose(report.noise_bound, expected.noise_bound, rtol=1e-9)
     assert report == replace(expected, noise_bound=report.noise_bound)
     assert report.worst_norm <= report.noise_bound and not report.obstructed
+
+
+@PROPERTY
+@given(latin_squares(min_order=2, max_order=8), SEEDS, st.data())
+def test_the_obstruction_screen_brackets_every_commutator_norm(latin, seed, data):
+    u = monomial_equivalent_ueb(latin, np.random.default_rng(seed))
+    normalizer = data.draw(st.integers(0, latin.n**2 - 1), label="normalizer")
+    assert_the_screen_brackets_every_norm(u, normalizer)
 
 
 @settings(max_examples=12, deadline=None, database=None)
