@@ -230,6 +230,11 @@ def _cmd_fixtures(args) -> Outcome:
 
 
 def _cmd_search(args) -> Outcome:
+    if args.what == "lemma16":
+        tol = DEFAULT_TOL if args.tol is None else args.tol
+        return _reported(cross_validate_lemma16(args.order, tol), what="lemma16", tol=tol)
+    if args.tol is not None:
+        raise ValueError(f"search {args.what} takes no --tol; only search lemma16 reads it")
     if args.what == "latin":
         count = count_latin(args.order)
         recount = count_latin_by_columns(args.order)
@@ -238,11 +243,9 @@ def _cmd_search(args) -> Outcome:
             {"what": "latin", "order": args.order, "count": count, "recount": recount},
             f"order {args.order}: {count} Latin squares (column-major recount {recount})",
         )
-    if args.what == "orth-pairs":
-        count = count_orthogonal_pairs(args.order)
-        text = f"order {args.order}: {count} ordered orthogonal pairs"
-        return Outcome(True, {"what": "orth-pairs", "order": args.order, "count": count}, text)
-    return _reported(cross_validate_lemma16(args.order, args.tol), what="lemma16", tol=args.tol)
+    count = count_orthogonal_pairs(args.order)
+    text = f"order {args.order}: {count} ordered orthogonal pairs"
+    return Outcome(True, {"what": "orth-pairs", "order": args.order, "count": count}, text)
 
 
 def _cmd_reproduce_appendix_c(args) -> Outcome:
@@ -333,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
                 tol=False, artifact=True)
     p.add_argument("action", choices=("emit",))
     p.add_argument("name", help=f"one of: {', '.join(FIXTURE_NAMES)}")
-    p = command("search", _cmd_search, "exhaustive small-order searches")
+    p = command("search", _cmd_search, "exhaustive small-order searches", tol=False)
     p.add_argument("what", choices=("latin", "orth-pairs", "lemma16"))
     p.add_argument("order", type=int, help=f"1..{ENUMERATION_CAP}; 1..{LEMMA16_CAP} for lemma16")
+    p.add_argument("--tol", type=_tolerance, help="lemma16 only: absolute tolerance, finite and >= 0")
     command("reproduce-appendix-c", _cmd_reproduce_appendix_c,
             "rebuild the bundled order-9 pair and verify all cross overlaps")
 

@@ -30,8 +30,8 @@ LEMMA16_CAP = 5  # order 6 would take 9,408 x 1,128,960 representative pairs
 # growth: bounds its int64 temporary at 256 KiB.
 _CELLS_BLOCK = 2**15
 
-# Representative pairs decided in one step of the lemma16 cross-check:
-# bounds its (pairs, n^2, n^2) complex permutation maps.
+# Partners of one reduced square decided in one step of the lemma16
+# cross-check: bounds its (pairs, n^2, n^2) bool permutation maps.
 _PAIR_BLOCK = 96
 
 
@@ -217,33 +217,27 @@ class EquivalenceReport:
         )
 
 
-def _routes(firsts: np.ndarray, partners: np.ndarray, tol: float, maps: np.ndarray):
-    """The witness, left and perm verdicts, as bool arrays in row-major
-    order, of every pair ``(firsts[a], partners[b])`` of two cell stacks:
-    the :func:`weak_orth_defects` rule on the columnwise products of
-    computational grids, distinct sorted pair codes of the left conjugates,
-    and :func:`is_permutation_matrix` on their cell-to-symbol-pair maps.
-    The maps are built in the complex buffer ``maps``, which must hold one
-    per pair; whatever it held is overwritten."""
-    n = firsts.shape[1]
-    basis = np.eye(n, dtype=np.complex128)  # basis[cells] are the computational grids
-    # one product per column k, [k, (a, i), (b, j)]; exact in any summation
+def _routes(first: np.ndarray, partners: np.ndarray, tol: float):
+    """The witness, left and perm verdicts, as bool arrays, of the pairs
+    ``(first, partners[b])`` of cells: the :func:`weak_orth_defects` rule on
+    the columnwise products of computational grids, distinct sorted pair
+    codes of the left conjugates, and :func:`is_permutation_matrix` on their
+    cell-to-symbol-pair maps.  Each grid entry, product and map entry is 0
+    or 1, so the grids are real and the maps bool."""
+    n = len(first)
+    basis = np.eye(n)  # basis[cells] are the computational grids
+    # one product per column k, [k, i, (b, j)]; exact in any summation
     # order, since every term is 0 or 1 and at most one is nonzero
-    grids = [basis[cells.transpose(2, 0, 1)].reshape(n, -1, n) for cells in (firsts, partners)]
-    prods = grids[0].conj() @ grids[1].transpose(0, 2, 1)
-    prods = prods.reshape(n, len(firsts), n, len(partners), n).transpose(1, 3, 2, 4, 0)
-    by_witness = ~weak_orth_defects(prods.reshape(-1, n, n, n), tol)[1].any(axis=(1, 2, 3))
-    del grids, prods  # freed before the permutation test's larger temporaries
+    grid, grids = basis[first.T], basis[partners.transpose(2, 0, 1)].reshape(n, -1, n)
+    prods = (grid @ grids.transpose(0, 2, 1)).reshape(n, n, len(partners), n).transpose(2, 1, 3, 0)
+    by_witness = ~weak_orth_defects(prods, tol)[1].any(axis=(1, 2, 3))
     # left conjugate: out[s, c] = r where cells[r, c] = s, each column inverted
-    left, right = np.argsort(firsts, axis=1), np.argsort(partners, axis=1)
-    codes = (left[:, None] * n + right).reshape(-1, n * n)
+    codes = (np.argsort(first, axis=0) * n + np.argsort(partners, axis=1)).reshape(-1, n * n)
     srt = np.sort(codes, axis=1)
     by_left = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-    maps = maps[: len(codes)]
-    maps[...] = 0.0
-    maps[np.arange(len(codes))[:, None], np.arange(n * n), codes] = 1.0
-    by_perm = is_permutation_matrix(maps, tol)
-    return by_witness, by_left, by_perm
+    maps = np.zeros((len(codes), n * n, n * n), dtype=bool)
+    maps[np.arange(len(codes))[:, None], np.arange(n * n), codes] = True
+    return by_witness, by_left, is_permutation_matrix(maps, tol)
 
 
 def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceReport:
@@ -267,31 +261,21 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     makes it reduced.  So they are gathered from the reduced squares through
     the (n-1)! permutations that fix 0, the first in lexicographic order.
 
-    Each step decides at most ``_PAIR_BLOCK`` representative pairs: a run of
-    ``max(1, _PAIR_BLOCK // partners)`` reduced squares against a block of
-    partners (all of them once a run holds two or more squares, so blocks
-    follow row-major pair order).
+    Each step decides one reduced square against a block of at most
+    ``_PAIR_BLOCK`` partners, so the steps follow row-major pair order.
     """
     _check_order(n, LEMMA16_CAP)
     firsts = _latin_cells(n)
     perms = np.array(list(permutations(range(n))))
     partners = firsts[:, :, perms[: factorial(n - 1)]].transpose(0, 2, 1, 3).reshape(-1, n, n)
-    rows = max(1, _PAIR_BLOCK // len(partners))
-    # one buffer for every step's permutation maps: at order 5 a fresh one per
-    # step (0.9 MiB) had the C heap shrunk and faulted in again at each step
-    per_step = min(_PAIR_BLOCK, len(firsts) * len(partners))
-    maps = np.empty((per_step, n * n, n * n), dtype=np.complex128)
     positives = 0
     disagreements: list[tuple] = []
-    for first in range(0, len(firsts), rows):
+    for a, first in enumerate(firsts):
         for start in range(0, len(partners), _PAIR_BLOCK):
-            block = partners[start : start + _PAIR_BLOCK]
-            by_witness, by_left, by_perm = _routes(firsts[first : first + rows], block, tol, maps)
-            positives += int(by_witness.sum())
-            for k in np.flatnonzero((by_witness != by_left) | (by_left != by_perm)):
-                a, b = divmod(int(k), len(block))
-                verdicts = (bool(by_witness[k]), bool(by_left[k]), bool(by_perm[k]))
-                disagreements.append((first + a, start + b, *verdicts))
+            verdicts = _routes(first, partners[start : start + _PAIR_BLOCK], tol)
+            positives += int(verdicts[0].sum())
+            for b in np.flatnonzero((verdicts[0] != verdicts[1]) | (verdicts[1] != verdicts[2])):
+                disagreements.append((a, start + int(b), *(bool(v[b]) for v in verdicts)))
     weight = factorial(n) ** 2 * factorial(n - 1)
     return EquivalenceReport(
         order=n,

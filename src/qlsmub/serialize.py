@@ -19,8 +19,8 @@ forms are re-spelled.  Those are found without a search of the text for
 anything but the byte ``e``: an array's values 0 < |v| < 1e-4, which orjson
 spells ``0.0000...``, are found from the array and written as a sentinel that
 orjson spells with an ``e``.  The stdlib writes the document only when
-orjson refuses it, or when orjson's text holds ``null`` or a byte from 0x7f
-up.
+orjson refuses it, when orjson's text holds a byte from 0x7f up, or when the
+document holds a NaN or infinity.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def dumps(doc: dict) -> str:
     orjson writes the whole document, re-spelled where its spelling of a float
     differs from ``repr``.  The stdlib writes it instead, errors included,
     when orjson refuses it (an int wider than 64 bits, a float subclass, a
-    non-str key, a cycle), or when orjson's text holds ``null`` (a None, NaN
-    or infinity) or a byte from 0x7f up, which the stdlib escapes.  The
+    non-str key, a cycle), when orjson's text holds a byte from 0x7f up,
+    which the stdlib escapes, or when ``doc`` holds a NaN or infinity.  The
     document holds JSON values only: orjson also writes a datetime, UUID,
     Enum or dataclass, which the stdlib refuses.
     """
@@ -92,7 +92,7 @@ def _encode(doc: dict) -> list:
         text, small = _orjson_text(doc)
     except TypeError:  # an int wider than 64 bits, a float subclass, a non-str key, a cycle, an array
         text = None
-    if text is None or _holds_null(text) or not text.isascii() or b"\x7f" in text:
+    if text is None or not text.isascii() or b"\x7f" in text or _holds_nonfinite(doc, text):
         return [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_listed).encode(), b"\n"]
     return _respelled(text, small) + [b"\n"]
 
@@ -142,13 +142,21 @@ def _listed(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _holds_null(text: bytes) -> bool:
-    """``b"null" in text``, found as each ``u``: a one-byte ``find`` is a
-    memchr, while the substring search steps byte by byte through digits."""
+def _holds_nonfinite(doc: dict, text: bytes) -> bool:
+    """Whether ``doc``, written by orjson as ``text``, holds a NaN or infinity.
+    orjson writes one, and None, as ``null``, found as each ``u`` (a memchr,
+    where a substring search steps through digits); then the stdlib's C
+    encoder, which leaves no cycle to collect, refuses a NaN or infinity."""
     at = text.find(b"u")
     while at >= 0 and text[at - 1:at + 3] != b"null":
         at = text.find(b"u", at + 1)
-    return at >= 0
+    if at < 0:
+        return False
+    try:
+        json.dumps(doc, allow_nan=False, default=_listed)
+    except ValueError:
+        return True
+    return False
 
 
 # floats that orjson may spell differently from repr: integral, exponent and

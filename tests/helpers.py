@@ -39,6 +39,12 @@ from qlsmub.squares import (
 from qlsmub.ueb import ObstructionReport, UnitaryErrorBasis, _screen, shift_multiply_ueb
 
 
+# The frozen result of the commutator sweep of paper-P's order-9 UEB (the
+# fixture grid with the corrected order-9 Hadamard): its worst pair and norm.
+PAPER_P_WORST_PAIR = (25, 26)
+PAPER_P_WORST_NORM = 4.4785390072245965
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary (QR of a complex Ginibre matrix)."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

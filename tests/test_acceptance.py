@@ -59,13 +59,16 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import reference_orthogonal_pairs, reference_squares
+from helpers import (
+    PAPER_P_WORST_NORM,
+    PAPER_P_WORST_PAIR,
+    reference_orthogonal_pairs,
+    reference_squares,
+)
 
-# Frozen oracle values for criterion 8 (commutator sweep of the fixture
-# basis): worst Frobenius norm, the pair attaining it, and the (0, 0) entry
+# Frozen oracle value for criterion 8 (commutator sweep of the fixture
+# basis) beside the worst pair and norm that helpers pins: the (0, 0) entry
 # of the worst commutator.
-FROZEN_WORST_NORM = 4.4785390072245965
-FROZEN_WORST_PAIR = (25, 26)
 FROZEN_SAMPLE_ENTRY = -0.39313616793866807 - 1.3422555533689478j
 
 _cache = {}
@@ -317,8 +320,8 @@ def test_criterion_08_monomiality_obstruction():
         report.mu == 2520
         and report.obstructed
         and report.worst_norm > 1e-6
-        and report.worst_pair == FROZEN_WORST_PAIR
-        and abs(report.worst_norm - FROZEN_WORST_NORM) <= 1e-6
+        and report.worst_pair == PAPER_P_WORST_PAIR
+        and abs(report.worst_norm - PAPER_P_WORST_NORM) <= 1e-6
         and abs(report.sample_entry - FROZEN_SAMPLE_ENTRY) <= 1e-6
         and oracle_pair == report.worst_pair
         and abs(oracle_norm - report.worst_norm) <= 1e-9

@@ -44,7 +44,13 @@ from qlsmub.ueb import (
     validate_ueb,
 )
 
-from helpers import assert_is_the_oracle, listed, mutated_documents, reference_lemma16
+from helpers import (
+    PAPER_P_WORST_PAIR,
+    assert_is_the_oracle,
+    listed,
+    mutated_documents,
+    reference_lemma16,
+)
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
@@ -437,7 +443,7 @@ def test_monomial_obstruction_exit_codes(tmp_path, capsys):
     obstructed = write_ueb(tmp_path, "obs.json", fixture_ueb.members)
     code, out, _ = run(capsys, "monomial-obstruction", obstructed)
     assert code == 1
-    assert "(25, 26)" in out
+    assert str(PAPER_P_WORST_PAIR) in out
     verdict = r"\nOBSTRUCTED: not equivalent to a monomial basis \(noise bound \d\.\d{3}e-\d+\)\n$"
     assert re.search(verdict, out)
 
@@ -1005,7 +1011,8 @@ def test_thread_count_option_is_gone(capsys, command):
 
 @pytest.mark.parametrize("command", sorted(PARSED_ARGV))
 def test_tol_only_where_a_command_reads_it(capsys, command):
-    argv = [command, *PARSED_ARGV[command], "--tol", "0.5"]
+    given = ["lemma16", "3"] if command == "search" else PARSED_ARGV[command]
+    argv = [command, *given, "--tol", "0.5"]
     if command in WITHOUT_TOL:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -1015,9 +1022,19 @@ def test_tol_only_where_a_command_reads_it(capsys, command):
     assert build_parser().parse_args([*argv[:-1], "0"]).tol == 0.0
     # a NaN, negative or infinite tolerance is a usage error, never a verdict
     for bad in ("nan", "-1", "inf"):
-        code, out, err = run(capsys, command, *PARSED_ARGV[command], "--tol", bad)
+        code, out, err = run(capsys, command, *given, "--tol", bad)
         assert code == 2 and out == ""
         assert f"argument --tol: must be finite and >= 0, got '{bad}'" in err
+    code, out, err = run(capsys, command, *given, "--tol", "abc")
+    assert code == 2 and out == ""
+    assert "argument --tol: invalid float value: 'abc'" in err
+
+
+@pytest.mark.parametrize("what", ["latin", "orth-pairs"])
+def test_a_search_that_reads_no_tol_refuses_it(capsys, what):
+    code, out, err = run(capsys, "search", what, "3", "--tol", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: search {what} takes no --tol; only search lemma16 reads it\n"
 
 
 # ------------------------------------------------------------ pinned texts
@@ -1367,23 +1384,41 @@ def test_a_call_leaves_no_argparse_object_to_the_cyclic_collector(capsys, argv):
     assert not left
 
 
+@pytest.fixture(scope="module")
+def null_bearing_files(tmp_path_factory):
+    """A matrix-list failing the UEB axioms, and paper-P's UEB scaled by 1.5:
+    its noise bound overflows at --tol 20, so its sweep is skipped."""
+    tmp_path = tmp_path_factory.mktemp("nulls")
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    family = constant_family(hadamard_9_corrected())
+    members = shift_multiply_ueb(validate_qls(fixture("paper-P")), family).members
+    return {
+        "non-unitary": write_ueb(tmp_path, "non-unitary.json", np.array([np.eye(2), x, z, 0.5 * x @ z])),
+        "scaled": write_ueb(tmp_path, "scaled.json", 1.5 * members),
+    }
+
+
 @pytest.mark.parametrize("argv", [
-    ["reproduce-appendix-c", "--format", "json-report"],
-    ["search", "lemma16", "3", "--format", "json-report"],
+    ["reproduce-appendix-c"],
+    ["search", "lemma16", "3"],
+    ["check-ueb", "{non-unitary}"],  # "pair": null
+    ["monomial-obstruction", "{scaled}", "--tol", "20"],  # the skipped sweep's nulls
 ])
-def test_a_json_report_leaves_nothing_to_the_cyclic_collector(capsys, argv):
+def test_a_json_report_leaves_nothing_to_the_cyclic_collector(null_bearing_files, capsys, argv):
+    argv = [arg.format_map(null_bearing_files) for arg in argv] + ["--format", "json-report"]
     run(capsys, *argv)  # builds the shared parser
     gc.collect()
     flags, before = gc.get_debug(), len(gc.garbage)
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv)
         gc.collect()
         left = [type(obj).__qualname__ for obj in gc.garbage[before:]]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert left == []
+    assert code in (0, 1) and err == "" and left == []
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_a_tolerance_does_not_outlive_its_call(capsys):

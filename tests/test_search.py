@@ -222,8 +222,8 @@ def test_cross_validation_is_the_per_pair_loop(n, tol):
 
 @pytest.mark.parametrize("pair_block", [1, 5, 25, 72, 96])
 def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block):
-    # partial partner blocks, and at order 4 runs of several reduced squares
-    # with a partial last run
+    # blocks of one partner, a partial last block, and at order 4 (24
+    # partners per reduced square) blocks that hold all of a square's partners
     default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
     for tol in (1e-9, 1.0):
@@ -258,7 +258,6 @@ def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, tol):
         np.array(data.draw(st.permutations(range(n)), label=name))
         for name in ("rows1", "rows2", "symbols")
     )
-    maps = np.ones((1, n * n, n * n), dtype=np.complex128)  # overwritten by each call
-    before = search._routes(l1[None], l2[None], tol, maps)
-    after = search._routes(symbols[l1[rows1]][None], symbols[l2[rows2]][None], tol, maps)
+    before = search._routes(l1, l2[None], tol)
+    after = search._routes(symbols[l1[rows1]], symbols[l2[rows2]][None], tol)
     assert [bool(v[0]) for v in after] == [bool(v[0]) for v in before]

@@ -39,6 +39,8 @@ from qlsmub.ueb import (
 )
 
 from helpers import (
+    PAPER_P_WORST_NORM,
+    PAPER_P_WORST_PAIR,
     assert_the_screen_brackets_every_norm,
     is_monomial,
     monomial_equivalent_ueb,
@@ -332,8 +334,8 @@ def test_obstruction_detects_fixture_basis():
     report = monomial_obstruction(fixture_ueb())
     assert report.mu == 2520
     assert report.obstructed
-    assert report.worst_pair == (25, 26)
-    assert_allclose(report.worst_norm, 4.4785390072245965, atol=1e-6)
+    assert report.worst_pair == PAPER_P_WORST_PAIR
+    assert_allclose(report.worst_norm, PAPER_P_WORST_NORM, atol=1e-6)
     assert_allclose(
         report.sample_entry,
         -0.39313616793866807 - 1.3422555533689478j,
