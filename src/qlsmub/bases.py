@@ -35,9 +35,6 @@ class BipartiteBasis:
             raise ValueError("basis contains NaN or Inf amplitudes")
         object.__setattr__(self, "states", arr)
 
-    def state(self, i: int, j: int) -> np.ndarray:
-        return self.states[i * self.n + j]
-
 
 @dataclass(frozen=True)
 class MubReport:

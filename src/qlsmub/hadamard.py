@@ -42,12 +42,6 @@ class HadamardFamily:
     def n(self) -> int:
         return self.members[0].n
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, j: int) -> HadamardMatrix:
-        return self.members[j]
-
 
 @dataclass(frozen=True)
 class HadamardViolation:

@@ -1,7 +1,7 @@
 """Quantum Latin squares, Latin squares, and their orthogonality notions.
 
 Storage convention, used everywhere in this package: a grid is an n x n array
-of length-n complex vectors addressed as ``entry(row, col)``.  A Latin square
+of length-n complex vectors addressed as ``array[row, col]``.  A Latin square
 is the special case whose entries are computational basis vectors; it is kept
 as an integer table ``cells[row, col]``.
 """
@@ -33,9 +33,6 @@ class VectorGrid:
     @property
     def n(self) -> int:
         return self.array.shape[0]
-
-    def entry(self, row: int, col: int) -> np.ndarray:
-        return self.array[row, col]
 
     def __repr__(self) -> str:
         return f"VectorGrid(n={self.n})"

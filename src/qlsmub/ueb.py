@@ -37,9 +37,6 @@ class UnitaryErrorBasis:
             raise ValueError(f"expected {n * n} matrices of size {n}x{n}, got shape {arr.shape}")
         object.__setattr__(self, "members", arr)
 
-    def member(self, i: int, j: int) -> np.ndarray:
-        return self.members[i * self.n + j]
-
     def __len__(self) -> int:
         return self.members.shape[0]
 
@@ -202,10 +199,10 @@ def check_mu_ueb(
 class ObstructionReport:
     """Outcome of the monomiality obstruction sweep.
 
-    The basis is translated so the member at ``normalizer_index`` becomes the
-    identity, every translated member is raised to the power ``mu`` (the lcm
-    of 1..n), and all pairwise commutators of the powers are measured in
-    Frobenius norm.  A monomial basis always yields commuting powers, so
+    The basis is translated so member ``normalizer_index``, always 0,
+    becomes the identity, every translated member is raised to the power
+    ``mu`` (the lcm of 1..n), and all pairwise commutators of the powers
+    are measured in Frobenius norm.  A monomial basis always yields commuting powers, so
     ``worst_norm`` above ``noise_bound``, the most rounding can leave of a
     zero commutator, proves the basis is not equivalent to a monomial one.
     ``sample_entry`` is the (0, 0) entry of the worst commutator.  Where the
@@ -300,11 +297,11 @@ def _screen(powers: np.ndarray, growth: float, eta: float) -> tuple[np.ndarray, 
     return first, margin
 
 
-def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> ObstructionReport:
+def monomial_obstruction(u: UnitaryErrorBasis) -> ObstructionReport:
     """Sweep all pairwise commutators of mu-th powers of the translated basis.
 
-    ``normalizer`` picks the member whose inverse right-translates the basis
-    before powering.  The worst pair is selected by norm; among equal norms
+    The basis is right-translated by the inverse of member 0 before
+    powering.  The worst pair is selected by norm; among equal norms
     the lexicographically first pair wins.  Order 1 has a single member and
     no pair to sweep, so it raises ValueError.
 
@@ -386,11 +383,8 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
     count = n * n
     if n < 2:
         raise ValueError(f"the obstruction sweep needs order >= 2, got order {n}")
-    if not 0 <= normalizer < count:
-        raise ValueError(f"normalizer index {normalizer} out of range 0..{count - 1}")
     mu = math.lcm(*range(1, n + 1))
-    anchor = u.members[normalizer].conj().T
-    translated = u.members @ anchor
+    translated = u.members @ u.members[0].conj().T
     gram = translated.conj().transpose(0, 2, 1) @ translated
     delta = float(frobenius_norms(gram - np.eye(n)).max())
     del gram
@@ -403,7 +397,7 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
         noise_bound = math.inf
     if not noise_bound < math.inf:
         # no commutator can exceed this bound, and the powers would overflow
-        return ObstructionReport(mu, normalizer, None, None, None, False, noise_bound)
+        return ObstructionReport(mu, 0, None, None, None, False, noise_bound)
     powers = np.linalg.matrix_power(translated, mu)
     del translated
     growth = math.exp(mu * math.log1p(beta + eta + beta * eta))  # 1 + e
@@ -439,7 +433,7 @@ def monomial_obstruction(u: UnitaryErrorBasis, normalizer: int = 0) -> Obstructi
 
     return ObstructionReport(
         mu=mu,
-        normalizer_index=normalizer,
+        normalizer_index=0,
         worst_pair=worst_pair,
         worst_norm=worst_norm,
         sample_entry=sample_entry,

@@ -2,11 +2,14 @@
 
 import json
 import math
+import re
 import reprlib
+from contextlib import contextmanager
 from functools import cache
 from itertools import chain, combinations, permutations
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -43,6 +46,15 @@ from qlsmub.ueb import ObstructionReport, UnitaryErrorBasis, _screen, shift_mult
 # fixture grid with the corrected order-9 Hadamard): its worst pair and norm.
 PAPER_P_WORST_PAIR = (25, 26)
 PAPER_P_WORST_NORM = 4.4785390072245965
+
+
+@contextmanager
+def raises_exactly(kind: type, message: str):
+    """``pytest.raises`` for ``kind`` itself, not a subclass, with ``message``
+    as its whole text."""
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as info:
+        yield
+    assert info.type is kind
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,7 +164,7 @@ def reference_qls_meb(q: QuantumLatinSquare, family: HadamardFamily) -> Bipartit
     states = np.empty((n * n, n * n), dtype=np.complex128)
     scale = 1.0 / math.sqrt(n)
     for j in range(n):
-        h = family[j].mat
+        h = family.members[j].mat
         vecs = q.grid.array[j]  # (k, p)
         block = np.einsum("ki,kp->ikp", h, vecs) * scale
         states[j::n] = block.reshape(n, n * n)
@@ -177,7 +189,7 @@ def reference_shift_multiply_ueb(q: QuantumLatinSquare, family: HadamardFamily) 
     n = q.n
     members = np.empty((n * n, n, n), dtype=np.complex128)
     for j in range(n):
-        h = family[j].mat
+        h = family.members[j].mat
         vecs = q.grid.array[j]  # (k, p)
         members[j::n] = np.einsum("ki,kp->ipk", h, vecs)
     return UnitaryErrorBasis(n, members)
@@ -191,6 +203,12 @@ def monomial_equivalent_ueb(latin: LatinSquare, rng: np.random.Generator) -> Uni
     family = hadamard_family([random_hadamard(n, rng) for _ in range(n)])
     monomial = shift_multiply_ueb(validate_qls(computational_grid(latin)), family)
     return UnitaryErrorBasis(n, random_unitary(n, rng) @ monomial.members @ random_unitary(n, rng))
+
+
+def member_first(u: UnitaryErrorBasis, k: int) -> UnitaryErrorBasis:
+    """``u`` with its members rotated so that member k comes first, so
+    ``monomial_obstruction`` translates by it."""
+    return UnitaryErrorBasis(u.n, np.roll(u.members, -k, axis=0))
 
 
 def is_monomial(m, tol: float = DEFAULT_TOL) -> bool:
@@ -307,12 +325,12 @@ def reference_noise_bound(n: int, mu: int, delta: float) -> float:
     return math.sqrt(n) * spectral * (1 + eta)
 
 
-def reference_powers(u, normalizer: int = 0) -> tuple[int, np.ndarray, float]:
+def reference_powers(u) -> tuple[int, np.ndarray, float]:
     """mu, the mu-th powers of the translates, each member powered alone,
     and their unitarity defect delta, measured one member at a time."""
     n = u.n
     mu = math.lcm(*range(1, n + 1))
-    translated = u.members @ u.members[normalizer].conj().T
+    translated = u.members @ u.members[0].conj().T
     powers = np.stack([np.linalg.matrix_power(t, mu) for t in translated])
     eye = np.eye(n)
     delta = max(float(np.linalg.norm(t.conj().T @ t - eye)) for t in translated)
@@ -328,26 +346,26 @@ def reference_commutator_norms(powers: np.ndarray) -> dict[tuple[int, int], floa
     }
 
 
-def reference_screen(u, normalizer: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def reference_screen(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The powers of ``reference_powers`` and the obstruction screen's s and
     eps for them, with the growth and eta of ``reference_growth``."""
-    mu, powers, delta = reference_powers(u, normalizer)
+    mu, powers, delta = reference_powers(u)
     eta, e = reference_growth(u.n, mu, delta)
     return (powers, *_screen(powers, 1 + e, eta))
 
 
-def assert_the_screen_brackets_every_norm(u, normalizer: int = 0) -> None:
+def assert_the_screen_brackets_every_norm(u) -> None:
     """The obstruction screen prunes by [s - eps, s + eps]: the interval must
     hold the per-pair loop's norm of every pair, both ways round, and the
     zero of i = j."""
-    powers, first, margin = reference_screen(u, normalizer)
+    powers, first, margin = reference_screen(u)
     norms = np.zeros_like(first)
     for (i, j), norm in reference_commutator_norms(powers).items():
         norms[i, j] = norms[j, i] = norm
     assert (np.abs(norms - first) <= margin).all()
 
 
-def reference_obstruction(u, normalizer: int = 0):
+def reference_obstruction(u):
     """The obstruction sweep as one Python iteration per member pair.
 
     Each member is powered alone and each commutator norm is taken with
@@ -356,7 +374,7 @@ def reference_obstruction(u, normalizer: int = 0):
     member at a time too, so ``noise_bound`` agrees only to rounding.
     """
     n = u.n
-    mu, powers, delta = reference_powers(u, normalizer)
+    mu, powers, delta = reference_powers(u)
     worst_pair, worst_norm = None, 0.0
     for pair, norm in reference_commutator_norms(powers).items():
         if worst_pair is None or norm > worst_norm:
@@ -366,7 +384,7 @@ def reference_obstruction(u, normalizer: int = 0):
     noise_bound = reference_noise_bound(n, mu, delta)
     return ObstructionReport(
         mu=mu,
-        normalizer_index=normalizer,
+        normalizer_index=0,
         worst_pair=worst_pair,
         worst_norm=worst_norm,
         sample_entry=complex(comm[0, 0]),

@@ -30,7 +30,7 @@ from qlsmub.squares import (
     validate_qls,
 )
 
-from helpers import random_unitary, reference_squares
+from helpers import raises_exactly, random_unitary, reference_squares
 
 CYCLIC2 = LatinSquare([[0, 1], [1, 0]])
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
@@ -62,7 +62,7 @@ def asymmetric_hadamard_3() -> HadamardMatrix:
 
 def test_bipartite_basis_indexing():
     b = BipartiteBasis(2, BELL)
-    assert_allclose(b.state(1, 0), BELL[2])
+    assert_allclose(b.states[2], BELL[2])  # label (1, 0)
     with pytest.raises(ValueError):
         BipartiteBasis(2, BELL[:3])
     with pytest.raises(ValueError):
@@ -104,8 +104,8 @@ def test_qls_meb_uses_one_family_member_per_second_label():
     q = qls_of(CYCLIC3)
     a, b = qls_meb(q, fam_a), qls_meb(q, fam_b)
     for i in range(3):
-        assert_allclose(a.state(i, 0), b.state(i, 0))
-        assert_allclose(a.state(i, 2), b.state(i, 2))
+        assert_allclose(a.states[i * 3], b.states[i * 3])
+        assert_allclose(a.states[i * 3 + 2], b.states[i * 3 + 2])
 
 
 def test_fixture_mebs_are_orthonormal():
@@ -142,6 +142,11 @@ def test_is_maximally_entangled():
     product = np.zeros(4, dtype=complex)
     product[0] = 1.0  # |0,0>
     assert not is_maximally_entangled(product)
+
+
+def test_is_maximally_entangled_rejects_an_empty_state():
+    with raises_exactly(ValueError, "empty state vector"):
+        is_maximally_entangled([])
 
 
 def test_is_maximally_entangled_rejects_non_square_dimension():

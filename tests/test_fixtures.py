@@ -99,17 +99,17 @@ def test_random_triple_spans_middle_block():
 def test_grid_entries_match_symbol_tables():
     p = paper_p_grid()
     eye = np.eye(9)
-    assert_allclose(p.entry(0, 0), eye[0])
-    assert_allclose(p.entry(0, 1), eye[2])
-    assert_allclose(p.entry(3, 0), eye[6])
-    assert_allclose(p.entry(6, 0), corrected_triple()[0])
-    assert_allclose(p.entry(6, 6), fourier_triple()[0])
+    assert_allclose(p.array[0, 0], eye[0])
+    assert_allclose(p.array[0, 1], eye[2])
+    assert_allclose(p.array[3, 0], eye[6])
+    assert_allclose(p.array[6, 0], corrected_triple()[0])
+    assert_allclose(p.array[6, 6], fourier_triple()[0])
     q = paper_q_grid()
-    assert_allclose(q.entry(3, 0), corrected_triple()[0])
-    assert_allclose(q.entry(6, 6), fourier_triple()[0])
+    assert_allclose(q.array[3, 0], corrected_triple()[0])
+    assert_allclose(q.array[6, 6], fourier_triple()[0])
     blk = block_square_grid()
-    assert_allclose(blk.entry(6, 0), eye[6])
-    assert_allclose(blk.entry(8, 8), eye[8])
+    assert_allclose(blk.array[6, 0], eye[6])
+    assert_allclose(blk.array[8, 8], eye[8])
 
 
 def test_default_grids_validate():

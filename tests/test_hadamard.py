@@ -14,6 +14,8 @@ from qlsmub.hadamard import (
     validate_hadamard,
 )
 
+from helpers import raises_exactly
+
 OMEGA = np.exp(2j * np.pi / 3)
 
 
@@ -28,6 +30,25 @@ def test_fourier_small_orders():
     assert_allclose(fourier(1).mat, [[1.0]])
     assert_allclose(fourier(2).mat, [[1, 1], [1, -1]], atol=1e-15)
     assert_allclose(fourier(3).mat[1], [1, OMEGA, OMEGA**2], atol=1e-15)
+
+
+def test_fourier_refuses_order_zero():
+    with raises_exactly(ValueError, "order must be positive, got 0"):
+        fourier(0)
+
+
+def test_a_tensor_product_is_revalidated_at_the_factors_tol():
+    # rows (1 + s, 1 - s) and (1 - s, -(1 + s)) stay orthogonal, and each
+    # modulus is s = 0.09 inside tol 0.1; the product's corner is (1 + s)^2
+    s = 0.09
+    h = validate_hadamard([[1 + s, 1 - s], [1 - s, -(1 + s)]], tol=0.1)
+    assert isinstance(h, HadamardMatrix)
+    message = (
+        "tensor product failed validation: entry (0, 0) has modulus 1.1881, "
+        "expected 1 (off by 1.881e-01)"
+    )
+    with raises_exactly(ValueError, message):
+        tensor_hadamard(h, h)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -126,12 +147,20 @@ def test_row_and_column_conditions_agree():
 def test_constant_family():
     fam = constant_family(fourier(3))
     assert fam.n == 3
-    assert len(fam) == 3
-    assert all(fam[j] is fam[0] for j in range(3))
+    assert len(fam.members) == 3
+    assert all(h is fam.members[0] for h in fam.members)
+
+
+def test_family_members_must_be_validated():
+    message = "family members must be validated HadamardMatrix objects"
+    with raises_exactly(TypeError, message):
+        hadamard_family([fourier(2), fourier(2).mat])
 
 
 def test_family_length_must_match_order():
     f3 = fourier(3)
+    with raises_exactly(ValueError, "a family needs at least one member"):
+        hadamard_family(())
     with pytest.raises(ValueError):
         hadamard_family([f3, f3])
     with pytest.raises(ValueError):

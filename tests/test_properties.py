@@ -65,6 +65,7 @@ from helpers import (
     field_square,
     field_tables,
     linear_grid,
+    member_first,
     monomial_equivalent_ueb,
     order_18_product_ueb,
     product_grid,
@@ -295,9 +296,9 @@ def test_obstruction_sweep_is_the_per_pair_loop_bit_for_bit(latin, seed, data):
     # A @ M @ B for a monomial M: every commutator is zero up to rounding, so
     # the worst pair is decided by noise-level norms and near-ties
     u = monomial_equivalent_ueb(latin, np.random.default_rng(seed))
-    normalizer = data.draw(st.integers(0, latin.n**2 - 1), label="normalizer")
-    report = monomial_obstruction(u, normalizer=normalizer)
-    expected = reference_obstruction(u, normalizer=normalizer)
+    u = member_first(u, data.draw(st.integers(0, latin.n**2 - 1), label="normalizer"))
+    report = monomial_obstruction(u)
+    expected = reference_obstruction(u)
     assert report.worst_pair == expected.worst_pair
     assert report.worst_norm == expected.worst_norm
     assert report.sample_entry == expected.sample_entry
@@ -310,15 +311,15 @@ def test_obstruction_sweep_is_the_per_pair_loop_bit_for_bit(latin, seed, data):
 @given(latin_squares(min_order=2, max_order=8), SEEDS, st.data())
 def test_the_obstruction_screen_brackets_every_commutator_norm(latin, seed, data):
     u = monomial_equivalent_ueb(latin, np.random.default_rng(seed))
-    normalizer = data.draw(st.integers(0, latin.n**2 - 1), label="normalizer")
-    assert_the_screen_brackets_every_norm(u, normalizer)
+    u = member_first(u, data.draw(st.integers(0, latin.n**2 - 1), label="normalizer"))
+    assert_the_screen_brackets_every_norm(u)
 
 
 @settings(max_examples=12, deadline=None, database=None)
 @given(latin_squares(min_order=7, max_order=12), SEEDS)
 def test_noise_bound_covers_monomial_equivalent_bases(latin, seed):
     u = monomial_equivalent_ueb(latin, np.random.default_rng(seed))
-    report = monomial_obstruction(u, normalizer=seed % latin.n**2)
+    report = monomial_obstruction(member_first(u, seed % latin.n**2))
     assert 0 < report.noise_bound < 1e-6
     assert report.worst_norm <= report.noise_bound and not report.obstructed
 

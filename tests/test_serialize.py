@@ -27,8 +27,8 @@ from qlsmub.serialize import (
 from qlsmub.squares import LatinSquare, VectorGrid
 
 from helpers import (
-    EDGE_FLOATS, FLOATS, NUMBERS, documents, listed, mutated_documents, reference_dumps,
-    reference_from_doc,
+    EDGE_FLOATS, FLOATS, NUMBERS, documents, listed, mutated_documents, raises_exactly,
+    reference_dumps, reference_from_doc,
 )
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
@@ -320,6 +320,14 @@ def test_an_array_orjson_cannot_write_as_its_list_is_written_by_the_stdlib():
     for arr in (base.astype(np.float32), base[:, ::2], base.astype(">f8"), base.astype(">i8")):
         doc = {**to_doc("matrix", np.eye(3, 2)), "entries": arr}
         assert dumps(doc) == reference_dumps({**doc, "entries": arr.tolist()})
+
+
+def test_a_value_neither_writer_takes_raises_the_stdlib_error():
+    doc, message = {"a": {1, 2}}, "Object of type set is not JSON serializable"
+    with raises_exactly(TypeError, message):
+        json.dumps(doc)
+    with raises_exactly(TypeError, message):
+        dumps(doc)
 
 
 def _exact(value):

@@ -23,8 +23,8 @@ from qlsmub.squares import (
 )
 
 from helpers import (
-    as_latin_square, every_latin_cells, reference_computational_grid, reference_left_conjugate,
-    reference_squares,
+    as_latin_square, every_latin_cells, raises_exactly, reference_computational_grid,
+    reference_left_conjugate, reference_squares,
 )
 
 CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
@@ -59,6 +59,16 @@ def test_latin_square_rejects_non_latin():
         LatinSquare([[0, 0], [1, 1]])
     with pytest.raises(ValueError):
         LatinSquare([[0, 2], [2, 0]])
+    with raises_exactly(ValueError, "expected a square table, got shape (1, 2)"):
+        LatinSquare([[0, 1]])
+
+
+def test_latin_squares_are_equal_and_hash_by_their_cells():
+    a, b = LatinSquare(CYCLIC3.cells), LatinSquare(CYCLIC3.cells.tolist())
+    assert a is not b and a == b and len({a, b}) == 1
+    assert len({CYCLIC3, TWISTED3}) == 2
+    assert CYCLIC3.__eq__(3) is NotImplemented
+    assert CYCLIC3 != 3
 
 
 @pytest.mark.parametrize(
@@ -177,6 +187,11 @@ def test_orthogonality_map_of_orthogonal_pair_is_permutation():
 
 def test_orthogonality_map_of_self_pair_is_not_permutation():
     assert not is_permutation_matrix(orthogonality_map(CYCLIC3, CYCLIC3))
+
+
+def test_orthogonality_map_order_mismatch():
+    with raises_exactly(ValueError, "order mismatch: 3 vs 2"):
+        orthogonality_map(CYCLIC3, LatinSquare([[0, 1], [1, 0]]))
 
 
 def test_are_orthogonal():
@@ -355,6 +370,11 @@ def test_witness_order_mismatch():
             computational_grid(CYCLIC3),
             computational_grid(LatinSquare([[0, 1], [1, 0]])),
         )
+
+
+def test_witness_refuses_what_is_not_a_grid():
+    with raises_exactly(TypeError, "expected a grid, got str"):
+        weak_orth_witness("x", computational_grid(CYCLIC3))
 
 
 # ------------------------------------------------------------------- moqls

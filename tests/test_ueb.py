@@ -43,6 +43,7 @@ from helpers import (
     PAPER_P_WORST_PAIR,
     assert_the_screen_brackets_every_norm,
     is_monomial,
+    member_first,
     monomial_equivalent_ueb,
     order_18_product_ueb,
     reference_obstruction,
@@ -78,7 +79,7 @@ def test_validate_pauli():
     u = pauli_basis()
     assert isinstance(u, UnitaryErrorBasis)
     assert u.n == 2 and len(u) == 4
-    assert_allclose(u.member(0, 1), X)
+    assert_allclose(u.members[1], X)  # label (0, 1)
 
 
 def test_validate_rejects_wrong_count():
@@ -267,7 +268,7 @@ def test_shift_multiply_fixture_first_member_is_a_permutation():
     # column k holds the grid vector of row 0 at column k
     grid = fixture("paper-P")
     for k in range(9):
-        assert_allclose(first[:, k], grid.entry(0, k), atol=1e-12)
+        assert_allclose(first[:, k], grid.array[0, k], atol=1e-12)
 
 
 def test_shift_multiply_validates_as_ueb():
@@ -374,14 +375,7 @@ def test_obstruction_equal_maxima_give_the_lexicographically_first_pair():
 def test_obstruction_normalizer_choices_stay_clean_on_monomial_bases():
     u = pauli_basis()
     for idx in range(4):
-        assert not monomial_obstruction(u, normalizer=idx).obstructed
-
-
-def test_obstruction_normalizer_out_of_range():
-    with pytest.raises(ValueError):
-        monomial_obstruction(pauli_basis(), normalizer=4)
-    with pytest.raises(ValueError):
-        monomial_obstruction(pauli_basis(), normalizer=-1)
+        assert not monomial_obstruction(member_first(u, idx)).obstructed
 
 
 def test_obstruction_needs_order_two():
