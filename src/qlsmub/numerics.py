@@ -70,12 +70,12 @@ def is_permutation_matrix(m, tol: float = DEFAULT_TOL):
 
     The unit entry must be +1 (phase included), not merely unimodular.  A
     stack ``(..., k, k)`` gets one verdict per matrix, as a bool array of
-    shape ``(...)``; a single matrix gets a bool.  Each verdict is complex128's,
-    but bool arrays are judged as they are and other real ones as float64.
+    shape ``(...)``; a single matrix gets a bool.  Bool arrays are judged as
+    they are and every other dtype as complex128.
     """
     arr = np.asarray(m)
     if arr.dtype != bool:
-        arr = arr.astype(np.float64 if arr.dtype.kind in "iuf" else np.complex128, copy=False)
+        arr = arr.astype(np.complex128, copy=False)
     if arr.ndim < 2:
         raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
     if not np.isfinite(arr).all():

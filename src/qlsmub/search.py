@@ -15,6 +15,7 @@ lemma16 cross-check, which pairs R with R's columns 1..n-1 permuted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -40,6 +41,19 @@ def _check_order(n: int, cap: int = ENUMERATION_CAP) -> None:
         raise ValueError(f"order {n} out of range 1..{cap}")
 
 
+@cache
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of 0..n-1 (n <= 6) in lexicographic order, as a
+    read-only ``(n!, n)`` int8 array, and each one's row key, the int64 with
+    bit ``n*c + s`` set for symbol s in column c."""
+    _check_order(n)
+    perms = np.array(list(permutations(range(n))), dtype=np.int8)
+    keys = (1 << (perms + n * np.arange(n))).sum(axis=1)
+    perms.setflags(write=False)
+    keys.setflags(write=False)
+    return perms, keys
+
+
 def _latin_cells(n: int) -> np.ndarray:
     """The reduced Latin squares of order n (n <= 6), those whose first row
     and first column are 0..n-1, as a read-only ``(count, n, n)`` int8 array
@@ -48,19 +62,17 @@ def _latin_cells(n: int) -> np.ndarray:
     Squares grow a row at a time from the identity row: at row r each
     partial square, in order, takes every permutation that starts with r
     (one block of the lexicographic ``itertools.permutations`` order) and
-    repeats no symbol in any column, so the stack stays sorted.  A row's key
-    has bit ``n*c + s`` set for symbol s in column c, and the OR of a partial
-    square's keys marks the symbols each column has used.  The last row is
-    forced: each column's missing symbol, n-1 in the first.
+    repeats no symbol in any column, so the stack stays sorted.  The OR of a
+    partial square's row keys (:func:`_permutations`) marks the symbols each
+    column has used.  The last row is forced: each column's missing symbol,
+    n-1 in the first.
 
     The result is checked against what was built rather than re-sorted:
     every row permutation sorts to 0..n-1, each forced row sets n distinct
     bits below bit n (so it too is a permutation), and its symbols' bits fill
     the used marks to all n^2 bits, so each column holds n distinct symbols.
     """
-    _check_order(n)
-    perms = np.array(list(permutations(range(n))), dtype=np.int8)
-    keys = (1 << (perms + n * np.arange(n))).sum(axis=1)
+    perms, keys = _permutations(n)
     block = factorial(n - 1)  # the permutations that start with one symbol
     start = min(1, n - 1)  # at order 1 the forced row is the identity
     rows = np.zeros((1, start), dtype=np.int64)  # permutation index of each row
@@ -159,13 +171,13 @@ def count_orthogonal_pairs(n: int) -> int:
     (bit n*r + p[r] of an int64 mask) grows each partition once.
     """
     cells = _latin_cells(n)
-    perms = np.array(list(permutations(range(n))), dtype=np.int8)
+    perms, keys = _permutations(n)
     bits = np.left_shift(1, cells, dtype=np.int8)
     union = bits[:, 0, perms[:, 0]]
     for r in range(1, n):
         union |= bits[:, r, perms[:, r]]
     transversal = (union == (1 << n) - 1).reshape(len(cells), n, -1)
-    masks = (1 << (perms + n * np.arange(n))).sum(axis=1).reshape(n, -1)
+    masks = keys.reshape(n, -1)
     square, covered = np.arange(len(cells)), np.zeros(len(cells), dtype=np.int64)
     for c in range(n):
         partial, perm = np.nonzero(transversal[square, c])
@@ -266,7 +278,7 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     """
     _check_order(n, LEMMA16_CAP)
     firsts = _latin_cells(n)
-    perms = np.array(list(permutations(range(n))))
+    perms, _ = _permutations(n)
     partners = firsts[:, :, perms[: factorial(n - 1)]].transpose(0, 2, 1, 3).reshape(-1, n, n)
     positives = 0
     disagreements: list[tuple] = []

@@ -18,26 +18,21 @@ from numpy.testing import assert_allclose
 
 import qlsmub
 from qlsmub import serialize
-from qlsmub.bases import MubReport, check_mub, qls_meb
+from qlsmub.bases import check_mub, qls_meb
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
-from qlsmub.hadamard import HadamardViolation, constant_family, fourier, validate_hadamard
+from qlsmub.hadamard import constant_family, fourier, validate_hadamard
 from qlsmub.numerics import DEFAULT_TOL
 from qlsmub.search import cross_validate_lemma16
 from qlsmub.squares import (
-    GridViolation,
     LatinSquare,
     VectorGrid,
-    WeakOrthFailure,
     computational_grid,
     left_conjugate,
     validate_qls,
     weak_orth_witness,
 )
 from qlsmub.ueb import (
-    MuUebReport,
-    ObstructionReport,
-    UebViolation,
     check_mu_ueb,
     monomial_obstruction,
     shift_multiply_ueb,
@@ -947,49 +942,6 @@ PAIRED_INPUTS = {
 }
 
 
-# Each check command's own report keys, and the record whose dataclass
-# fields make up the rest of its json-report.
-CHECK_RECORDS = {
-    "validate-qls": ({"n", "tol"}, GridViolation),
-    "validate-hadamard": ({"n", "tol"}, HadamardViolation),
-    "check-weak-orth": ({"n", "tol"}, WeakOrthFailure),
-    "check-ueb": ({"tol"}, UebViolation),
-    "check-mub": (set(), MubReport),
-    "check-mu-ueb": (set(), MuUebReport),
-    "monomial-obstruction": (set(), ObstructionReport),
-}
-
-
-def failing_inputs(tmp_path, command):
-    """Input files on which ``command`` finds a violation."""
-    if command == "validate-qls":
-        return [write_grid(tmp_path, "pp.json", fixture("paper-P-printed"))]
-    if command == "validate-hadamard":
-        return [write_matrix(tmp_path, "eye.json", np.eye(3))]
-    if command == "check-weak-orth":
-        return [write_grid(tmp_path, "p.json", fixture("paper-P"))] * 2
-    if command == "check-ueb":
-        return [write_ueb(tmp_path, "eyes.json", np.stack([np.eye(2)] * 4))]
-    if command == "monomial-obstruction":
-        fam9 = constant_family(hadamard_9_corrected())
-        ueb = shift_multiply_ueb(validate_qls(fixture("paper-P")), fam9)
-        return [write_ueb(tmp_path, "obs.json", ueb.members)]
-    kind = "basis" if command == "check-mub" else "ueb"
-    return [files_of_order(tmp_path, 3)[kind]] * 2  # never unbiased against itself
-
-
-@pytest.mark.parametrize("command", sorted(CHECK_RECORDS))
-def test_failing_json_report_is_the_command_keys_and_the_record_fields(
-    tmp_path, capsys, command
-):
-    own, record = CHECK_RECORDS[command]
-    argv = [command, *failing_inputs(tmp_path, command), "--format", "json-report"]
-    code, out, _ = run(capsys, *argv)
-    doc = json.loads(out)
-    assert code == 1 and doc["ok"] is False
-    assert set(doc) == {"command", "ok"} | own | {f.name for f in fields(record)}
-
-
 @pytest.mark.parametrize("fmt", ["text", "json-report"])
 @pytest.mark.parametrize("command", sorted(PAIRED_INPUTS))
 def test_order_mismatch_of_two_valid_inputs_exits_two(tmp_path, capsys, command, fmt):
@@ -1062,9 +1014,14 @@ def pinned_files(tmp_path_factory):
     f3 = fourier(3).mat
     paths["bad_family"] = write_family(tmp_path, "bad_family.json", [f3, f3, np.eye(3)])
     paths["short_family"] = write_family(tmp_path, "short_family.json", [f3, f3])
-    for command in ("validate-qls", "validate-hadamard", "check-weak-orth", "check-ueb"):
-        paths[command] = failing_inputs(tmp_path, command)[0]
-    paths["obstructed"] = failing_inputs(tmp_path, "monomial-obstruction")[0]
+    # an input on which each check command finds a violation
+    paths["validate-qls"] = write_grid(tmp_path, "pp.json", fixture("paper-P-printed"))
+    paths["validate-hadamard"] = write_matrix(tmp_path, "eye.json", np.eye(3))
+    paths["check-weak-orth"] = write_grid(tmp_path, "p.json", fixture("paper-P"))
+    paths["check-ueb"] = write_ueb(tmp_path, "eyes.json", np.stack([np.eye(2)] * 4))
+    fam9 = constant_family(hadamard_9_corrected())
+    ueb9 = shift_multiply_ueb(validate_qls(fixture("paper-P")), fam9)
+    paths["obstructed"] = write_ueb(tmp_path, "obs.json", ueb9.members)
     paths["out"] = str(tmp_path / "out.json")
     return paths
 
@@ -1091,135 +1048,173 @@ UEB_TRACE = (
 QLS_ROW6 = "row 6 is not orthonormal: <v0|v1> = 0-0.92582j, expected 0.0 (off by 9.258e-01)"
 EYE_ENTRY = "entry (0, 1) has modulus 0, expected 1 (off by 1.000e+00)"
 NINTH = "0.111111111111"
+MUB_KEYS = "dim max_dev max_sq mean_sq min_sq target tol"
+OBSTRUCTION_KEYS = "mu noise_bound normalizer_index obstructed sample_entry worst_norm worst_pair"
 
 # Each command's exact text (argv with {file} placeholders, exit code, stdout)
-# for a pass and for its violation or rejection.
+# for a pass and for its violation or rejection, and the keys of its
+# json-report besides "command" and "ok", so that a change to a check record
+# cannot add, drop or rename one unseen.
 PINNED_TEXT = {
     "validate-qls pass": (
-        ["validate-qls", "{grid}"], 0, "valid quantum Latin square of order 3 (tol 1e-09)\n"
+        ["validate-qls", "{grid}"], 0, "valid quantum Latin square of order 3 (tol 1e-09)\n",
+        "n tol",
     ),
-    "validate-qls violation": (["validate-qls", "{validate-qls}"], 1, f"INVALID: {QLS_ROW6}\n"),
+    "validate-qls violation": (
+        ["validate-qls", "{validate-qls}"], 1, f"INVALID: {QLS_ROW6}\n",
+        "index line n off_by pair tol value",
+    ),
     "validate-hadamard pass": (
         ["validate-hadamard", "{matrix}"],
         0,
         "valid complex Hadamard matrix of order 3 (tol 1e-09)\n",
+        "n tol",
     ),
     "validate-hadamard violation": (
         ["validate-hadamard", "{validate-hadamard}"],
         1,
         f"INVALID: unimodular violated: {EYE_ENTRY}\n",
+        "constraint indices n off_by tol value",
     ),
     "check-weak-orth pass": (
         ["check-weak-orth", "{grid_a}", "{grid_b}"],
         0,
         "weakly orthogonal; witness table (rows of first vs rows of second):\n"
         "  0 1 2\n  2 0 1\n  1 2 0\n",
+        "n table tol",
     ),
     "check-weak-orth violation": (
         ["check-weak-orth", "{check-weak-orth}", "{check-weak-orth}"],
         1,
         "NOT weakly orthogonal: rows (0, 0): column 1 product 1+0j (non-unique-unit) "
         "(off by 1.000e+00)\n",
+        "column kind n off_by p_row q_row tol value",
     ),
-    "check-orth pass": (["check-orth", "{latin}", "{twisted}"], 0, "orthogonal\n"),
+    "check-orth pass": (["check-orth", "{latin}", "{twisted}"], 0, "orthogonal\n", "n"),
     "check-orth violation": (
-        ["check-orth", "{latin}", "{latin}"], 1, "NOT orthogonal: repeated ordered symbol pair\n"
+        ["check-orth", "{latin}", "{latin}"], 1, "NOT orthogonal: repeated ordered symbol pair\n",
+        "n",
     ),
-    "check-left-orth pass": (["check-left-orth", "{left_a}", "{left_b}"], 0, "left orthogonal\n"),
+    "check-left-orth pass": (
+        ["check-left-orth", "{left_a}", "{left_b}"], 0, "left orthogonal\n", "n"
+    ),
     "check-left-orth violation": (
-        ["check-left-orth", "{latin}", "{latin}"], 1, "NOT left orthogonal\n"
+        ["check-left-orth", "{latin}", "{latin}"], 1, "NOT left orthogonal\n", "n"
     ),
     "left-conj built": (
-        ["left-conj", "{latin}", "--out", "{out}"], 0, "left conjugate of order 3 written\n"
+        ["left-conj", "{latin}", "--out", "{out}"], 0, "left conjugate of order 3 written\n", "n"
     ),
     "build-meb built": (
-        ["build-meb", "{grid}", "{family}", "--out", "{out}"], 0, "built 9 states of order 3\n"
+        ["build-meb", "{grid}", "{family}", "--out", "{out}"], 0, "built 9 states of order 3\n",
+        "n states",
     ),
     "build-meb grid rejection": (
-        ["build-meb", "{validate-qls}", "{family}"], 1, f"INVALID grid: {QLS_ROW6}\n"
+        ["build-meb", "{validate-qls}", "{family}"], 1, f"INVALID grid: {QLS_ROW6}\n", "reason"
     ),
     "build-meb member rejection": (
         ["build-meb", "{grid}", "{bad_family}"],
         1,
         f"INVALID family: family member 2: {EYE_ENTRY}\n",
+        "reason",
     ),
     "build-meb length rejection": (
         ["build-meb", "{grid}", "{short_family}"],
         1,
         "INVALID family: a family of order 3 needs exactly 3 members, got 2\n",
+        "reason",
     ),
     "build-lbw built": (
-        ["build-lbw", "{latin}", "{matrix}", "--out", "{out}"], 0, "built 9 states of order 3\n"
+        ["build-lbw", "{latin}", "{matrix}", "--out", "{out}"], 0, "built 9 states of order 3\n",
+        "n states",
     ),
     "build-lbw rejection": (
-        ["build-lbw", "{latin}", "{validate-hadamard}"], 1, f"INVALID matrix: {EYE_ENTRY}\n"
+        ["build-lbw", "{latin}", "{validate-hadamard}"], 1, f"INVALID matrix: {EYE_ENTRY}\n",
+        "reason",
     ),
     "check-mub pass": (
         ["check-mub", "{basis_a}", "{basis_b}"],
         0,
         f"dim 9: |overlap|^2 min {NINTH}, max {NINTH}, mean {NINTH}, target {NINTH}\n"
         "mutually unbiased\n",
+        MUB_KEYS,
     ),
     "check-mub violation": (
         ["check-mub", "{basis}", "{basis}"],
         1,
         f"dim 9: |overlap|^2 min 0, max 1, mean {NINTH}, target {NINTH}\nNOT mutually unbiased\n",
+        MUB_KEYS,
     ),
     "dual to-ueb built": (
-        ["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0, "extracted 9 unitaries of order 3\n"
+        ["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0, "extracted 9 unitaries of order 3\n",
+        "direction n",
     ),
     "dual to-ueb rejection": (
         ["dual", "--to-ueb", "{product}"],
         1,
         "FAILED: state is not maximally entangled: partial-trace residual 7.071e-01 "
         "exceeds tol 1.000e-09\n",
+        "reason",
     ),
     "dual to-meb built": (
-        ["dual", "--to-meb", "{ueb}", "--out", "{out}"], 0, "built 9 states of order 3\n"
+        ["dual", "--to-meb", "{ueb}", "--out", "{out}"], 0, "built 9 states of order 3\n",
+        "direction n",
     ),
     "dual to-meb rejection": (
-        ["dual", "--to-meb", "{short}"], 1, f"INVALID unitary error basis: {UEB_COUNT}\n"
+        ["dual", "--to-meb", "{short}"], 1, f"INVALID unitary error basis: {UEB_COUNT}\n", "reason"
     ),
     "check-ueb pass": (
-        ["check-ueb", "{ueb}"], 0, "valid unitary error basis of order 3 (9 members)\n"
+        ["check-ueb", "{ueb}"], 0, "valid unitary error basis of order 3 (9 members)\n", "n tol"
     ),
-    "check-ueb violation": (["check-ueb", "{check-ueb}"], 1, f"INVALID: {UEB_TRACE}\n"),
+    "check-ueb violation": (
+        ["check-ueb", "{check-ueb}"], 1, f"INVALID: {UEB_TRACE}\n",
+        "index kind off_by pair tol value",
+    ),
     "check-mu-ueb pass": (
         ["check-mu-ueb", "{ueb_a}", "{ueb_b}"],
         0,
         f"dim 9: normalized |tr|^2 min {NINTH}, max {NINTH}, target {NINTH}\n"
         "raw |tr|^2 range [1, 1]\nmutually unbiased\n",
+        MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
     ),
     "check-mu-ueb violation": (
         ["check-mu-ueb", "{ueb}", "{ueb}"],
         1,
         f"dim 9: normalized |tr|^2 min 0, max 1, target {NINTH}\nraw |tr|^2 range [0, 9]\n"
         "NOT mutually unbiased\n",
+        MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
     ),
     "check-mu-ueb rejection": (
         ["check-mu-ueb", "{ueb}", "{check-ueb}"],
         1,
         "INVALID unitary error basis: {check-ueb}: " + UEB_TRACE + "\n",
+        "reason",
     ),
-    "monomial-obstruction pass": (["monomial-obstruction", "{ueb}"], 0, None),
-    "monomial-obstruction violation": (["monomial-obstruction", "{obstructed}"], 1, None),
+    "monomial-obstruction pass": (["monomial-obstruction", "{ueb}"], 0, None, OBSTRUCTION_KEYS),
+    "monomial-obstruction violation": (
+        ["monomial-obstruction", "{obstructed}"], 1, None, OBSTRUCTION_KEYS
+    ),
     "monomial-obstruction rejection": (
-        ["monomial-obstruction", "{check-ueb}"], 1, f"INVALID unitary error basis: {UEB_TRACE}\n"
+        ["monomial-obstruction", "{check-ueb}"], 1, f"INVALID unitary error basis: {UEB_TRACE}\n",
+        "reason",
     ),
     "fixtures built": (
-        ["fixtures", "emit", "paper-P", "--out", "{out}"], 0, "fixture paper-P (grid) written\n"
+        ["fixtures", "emit", "paper-P", "--out", "{out}"], 0, "fixture paper-P (grid) written\n",
+        "kind name",
     ),
     "search latin": (
-        ["search", "latin", "3"], 0, "order 3: 12 Latin squares (column-major recount 12)\n"
+        ["search", "latin", "3"], 0, "order 3: 12 Latin squares (column-major recount 12)\n",
+        "count order recount what",
     ),
     "search orth-pairs": (
-        ["search", "orth-pairs", "3"], 0, "order 3: 72 ordered orthogonal pairs\n"
+        ["search", "orth-pairs", "3"], 0, "order 3: 72 ordered orthogonal pairs\n",
+        "count order what",
     ),
     "search lemma16": (
         ["search", "lemma16", "3"],
         0,
         "order 3: 144 ordered pairs, 72 weakly orthogonal, 0 disagreements between the three "
         "routes\n",
+        "disagreements order pairs_checked positives representatives tol what",
     ),
     "reproduce-appendix-c pass": (
         ["reproduce-appendix-c"],
@@ -1227,71 +1222,32 @@ PINNED_TEXT = {
         "two bases of 81 states each: orthonormal=True, maximally entangled=True\n"
         "6561 cross overlaps: |overlap|^2 min 0.0123456790123, max 0.0123456790123, "
         "target 0.0123456790123\nPASS\n",
+        MUB_KEYS + " maximally_entangled orthonormal overlaps",
     ),
 }
 
 
+def test_every_command_has_a_pinned_row():
+    (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
+    assert set(commands) == {template[0] for template, *_ in PINNED_TEXT.values()}
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_TEXT))
 def test_text_rendering_is_pinned(pinned_files, capsys, case):
-    template, code, text = PINNED_TEXT[case]
+    template, code, text, _ = PINNED_TEXT[case]
     argv = [arg.format_map(pinned_files) for arg in template]
     if text is None:  # the obstruction's numbers come from the library's own report
         text = obstruction_text(argv[1])
     assert run(capsys, *argv) == (code, text.format_map(pinned_files), "")
 
 
-MUB_KEYS = "dim max_dev max_sq mean_sq min_sq target tol"
-OBSTRUCTION_KEYS = "mu noise_bound normalizer_index obstructed sample_entry worst_norm worst_pair"
-
-# The keys of each PINNED_TEXT case's json-report besides "command" and "ok",
-# so that a change to a check record cannot add, drop or rename one unseen
-REPORT_KEYS = {
-    "validate-qls pass": "n tol",
-    "validate-qls violation": "index line n off_by pair tol value",
-    "validate-hadamard pass": "n tol",
-    "validate-hadamard violation": "constraint indices n off_by tol value",
-    "check-weak-orth pass": "n table tol",
-    "check-weak-orth violation": "column kind n off_by p_row q_row tol value",
-    "check-orth pass": "n",
-    "check-orth violation": "n",
-    "check-left-orth pass": "n",
-    "check-left-orth violation": "n",
-    "left-conj built": "n",
-    "build-meb built": "n states",
-    "build-meb grid rejection": "reason",
-    "build-meb member rejection": "reason",
-    "build-meb length rejection": "reason",
-    "build-lbw built": "n states",
-    "build-lbw rejection": "reason",
-    "check-mub pass": MUB_KEYS,
-    "check-mub violation": MUB_KEYS,
-    "dual to-ueb built": "direction n",
-    "dual to-ueb rejection": "reason",
-    "dual to-meb built": "direction n",
-    "dual to-meb rejection": "reason",
-    "check-ueb pass": "n tol",
-    "check-ueb violation": "index kind off_by pair tol value",
-    "check-mu-ueb pass": MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
-    "check-mu-ueb violation": MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
-    "check-mu-ueb rejection": "reason",
-    "monomial-obstruction pass": OBSTRUCTION_KEYS,
-    "monomial-obstruction violation": OBSTRUCTION_KEYS,
-    "monomial-obstruction rejection": "reason",
-    "fixtures built": "kind name",
-    "search latin": "count order recount what",
-    "search orth-pairs": "count order what",
-    "search lemma16": "disagreements order pairs_checked positives representatives tol what",
-    "reproduce-appendix-c pass": MUB_KEYS + " maximally_entangled orthonormal overlaps",
-}
-
-
 @pytest.mark.parametrize("case", sorted(PINNED_TEXT))
 def test_a_json_report_has_its_pinned_keys(pinned_files, capsys, case):
-    template, code, _ = PINNED_TEXT[case]
+    template, code, _, keys = PINNED_TEXT[case]
     argv = [arg.format_map(pinned_files) for arg in template]
     got, out, err = run(capsys, *argv, "--format", "json-report")
     assert (got, err) == (code, "")
-    assert sorted(json.loads(out)) == sorted(["command", "ok", *REPORT_KEYS[case].split()])
+    assert sorted(json.loads(out)) == sorted(["command", "ok", *keys.split()])
 
 
 # json-reports holding what the stdlib spells its own way (a key with an "e"
@@ -1340,6 +1296,17 @@ CHECK_CALLS = {
     "monomial-obstruction": lambda path: monomial_obstruction(read_ueb(path)),
     "search": lambda what, order: cross_validate_lemma16(int(order)),
 }
+# The inputs each failing check command's json-report holds beside its record's fields
+FAILING_INPUTS = {
+    "validate-qls": "n tol",
+    "validate-hadamard": "n tol",
+    "check-weak-orth": "n tol",
+    "check-ueb": "tol",
+    "check-mub": "",
+    "check-mu-ueb": "",
+    "monomial-obstruction": "",
+}
+PAYLOADS = {"grid", "mat", "members"}  # record fields a json-report leaves out
 # The PINNED_TEXT cases a check result reports, pass and violation
 CHECK_RESULT_CASES = ["search lemma16"] + [
     case for case in sorted(PINNED_TEXT)
@@ -1349,16 +1316,30 @@ CHECK_RESULT_CASES = ["search lemma16"] + [
 
 @pytest.mark.parametrize("case", CHECK_RESULT_CASES)
 def test_a_check_result_judges_and_renders_itself(pinned_files, capsys, case):
-    template, code, text = PINNED_TEXT[case]
+    template, code, text, _ = PINNED_TEXT[case]
     argv = [arg.format_map(pinned_files) for arg in template]
     result = CHECK_CALLS[argv[0]](*argv[1:])
     assert result.ok is (code == 0)
     assert "ok" not in {f.name for f in fields(result)}  # a verdict, never a report field
     text = obstruction_text(argv[1]) if text is None else text
     assert text == f"{result}\n" or text.endswith(f": {result}\n")  # after a prefix
-    doc = json.loads(run(capsys, *argv, "--format", "json-report")[1])
-    assert doc["ok"] is result.ok
-    assert not {"grid", "mat", "members"} & set(doc)  # a payload is never reported
+    got, out, _ = run(capsys, *argv, "--format", "json-report")
+    doc = json.loads(out)
+    assert got == code and doc["ok"] is result.ok
+    assert not PAYLOADS & set(doc)  # a payload is never reported
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_INPUTS))
+def test_failing_json_report_is_the_command_keys_and_the_record_fields(
+    pinned_files, capsys, command
+):
+    argv = [arg.format_map(pinned_files) for arg in PINNED_TEXT[f"{command} violation"][0]]
+    code, out, _ = run(capsys, *argv, "--format", "json-report")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    # the report keys are the command's inputs and every field of the record but a payload
+    record = {f.name for f in fields(CHECK_CALLS[command](*argv[1:]))} - PAYLOADS
+    assert set(doc) == {"command", "ok", *FAILING_INPUTS[command].split()} | record
 
 
 # ------------------------------------------------------------ parser reuse

@@ -95,6 +95,8 @@ def test_a_table_that_is_not_latin_is_refused(monkeypatch):
         yield (0, 0, 2)
 
     monkeypatch.setattr(search, "permutations", with_a_repeated_symbol)
+    # an empty table cache for this test alone, which builds the bad table
+    monkeypatch.setattr(search, "_permutations", cache(search._permutations.__wrapped__))
     with pytest.raises(RuntimeError, match="not Latin"):
         search._latin_cells(3)
 

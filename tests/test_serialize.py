@@ -53,6 +53,17 @@ def test_round_trip_is_canonical(kind):
     assert from_doc(to_doc(kind, SAMPLES[kind]), kind).tobytes() == back.tobytes()
 
 
+def test_the_grid_and_matrix_list_helpers_are_to_doc_and_from_doc():
+    rng = np.random.default_rng(4)
+    array = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    members = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+    assert dumps(serialize.grid_doc(VectorGrid(array))) == dumps(to_doc("grid", array))
+    doc = to_doc("grid", array)
+    back = serialize.grid_from_doc(doc)
+    assert type(back) is VectorGrid and back.array.tobytes() == from_doc(doc, "grid").tobytes()
+    assert dumps(serialize.matrix_list_doc(members)) == dumps(to_doc("matrix-list", members))
+
+
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
 def test_a_strided_input_gives_a_c_ordered_payload(kind):
     strided = SAMPLES[kind].swapaxes(-1, -2)
