@@ -2,7 +2,13 @@
 
 The catalog ships a pair of 9 x 9 vector grids (P and Q), a third grid built
 from constant blocks, the vector triples they are assembled from, and a 9 x 9
-Hadamard in two variants.
+Hadamard in two variants; :func:`fixture` returns each by name.
+
+Only P is typed in as a symbol table.  Q and the block grid are P with the
+rows of each column permuted by a Latin square: cell (i, j) holds P[L[i, j], j].
+A pair of grids (q, p) is weakly orthogonal exactly when each column of p is
+the same column of q re-rowed by a Latin square, which is why the three grids
+are pairwise weakly orthogonal.
 
 Two of the shipped variants are deliberately defective and exist for
 validator regression tests:
@@ -24,7 +30,7 @@ import numpy as np
 from .hadamard import HadamardMatrix, fourier, tensor_hadamard
 from .squares import VectorGrid
 
-# Symbol tables for the three grids.  Digits are computational basis vectors;
+# Symbol table of P.  Digits are computational basis vectors;
 # a, b, c name the span{3,4,5} triple and A, B, C the span{0,1,2} one.
 _P_SYMBOLS = [
     "0 2 1 3 5 4 6 8 7",
@@ -38,29 +44,13 @@ _P_SYMBOLS = [
     "b a c 7 6 8 B A C",
 ]
 
-_Q_SYMBOLS = [
-    "0 1 2 6 7 8 3 4 5",
-    "2 0 1 8 6 7 5 3 4",
-    "1 2 0 7 8 6 4 5 3",
-    "a b c 0 1 2 6 7 8",
-    "c a b 2 0 1 8 6 7",
-    "b c a 1 2 0 7 8 6",
-    "6 7 8 3 4 5 A B C",
-    "8 6 7 5 3 4 C A B",
-    "7 8 6 4 5 3 B C A",
-]
-
-_BLOCK_SYMBOLS = [
-    "0 0 0 0 0 0 A A A",
-    "1 1 1 1 1 1 B B B",
-    "2 2 2 2 2 2 C C C",
-    "a a a 3 3 3 3 3 3",
-    "b b b 4 4 4 4 4 4",
-    "c c c 5 5 5 5 5 5",
-    "6 6 6 6 6 6 6 6 6",
-    "7 7 7 7 7 7 7 7 7",
-    "8 8 8 8 8 8 8 8 8",
-]
+# The Latin squares L over GF(3)^2 that re-row P into Q and into the block
+# grid.  With i = 3a + b and j = 3c + d:
+#   Q:     L(i, j) = 3 ((-a - c) mod 3) + (b + d) mod 3
+#   block: L(i, j) = 3 ((c - a) mod 3) + (-b - d) mod 3
+_A, _B = np.divmod(np.arange(9), 3)
+_Q_ROWS = 3 * ((-_A[:, None] - _A) % 3) + (_B[:, None] + _B) % 3
+_BLOCK_ROWS = 3 * ((_A - _A[:, None]) % 3) + (-_B[:, None] - _B) % 3
 
 
 def _embedded(columns, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -70,7 +60,7 @@ def _embedded(columns, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(out)
 
 
-def printed_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _printed_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The verbatim (a, b, c) vectors in span{|3>, |4>, |5>} of C^9."""
     a = np.array([1, 1, 1j]) / np.sqrt(3)
     b = np.array([2, -1, 1j]) / np.sqrt(6)
@@ -78,10 +68,10 @@ def printed_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _embedded(np.column_stack([a, b, c]), 3)
 
 
-def corrected_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _corrected_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gram-Schmidt of the printed triple, taken in the order a, b, c."""
     vecs = []
-    for v in printed_triple():
+    for v in _printed_triple():
         w = v.copy()
         for u in vecs:
             w -= np.vdot(u, w) * u
@@ -89,50 +79,31 @@ def corrected_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(vecs)
 
 
-def fourier_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fourier_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The order-3 Fourier vectors in span{|0>, |1>, |2>} of C^9."""
     return _embedded(fourier(3).mat / np.sqrt(3), 0)
-
-
-def random_orthonormal_triple(
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A Haar-random orthonormal triple spanning span{|3>, |4>, |5>}."""
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(z)
-    return _embedded(q * (np.diag(r) / np.abs(np.diag(r))), 3)
-
-
-def _grid_from_symbols(symbols, triple) -> VectorGrid:
-    a, b, c = triple
-    al, be, ga = fourier_triple()
-    lookup = {"a": a, "b": b, "c": c, "A": al, "B": be, "C": ga}
-    eye = np.eye(9, dtype=np.complex128)
-    for d in range(9):
-        lookup[str(d)] = eye[d]
-    arr = np.array(
-        [[lookup[tok] for tok in row.split()] for row in symbols],
-        dtype=np.complex128,
-    )
-    return VectorGrid(arr)
 
 
 def paper_p_grid(triple=None) -> VectorGrid:
     """Grid P; ``triple`` (a 3-tuple of vectors) overrides the corrected
     (a, b, c) block."""
-    return _grid_from_symbols(_P_SYMBOLS, corrected_triple() if triple is None else triple)
+    a, b, c = _corrected_triple() if triple is None else triple
+    lookup = dict(zip("abcABC", (a, b, c, *_fourier_triple())))
+    lookup.update(zip("012345678", np.eye(9, dtype=np.complex128)))
+    return VectorGrid(np.array([[lookup[tok] for tok in row.split()] for row in _P_SYMBOLS],
+                               dtype=np.complex128))
 
 
 def paper_q_grid(triple=None) -> VectorGrid:
-    """Grid Q; ``triple`` (a 3-tuple of vectors) overrides the corrected
-    (a, b, c) block."""
-    return _grid_from_symbols(_Q_SYMBOLS, corrected_triple() if triple is None else triple)
+    """Grid Q: grid P with the rows of each column permuted by ``_Q_ROWS``."""
+    return VectorGrid(paper_p_grid(triple).array[_Q_ROWS, np.arange(9)])
 
 
 def block_square_grid(triple=None) -> VectorGrid:
     """The constant-block grid that is weakly orthogonal to both P and Q
-    without being a quantum Latin square itself (its rows repeat vectors)."""
-    return _grid_from_symbols(_BLOCK_SYMBOLS, corrected_triple() if triple is None else triple)
+    without being a quantum Latin square itself (its rows repeat vectors):
+    grid P with the rows of each column permuted by ``_BLOCK_ROWS``."""
+    return VectorGrid(paper_p_grid(triple).array[_BLOCK_ROWS, np.arange(9)])
 
 
 def hadamard_9_corrected() -> HadamardMatrix:
@@ -141,11 +112,8 @@ def hadamard_9_corrected() -> HadamardMatrix:
     return tensor_hadamard(f3, f3)
 
 
-def hadamard_9_printed() -> np.ndarray:
-    """The defective order-9 matrix: row 4 repeats row 3.
-
-    Returned as a plain array because it does not validate.
-    """
+def _hadamard_9_printed() -> np.ndarray:
+    """The defective order-9 matrix: row 4 repeats row 3."""
     mat = np.kron(fourier(3).mat, fourier(3).mat)
     mat[4] = mat[3]
     return mat
@@ -154,14 +122,14 @@ def hadamard_9_printed() -> np.ndarray:
 _BUILDERS = {
     "paper-P": paper_p_grid,
     "paper-Q": paper_q_grid,
-    "paper-P-printed": lambda: paper_p_grid(printed_triple()),
-    "paper-Q-printed": lambda: paper_q_grid(printed_triple()),
+    "paper-P-printed": lambda: paper_p_grid(_printed_triple()),
+    "paper-Q-printed": lambda: paper_q_grid(_printed_triple()),
     "block-square": block_square_grid,
-    "corrected-triple": corrected_triple,
-    "printed-triple": printed_triple,
-    "fourier-triple": fourier_triple,
+    "corrected-triple": _corrected_triple,
+    "printed-triple": _printed_triple,
+    "fourier-triple": _fourier_triple,
     "hadamard-9-corrected": hadamard_9_corrected,
-    "hadamard-9-printed": hadamard_9_printed,
+    "hadamard-9-printed": _hadamard_9_printed,
 }
 
 FIXTURE_NAMES = tuple(_BUILDERS)

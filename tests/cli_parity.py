@@ -2,10 +2,11 @@
 
 Runs a fixed list of commands twice: each as its own ``python -m qlsmub.cli``
 process, then all of them in this process through ``qlsmub.cli.main``, which
-reuses one parser for every call.  Exits 1 and prints the first command whose
-exit code, stdout, stderr or written files differ between the two runs, or the
-first json-report or written file that is not the text of ``json.dumps(doc,
-sort_keys=True, indent=2)`` plus a newline.
+reuses one parser for every call.  Exits 1 and names every subcommand that no
+command of the list runs, or prints the first command whose exit code, stdout,
+stderr or written files differ between the two runs, or the first json-report
+or written file that is not the text of ``json.dumps(doc, sort_keys=True,
+indent=2)`` plus a newline.
 
 Usage: PYTHONPATH=src python tests/cli_parity.py
 """
@@ -26,8 +27,8 @@ import numpy as np
 from qlsmub import cli, serialize
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import constant_family
-from qlsmub.squares import validate_qls
-from qlsmub.ueb import shift_multiply_ueb
+
+from helpers import paper_ueb
 
 # {in} holds the inputs both runs share; {out} is a directory of each run's own
 COMMANDS = [
@@ -85,7 +86,6 @@ COMMANDS = [
 def write_inputs(folder: Path) -> None:
     folder.mkdir()
     family = constant_family(hadamard_9_corrected())
-    qls = validate_qls(fixture("paper-P"))
     docs = {
         "paper-Q": serialize.to_doc("grid", fixture("paper-Q").array),
         "paper-P-printed": serialize.to_doc("grid", fixture("paper-P-printed").array),
@@ -94,9 +94,8 @@ def write_inputs(folder: Path) -> None:
         "latin": serialize.to_doc("latin", [[(r + c) % 9 for c in range(9)] for r in range(9)]),
         "latin-2": serialize.to_doc("latin", [[(r + 2 * c) % 9 for c in range(9)] for r in range(9)]),
         "basis": serialize.to_doc("basis", np.eye(81)),
-        "ueb": serialize.to_doc("matrix-list", shift_multiply_ueb(qls, family).members),
-        "ueb-Q": serialize.to_doc(
-            "matrix-list", shift_multiply_ueb(validate_qls(fixture("paper-Q")), family).members),
+        "ueb": serialize.to_doc("matrix-list", paper_ueb().members),
+        "ueb-Q": serialize.to_doc("matrix-list", paper_ueb("paper-Q").members),
     }
     for name, doc in docs.items():
         serialize.save_path(str(folder / f"{name}.json"), doc)
@@ -124,6 +123,11 @@ def in_this_process(calls: list[list[str]]) -> list[tuple[int, str, str]]:
 
 
 def main() -> int:
+    (commands,) = (a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    unrun = sorted(set(commands) - {argv[0] for argv in COMMANDS if argv})
+    if unrun:
+        print(f"no command of the list runs: {', '.join(unrun)}")
+        return 1
     os.environ["COLUMNS"] = "80"  # --help wraps at the terminal's width
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp, "in"))

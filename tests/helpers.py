@@ -65,6 +65,20 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def random_orthonormal_triple(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """A Haar-random orthonormal triple spanning span{|3>, |4>, |5>} of C^9,
+    to put in place of the fixture grids' (a, b, c)."""
+    out = np.zeros((3, 9), dtype=np.complex128)
+    out[:, 3:6] = random_unitary(3, rng).T
+    return tuple(out)
+
+
+def paper_ueb(name: str = "paper-P") -> UnitaryErrorBasis:
+    """The shift-and-multiply basis of the order-9 fixture grid ``name`` with
+    the constant family of the corrected order-9 Hadamard."""
+    return shift_multiply_ueb(validate_qls(fixture(name)), constant_family(hadamard_9_corrected()))
+
+
 def linear_grid(latin: LatinSquare, u: np.ndarray) -> VectorGrid:
     """Grid whose (r, c) entry is column ``latin[r, c]`` of the unitary u.
 

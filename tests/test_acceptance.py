@@ -25,7 +25,6 @@ from qlsmub.fixtures import (
     hadamard_9_corrected,
     paper_p_grid,
     paper_q_grid,
-    random_orthonormal_triple,
 )
 from qlsmub.hadamard import (
     HadamardMatrix,
@@ -62,6 +61,8 @@ from qlsmub.ueb import (
 from helpers import (
     PAPER_P_WORST_NORM,
     PAPER_P_WORST_PAIR,
+    paper_ueb,
+    random_orthonormal_triple,
     reference_orthogonal_pairs,
     reference_squares,
 )
@@ -88,14 +89,6 @@ def fixture_bases():
         b = qls_meb(validate_qls(paper_q_grid()), family)
         _cache["bases"] = (a, b)
     return _cache["bases"]
-
-
-def fixture_ueb() -> UnitaryErrorBasis:
-    if "ueb" not in _cache:
-        _cache["ueb"] = shift_multiply_ueb(
-            validate_qls(paper_p_grid()), constant_family(hadamard_9_corrected())
-        )
-    return _cache["ueb"]
 
 
 def test_criterion_01_order_nine_reproduction():
@@ -253,7 +246,7 @@ def test_criterion_07_duality_round_trips():
     constructed.append(lbw_meb(cyclic, fourier(3)))
 
     worst = 0.0
-    for u in (pauli, fixture_ueb()):
+    for u in (pauli, paper_ueb()):
         round_u = meb_to_ueb(ueb_to_meb(u))
         worst = max(worst, float(np.abs(round_u.members - u.members).max()))
     every_dual_validates = True
@@ -295,13 +288,12 @@ def _oracle_commutator_sweep(u: UnitaryErrorBasis, mu: int):
 
 
 def test_criterion_08_monomiality_obstruction():
+    u = paper_ueb()
     start = time.perf_counter()
-    report = monomial_obstruction(fixture_ueb())
+    report = monomial_obstruction(u)
     elapsed = time.perf_counter() - start
 
-    oracle_pair, oracle_norm, oracle_sample = _oracle_commutator_sweep(
-        fixture_ueb(), report.mu
-    )
+    oracle_pair, oracle_norm, oracle_sample = _oracle_commutator_sweep(u, report.mu)
 
     pauli = validate_ueb(
         [

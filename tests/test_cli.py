@@ -44,6 +44,7 @@ from helpers import (
     assert_is_the_oracle,
     listed,
     mutated_documents,
+    paper_ueb,
     reference_lemma16,
 )
 
@@ -433,9 +434,7 @@ def test_check_mu_ueb(order3, capsys):
 
 
 def test_monomial_obstruction_exit_codes(tmp_path, capsys):
-    fam9 = constant_family(hadamard_9_corrected())
-    fixture_ueb = shift_multiply_ueb(validate_qls(fixture("paper-P")), fam9)
-    obstructed = write_ueb(tmp_path, "obs.json", fixture_ueb.members)
+    obstructed = write_ueb(tmp_path, "obs.json", paper_ueb().members)
     code, out, _ = run(capsys, "monomial-obstruction", obstructed)
     assert code == 1
     assert str(PAPER_P_WORST_PAIR) in out
@@ -453,8 +452,7 @@ def test_monomial_obstruction_exit_codes(tmp_path, capsys):
 
 
 def test_monomial_obstruction_with_an_infinite_noise_bound_skips_the_sweep(tmp_path, capsys):
-    fam9 = constant_family(hadamard_9_corrected())
-    members = 1.5 * shift_multiply_ueb(validate_qls(fixture("paper-P")), fam9).members
+    members = 1.5 * paper_ueb().members
     path = write_ueb(tmp_path, "scaled.json", members)  # valid only at a loose tol
     code, out, _ = run(capsys, "monomial-obstruction", path, "--tol", "20")
     assert code == 0
@@ -1019,9 +1017,7 @@ def pinned_files(tmp_path_factory):
     paths["validate-hadamard"] = write_matrix(tmp_path, "eye.json", np.eye(3))
     paths["check-weak-orth"] = write_grid(tmp_path, "p.json", fixture("paper-P"))
     paths["check-ueb"] = write_ueb(tmp_path, "eyes.json", np.stack([np.eye(2)] * 4))
-    fam9 = constant_family(hadamard_9_corrected())
-    ueb9 = shift_multiply_ueb(validate_qls(fixture("paper-P")), fam9)
-    paths["obstructed"] = write_ueb(tmp_path, "obs.json", ueb9.members)
+    paths["obstructed"] = write_ueb(tmp_path, "obs.json", paper_ueb().members)
     paths["out"] = str(tmp_path / "out.json")
     return paths
 
@@ -1371,8 +1367,7 @@ def null_bearing_files(tmp_path_factory):
     its noise bound overflows at --tol 20, so its sweep is skipped."""
     tmp_path = tmp_path_factory.mktemp("nulls")
     x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
-    family = constant_family(hadamard_9_corrected())
-    members = shift_multiply_ueb(validate_qls(fixture("paper-P")), family).members
+    members = paper_ueb().members
     return {
         "non-unitary": write_ueb(tmp_path, "non-unitary.json", np.array([np.eye(2), x, z, 0.5 * x @ z])),
         "scaled": write_ueb(tmp_path, "scaled.json", 1.5 * members),

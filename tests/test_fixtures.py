@@ -3,21 +3,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qlsmub.fixtures import (
+    _BLOCK_ROWS,
+    _Q_ROWS,
     FIXTURE_NAMES,
     block_square_grid,
-    corrected_triple,
     fixture,
-    fourier_triple,
     hadamard_9_corrected,
-    hadamard_9_printed,
     paper_p_grid,
     paper_q_grid,
-    printed_triple,
-    random_orthonormal_triple,
 )
 from qlsmub.hadamard import HadamardMatrix, HadamardViolation, fourier, validate_hadamard
 from qlsmub.squares import (
     GridViolation,
+    LatinSquare,
     QuantumLatinSquare,
     VectorGrid,
     is_moqls,
@@ -25,7 +23,7 @@ from qlsmub.squares import (
     weak_orth_witness,
 )
 
-from helpers import as_latin_square
+from helpers import as_latin_square, random_orthonormal_triple
 
 
 def test_catalog_is_complete():
@@ -43,7 +41,7 @@ def test_unknown_name_lists_catalog():
 
 
 def test_printed_triple_values():
-    a, b, c = printed_triple()
+    a, b, c = fixture("printed-triple")
     assert_allclose(a[3:6], np.array([1, 1, 1j]) / np.sqrt(3))
     assert_allclose(b[3:6], np.array([2, -1, 1j]) / np.sqrt(6))
     assert_allclose(c[3:6], np.array([-2j, -1j, 3]) / np.sqrt(14))
@@ -54,7 +52,7 @@ def test_printed_triple_values():
 
 
 def test_printed_triple_is_bilinear_but_not_sesquilinear_orthogonal():
-    a, b, c = printed_triple()
+    a, b, c = fixture("printed-triple")
     # unconjugated products vanish
     assert_allclose(a @ b, 0, atol=1e-15)
     assert_allclose(a @ c, 0, atol=1e-15)
@@ -66,17 +64,17 @@ def test_printed_triple_is_bilinear_but_not_sesquilinear_orthogonal():
 
 
 def test_corrected_triple_is_orthonormal_in_the_same_span():
-    triple = corrected_triple()
+    triple = fixture("corrected-triple")
     stack = np.array(triple)
     assert_allclose(stack.conj() @ stack.T, np.eye(3), atol=1e-12)
     assert_allclose(stack[:, :3], 0)
     assert_allclose(stack[:, 6:], 0)
     # Gram-Schmidt keeps the first vector
-    assert_allclose(triple[0], printed_triple()[0])
+    assert_allclose(triple[0], fixture("printed-triple")[0])
 
 
 def test_fourier_triple():
-    triple = fourier_triple()
+    triple = fixture("fourier-triple")
     stack = np.array(triple)
     assert_allclose(stack.conj() @ stack.T, np.eye(3), atol=1e-12)
     assert_allclose(stack[:, 3:], 0)
@@ -97,19 +95,17 @@ def test_random_triple_spans_middle_block():
 
 
 def test_grid_entries_match_symbol_tables():
+    vector = dict(zip("abcABC", (*fixture("corrected-triple"), *fixture("fourier-triple"))))
+    vector.update(zip("012345678", np.eye(9)))
     p = paper_p_grid()
-    eye = np.eye(9)
-    assert_allclose(p.array[0, 0], eye[0])
-    assert_allclose(p.array[0, 1], eye[2])
-    assert_allclose(p.array[3, 0], eye[6])
-    assert_allclose(p.array[6, 0], corrected_triple()[0])
-    assert_allclose(p.array[6, 6], fourier_triple()[0])
-    q = paper_q_grid()
-    assert_allclose(q.array[3, 0], corrected_triple()[0])
-    assert_allclose(q.array[6, 6], fourier_triple()[0])
-    blk = block_square_grid()
-    assert_allclose(blk.array[6, 0], eye[6])
-    assert_allclose(blk.array[8, 8], eye[8])
+    for (i, j), symbol in {(0, 0): "0", (0, 1): "2", (3, 0): "6", (6, 0): "a", (6, 6): "A"}.items():
+        assert_allclose(p.array[i, j], vector[symbol])
+    # one cell in each 3 x 3 block of Q and of the block grid, as the paper's
+    # symbol tables for those grids give it: a wrong re-rowing square fails here
+    cells = [(0, 0), (1, 4), (2, 8), (4, 1), (5, 5), (3, 7), (8, 2), (6, 3), (7, 6)]
+    for grid, symbols in ((paper_q_grid(), "063a0763C"), (block_square_grid(), "01Cb53867")):
+        for (i, j), symbol in zip(cells, symbols):
+            assert_allclose(grid.array[i, j], vector[symbol])
 
 
 def test_default_grids_validate():
@@ -145,6 +141,14 @@ def test_expected_witness_entry():
     assert w.table[3][6] == 0
 
 
+@pytest.mark.parametrize("name, rows", [("paper-Q", _Q_ROWS), ("block-square", _BLOCK_ROWS)])
+def test_the_witness_of_p_and_a_re_rowed_grid_reads_off_its_latin_square(name, rows):
+    LatinSquare(rows)  # raises unless every row and column is a permutation
+    table = weak_orth_witness(fixture("paper-P"), fixture(name)).table
+    # row i of P meets row j of the re-rowed grid where rows[j, c] == i
+    assert table.tolist() == [[list(rows[j]).index(i) for j in range(9)] for i in range(9)]
+
+
 def test_grids_accept_replacement_triples():
     rng = np.random.default_rng(41)
     for _ in range(3):
@@ -167,7 +171,7 @@ def test_corrected_hadamard_is_fourier_square():
 
 
 def test_printed_hadamard_defect():
-    mat = hadamard_9_printed()
+    mat = fixture("hadamard-9-printed")
     assert isinstance(mat, np.ndarray)
     assert_allclose(mat[4], mat[3])
     v = validate_hadamard(mat)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qlsmub.fixtures import hadamard_9_corrected, hadamard_9_printed
+from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import (
     HadamardMatrix,
     HadamardViolation,
@@ -97,7 +97,7 @@ def test_validate_rejects_bad_shape(shape, message):
 
 
 def test_validate_rejects_printed_nine():
-    v = validate_hadamard(hadamard_9_printed())
+    v = validate_hadamard(fixture("hadamard-9-printed"))
     assert isinstance(v, HadamardViolation)
     assert v.constraint == "row-orthogonality"
     assert v.indices == (3, 4)
@@ -105,7 +105,7 @@ def test_validate_rejects_printed_nine():
 
 
 def test_printed_nine_differs_from_corrected_only_in_row_four():
-    printed = hadamard_9_printed()
+    printed = fixture("hadamard-9-printed")
     corrected = hadamard_9_corrected().mat
     diff_rows = [r for r in range(9) if np.abs(printed[r] - corrected[r]).max() > 1e-12]
     assert diff_rows == [4]
@@ -134,7 +134,7 @@ def test_row_and_column_conditions_agree():
     rng = np.random.default_rng(11)
     samples = [fourier(n).mat for n in (2, 3, 4, 6)]
     samples += [random_hadamard(n, rng).mat for n in (3, 4, 9)]
-    samples.append(hadamard_9_printed())
+    samples.append(fixture("hadamard-9-printed"))
     phases = np.exp(2j * np.pi * rng.random((3, 3)))
     samples.append(phases)  # random unimodular, almost surely not Hadamard
     for mat in samples:

@@ -46,6 +46,7 @@ from helpers import (
     member_first,
     monomial_equivalent_ueb,
     order_18_product_ueb,
+    paper_ueb,
     reference_obstruction,
     reference_screen,
 )
@@ -64,12 +65,6 @@ def pauli_basis() -> UnitaryErrorBasis:
 
 def qls_of(latin: LatinSquare):
     return validate_qls(computational_grid(latin))
-
-
-def fixture_ueb() -> UnitaryErrorBasis:
-    return shift_multiply_ueb(
-        validate_qls(fixture("paper-P")), constant_family(hadamard_9_corrected())
-    )
 
 
 # -------------------------------------------------------------- validation
@@ -224,7 +219,7 @@ def test_dual_round_trips():
 
 
 def test_dual_round_trip_fixture():
-    u = fixture_ueb()
+    u = paper_ueb()
     assert_allclose(meb_to_ueb(ueb_to_meb(u)).members, u.members, atol=1e-12)
 
 
@@ -261,7 +256,7 @@ def test_shift_multiply_fixture_equals_dual_of_basis():
 
 
 def test_shift_multiply_fixture_first_member_is_a_permutation():
-    u = fixture_ueb()
+    u = paper_ueb()
     first = u.members[0]
     assert is_monomial(first)
     assert_allclose(np.abs(first), (np.abs(first) > 0.5).astype(float), atol=1e-12)
@@ -272,7 +267,7 @@ def test_shift_multiply_fixture_first_member_is_a_permutation():
 
 
 def test_shift_multiply_validates_as_ueb():
-    u = fixture_ueb()
+    u = paper_ueb()
     assert isinstance(validate_ueb(u.members), UnitaryErrorBasis)
 
 
@@ -309,7 +304,7 @@ def test_mu_ueb_fails_on_self():
 
 def test_mu_ueb_order_mismatch():
     with pytest.raises(ValueError):
-        check_mu_ueb(pauli_basis(), fixture_ueb())
+        check_mu_ueb(pauli_basis(), paper_ueb())
 
 
 # ------------------------------------------------------------- obstruction
@@ -332,7 +327,7 @@ def test_obstruction_clean_for_computational_shift_multiply():
 
 
 def test_obstruction_detects_fixture_basis():
-    report = monomial_obstruction(fixture_ueb())
+    report = monomial_obstruction(paper_ueb())
     assert report.mu == 2520
     assert report.obstructed
     assert report.worst_pair == PAPER_P_WORST_PAIR
@@ -345,7 +340,7 @@ def test_obstruction_detects_fixture_basis():
 
 
 def test_an_obstruction_report_is_ok_when_nothing_is_proved():
-    clean, obstructed = monomial_obstruction(pauli_basis()), monomial_obstruction(fixture_ueb())
+    clean, obstructed = monomial_obstruction(pauli_basis()), monomial_obstruction(paper_ueb())
     assert (clean.obstructed, clean.ok) == (False, True)
     assert (obstructed.obstructed, obstructed.ok) == (True, False)
 
@@ -390,7 +385,7 @@ def test_obstruction_noise_bound_overflows_to_inf():
     # would overflow to NaN, are not taken
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = monomial_obstruction(UnitaryErrorBasis(9, 2 * fixture_ueb().members))
+        report = monomial_obstruction(UnitaryErrorBasis(9, 2 * paper_ueb().members))
     assert report.noise_bound == math.inf
     assert not report.obstructed
     assert (report.worst_pair, report.worst_norm, report.sample_entry) == (None, None, None)
@@ -430,7 +425,7 @@ def test_obstruction_powers_drift_from_unitary_by_less_than_the_noise_bound():
     # the bound's induction keeps every computed power within e of a unitary,
     # so the measured defect of the powers, about 2 sqrt(n) e, stays under
     # noise_bound, about 4 sqrt(n) e
-    u = fixture_ueb()
+    u = paper_ueb()
     report = monomial_obstruction(u)
     translated = u.members @ u.members[0].conj().T
     powers = np.linalg.matrix_power(translated, report.mu)
@@ -442,8 +437,8 @@ def test_obstruction_powers_drift_from_unitary_by_less_than_the_noise_bound():
 def test_obstruction_of_the_fixture_basis_is_the_per_pair_loop_bit_for_bit():
     # the property test compares clean bases; this one compares the
     # obstructed paper-P basis, whose worst pair is far above the noise
-    report = monomial_obstruction(fixture_ueb())
-    expected = reference_obstruction(fixture_ueb())
+    report = monomial_obstruction(paper_ueb())
+    expected = reference_obstruction(paper_ueb())
     assert report.obstructed and expected.obstructed
     assert_allclose(report.noise_bound, expected.noise_bound, rtol=1e-9)
     assert report == dataclasses.replace(expected, noise_bound=report.noise_bound)
@@ -452,10 +447,8 @@ def test_obstruction_of_the_fixture_basis_is_the_per_pair_loop_bit_for_bit():
 @pytest.mark.parametrize(
     "build",
     [
-        fixture_ueb,
-        lambda: shift_multiply_ueb(
-            validate_qls(fixture("paper-Q")), constant_family(hadamard_9_corrected())
-        ),
+        paper_ueb,
+        lambda: paper_ueb("paper-Q"),
         order_18_product_ueb,
     ],
     ids=["paper-P", "paper-Q", "order-18"],
