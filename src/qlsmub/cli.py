@@ -231,10 +231,7 @@ def _cmd_fixtures(args) -> Outcome:
 
 def _cmd_search(args) -> Outcome:
     if args.what == "lemma16":
-        tol = DEFAULT_TOL if args.tol is None else args.tol
-        return _reported(cross_validate_lemma16(args.order, tol), what="lemma16", tol=tol)
-    if args.tol is not None:
-        raise ValueError(f"search {args.what} takes no --tol; only search lemma16 reads it")
+        return _reported(cross_validate_lemma16(args.order), what="lemma16")
     if args.what == "latin":
         count = count_latin(args.order)
         recount = count_latin_by_columns(args.order)
@@ -339,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("search", _cmd_search, "exhaustive small-order searches", tol=False)
     p.add_argument("what", choices=("latin", "orth-pairs", "lemma16"))
     p.add_argument("order", type=int, help=f"1..{ENUMERATION_CAP}; 1..{LEMMA16_CAP} for lemma16")
-    p.add_argument("--tol", type=_tolerance, help="lemma16 only: absolute tolerance, finite and >= 0")
     command("reproduce-appendix-c", _cmd_reproduce_appendix_c,
             "rebuild the bundled order-9 pair and verify all cross overlaps")
 

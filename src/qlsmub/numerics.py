@@ -2,10 +2,10 @@
 
 Where numpy or the stdlib has the routine (``np.kron``,
 ``np.linalg.matrix_power``, ``math.lcm``), the package calls it directly.
-Everything here operates on plain numpy arrays with ``complex128`` entries
-and is pure: inputs are never mutated.  Tolerances are absolute unless
-stated otherwise.  :func:`owned` makes the read-only copy that every value
-type of the package holds in place of its input.
+Everything here operates on plain numpy arrays and is pure: inputs are
+never mutated.  Tolerances are absolute; :func:`is_permutation_matrix`
+compares exactly and takes none.  :func:`owned` makes the read-only copy
+that every value type of the package holds in place of its input.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 # Absolute tolerance for the structural predicates (Gram checks,
-# permutation / monomial tests, orthonormality).
+# orthonormality, weak orthogonality).
 DEFAULT_TOL = 1e-9
 
 
@@ -65,29 +65,22 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
-def is_permutation_matrix(m, tol: float = DEFAULT_TOL):
+def is_permutation_matrix(m):
     """True iff every row and column holds a single 1 and zeros elsewhere.
 
-    The unit entry must be +1 (phase included), not merely unimodular.  A
-    stack ``(..., k, k)`` gets one verdict per matrix, as a bool array of
-    shape ``(...)``; a single matrix gets a bool.  Bool arrays are judged as
-    they are and every other dtype as complex128.
+    Entries are compared exactly, whatever their dtype: the unit must equal
+    +1 (phase included) and every other entry 0, so a NaN is neither, and a
+    matrix that is not square never passes.  A stack ``(..., k, l)`` gets
+    one verdict per matrix, as a bool array of shape ``(...)``; a single
+    matrix gets a bool.
     """
     arr = np.asarray(m)
-    if arr.dtype != bool:
-        arr = arr.astype(np.complex128, copy=False)
     if arr.ndim < 2:
         raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    if arr.shape[-1] != arr.shape[-2]:
-        verdict = np.zeros(arr.shape[:-2], dtype=bool)
-    else:
-        ones = np.abs(arr - 1.0) <= tol
-        zeros = np.abs(arr) <= tol
-        verdict = (
-            (ones | zeros).all(axis=(-2, -1))
-            & (ones.sum(axis=-2) == 1).all(axis=-1)
-            & (ones.sum(axis=-1) == 1).all(axis=-1)
-        )
+    ones = arr == 1
+    verdict = (
+        (ones | (arr == 0)).all(axis=(-2, -1))
+        & (ones.sum(axis=-2) == 1).all(axis=-1)
+        & (ones.sum(axis=-1) == 1).all(axis=-1)
+    )
     return bool(verdict) if arr.ndim == 2 else verdict

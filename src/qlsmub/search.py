@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, is_permutation_matrix
+from .numerics import is_permutation_matrix
 from .squares import weak_orth_defects
 
 ENUMERATION_CAP = 6
@@ -229,30 +229,31 @@ class EquivalenceReport:
         )
 
 
-def _routes(first: np.ndarray, partners: np.ndarray, tol: float):
+def _routes(first: np.ndarray, partners: np.ndarray):
     """The witness, left and perm verdicts, as bool arrays, of the pairs
-    ``(first, partners[b])`` of cells: the :func:`weak_orth_defects` rule on
-    the columnwise products of computational grids, distinct sorted pair
-    codes of the left conjugates, and :func:`is_permutation_matrix` on their
-    cell-to-symbol-pair maps.  Each grid entry, product and map entry is 0
-    or 1, so the grids are real and the maps bool."""
+    ``(first, partners[b])`` of cells: the :func:`weak_orth_defects` rule,
+    at its default tolerance, on the columnwise products of computational
+    grids, distinct sorted pair codes of the left conjugates, and
+    :func:`is_permutation_matrix` on their cell-to-symbol-pair maps.  Each
+    grid entry, product and map entry is 0 or 1, so the grids are real, the
+    maps bool, and no tolerance below 1 can change a verdict."""
     n = len(first)
     basis = np.eye(n)  # basis[cells] are the computational grids
     # one product per column k, [k, i, (b, j)]; exact in any summation
     # order, since every term is 0 or 1 and at most one is nonzero
     grid, grids = basis[first.T], basis[partners.transpose(2, 0, 1)].reshape(n, -1, n)
     prods = (grid @ grids.transpose(0, 2, 1)).reshape(n, n, len(partners), n).transpose(2, 1, 3, 0)
-    by_witness = ~weak_orth_defects(prods, tol)[1].any(axis=(1, 2, 3))
+    by_witness = ~weak_orth_defects(prods)[1].any(axis=(1, 2, 3))
     # left conjugate: out[s, c] = r where cells[r, c] = s, each column inverted
     codes = (np.argsort(first, axis=0) * n + np.argsort(partners, axis=1)).reshape(-1, n * n)
     srt = np.sort(codes, axis=1)
     by_left = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
     maps = np.zeros((len(codes), n * n, n * n), dtype=bool)
     maps[np.arange(len(codes))[:, None], np.arange(n * n), codes] = True
-    return by_witness, by_left, is_permutation_matrix(maps, tol)
+    return by_witness, by_left, is_permutation_matrix(maps)
 
 
-def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceReport:
+def cross_validate_lemma16(n: int) -> EquivalenceReport:
     """Check witness/left-conjugate/permutation agreement on every ordered
     pair (n <= 5), deciding one representative pair per orbit.
 
@@ -284,7 +285,7 @@ def cross_validate_lemma16(n: int, tol: float = DEFAULT_TOL) -> EquivalenceRepor
     disagreements: list[tuple] = []
     for a, first in enumerate(firsts):
         for start in range(0, len(partners), _PAIR_BLOCK):
-            verdicts = _routes(first, partners[start : start + _PAIR_BLOCK], tol)
+            verdicts = _routes(first, partners[start : start + _PAIR_BLOCK])
             positives += int(verdicts[0].sum())
             for b in np.flatnonzero((verdicts[0] != verdicts[1]) | (verdicts[1] != verdicts[2])):
                 disagreements.append((a, start + int(b), *(bool(v[b]) for v in verdicts)))

@@ -161,7 +161,7 @@ def transpose(latin: LatinSquare) -> LatinSquare:
 
 
 def orthogonality_map(a: LatinSquare, b: LatinSquare) -> np.ndarray:
-    """The 0/1 matrix sending each cell to its ordered symbol pair.
+    """The bool matrix sending each cell to its ordered symbol pair.
 
     Row index r*n + c runs over cells; column index a[r,c]*n + b[r,c] over
     symbol pairs.  The map is a permutation matrix exactly when all n^2
@@ -170,10 +170,8 @@ def orthogonality_map(a: LatinSquare, b: LatinSquare) -> np.ndarray:
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
     n = a.n
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    rows = np.arange(n * n)
-    cols = a.cells.ravel() * n + b.cells.ravel()
-    mat[rows, cols] = 1.0
+    mat = np.zeros((n * n, n * n), dtype=bool)
+    mat[np.arange(n * n), a.cells.ravel() * n + b.cells.ravel()] = True
     return mat
 
 

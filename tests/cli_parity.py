@@ -39,8 +39,8 @@ COMMANDS = [
     ["no-such-command"],
     ["dual"],
     ["dual", "--to-ueb", "{in}/basis.json", "--to-meb", "{in}/ueb.json"],
-    ["search", "latin", "3", "--tol", "nan"],
-    ["search", "latin", "3", "--tol", "-1"],
+    ["validate-qls", "{in}/paper-Q.json", "--tol", "nan"],
+    ["validate-qls", "{in}/paper-Q.json", "--tol", "-1"],
     ["check-orth", "{in}/latin.json", "{in}/latin.json", "--tol", "0.5"],
     ["search", "latin", "4"],
     ["search", "orth-pairs", "3", "--format", "json-report"],

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import reprlib
+import sys
 from contextlib import contextmanager
 from functools import cache
 from itertools import chain, combinations, permutations
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qlsmub import search
 from qlsmub.bases import BipartiteBasis
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import (
@@ -502,7 +504,7 @@ def reference_orthogonal_pairs(n: int) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> EquivalenceReport:
+def reference_lemma16(n: int, rows=None) -> EquivalenceReport:
     """``cross_validate_lemma16`` as one Python iteration per ordered pair,
     through the single-pair library calls, over the squares ``ia`` in
     ``rows`` (all by default) against every partner, each pair its own
@@ -516,14 +518,29 @@ def reference_lemma16(n: int, tol: float = DEFAULT_TOL, rows=None) -> Equivalenc
     disagreements = []
     for ia in rows:
         for ib in range(len(squares)):
-            by_witness = isinstance(weak_orth_witness(grids[ia], grids[ib], tol), WeakOrthWitness)
+            by_witness = isinstance(weak_orth_witness(grids[ia], grids[ib]), WeakOrthWitness)
             by_left = are_orthogonal(conjugates[ia], conjugates[ib])
-            by_perm = is_permutation_matrix(orthogonality_map(conjugates[ia], conjugates[ib]), tol)
+            by_perm = is_permutation_matrix(orthogonality_map(conjugates[ia], conjugates[ib]))
             positives += by_witness
             if not (by_witness == by_left == by_perm):
                 disagreements.append((ia, ib, by_witness, by_left, by_perm))
     pairs = len(rows) * len(squares)
     return EquivalenceReport(n, pairs, positives, pairs, disagreements)
+
+
+def force_the_perm_route(patch, verdict: bool) -> None:
+    """Through ``patch`` (a ``pytest.MonkeyPatch``), make the lemma16 perm
+    route return ``verdict`` on every pair, in the search and in
+    :func:`reference_lemma16` alike.  False makes the routes disagree on
+    each orthogonal pair, as (True, True, False); True on each other pair,
+    as (False, False, True)."""
+
+    def forced(m):
+        verdicts = np.full(np.shape(m)[:-2], verdict)
+        return bool(verdicts) if verdicts.ndim == 0 else verdicts
+
+    for module in (search, sys.modules[__name__]):
+        patch.setattr(module, "is_permutation_matrix", forced)
 
 
 def representative_pairs(n: int) -> tuple[set, set]:

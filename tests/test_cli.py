@@ -42,6 +42,7 @@ from qlsmub.ueb import (
 from helpers import (
     PAPER_P_WORST_PAIR,
     assert_is_the_oracle,
+    force_the_perm_route,
     listed,
     mutated_documents,
     paper_ueb,
@@ -608,10 +609,11 @@ def test_search_latin_five_matches_its_recount(capsys):
     }
 
 
-def test_search_lemma16_disagreement_exits_one(capsys):
-    # at tol 1 every product is near one: no witness, no permutation, while
-    # the 72 orthogonal pairs still pass the left-conjugate test
-    code, out, _ = run(capsys, "search", "lemma16", "3", "--tol", "1", "--format", "json-report")
+def test_search_lemma16_disagreement_exits_one(capsys, monkeypatch):
+    # with the perm route failing every pair, the 72 orthogonal pairs still
+    # pass the witness and the left-conjugate test
+    force_the_perm_route(monkeypatch, False)
+    code, out, _ = run(capsys, "search", "lemma16", "3", "--format", "json-report")
     assert code == 1
     assert out == serialize.dumps(
         {
@@ -620,20 +622,19 @@ def test_search_lemma16_disagreement_exits_one(capsys):
             "what": "lemma16",
             "order": 3,
             "pairs_checked": 144,
-            "positives": 0,
+            "positives": 72,
             "disagreements": 72,
             "representatives": 2,
-            "tol": 1.0,
         }
     )
-    code, out, _ = run(capsys, "search", "lemma16", "3", "--tol", "1")
+    code, out, _ = run(capsys, "search", "lemma16", "3")
     assert code == 1
     assert out == (
-        "order 3: 144 ordered pairs, 0 weakly orthogonal, 72 disagreements between the three routes\n"
+        "order 3: 144 ordered pairs, 72 weakly orthogonal, 72 disagreements between the three routes\n"
     )
-    rep = cross_validate_lemma16(3, 1.0)
-    assert_is_the_oracle(rep, reference_lemma16(3, 1.0))
-    assert {d[2:] for d in rep.disagreements} == {(False, True, False)}
+    rep = cross_validate_lemma16(3)
+    assert_is_the_oracle(rep, reference_lemma16(3))
+    assert {d[2:] for d in rep.disagreements} == {(True, True, False)}
 
 
 # ------------------------------------------------------------ reproduction
@@ -845,7 +846,7 @@ PARSED_ARGV = {
     "search": ["latin", "3"],
     "reproduce-appendix-c": [],
 }
-WITHOUT_TOL = ("check-orth", "check-left-orth", "left-conj", "fixtures")
+WITHOUT_TOL = ("check-orth", "check-left-orth", "left-conj", "fixtures", "search")
 # The commutator sweep's thread count, removed with its thread pool.
 REMOVED_OPTION = "--jobs"
 
@@ -961,12 +962,15 @@ def test_thread_count_option_is_gone(capsys, command):
 
 @pytest.mark.parametrize("command", sorted(PARSED_ARGV))
 def test_tol_only_where_a_command_reads_it(capsys, command):
-    given = ["lemma16", "3"] if command == "search" else PARSED_ARGV[command]
+    given = PARSED_ARGV[command]
     argv = [command, *given, "--tol", "0.5"]
     if command in WITHOUT_TOL:
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "unrecognized arguments: --tol 0.5" in err
+        # every search compares integer tables, lemma16's 0/1 products too
+        searches = [["search", what, "3"] for what in ("latin", "orth-pairs", "lemma16")]
+        for refused in searches if command == "search" else [[command, *given]]:
+            code, out, err = run(capsys, *refused, "--tol", "0.5")
+            assert code == 2 and out == ""
+            assert err.endswith("error: unrecognized arguments: --tol 0.5\n")
         return
     assert build_parser().parse_args(argv).tol == 0.5
     assert build_parser().parse_args([*argv[:-1], "0"]).tol == 0.0
@@ -978,13 +982,6 @@ def test_tol_only_where_a_command_reads_it(capsys, command):
     code, out, err = run(capsys, command, *given, "--tol", "abc")
     assert code == 2 and out == ""
     assert "argument --tol: invalid float value: 'abc'" in err
-
-
-@pytest.mark.parametrize("what", ["latin", "orth-pairs"])
-def test_a_search_that_reads_no_tol_refuses_it(capsys, what):
-    code, out, err = run(capsys, "search", what, "3", "--tol", "5")
-    assert (code, out) == (2, "")
-    assert err == f"error: search {what} takes no --tol; only search lemma16 reads it\n"
 
 
 # ------------------------------------------------------------ pinned texts
@@ -1210,7 +1207,7 @@ PINNED_TEXT = {
         0,
         "order 3: 144 ordered pairs, 72 weakly orthogonal, 0 disagreements between the three "
         "routes\n",
-        "disagreements order pairs_checked positives representatives tol what",
+        "disagreements order pairs_checked positives representatives what",
     ),
     "reproduce-appendix-c pass": (
         ["reproduce-appendix-c"],
@@ -1414,7 +1411,7 @@ CALL_SEQUENCES = {
     "a usage error, help, then a command": [
         (["check-mub", "{basis_a}"], 2),
         (["dual", "--to-ueb", "{basis}", "--to-meb", "{ueb}"], 2),
-        (["search", "latin", "3", "--tol", "nan"], 2),
+        (["check-mub", "{basis_a}", "{basis_b}", "--tol", "nan"], 2),
         (["--help"], 0),
         (["dual", "--help"], 0),
         (["search", "orth-pairs", "3"], 0),

@@ -82,15 +82,6 @@ def test_fourier_triple():
     assert_allclose(triple[1][:3], np.array([1, w, w * w]) / np.sqrt(3), atol=1e-12)
 
 
-def test_random_triple_spans_middle_block():
-    rng = np.random.default_rng(2)
-    triple = random_orthonormal_triple(rng)
-    stack = np.array(triple)
-    assert_allclose(stack.conj() @ stack.T, np.eye(3), atol=1e-12)
-    assert_allclose(stack[:, :3], 0)
-    assert_allclose(stack[:, 6:], 0)
-
-
 # ------------------------------------------------------------------- grids
 
 

@@ -19,8 +19,9 @@ from qlsmub.search import (
 from qlsmub.squares import LatinSquare, are_orthogonal
 
 from helpers import (
-    assert_is_the_oracle, every_latin_cells, field_square, reference_enumerate_latin,
-    reference_lemma16, reference_orthogonal_pairs, reference_squares, representative_pairs,
+    assert_is_the_oracle, every_latin_cells, field_square, force_the_perm_route,
+    reference_enumerate_latin, reference_lemma16, reference_orthogonal_pairs, reference_squares,
+    representative_pairs,
 )
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
@@ -216,39 +217,56 @@ def test_orthogonal_pairs_are_the_per_square_loop(n):
     assert count_orthogonal_pairs(n) == mates * factorial(n) * factorial(n - 1)
 
 
-@pytest.mark.parametrize("tol", [1e-9, 0.6, 1.0, -1.0])
+# Each disagreement test also runs with the perm route forced to one verdict
+# on every pair (helpers.force_the_perm_route, perm=False or True), so that
+# the routes disagree on each orthogonal pair or on each other pair, and the
+# records, their indices and weights are checked.
+PERM_ROUTES = [None, False, True]
+
+
+@pytest.mark.parametrize("perm", PERM_ROUTES)
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cross_validation_is_the_per_pair_loop(n, tol):
-    assert_is_the_oracle(cross_validate_lemma16(n, tol), reference_lemma16(n, tol))
+def test_cross_validation_is_the_per_pair_loop(monkeypatch, n, perm):
+    if perm is not None:
+        force_the_perm_route(monkeypatch, perm)
+    assert_is_the_oracle(cross_validate_lemma16(n), reference_lemma16(n))
 
 
+@pytest.mark.parametrize("perm", PERM_ROUTES)
 @pytest.mark.parametrize("pair_block", [1, 5, 25, 72, 96])
-def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block):
+def test_block_boundaries_leave_the_searches_unchanged(monkeypatch, pair_block, perm):
     # blocks of one partner, a partial last block, and at order 4 (24
     # partners per reduced square) blocks that hold all of a square's partners
-    default = {tol: cross_validate_lemma16(4, tol) for tol in (1e-9, 1.0)}
+    if perm is not None:
+        force_the_perm_route(monkeypatch, perm)
+    default = cross_validate_lemma16(4)
     monkeypatch.setattr(search, "_PAIR_BLOCK", pair_block)
-    for tol in (1e-9, 1.0):
-        assert_is_the_oracle(cross_validate_lemma16(3, tol), reference_lemma16(3, tol))
-        assert cross_validate_lemma16(4, tol) == default[tol]
+    assert_is_the_oracle(cross_validate_lemma16(3), reference_lemma16(3))
+    assert cross_validate_lemma16(4) == default
 
 
-@pytest.mark.parametrize("tol, disagreements", [(1e-9, 0), (1.0, 6912)])
-def test_cross_validation_at_order_four_is_the_loop_on_the_reduced_rows(tol, disagreements):
-    report = cross_validate_lemma16(4, tol)
-    assert (report.pairs_checked, report.positives) == (331776, 6912 - disagreements)
+@pytest.mark.parametrize(
+    "perm, disagreements", [(None, 0), (False, 6912), (True, 331776 - 6912)]
+)
+def test_cross_validation_at_order_four_is_the_loop_on_the_reduced_rows(
+    monkeypatch, perm, disagreements
+):
+    if perm is not None:
+        force_the_perm_route(monkeypatch, perm)
+    report = cross_validate_lemma16(4)
+    assert (report.pairs_checked, report.positives) == (331776, 6912)
     assert report.disagreeing == disagreements
     # permuting L1's rows and relabelling both squares keeps every verdict,
     # and n of these n!^2 maps take each square to a reduced one, so the
     # oracle over the reduced rows, times n! (n-1)! = 144, counts every pair
     reduced, _ = representative_pairs(4)
-    oracle = reference_lemma16(4, tol, sorted(reduced))
+    oracle = reference_lemma16(4, sorted(reduced))
     assert_is_the_oracle(report, oracle, factorial(4) * factorial(3))
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(data=st.data(), n=st.integers(3, 5), tol=st.sampled_from([1e-9, 1.0]))
-def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, tol):
+@given(data=st.data(), n=st.integers(3, 5), perm=st.sampled_from(PERM_ROUTES))
+def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, perm):
     # a row permutation of L1, one of L2 and one relabelling of both symbols
     if data.draw(st.booleans(), label="orthogonal"):  # few enumerated pairs are
         k1, k2 = data.draw(st.permutations(range(1, n)), label="slopes")[:2]
@@ -260,6 +278,9 @@ def test_each_route_keeps_its_verdict_under_the_lemma16_symmetry(data, n, tol):
         np.array(data.draw(st.permutations(range(n)), label=name))
         for name in ("rows1", "rows2", "symbols")
     )
-    before = search._routes(l1, l2[None], tol)
-    after = search._routes(symbols[l1[rows1]], symbols[l2[rows2]][None], tol)
+    with pytest.MonkeyPatch.context() as patch:
+        if perm is not None:
+            force_the_perm_route(patch, perm)
+        before = search._routes(l1, l2[None])
+        after = search._routes(symbols[l1[rows1]], symbols[l2[rows2]][None])
     assert [bool(v[0]) for v in after] == [bool(v[0]) for v in before]

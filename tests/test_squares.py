@@ -182,7 +182,8 @@ def test_transpose():
 
 
 def test_orthogonality_map_of_orthogonal_pair_is_permutation():
-    assert is_permutation_matrix(orthogonality_map(CYCLIC3, TWISTED3))
+    m = orthogonality_map(CYCLIC3, TWISTED3)
+    assert m.dtype == bool and is_permutation_matrix(m)
 
 
 def test_orthogonality_map_of_self_pair_is_not_permutation():
