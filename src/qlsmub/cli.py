@@ -364,14 +364,15 @@ def main(argv=None) -> int:
             report = {"command": args.command, "ok": outcome.ok, **outcome.fields}
             json_report = args.format == "json-report"
             payload = serialize.dumps(report) if json_report else outcome.text + "\n"
-        if out:
-            try:
+        try:
+            if out:
                 with open(out, "w", encoding="utf-8") as fh:
                     fh.write(payload)
-            except OSError as exc:
-                raise ValueError(f"cannot write {out}: {exc}") from exc
-        else:
-            sys.stdout.write(payload)
+            else:
+                sys.stdout.write(payload)
+                sys.stdout.flush()  # a full disk or closed pipe shows here, not at exit
+        except OSError as exc:
+            raise ValueError(f"cannot write {out or 'stdout'}: {exc}") from exc
         return 0 if outcome.ok else 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

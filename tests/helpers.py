@@ -1,4 +1,4 @@
-"""Sampling and reference helpers shared by the tests."""
+"""Sampling and reference helpers, and the table of CLI calls, shared by the tests."""
 
 import json
 import math
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qlsmub import search
-from qlsmub.bases import BipartiteBasis
+from qlsmub.bases import BipartiteBasis, qls_meb
 from qlsmub.fixtures import fixture, hadamard_9_corrected
 from qlsmub.hadamard import (
     HadamardFamily,
@@ -28,7 +28,7 @@ from qlsmub.hadamard import (
 )
 from qlsmub.numerics import DEFAULT_TOL, is_permutation_matrix
 from qlsmub.search import EquivalenceReport, _latin_cells
-from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError, to_doc
+from qlsmub.serialize import FORMAT, SCHEMAS, SerializeError, save_path, to_doc
 from qlsmub.squares import (
     LatinSquare,
     QuantumLatinSquare,
@@ -37,6 +37,7 @@ from qlsmub.squares import (
     WeakOrthWitness,
     are_orthogonal,
     computational_grid,
+    left_conjugate,
     orthogonality_map,
     validate_qls,
     weak_orth_witness,
@@ -655,3 +656,255 @@ def mutated_documents(draw, docs=documents()):
         edit = PAYLOAD_EDITS[draw(st.sampled_from(sorted(PAYLOAD_EDITS)))]
         owner[key] = edit(owner[key], draw(st.sampled_from(BAD_LEAVES)))
     return doc
+
+
+# ---------------------------------------------------------------- CLI calls
+
+CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
+TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
+
+
+def write(folder, name: str, kind: str, array) -> str:
+    """The path of ``array`` saved in the folder ``folder`` as the ``kind``
+    document ``name``."""
+    path = str(folder / name)
+    save_path(path, to_doc(kind, array))
+    return path
+
+
+def files_of_order(folder, n: int) -> dict[str, str]:
+    """One well-formed input file of each kind, all of order n."""
+    latin = LatinSquare([[(r + c) % n for c in range(n)] for r in range(n)])
+    f = fourier(n)
+    qls, family = validate_qls(computational_grid(latin)), constant_family(f)
+    return {
+        "grid": write(folder, f"grid{n}.json", "grid", qls.grid.array),
+        "family": write(folder, f"family{n}.json", "matrix-list", [f.mat] * n),
+        "latin": write(folder, f"latin{n}.json", "latin", latin.cells),
+        "matrix": write(folder, f"matrix{n}.json", "matrix", f.mat),
+        "basis": write(folder, f"basis{n}.json", "basis", qls_meb(qls, family).states),
+        "ueb": write(
+            folder, f"ueb{n}.json", "matrix-list", shift_multiply_ueb(qls, family).members
+        ),
+    }
+
+
+def pinned_inputs(folder) -> dict[str, str]:
+    """The files ``PINNED_TEXT``'s placeholders name, written to ``folder``:
+    order-3 inputs of every kind, the partners that make each check pass, and
+    an input on which each check command finds a violation."""
+    paths = files_of_order(folder, 3)
+    fam = constant_family(fourier(3))
+    for key, latin in (("a", left_conjugate(CYCLIC3)), ("b", left_conjugate(TWISTED3))):
+        qls = validate_qls(computational_grid(latin))
+        paths |= {
+            f"grid_{key}": write(folder, f"grid_{key}.json", "grid", qls.grid.array),
+            f"left_{key}": write(folder, f"left_{key}.json", "latin", latin.cells),
+            f"basis_{key}": write(folder, f"basis_{key}.json", "basis", qls_meb(qls, fam).states),
+            f"ueb_{key}": write(
+                folder, f"ueb_{key}.json", "matrix-list", shift_multiply_ueb(qls, fam).members
+            ),
+        }
+    f3 = fourier(3).mat
+    return paths | {
+        "twisted": write(folder, "twisted.json", "latin", TWISTED3.cells),
+        "product": write(folder, "product.json", "basis", np.eye(4, dtype=complex)),
+        "short": write(folder, "short.json", "matrix-list", [np.eye(2, dtype=complex)] * 3),
+        "bad_family": write(folder, "bad_family.json", "matrix-list", [f3, f3, np.eye(3)]),
+        "short_family": write(folder, "short_family.json", "matrix-list", [f3, f3]),
+        "validate-qls": write(folder, "pp.json", "grid", fixture("paper-P-printed").array),
+        "validate-hadamard": write(folder, "eye.json", "matrix", np.eye(3)),
+        "check-weak-orth": write(folder, "p.json", "grid", fixture("paper-P").array),
+        "check-ueb": write(folder, "eyes.json", "matrix-list", np.stack([np.eye(2)] * 4)),
+        "obstructed": write(folder, "obs.json", "matrix-list", paper_ueb().members),
+        "out": str(folder / "out.json"),
+    }
+
+
+UEB_COUNT = "member stack is not n^2 square matrices of a single size"
+UEB_TRACE = (
+    "members (0, 1): tr(U*V) = 2+0j, expected n on the diagonal and 0 off it (off by 2.000e+00)"
+)
+QLS_ROW6 = "row 6 is not orthonormal: <v0|v1> = 0-0.92582j, expected 0.0 (off by 9.258e-01)"
+EYE_ENTRY = "entry (0, 1) has modulus 0, expected 1 (off by 1.000e+00)"
+NINTH = "0.111111111111"
+MUB_KEYS = "dim max_dev max_sq mean_sq min_sq target tol"
+OBSTRUCTION_KEYS = "mu noise_bound normalizer_index obstructed sample_entry worst_norm worst_pair"
+
+# Each command's exact text (argv with {file} placeholders, exit code, stdout)
+# for a pass and for its violation or rejection, and the keys of its
+# json-report besides "command" and "ok", so that a change to a check record
+# cannot add, drop or rename one unseen; "key=value" pins a key's JSON value too.
+PINNED_TEXT = {
+    "validate-qls pass": (
+        ["validate-qls", "{grid}"], 0, "valid quantum Latin square of order 3 (tol 1e-09)\n",
+        "n=3 tol",
+    ),
+    "validate-qls violation": (
+        ["validate-qls", "{validate-qls}"], 1, f"INVALID: {QLS_ROW6}\n",
+        "index line n off_by pair tol value",
+    ),
+    "validate-hadamard pass": (
+        ["validate-hadamard", "{matrix}"],
+        0,
+        "valid complex Hadamard matrix of order 3 (tol 1e-09)\n",
+        "n tol",
+    ),
+    "validate-hadamard violation": (
+        ["validate-hadamard", "{validate-hadamard}"],
+        1,
+        f"INVALID: unimodular violated: {EYE_ENTRY}\n",
+        "constraint indices n off_by tol value",
+    ),
+    "check-weak-orth pass": (
+        ["check-weak-orth", "{grid_a}", "{grid_b}"],
+        0,
+        "weakly orthogonal; witness table (rows of first vs rows of second):\n"
+        "  0 1 2\n  2 0 1\n  1 2 0\n",
+        "n table tol",
+    ),
+    "check-weak-orth violation": (
+        ["check-weak-orth", "{check-weak-orth}", "{check-weak-orth}"],
+        1,
+        "NOT weakly orthogonal: rows (0, 0): column 1 product 1+0j (non-unique-unit) "
+        "(off by 1.000e+00)\n",
+        "column kind n off_by p_row q_row tol value",
+    ),
+    "check-orth pass": (["check-orth", "{latin}", "{twisted}"], 0, "orthogonal\n", "n"),
+    "check-orth violation": (
+        ["check-orth", "{latin}", "{latin}"], 1, "NOT orthogonal: repeated ordered symbol pair\n",
+        "n",
+    ),
+    "check-left-orth pass": (
+        ["check-left-orth", "{left_a}", "{left_b}"], 0, "left orthogonal\n", "n"
+    ),
+    "check-left-orth violation": (
+        ["check-left-orth", "{latin}", "{latin}"], 1, "NOT left orthogonal\n", "n"
+    ),
+    "left-conj built": (
+        ["left-conj", "{latin}", "--out", "{out}"], 0, "left conjugate of order 3 written\n", "n"
+    ),
+    "build-meb built": (
+        ["build-meb", "{grid}", "{family}", "--out", "{out}"], 0, "built 9 states of order 3\n",
+        "n states",
+    ),
+    "build-meb grid rejection": (
+        ["build-meb", "{validate-qls}", "{family}"], 1, f"INVALID grid: {QLS_ROW6}\n", "reason"
+    ),
+    "build-meb member rejection": (
+        ["build-meb", "{grid}", "{bad_family}"],
+        1,
+        f"INVALID family: family member 2: {EYE_ENTRY}\n",
+        "reason",
+    ),
+    "build-meb length rejection": (
+        ["build-meb", "{grid}", "{short_family}"],
+        1,
+        "INVALID family: a family of order 3 needs exactly 3 members, got 2\n",
+        "reason",
+    ),
+    "build-lbw built": (
+        ["build-lbw", "{latin}", "{matrix}", "--out", "{out}"], 0, "built 9 states of order 3\n",
+        "n states",
+    ),
+    "build-lbw rejection": (
+        ["build-lbw", "{latin}", "{validate-hadamard}"], 1, f"INVALID matrix: {EYE_ENTRY}\n",
+        "reason",
+    ),
+    "check-mub pass": (
+        ["check-mub", "{basis_a}", "{basis_b}"],
+        0,
+        f"dim 9: |overlap|^2 min {NINTH}, max {NINTH}, mean {NINTH}, target {NINTH}\n"
+        "mutually unbiased\n",
+        "dim max_dev max_sq mean_sq min_sq target tol=1e-09",
+    ),
+    "check-mub violation": (
+        ["check-mub", "{basis}", "{basis}"],
+        1,
+        f"dim 9: |overlap|^2 min 0, max 1, mean {NINTH}, target {NINTH}\nNOT mutually unbiased\n",
+        MUB_KEYS,
+    ),
+    "dual to-ueb built": (
+        ["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0, "extracted 9 unitaries of order 3\n",
+        "direction n",
+    ),
+    "dual to-ueb rejection": (
+        ["dual", "--to-ueb", "{product}"],
+        1,
+        "FAILED: state is not maximally entangled: partial-trace residual 7.071e-01 "
+        "exceeds tol 1.000e-09\n",
+        "reason",
+    ),
+    "dual to-meb built": (
+        ["dual", "--to-meb", "{ueb}", "--out", "{out}"], 0, "built 9 states of order 3\n",
+        "direction n",
+    ),
+    "dual to-meb rejection": (
+        ["dual", "--to-meb", "{short}"], 1, f"INVALID unitary error basis: {UEB_COUNT}\n", "reason"
+    ),
+    "check-ueb pass": (
+        ["check-ueb", "{ueb}"], 0, "valid unitary error basis of order 3 (9 members)\n", "n tol"
+    ),
+    "check-ueb violation": (
+        ["check-ueb", "{check-ueb}"], 1, f"INVALID: {UEB_TRACE}\n",
+        "index kind off_by pair tol value",
+    ),
+    "check-mu-ueb pass": (
+        ["check-mu-ueb", "{ueb_a}", "{ueb_b}"],
+        0,
+        f"dim 9: normalized |tr|^2 min {NINTH}, max {NINTH}, target {NINTH}\n"
+        "raw |tr|^2 range [1, 1]\nmutually unbiased\n",
+        "dim max_dev max_sq mean_sq min_sq target tol=1e-09 raw_trace_sq_max=1.0 "
+        "raw_trace_sq_min",
+    ),
+    "check-mu-ueb violation": (
+        ["check-mu-ueb", "{ueb}", "{ueb}"],
+        1,
+        f"dim 9: normalized |tr|^2 min 0, max 1, target {NINTH}\nraw |tr|^2 range [0, 9]\n"
+        "NOT mutually unbiased\n",
+        MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
+    ),
+    "check-mu-ueb rejection": (
+        ["check-mu-ueb", "{ueb}", "{check-ueb}"],
+        1,
+        "INVALID unitary error basis: {check-ueb}: " + UEB_TRACE + "\n",
+        "reason",
+    ),
+    "monomial-obstruction pass": (["monomial-obstruction", "{ueb}"], 0, None, OBSTRUCTION_KEYS),
+    "monomial-obstruction violation": (
+        ["monomial-obstruction", "{obstructed}"], 1, None,
+        "mu noise_bound normalizer_index obstructed=true sample_entry worst_norm "
+        "worst_pair=[25,26]",
+    ),
+    "monomial-obstruction rejection": (
+        ["monomial-obstruction", "{check-ueb}"], 1, f"INVALID unitary error basis: {UEB_TRACE}\n",
+        "reason",
+    ),
+    "fixtures built": (
+        ["fixtures", "emit", "paper-P", "--out", "{out}"], 0, "fixture paper-P (grid) written\n",
+        "kind name",
+    ),
+    "search latin": (
+        ["search", "latin", "3"], 0, "order 3: 12 Latin squares (column-major recount 12)\n",
+        "count order recount what",
+    ),
+    "search orth-pairs": (
+        ["search", "orth-pairs", "3"], 0, "order 3: 72 ordered orthogonal pairs\n",
+        "count order what",
+    ),
+    "search lemma16": (
+        ["search", "lemma16", "3"],
+        0,
+        "order 3: 144 ordered pairs, 72 weakly orthogonal, 0 disagreements between the three "
+        "routes\n",
+        "disagreements=0 order pairs_checked=144 positives=72 representatives what",
+    ),
+    "reproduce-appendix-c pass": (
+        ["reproduce-appendix-c"],
+        0,
+        "two bases of 81 states each: orthonormal=True, maximally entangled=True\n"
+        "6561 cross overlaps: |overlap|^2 min 0.0123456790123, max 0.0123456790123, "
+        "target 0.0123456790123\nPASS\n",
+        MUB_KEYS + " maximally_entangled orthonormal overlaps=6561",
+    ),
+}

@@ -30,11 +30,9 @@ from qlsmub.squares import (
     validate_qls,
 )
 
-from helpers import raises_exactly, random_unitary, reference_squares
+from helpers import CYCLIC3, TWISTED3, raises_exactly, random_unitary, reference_squares
 
 CYCLIC2 = LatinSquare([[0, 1], [1, 0]])
-CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
-TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
 
 BELL = np.array(
     [

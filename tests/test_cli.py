@@ -1,8 +1,8 @@
+import errno
 import gc
 import io
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -18,39 +18,35 @@ from numpy.testing import assert_allclose
 
 import qlsmub
 from qlsmub import serialize
-from qlsmub.bases import check_mub, qls_meb
+from qlsmub.bases import check_mub
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
-from qlsmub.hadamard import constant_family, fourier, validate_hadamard
+from qlsmub.hadamard import fourier, validate_hadamard
 from qlsmub.numerics import DEFAULT_TOL
 from qlsmub.search import cross_validate_lemma16
 from qlsmub.squares import (
     LatinSquare,
-    VectorGrid,
     computational_grid,
     left_conjugate,
     validate_qls,
     weak_orth_witness,
 )
-from qlsmub.ueb import (
-    check_mu_ueb,
-    monomial_obstruction,
-    shift_multiply_ueb,
-    validate_ueb,
-)
+from qlsmub.ueb import check_mu_ueb, monomial_obstruction, validate_ueb
 
 from helpers import (
-    PAPER_P_WORST_PAIR,
+    CYCLIC3,
+    PINNED_TEXT,
+    TWISTED3,
     assert_is_the_oracle,
+    files_of_order,
     force_the_perm_route,
     listed,
     mutated_documents,
     paper_ueb,
+    pinned_inputs,
     reference_lemma16,
+    write,
 )
-
-CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
-TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
 
 
 def run(capsys, *argv):
@@ -59,88 +55,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_latin(tmp_path, name, latin):
-    path = str(tmp_path / name)
-    serialize.save_path(path, serialize.to_doc("latin", latin.cells))
-    return path
-
-
-def write_grid(tmp_path, name, grid):
-    path = str(tmp_path / name)
-    serialize.save_path(path, serialize.to_doc("grid", grid.array))
-    return path
-
-
-def write_matrix(tmp_path, name, mat):
-    path = str(tmp_path / name)
-    serialize.save_path(path, serialize.to_doc("matrix", mat))
-    return path
-
-
-def write_family(tmp_path, name, mats):
-    path = str(tmp_path / name)
-    serialize.save_path(path, serialize.to_doc("matrix-list", mats))
-    return path
-
-
-def write_ueb(tmp_path, name, members):
-    path = str(tmp_path / name)
-    serialize.save_path(path, serialize.to_doc("matrix-list", members))
-    return path
-
-
-@pytest.fixture
-def order3(tmp_path):
-    """File bundle for the order-3 weakly orthogonal pair."""
-    f3 = fourier(3).mat
-    names = {
-        "grid_a": write_grid(
-            tmp_path, "ga.json", computational_grid(left_conjugate(CYCLIC3))
-        ),
-        "grid_b": write_grid(
-            tmp_path, "gb.json", computational_grid(left_conjugate(TWISTED3))
-        ),
-        "family": write_family(tmp_path, "fam.json", [f3, f3, f3]),
-        "latin": write_latin(tmp_path, "latin.json", CYCLIC3),
-        "matrix": write_matrix(tmp_path, "f3.json", f3),
-        "dir": tmp_path,
-    }
-    return names
-
-
 # -------------------------------------------------------------- validation
-
-
-def test_validate_qls_pass_and_fail(tmp_path, capsys):
-    good = write_grid(tmp_path, "p.json", fixture("paper-P"))
-    code, out, _ = run(capsys, "validate-qls", good)
-    assert code == 0
-    assert "valid quantum Latin square of order 9" in out
-
-    bad = write_grid(tmp_path, "pp.json", fixture("paper-P-printed"))
-    code, out, _ = run(capsys, "validate-qls", bad)
-    assert code == 1
-    assert "INVALID" in out and "row 6" in out
-
-
-def test_validate_qls_json_report(tmp_path, capsys):
-    good = write_grid(tmp_path, "p.json", fixture("paper-P"))
-    code, out, _ = run(capsys, "validate-qls", good, "--format", "json-report")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["ok"] is True and doc["n"] == 9
-    assert out == serialize.dumps(doc)  # canonical rendering
-
-
-def test_validate_hadamard(tmp_path, capsys):
-    good = write_matrix(tmp_path, "h.json", hadamard_9_corrected().mat)
-    code, out, _ = run(capsys, "validate-hadamard", good)
-    assert code == 0 and "valid complex Hadamard" in out
-
-    bad = write_matrix(tmp_path, "hp.json", fixture("hadamard-9-printed"))
-    code, out, _ = run(capsys, "validate-hadamard", bad)
-    assert code == 1
-    assert "row-orthogonality" in out and "(3, 4)" in out
 
 
 def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
@@ -148,7 +63,7 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
     eps = 2e-8
     arr = computational_grid(CYCLIC3).array.copy()
     arr[1, 2] *= np.sqrt(1 + eps)
-    grid = write_grid(tmp_path, "g.json", VectorGrid(arr))
+    grid = write(tmp_path, "g.json", "grid", arr)
     code, out, _ = run(capsys, "validate-qls", grid, "--tol", "1e-30")
     assert (code, out) == (
         1,
@@ -162,19 +77,19 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
 
     mat = fourier(3).mat.copy()
     mat[0, 1] *= np.exp(1j * eps)
-    code, out, _ = run(capsys, "validate-hadamard", write_matrix(tmp_path, "h.json", mat))
+    code, out, _ = run(capsys, "validate-hadamard", write(tmp_path, "h.json", "matrix", mat))
     assert code == 1 and out.startswith("INVALID: row-orthogonality violated: rows (0, 1)")
     assert out.endswith("expected n on the diagonal and 0 off it (off by 2.000e-08)\n")
 
     x, z = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
     pauli = np.stack([np.diag([np.exp(1j * eps), 1]), x, z, x @ z])
-    code, out, _ = run(capsys, "check-ueb", write_ueb(tmp_path, "u.json", pauli))
+    code, out, _ = run(capsys, "check-ueb", write(tmp_path, "u.json", "matrix-list", pauli))
     assert code == 1 and out.startswith("INVALID: members (0, 2): tr(U*V) = ")
     assert out.endswith("(off by 2.000e-08)\n")
     # the json-report carries the measured defect too; tr(U0* Z) = exp(-i eps) - 1
     scaled = np.stack([np.eye(2) * np.sqrt(1 + eps), x, z, x @ z])  # U0* U0 = (1 + eps) I
     for members, value in ((pauli, [0.0, -eps]), (scaled, [1 + eps, 0.0])):
-        path = write_ueb(tmp_path, "u.json", members)
+        path = write(tmp_path, "u.json", "matrix-list", members)
         code, out, _ = run(capsys, "check-ueb", path, "--format", "json-report")
         doc = json.loads(out)
         assert code == 1
@@ -183,7 +98,7 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
 
     mat = fourier(3).mat.copy()
     mat[1, 2] *= 1 + eps
-    code, out, _ = run(capsys, "validate-hadamard", write_matrix(tmp_path, "m.json", mat))
+    code, out, _ = run(capsys, "validate-hadamard", write(tmp_path, "m.json", "matrix", mat))
     assert (code, out) == (
         1,
         "INVALID: unimodular violated: entry (1, 2) has modulus 1, expected 1 "
@@ -192,8 +107,8 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
 
     arr = computational_grid(left_conjugate(CYCLIC3)).array.copy()
     arr[0, 0] *= 1 + eps
-    first = write_grid(tmp_path, "q.json", VectorGrid(arr))
-    second = write_grid(tmp_path, "p.json", computational_grid(left_conjugate(TWISTED3)))
+    first = write(tmp_path, "q.json", "grid", arr)
+    second = write(tmp_path, "p.json", "grid", computational_grid(left_conjugate(TWISTED3)).array)
     code, out, _ = run(capsys, "check-weak-orth", first, second)
     assert (code, out) == (
         1,
@@ -202,27 +117,13 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
     )
 
 
-def test_check_weak_orth(tmp_path, capsys):
-    q = write_grid(tmp_path, "q.json", fixture("paper-Q"))
-    p = write_grid(tmp_path, "p.json", fixture("paper-P"))
-    code, out, _ = run(capsys, "check-weak-orth", q, p)
-    assert code == 0
-    assert "weakly orthogonal" in out
-    assert len([ln for ln in out.splitlines() if ln.startswith("  ")]) == 9
-
-    code, out, _ = run(capsys, "check-weak-orth", p, p)
-    assert code == 1
-    assert "NOT weakly orthogonal" in out
-
-
 def test_check_weak_orth_refuses_a_tol_of_one_half_and_above(tmp_path, capsys):
     """At tol >= 1/2 a product can be near both 0 and 1; the (1, 0.5) pair
     would fail as a second unit "off by" 0.5, a margin within tol."""
     first = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=complex)
     second = first.copy()
     second[0, 1] = [np.sqrt(0.75), 0.5]  # its product with first[0, 1] is 0.5
-    q = write_grid(tmp_path, "q.json", VectorGrid(first))
-    p = write_grid(tmp_path, "p.json", VectorGrid(second))
+    q, p = write(tmp_path, "q.json", "grid", first), write(tmp_path, "p.json", "grid", second)
     for tol in ("0.5", "0.6", "1"):
         for fmt in ("text", "json-report"):
             code, out, err = run(capsys, "check-weak-orth", q, p, "--tol", tol, "--format", fmt)
@@ -231,23 +132,11 @@ def test_check_weak_orth_refuses_a_tol_of_one_half_and_above(tmp_path, capsys):
     assert run(capsys, "check-weak-orth", q, p, "--tol", "0.4999")[0] == 1
 
 
-def test_check_orth_and_left_orth(tmp_path, capsys):
-    a = write_latin(tmp_path, "a.json", CYCLIC3)
-    b = write_latin(tmp_path, "b.json", TWISTED3)
-    la = write_latin(tmp_path, "la.json", left_conjugate(CYCLIC3))
-    lb = write_latin(tmp_path, "lb.json", left_conjugate(TWISTED3))
-
-    assert run(capsys, "check-orth", a, b)[0] == 0
-    assert run(capsys, "check-orth", a, a)[0] == 1
-    assert run(capsys, "check-left-orth", la, lb)[0] == 0
-    assert run(capsys, "check-left-orth", a, a)[0] == 1
-
-
 # --------------------------------------------------------------- artifacts
 
 
 def test_left_conj_twice_restores_the_file(tmp_path, capsys):
-    original = write_latin(tmp_path, "sq.json", TWISTED3)
+    original = write(tmp_path, "sq.json", "latin", TWISTED3.cells)
     once = str(tmp_path / "once.json")
     twice = str(tmp_path / "twice.json")
     assert run(capsys, "left-conj", original, "--out", once)[0] == 0
@@ -255,9 +144,8 @@ def test_left_conj_twice_restores_the_file(tmp_path, capsys):
     assert (tmp_path / "twice.json").read_bytes() == (tmp_path / "sq.json").read_bytes()
 
 
-def test_left_conj_to_stdout(tmp_path, capsys):
-    original = write_latin(tmp_path, "sq.json", CYCLIC3)
-    code, out, _ = run(capsys, "left-conj", original)
+def test_left_conj_to_stdout(pinned_files, capsys):
+    code, out, _ = run(capsys, "left-conj", pinned_files["latin"])
     assert code == 0
     cells = serialize.from_doc(serialize.loads(out), "latin")
     assert LatinSquare(cells) == left_conjugate(CYCLIC3)
@@ -290,17 +178,13 @@ def test_fixtures_unknown_name(capsys):
 # ------------------------------------------------------------ construction
 
 
-def test_build_meb_check_mub_flow(order3, capsys):
-    tmp = order3["dir"]
-    basis_a = str(tmp / "basis_a.json")
-    basis_b = str(tmp / "basis_b.json")
-    code, out, _ = run(
-        capsys, "build-meb", order3["grid_a"], order3["family"], "--out", basis_a
-    )
+def test_build_meb_check_mub_flow(pinned_files, tmp_path, capsys):
+    basis_a = str(tmp_path / "basis_a.json")
+    basis_b = str(tmp_path / "basis_b.json")
+    family = pinned_files["family"]
+    code, out, _ = run(capsys, "build-meb", pinned_files["grid_a"], family, "--out", basis_a)
     assert code == 0 and "built 9 states" in out
-    code, _, _ = run(
-        capsys, "build-meb", order3["grid_b"], order3["family"], "--out", basis_b
-    )
+    code, _, _ = run(capsys, "build-meb", pinned_files["grid_b"], family, "--out", basis_b)
     assert code == 0
 
     code, out, _ = run(
@@ -315,36 +199,16 @@ def test_build_meb_check_mub_flow(order3, capsys):
     assert run(capsys, "check-mub", basis_a, basis_a)[0] == 1
 
 
-def test_build_meb_rejects_bad_inputs(tmp_path, capsys):
-    printed = write_grid(tmp_path, "pp.json", fixture("paper-P-printed"))
-    f9 = write_family(tmp_path, "f9.json", [hadamard_9_corrected().mat] * 9)
-    code, out, _ = run(capsys, "build-meb", printed, f9)
-    assert code == 1 and "INVALID grid" in out
-
-    good = write_grid(tmp_path, "p.json", fixture("paper-P"))
-    bad_family = write_family(
-        tmp_path, "badfam.json", [hadamard_9_corrected().mat] * 8 + [np.eye(9)]
-    )
-    code, out, _ = run(capsys, "build-meb", good, bad_family)
-    assert code == 1 and "INVALID family" in out
-
-
-def test_build_lbw(order3, capsys):
-    tmp = order3["dir"]
-    basis = str(tmp / "lbw.json")
-    code, out, _ = run(
-        capsys, "build-lbw", order3["latin"], order3["matrix"], "--out", basis
-    )
+def test_build_lbw(pinned_files, tmp_path, capsys):
+    basis = str(tmp_path / "lbw.json")
+    latin, matrix = pinned_files["latin"], pinned_files["matrix"]
+    code, out, _ = run(capsys, "build-lbw", latin, matrix, "--out", basis)
     assert code == 0 and "built 9 states" in out
     built = serialize.read(basis, "basis")
     assert built.n == 3 and built.states.shape == (9, 9)
 
-    not_hadamard = write_matrix(tmp, "nh.json", np.eye(3))
-    code, out, _ = run(capsys, "build-lbw", order3["latin"], not_hadamard)
-    assert code == 1 and "INVALID matrix" in out
-
-    not_square = write_matrix(tmp, "ns.json", np.ones((2, 3)))
-    code, out, _ = run(capsys, "build-lbw", order3["latin"], not_square)
+    not_square = write(tmp_path, "ns.json", "matrix", np.ones((2, 3)))
+    code, out, _ = run(capsys, "build-lbw", latin, not_square)
     assert code == 1
     assert out == "INVALID matrix: matrix of shape (2, 3) is not square\n"
 
@@ -365,12 +229,11 @@ def test_build_lbw(order3, capsys):
 # ----------------------------------------------------------------- duality
 
 
-def test_dual_round_trip_via_files(order3, capsys):
-    tmp = order3["dir"]
-    basis = str(tmp / "basis.json")
-    ueb = str(tmp / "ueb.json")
-    back = str(tmp / "back.json")
-    run(capsys, "build-meb", order3["grid_a"], order3["family"], "--out", basis)
+def test_dual_round_trip_via_files(pinned_files, tmp_path, capsys):
+    basis = str(tmp_path / "basis.json")
+    ueb = str(tmp_path / "ueb.json")
+    back = str(tmp_path / "back.json")
+    run(capsys, "build-meb", pinned_files["grid_a"], pinned_files["family"], "--out", basis)
 
     assert run(capsys, "dual", "--to-ueb", basis, "--out", ueb)[0] == 0
     assert run(capsys, "check-ueb", ueb)[0] == 0
@@ -378,14 +241,6 @@ def test_dual_round_trip_via_files(order3, capsys):
 
     original, returned = (serialize.read(path, "basis").states for path in (basis, back))
     assert_allclose(returned, original, atol=1e-12)
-
-
-def test_dual_rejects_product_states(tmp_path, capsys):
-    path = str(tmp_path / "comp.json")
-    serialize.save_path(path, serialize.to_doc("basis", np.eye(4, dtype=complex)))
-    code, out, _ = run(capsys, "dual", "--to-ueb", path)
-    assert code == 1
-    assert "partial-trace residual" in out
 
 
 def test_dual_rejects_a_state_whose_residual_overflows_to_nan(tmp_path, capsys):
@@ -402,59 +257,12 @@ def test_dual_rejects_a_state_whose_residual_overflows_to_nan(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_check_ueb_rejects_wrong_count(tmp_path, capsys):
-    members = np.stack([np.eye(2, dtype=complex)] * 3)
-    path = write_ueb(tmp_path, "short.json", members)
-    code, out, _ = run(capsys, "check-ueb", path)
-    assert code == 1 and "INVALID" in out
-
-
-def test_check_mu_ueb(order3, capsys):
-    tmp = order3["dir"]
-    f3 = fourier(3)
-    fam = constant_family(f3)
-    ua = shift_multiply_ueb(
-        validate_qls(computational_grid(left_conjugate(CYCLIC3))), fam
-    )
-    ub = shift_multiply_ueb(
-        validate_qls(computational_grid(left_conjugate(TWISTED3))), fam
-    )
-    pa = write_ueb(tmp, "ua.json", ua.members)
-    pb = write_ueb(tmp, "ub.json", ub.members)
-
-    code, out, _ = run(capsys, "check-mu-ueb", pa, pb, "--format", "json-report")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["ok"] is True
-    assert abs(doc["raw_trace_sq_max"] - 1.0) < 1e-9
-
-    assert run(capsys, "check-mu-ueb", pa, pa)[0] == 1
-
-
 # ------------------------------------------------------------- obstruction
-
-
-def test_monomial_obstruction_exit_codes(tmp_path, capsys):
-    obstructed = write_ueb(tmp_path, "obs.json", paper_ueb().members)
-    code, out, _ = run(capsys, "monomial-obstruction", obstructed)
-    assert code == 1
-    assert str(PAPER_P_WORST_PAIR) in out
-    verdict = r"\nOBSTRUCTED: not equivalent to a monomial basis \(noise bound \d\.\d{3}e-\d+\)\n$"
-    assert re.search(verdict, out)
-
-    clean = shift_multiply_ueb(
-        validate_qls(computational_grid(CYCLIC3)), constant_family(fourier(3))
-    )
-    clean_path = write_ueb(tmp_path, "clean.json", clean.members)
-    code, out, _ = run(capsys, "monomial-obstruction", clean_path)
-    assert code == 0
-    verdict = r"\nno obstruction proved: worst norm is within the noise bound \d\.\d{3}e-\d+\n$"
-    assert re.search(verdict, out)
 
 
 def test_monomial_obstruction_with_an_infinite_noise_bound_skips_the_sweep(tmp_path, capsys):
     members = 1.5 * paper_ueb().members
-    path = write_ueb(tmp_path, "scaled.json", members)  # valid only at a loose tol
+    path = write(tmp_path, "scaled.json", "matrix-list", members)  # valid only at a loose tol
     code, out, _ = run(capsys, "monomial-obstruction", path, "--tol", "20")
     assert code == 0
     assert out == (
@@ -488,7 +296,7 @@ def test_overflowed_overlaps_report_null(tmp_path, capsys):
     doc = strict_json(out)
     assert code == 1 and err == "" and doc["ok"] is False and doc["min_sq"] == 0.0
     assert doc["max_sq"] is doc["mean_sq"] is doc["max_dev"] is None
-    ueb = write_ueb(tmp_path, "big-ueb.json", 1e200 * np.ones((4, 2, 2), dtype=complex))
+    ueb = write(tmp_path, "big-ueb.json", "matrix-list", 1e200 * np.ones((4, 2, 2), dtype=complex))
     code, out, err = run(capsys, "check-ueb", ueb)
     assert (code, out, err) == (1, "INVALID: member 0: U*U differs from I by inf\n", "")
 
@@ -528,8 +336,8 @@ def test_a_modulus_beyond_the_doubles_is_a_violation(tmp_path, capsys, command):
 def test_a_weak_orth_margin_exceeds_tol_in_the_last_bit(tmp_path, capsys):
     # Python's abs of z is one ulp below numpy's, and tol is Python's abs
     z = -0.11355392122558595 + 0.011131792185154497j
-    one = write_grid(tmp_path, "one.json", VectorGrid(np.ones((1, 1, 1))))
-    stray = write_grid(tmp_path, "z.json", VectorGrid(np.full((1, 1, 1), z)))
+    one = write(tmp_path, "one.json", "grid", np.ones((1, 1, 1)))
+    stray = write(tmp_path, "z.json", "grid", np.full((1, 1, 1), z))
     argv = ("check-weak-orth", one, stray, "--tol", "0.1140982463623348")
     code, out, err = run(capsys, *argv, "--format", "json-report")
     doc = strict_json(out)
@@ -553,7 +361,7 @@ def test_dumps_writes_no_non_json_token(tmp_path):
 
 
 def test_monomial_obstruction_rejects_order_one(tmp_path, capsys):
-    path = write_ueb(tmp_path, "one.json", np.ones((1, 1, 1), dtype=complex))
+    path = write(tmp_path, "one.json", "matrix-list", np.ones((1, 1, 1), dtype=complex))
     assert run(capsys, "check-ueb", path)[0] == 0  # a valid basis, just too small
     code, out, err = run(capsys, "monomial-obstruction", path)
     assert code == 2 and out == ""
@@ -561,27 +369,6 @@ def test_monomial_obstruction_rejects_order_one(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- searches
-
-
-def test_search_commands(capsys):
-    code, out, _ = run(capsys, "search", "latin", "3")
-    assert code == 0 and "12 Latin squares" in out and "recount 12" in out
-
-    code, out, _ = run(capsys, "search", "orth-pairs", "3")
-    assert code == 0 and "72 ordered orthogonal pairs" in out
-
-    code, out, _ = run(capsys, "search", "lemma16", "3", "--format", "json-report")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pairs_checked"] == 144
-    assert doc["positives"] == 72
-    assert doc["disagreements"] == 0
-
-    code, _, err = run(capsys, "search", "latin", "9")
-    assert code == 2 and "out of range" in err
-
-    code, out, _ = run(capsys, "search", "--help")  # the range, before any exit 2
-    assert code == 0 and "1..6; 1..5 for lemma16" in out
 
 
 def test_search_refuses_a_huge_order_before_any_arithmetic():
@@ -640,13 +427,6 @@ def test_search_lemma16_disagreement_exits_one(capsys, monkeypatch):
 # ------------------------------------------------------------ reproduction
 
 
-def test_reproduce_appendix_c(capsys):
-    code, out, _ = run(capsys, "reproduce-appendix-c")
-    assert code == 0
-    assert out.strip().splitlines()[-1] == "PASS"
-    assert "6561 cross overlaps" in out
-
-
 def test_reproduce_appendix_c_json(capsys, tmp_path):
     out_path = str(tmp_path / "report.json")
     code, out, _ = run(
@@ -668,7 +448,7 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     garbled.write_text("{not json")
     assert run(capsys, "validate-qls", str(garbled))[0] == 2
 
-    wrong_kind = write_latin(tmp_path, "latin.json", CYCLIC3)
+    wrong_kind = write(tmp_path, "latin.json", "latin", CYCLIC3.cells)
     code, _, err = run(capsys, "validate-qls", wrong_kind)
     assert code == 2 and "kind" in err
 
@@ -815,16 +595,6 @@ def test_non_integer_headers_and_cells_exit_two(tmp_path, capsys, case, fmt, out
     assert not out_path.exists()
 
 
-def test_usage_errors_exit_two(capsys):
-    assert run(capsys)[0] == 2
-    assert run(capsys, "no-such-command")[0] == 2
-    assert run(capsys, "dual")[0] == 2  # missing required direction
-
-
-def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
-
-
 # ----------------------------------------------------------------- routing
 
 # Positional arguments that parse for each command; the files need not exist.
@@ -853,50 +623,33 @@ REMOVED_OPTION = "--jobs"
 
 @pytest.mark.parametrize("fmt", ["text", "json-report"])
 @pytest.mark.parametrize(
-    "command, label",
-    [
-        ("build-meb", "INVALID grid"),
-        ("build-lbw", "INVALID matrix"),
-        ("dual", "INVALID unitary error basis"),
-    ],
+    "case", ["build-meb grid rejection", "build-lbw rejection", "dual to-meb rejection"]
 )
 def test_rejected_artifact_reports_on_stdout_and_writes_no_file(
-    order3, capsys, command, label, fmt
+    pinned_files, tmp_path, capsys, case, fmt
 ):
-    tmp = order3["dir"]
-    if command == "build-meb":
-        argv = [write_grid(tmp, "pp.json", fixture("paper-P-printed")), order3["family"]]
-    elif command == "build-lbw":
-        argv = [order3["latin"], write_matrix(tmp, "nh.json", np.eye(3))]
-    else:
-        short = np.stack([np.eye(2, dtype=complex)] * 3)
-        argv = ["--to-meb", write_ueb(tmp, "short.json", short)]
-    out_path = tmp / "artifact.json"
-    code, out, _ = run(capsys, command, *argv, "--out", str(out_path), "--format", fmt)
-    assert code == 1
-    assert not out_path.exists()
+    argv, code, text, _ = pinned(case, pinned_files)
+    out_path = tmp_path / "artifact.json"
+    got, out, _ = run(capsys, *argv, "--out", str(out_path), "--format", fmt)
+    assert (got, out_path.exists()) == (code, False)
     if fmt == "text":
-        assert out.startswith(label + ": ") and out.count("\n") == 1
+        assert out == text
     else:
         doc = json.loads(out)
         assert set(doc) == {"command", "ok", "reason"}
-        assert doc["command"] == command and doc["ok"] is False
+        assert doc["command"] == argv[0] and doc["ok"] is False
         assert out == serialize.dumps(doc)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json-report"])
-@pytest.mark.parametrize("second, code", [(TWISTED3, 0), (CYCLIC3, 1)])
-def test_report_goes_to_out_and_nothing_to_stdout(tmp_path, capsys, second, code, fmt):
-    a = write_latin(tmp_path, "a.json", CYCLIC3)
-    b = write_latin(tmp_path, "b.json", second)
+@pytest.mark.parametrize("case", ["check-orth pass", "check-orth violation"])
+def test_report_goes_to_out_and_nothing_to_stdout(pinned_files, tmp_path, capsys, case, fmt):
+    argv, code, text, _ = pinned(case, pinned_files)
     out_path = tmp_path / "report.txt"
-    result = run(capsys, "check-orth", a, b, "--out", str(out_path), "--format", fmt)
-    assert result == (code, "", "")
-    if fmt == "text":
-        expected = "orthogonal\n" if code == 0 else "NOT orthogonal: repeated ordered symbol pair\n"
-    else:
-        expected = serialize.dumps({"command": "check-orth", "ok": code == 0, "n": 3})
-    assert out_path.read_text() == expected
+    assert run(capsys, *argv, "--out", str(out_path), "--format", fmt) == (code, "", "")
+    if fmt == "json-report":
+        text = serialize.dumps({"command": "check-orth", "ok": code == 0, "n": 3})
+    assert out_path.read_text() == text
 
 
 @pytest.mark.parametrize("argv, target", [
@@ -913,21 +666,20 @@ def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, argv, ta
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def files_of_order(tmp_path, n):
-    """One well-formed input file of each kind, all of order n."""
-    latin = LatinSquare([[(r + c) % n for c in range(n)] for r in range(n)])
-    f = fourier(n)
-    qls, family = validate_qls(computational_grid(latin)), constant_family(f)
-    basis = str(tmp_path / f"basis{n}.json")
-    serialize.save_path(basis, serialize.to_doc("basis", qls_meb(qls, family).states))
-    return {
-        "grid": write_grid(tmp_path, f"grid{n}.json", qls.grid),
-        "family": write_family(tmp_path, f"family{n}.json", [f.mat] * n),
-        "latin": write_latin(tmp_path, f"latin{n}.json", latin),
-        "matrix": write_matrix(tmp_path, f"matrix{n}.json", f.mat),
-        "basis": basis,
-        "ueb": write_ueb(tmp_path, f"ueb{n}.json", shift_multiply_ueb(qls, family).members),
-    }
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["search", "latin", "3"], ["fixtures", "emit", "paper-P"]])
+def test_a_stdout_that_cannot_be_written_exits_two(monkeypatch, argv, failing):
+    """A full disk or a closed pipe at stdout, for a report and for an artifact."""
+
+    def full(*_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    stdout, err = type("Stdout", (io.StringIO,), {})(), io.StringIO()
+    monkeypatch.setattr(stdout, failing, full)
+    with redirect_stdout(stdout), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert err.getvalue() == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 # The two input kinds of every command that reads two objects of one order.
@@ -989,34 +741,13 @@ def test_tol_only_where_a_command_reads_it(capsys, command):
 
 @pytest.fixture(scope="module")
 def pinned_files(tmp_path_factory):
-    """Order-3 inputs of every kind, plus the partners that make each check pass."""
-    tmp_path = tmp_path_factory.mktemp("pinned")
-    paths = files_of_order(tmp_path, 3)
-    fam = constant_family(fourier(3))
-    conj = {"a": left_conjugate(CYCLIC3), "b": left_conjugate(TWISTED3)}
-    for key, latin in conj.items():
-        qls = validate_qls(computational_grid(latin))
-        paths[f"grid_{key}"] = write_grid(tmp_path, f"grid_{key}.json", qls.grid)
-        paths[f"left_{key}"] = write_latin(tmp_path, f"left_{key}.json", latin)
-        paths[f"basis_{key}"] = str(tmp_path / f"basis_{key}.json")
-        states, members = qls_meb(qls, fam).states, shift_multiply_ueb(qls, fam).members
-        serialize.save_path(paths[f"basis_{key}"], serialize.to_doc("basis", states))
-        paths[f"ueb_{key}"] = write_ueb(tmp_path, f"ueb_{key}.json", members)
-    paths["twisted"] = write_latin(tmp_path, "twisted.json", TWISTED3)
-    paths["product"] = str(tmp_path / "product.json")
-    serialize.save_path(paths["product"], serialize.to_doc("basis", np.eye(4, dtype=complex)))
-    paths["short"] = write_ueb(tmp_path, "short.json", np.stack([np.eye(2, dtype=complex)] * 3))
-    f3 = fourier(3).mat
-    paths["bad_family"] = write_family(tmp_path, "bad_family.json", [f3, f3, np.eye(3)])
-    paths["short_family"] = write_family(tmp_path, "short_family.json", [f3, f3])
-    # an input on which each check command finds a violation
-    paths["validate-qls"] = write_grid(tmp_path, "pp.json", fixture("paper-P-printed"))
-    paths["validate-hadamard"] = write_matrix(tmp_path, "eye.json", np.eye(3))
-    paths["check-weak-orth"] = write_grid(tmp_path, "p.json", fixture("paper-P"))
-    paths["check-ueb"] = write_ueb(tmp_path, "eyes.json", np.stack([np.eye(2)] * 4))
-    paths["obstructed"] = write_ueb(tmp_path, "obs.json", paper_ueb().members)
-    paths["out"] = str(tmp_path / "out.json")
-    return paths
+    return pinned_inputs(tmp_path_factory.mktemp("pinned"))
+
+
+def pinned(case, paths):
+    """``PINNED_TEXT[case]`` with the placeholders of its argv filled from ``paths``."""
+    template, *rest = PINNED_TEXT[case]
+    return [arg.format_map(paths) for arg in template], *rest
 
 
 def obstruction_text(path):
@@ -1034,192 +765,6 @@ def obstruction_text(path):
     )
 
 
-UEB_COUNT = "member stack is not n^2 square matrices of a single size"
-UEB_TRACE = (
-    "members (0, 1): tr(U*V) = 2+0j, expected n on the diagonal and 0 off it (off by 2.000e+00)"
-)
-QLS_ROW6 = "row 6 is not orthonormal: <v0|v1> = 0-0.92582j, expected 0.0 (off by 9.258e-01)"
-EYE_ENTRY = "entry (0, 1) has modulus 0, expected 1 (off by 1.000e+00)"
-NINTH = "0.111111111111"
-MUB_KEYS = "dim max_dev max_sq mean_sq min_sq target tol"
-OBSTRUCTION_KEYS = "mu noise_bound normalizer_index obstructed sample_entry worst_norm worst_pair"
-
-# Each command's exact text (argv with {file} placeholders, exit code, stdout)
-# for a pass and for its violation or rejection, and the keys of its
-# json-report besides "command" and "ok", so that a change to a check record
-# cannot add, drop or rename one unseen.
-PINNED_TEXT = {
-    "validate-qls pass": (
-        ["validate-qls", "{grid}"], 0, "valid quantum Latin square of order 3 (tol 1e-09)\n",
-        "n tol",
-    ),
-    "validate-qls violation": (
-        ["validate-qls", "{validate-qls}"], 1, f"INVALID: {QLS_ROW6}\n",
-        "index line n off_by pair tol value",
-    ),
-    "validate-hadamard pass": (
-        ["validate-hadamard", "{matrix}"],
-        0,
-        "valid complex Hadamard matrix of order 3 (tol 1e-09)\n",
-        "n tol",
-    ),
-    "validate-hadamard violation": (
-        ["validate-hadamard", "{validate-hadamard}"],
-        1,
-        f"INVALID: unimodular violated: {EYE_ENTRY}\n",
-        "constraint indices n off_by tol value",
-    ),
-    "check-weak-orth pass": (
-        ["check-weak-orth", "{grid_a}", "{grid_b}"],
-        0,
-        "weakly orthogonal; witness table (rows of first vs rows of second):\n"
-        "  0 1 2\n  2 0 1\n  1 2 0\n",
-        "n table tol",
-    ),
-    "check-weak-orth violation": (
-        ["check-weak-orth", "{check-weak-orth}", "{check-weak-orth}"],
-        1,
-        "NOT weakly orthogonal: rows (0, 0): column 1 product 1+0j (non-unique-unit) "
-        "(off by 1.000e+00)\n",
-        "column kind n off_by p_row q_row tol value",
-    ),
-    "check-orth pass": (["check-orth", "{latin}", "{twisted}"], 0, "orthogonal\n", "n"),
-    "check-orth violation": (
-        ["check-orth", "{latin}", "{latin}"], 1, "NOT orthogonal: repeated ordered symbol pair\n",
-        "n",
-    ),
-    "check-left-orth pass": (
-        ["check-left-orth", "{left_a}", "{left_b}"], 0, "left orthogonal\n", "n"
-    ),
-    "check-left-orth violation": (
-        ["check-left-orth", "{latin}", "{latin}"], 1, "NOT left orthogonal\n", "n"
-    ),
-    "left-conj built": (
-        ["left-conj", "{latin}", "--out", "{out}"], 0, "left conjugate of order 3 written\n", "n"
-    ),
-    "build-meb built": (
-        ["build-meb", "{grid}", "{family}", "--out", "{out}"], 0, "built 9 states of order 3\n",
-        "n states",
-    ),
-    "build-meb grid rejection": (
-        ["build-meb", "{validate-qls}", "{family}"], 1, f"INVALID grid: {QLS_ROW6}\n", "reason"
-    ),
-    "build-meb member rejection": (
-        ["build-meb", "{grid}", "{bad_family}"],
-        1,
-        f"INVALID family: family member 2: {EYE_ENTRY}\n",
-        "reason",
-    ),
-    "build-meb length rejection": (
-        ["build-meb", "{grid}", "{short_family}"],
-        1,
-        "INVALID family: a family of order 3 needs exactly 3 members, got 2\n",
-        "reason",
-    ),
-    "build-lbw built": (
-        ["build-lbw", "{latin}", "{matrix}", "--out", "{out}"], 0, "built 9 states of order 3\n",
-        "n states",
-    ),
-    "build-lbw rejection": (
-        ["build-lbw", "{latin}", "{validate-hadamard}"], 1, f"INVALID matrix: {EYE_ENTRY}\n",
-        "reason",
-    ),
-    "check-mub pass": (
-        ["check-mub", "{basis_a}", "{basis_b}"],
-        0,
-        f"dim 9: |overlap|^2 min {NINTH}, max {NINTH}, mean {NINTH}, target {NINTH}\n"
-        "mutually unbiased\n",
-        MUB_KEYS,
-    ),
-    "check-mub violation": (
-        ["check-mub", "{basis}", "{basis}"],
-        1,
-        f"dim 9: |overlap|^2 min 0, max 1, mean {NINTH}, target {NINTH}\nNOT mutually unbiased\n",
-        MUB_KEYS,
-    ),
-    "dual to-ueb built": (
-        ["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0, "extracted 9 unitaries of order 3\n",
-        "direction n",
-    ),
-    "dual to-ueb rejection": (
-        ["dual", "--to-ueb", "{product}"],
-        1,
-        "FAILED: state is not maximally entangled: partial-trace residual 7.071e-01 "
-        "exceeds tol 1.000e-09\n",
-        "reason",
-    ),
-    "dual to-meb built": (
-        ["dual", "--to-meb", "{ueb}", "--out", "{out}"], 0, "built 9 states of order 3\n",
-        "direction n",
-    ),
-    "dual to-meb rejection": (
-        ["dual", "--to-meb", "{short}"], 1, f"INVALID unitary error basis: {UEB_COUNT}\n", "reason"
-    ),
-    "check-ueb pass": (
-        ["check-ueb", "{ueb}"], 0, "valid unitary error basis of order 3 (9 members)\n", "n tol"
-    ),
-    "check-ueb violation": (
-        ["check-ueb", "{check-ueb}"], 1, f"INVALID: {UEB_TRACE}\n",
-        "index kind off_by pair tol value",
-    ),
-    "check-mu-ueb pass": (
-        ["check-mu-ueb", "{ueb_a}", "{ueb_b}"],
-        0,
-        f"dim 9: normalized |tr|^2 min {NINTH}, max {NINTH}, target {NINTH}\n"
-        "raw |tr|^2 range [1, 1]\nmutually unbiased\n",
-        MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
-    ),
-    "check-mu-ueb violation": (
-        ["check-mu-ueb", "{ueb}", "{ueb}"],
-        1,
-        f"dim 9: normalized |tr|^2 min 0, max 1, target {NINTH}\nraw |tr|^2 range [0, 9]\n"
-        "NOT mutually unbiased\n",
-        MUB_KEYS + " raw_trace_sq_max raw_trace_sq_min",
-    ),
-    "check-mu-ueb rejection": (
-        ["check-mu-ueb", "{ueb}", "{check-ueb}"],
-        1,
-        "INVALID unitary error basis: {check-ueb}: " + UEB_TRACE + "\n",
-        "reason",
-    ),
-    "monomial-obstruction pass": (["monomial-obstruction", "{ueb}"], 0, None, OBSTRUCTION_KEYS),
-    "monomial-obstruction violation": (
-        ["monomial-obstruction", "{obstructed}"], 1, None, OBSTRUCTION_KEYS
-    ),
-    "monomial-obstruction rejection": (
-        ["monomial-obstruction", "{check-ueb}"], 1, f"INVALID unitary error basis: {UEB_TRACE}\n",
-        "reason",
-    ),
-    "fixtures built": (
-        ["fixtures", "emit", "paper-P", "--out", "{out}"], 0, "fixture paper-P (grid) written\n",
-        "kind name",
-    ),
-    "search latin": (
-        ["search", "latin", "3"], 0, "order 3: 12 Latin squares (column-major recount 12)\n",
-        "count order recount what",
-    ),
-    "search orth-pairs": (
-        ["search", "orth-pairs", "3"], 0, "order 3: 72 ordered orthogonal pairs\n",
-        "count order what",
-    ),
-    "search lemma16": (
-        ["search", "lemma16", "3"],
-        0,
-        "order 3: 144 ordered pairs, 72 weakly orthogonal, 0 disagreements between the three "
-        "routes\n",
-        "disagreements order pairs_checked positives representatives what",
-    ),
-    "reproduce-appendix-c pass": (
-        ["reproduce-appendix-c"],
-        0,
-        "two bases of 81 states each: orthonormal=True, maximally entangled=True\n"
-        "6561 cross overlaps: |overlap|^2 min 0.0123456790123, max 0.0123456790123, "
-        "target 0.0123456790123\nPASS\n",
-        MUB_KEYS + " maximally_entangled orthonormal overlaps",
-    ),
-}
-
-
 def test_every_command_has_a_pinned_row():
     (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
     assert set(commands) == {template[0] for template, *_ in PINNED_TEXT.values()}
@@ -1227,8 +772,7 @@ def test_every_command_has_a_pinned_row():
 
 @pytest.mark.parametrize("case", sorted(PINNED_TEXT))
 def test_text_rendering_is_pinned(pinned_files, capsys, case):
-    template, code, text, _ = PINNED_TEXT[case]
-    argv = [arg.format_map(pinned_files) for arg in template]
+    argv, code, text, _ = pinned(case, pinned_files)
     if text is None:  # the obstruction's numbers come from the library's own report
         text = obstruction_text(argv[1])
     assert run(capsys, *argv) == (code, text.format_map(pinned_files), "")
@@ -1236,26 +780,23 @@ def test_text_rendering_is_pinned(pinned_files, capsys, case):
 
 @pytest.mark.parametrize("case", sorted(PINNED_TEXT))
 def test_a_json_report_has_its_pinned_keys(pinned_files, capsys, case):
-    template, code, _, keys = PINNED_TEXT[case]
-    argv = [arg.format_map(pinned_files) for arg in template]
+    argv, code, _, keys = pinned(case, pinned_files)
     got, out, err = run(capsys, *argv, "--format", "json-report")
-    assert (got, err) == (code, "")
-    assert sorted(json.loads(out)) == sorted(["command", "ok", *keys.split()])
+    doc = json.loads(out)
+    assert (got, err, doc["command"], doc["ok"]) == (code, "", argv[0], code == 0)
+    keys = dict(key.partition("=")[::2] for key in keys.split())
+    assert sorted(doc) == sorted(["command", "ok", *keys])
+    values = {key: json.loads(value) for key, value in keys.items() if value}
+    assert {key: doc[key] for key in values} == values
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# json-reports holding what the stdlib spells its own way (a key with an "e"
-# over an int, tol 1e-09, a complex value, nulls, an escaped non-ASCII
-# character), each with a piece of its text that shows it
+# json-reports on inputs no pinned row reads, each with a piece of its text
+# that shows how the stdlib spells it: a null, and an escaped non-ASCII character
 JSON_REPORTS = {
-    "search lemma16": (["search", "lemma16", "3"], '"pairs_checked": 144,'),
-    "check-mub": (["check-mub", "{basis_a}", "{basis_b}"], '"tol": 1e-09'),
-    "check-mu-ueb": (["check-mu-ueb", "{ueb_a}", "{ueb_b}"], '"tol": 1e-09'),
-    "monomial-obstruction paper-P": (["monomial-obstruction", "{obstructed}"], '"obstructed": true,'),
     "monomial-obstruction overflowed bound": (
         ["monomial-obstruction", "{scaled}", "--tol", "20"], '"noise_bound": null,'
     ),
-    "validate-qls violation": (["validate-qls", "{validate-qls}"], '"value": [\n    0.0,\n'),
-    "reproduce-appendix-c": (["reproduce-appendix-c"], '"overlaps": 6561,'),
     "a rejection naming a non-ASCII path": (
         ["check-mu-ueb", "{short_é}", "{ueb_a}"], 'short_\\u00e9.json: member stack'
     ),
@@ -1267,7 +808,8 @@ def test_a_json_report_is_the_stdlib_text(pinned_files, tmp_path, capsys, case):
     template, piece = JSON_REPORTS[case]
     paths = dict(pinned_files)
     members = serialize.read(paths["obstructed"], "matrix-list")
-    paths["scaled"] = write_ueb(tmp_path, "scaled.json", 1.5 * members)  # valid only at a loose tol
+    # valid only at a loose tol
+    paths["scaled"] = write(tmp_path, "scaled.json", "matrix-list", 1.5 * members)
     paths["short_é"] = shutil.copy(paths["short"], tmp_path / "short_é.json")
     code, out, err = run(capsys, *[arg.format_map(paths) for arg in template], "--format", "json-report")
     assert code in (0, 1) and err == "" and piece in out
@@ -1308,28 +850,21 @@ CHECK_RESULT_CASES = ["search lemma16"] + [
 
 
 @pytest.mark.parametrize("case", CHECK_RESULT_CASES)
-def test_a_check_result_judges_and_renders_itself(pinned_files, capsys, case):
-    template, code, text, _ = PINNED_TEXT[case]
-    argv = [arg.format_map(pinned_files) for arg in template]
+def test_a_check_result_judges_and_renders_itself(pinned_files, case):
+    argv, code, text, _ = pinned(case, pinned_files)
     result = CHECK_CALLS[argv[0]](*argv[1:])
     assert result.ok is (code == 0)
     assert "ok" not in {f.name for f in fields(result)}  # a verdict, never a report field
     text = obstruction_text(argv[1]) if text is None else text
     assert text == f"{result}\n" or text.endswith(f": {result}\n")  # after a prefix
-    got, out, _ = run(capsys, *argv, "--format", "json-report")
-    doc = json.loads(out)
-    assert got == code and doc["ok"] is result.ok
-    assert not PAYLOADS & set(doc)  # a payload is never reported
 
 
 @pytest.mark.parametrize("command", sorted(FAILING_INPUTS))
 def test_failing_json_report_is_the_command_keys_and_the_record_fields(
     pinned_files, capsys, command
 ):
-    argv = [arg.format_map(pinned_files) for arg in PINNED_TEXT[f"{command} violation"][0]]
-    code, out, _ = run(capsys, *argv, "--format", "json-report")
-    doc = json.loads(out)
-    assert code == 1 and doc["ok"] is False
+    argv = pinned(f"{command} violation", pinned_files)[0]
+    doc = json.loads(run(capsys, *argv, "--format", "json-report")[1])
     # the report keys are the command's inputs and every field of the record but a payload
     record = {f.name for f in fields(CHECK_CALLS[command](*argv[1:]))} - PAYLOADS
     assert set(doc) == {"command", "ok", *FAILING_INPUTS[command].split()} | record
@@ -1366,8 +901,10 @@ def null_bearing_files(tmp_path_factory):
     x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
     members = paper_ueb().members
     return {
-        "non-unitary": write_ueb(tmp_path, "non-unitary.json", np.array([np.eye(2), x, z, 0.5 * x @ z])),
-        "scaled": write_ueb(tmp_path, "scaled.json", 1.5 * members),
+        "non-unitary": write(
+            tmp_path, "non-unitary.json", "matrix-list", [np.eye(2), x, z, 0.5 * x @ z]
+        ),
+        "scaled": write(tmp_path, "scaled.json", "matrix-list", 1.5 * members),
     }
 
 
@@ -1400,30 +937,36 @@ def test_a_tolerance_does_not_outlive_its_call(capsys):
     assert json.loads(run(capsys, *report)[1])["tol"] == DEFAULT_TOL
 
 
-# calls and their exit codes, in the order they run; each must give what it
-# gives on a parser of its own
+# calls, each with its exit code and a piece of its stdout or stderr, in the
+# order they run; each must give what it gives on a parser of its own
 CALL_SEQUENCES = {
     "dual both ways": [
-        (["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0),
-        (["dual", "--to-meb", "{ueb}"], 0),
-        (["dual", "--to-ueb", "{product}"], 1),
+        (["dual", "--to-ueb", "{basis}", "--out", "{out}"], 0, "extracted 9 unitaries of order 3\n"),
+        (["dual", "--to-meb", "{ueb}"], 0, '"kind": "basis"'),
+        (["dual", "--to-ueb", "{product}"], 1, "FAILED: state is not maximally entangled"),
     ],
-    "a usage error, help, then a command": [
-        (["check-mub", "{basis_a}"], 2),
-        (["dual", "--to-ueb", "{basis}", "--to-meb", "{ueb}"], 2),
-        (["check-mub", "{basis_a}", "{basis_b}", "--tol", "nan"], 2),
-        (["--help"], 0),
-        (["dual", "--help"], 0),
-        (["search", "orth-pairs", "3"], 0),
+    "usage errors, help, then a command": [
+        ([], 2, "error: the following arguments are required: command\n"),
+        (["no-such-command"], 2, "invalid choice: 'no-such-command'"),
+        (["dual"], 2, "error: one of the arguments --to-ueb --to-meb is required\n"),
+        (["check-mub", "{basis_a}"], 2, "error: the following arguments are required: basis_b\n"),
+        (["dual", "--to-ueb", "{basis}", "--to-meb", "{ueb}"], 2, "not allowed with argument"),
+        (["check-mub", "{basis_a}", "{basis_b}", "--tol", "nan"], 2, "must be finite and >= 0"),
+        (["search", "latin", "9"], 2, "error: order 9 out of range 1..6\n"),
+        (["--help"], 0, "usage: qlsmub [-h]"),
+        (["dual", "--help"], 0, "usage: qlsmub dual [-h]"),
+        (["search", "--help"], 0, "1..6; 1..5 for lemma16"),
+        (["search", "orth-pairs", "3"], 0, "order 3: 72 ordered orthogonal pairs\n"),
     ],
 }
 
 
 @pytest.mark.parametrize("case", sorted(CALL_SEQUENCES))
 def test_calls_on_the_shared_parser_match_calls_on_fresh_ones(pinned_files, capsys, case):
-    calls = [[arg.format_map(pinned_files) for arg in argv] for argv, _ in CALL_SEQUENCES[case]]
+    calls = [[arg.format_map(pinned_files) for arg in argv] for argv, _, _ in CALL_SEQUENCES[case]]
     shared = [run(capsys, *argv) for argv in calls]
-    assert [code for code, _, _ in shared] == [code for _, code in CALL_SEQUENCES[case]]
+    for (code, out, err), (_, expected, piece) in zip(shared, CALL_SEQUENCES[case]):
+        assert code == expected and piece in out + err
     fresh = []
     for argv in calls:
         build_parser.cache_clear()

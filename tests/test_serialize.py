@@ -27,11 +27,9 @@ from qlsmub.serialize import (
 from qlsmub.squares import LatinSquare, VectorGrid
 
 from helpers import (
-    EDGE_FLOATS, FLOATS, NUMBERS, documents, listed, mutated_documents, raises_exactly,
+    CYCLIC3, EDGE_FLOATS, FLOATS, NUMBERS, documents, listed, mutated_documents, raises_exactly,
     reference_dumps, reference_from_doc,
 )
-
-CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
 
 _RNG = np.random.default_rng(3)
 SAMPLES = {

@@ -23,12 +23,9 @@ from qlsmub.squares import (
 )
 
 from helpers import (
-    as_latin_square, every_latin_cells, raises_exactly, reference_computational_grid,
-    reference_left_conjugate, reference_squares,
+    CYCLIC3, TWISTED3, as_latin_square, every_latin_cells, raises_exactly,
+    reference_computational_grid, reference_left_conjugate, reference_squares,
 )
-
-CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
-TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
 
 
 def phased_grid(n: int, seed: int) -> VectorGrid:

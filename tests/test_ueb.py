@@ -39,8 +39,10 @@ from qlsmub.ueb import (
 )
 
 from helpers import (
+    CYCLIC3,
     PAPER_P_WORST_NORM,
     PAPER_P_WORST_PAIR,
+    TWISTED3,
     assert_the_screen_brackets_every_norm,
     is_monomial,
     member_first,
@@ -54,9 +56,6 @@ from helpers import (
 EYE2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-CYCLIC3 = LatinSquare([[(r + c) % 3 for c in range(3)] for r in range(3)])
-TWISTED3 = LatinSquare([[(r + 2 * c) % 3 for c in range(3)] for r in range(3)])
 
 
 def pauli_basis() -> UnitaryErrorBasis:
