@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from qlsmub import serialize
 from qlsmub.bases import check_mub
 from qlsmub.cli import build_parser, main
 from qlsmub.fixtures import fixture, hadamard_9_corrected
-from qlsmub.hadamard import fourier, validate_hadamard
+from qlsmub.hadamard import constant_family, fourier, validate_hadamard
 from qlsmub.numerics import DEFAULT_TOL
 from qlsmub.search import cross_validate_lemma16
 from qlsmub.squares import (
@@ -31,10 +32,11 @@ from qlsmub.squares import (
     validate_qls,
     weak_orth_witness,
 )
-from qlsmub.ueb import check_mu_ueb, monomial_obstruction, validate_ueb
+from qlsmub.ueb import check_mu_ueb, monomial_obstruction, shift_multiply_ueb, validate_ueb
 
 from helpers import (
     CYCLIC3,
+    PAPER_P_WORST_PAIR,
     PINNED_TEXT,
     TWISTED3,
     assert_is_the_oracle,
@@ -56,6 +58,38 @@ def run(capsys, *argv):
 
 
 # -------------------------------------------------------------- validation
+
+
+def test_validate_qls_pass_and_fail(tmp_path, capsys):
+    good = write(tmp_path, "p.json", "grid", fixture("paper-P").array)
+    code, out, _ = run(capsys, "validate-qls", good)
+    assert code == 0
+    assert "valid quantum Latin square of order 9" in out
+
+    bad = write(tmp_path, "pp.json", "grid", fixture("paper-P-printed").array)
+    code, out, _ = run(capsys, "validate-qls", bad)
+    assert code == 1
+    assert "INVALID" in out and "row 6" in out
+
+
+def test_validate_qls_json_report(tmp_path, capsys):
+    good = write(tmp_path, "p.json", "grid", fixture("paper-P").array)
+    code, out, _ = run(capsys, "validate-qls", good, "--format", "json-report")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["n"] == 9
+    assert out == serialize.dumps(doc)  # canonical rendering
+
+
+def test_validate_hadamard(tmp_path, capsys):
+    good = write(tmp_path, "h.json", "matrix", hadamard_9_corrected().mat)
+    code, out, _ = run(capsys, "validate-hadamard", good)
+    assert code == 0 and "valid complex Hadamard" in out
+
+    bad = write(tmp_path, "hp.json", "matrix", fixture("hadamard-9-printed"))
+    code, out, _ = run(capsys, "validate-hadamard", bad)
+    assert code == 1
+    assert "row-orthogonality" in out and "(3, 4)" in out
 
 
 def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
@@ -117,6 +151,19 @@ def test_text_reports_show_the_gram_deviation(tmp_path, capsys):
     )
 
 
+def test_check_weak_orth(tmp_path, capsys):
+    q = write(tmp_path, "q.json", "grid", fixture("paper-Q").array)
+    p = write(tmp_path, "p.json", "grid", fixture("paper-P").array)
+    code, out, _ = run(capsys, "check-weak-orth", q, p)
+    assert code == 0
+    assert "weakly orthogonal" in out
+    assert len([ln for ln in out.splitlines() if ln.startswith("  ")]) == 9
+
+    code, out, _ = run(capsys, "check-weak-orth", p, p)
+    assert code == 1
+    assert "NOT weakly orthogonal" in out
+
+
 def test_check_weak_orth_refuses_a_tol_of_one_half_and_above(tmp_path, capsys):
     """At tol >= 1/2 a product can be near both 0 and 1; the (1, 0.5) pair
     would fail as a second unit "off by" 0.5, a margin within tol."""
@@ -131,6 +178,14 @@ def test_check_weak_orth_refuses_a_tol_of_one_half_and_above(tmp_path, capsys):
             assert err == f"error: check-weak-orth needs --tol below 0.5, got {float(tol):g}\n"
     assert run(capsys, "check-weak-orth", q, p, "--tol", "0.4999")[0] == 1
 
+
+
+def test_check_orth_and_left_orth(pinned_files, capsys):
+    a, b, la, lb = (pinned_files[key] for key in ("latin", "twisted", "left_a", "left_b"))
+    assert run(capsys, "check-orth", a, b)[0] == 0
+    assert run(capsys, "check-orth", a, a)[0] == 1
+    assert run(capsys, "check-left-orth", la, lb)[0] == 0
+    assert run(capsys, "check-left-orth", a, a)[0] == 1
 
 # --------------------------------------------------------------- artifacts
 
@@ -199,6 +254,20 @@ def test_build_meb_check_mub_flow(pinned_files, tmp_path, capsys):
     assert run(capsys, "check-mub", basis_a, basis_a)[0] == 1
 
 
+def test_build_meb_rejects_bad_inputs(tmp_path, capsys):
+    printed = write(tmp_path, "pp.json", "grid", fixture("paper-P-printed").array)
+    f9 = write(tmp_path, "f9.json", "matrix-list", [hadamard_9_corrected().mat] * 9)
+    code, out, _ = run(capsys, "build-meb", printed, f9)
+    assert code == 1 and "INVALID grid" in out
+
+    good = write(tmp_path, "p.json", "grid", fixture("paper-P").array)
+    bad_family = write(
+        tmp_path, "badfam.json", "matrix-list", [hadamard_9_corrected().mat] * 8 + [np.eye(9)]
+    )
+    code, out, _ = run(capsys, "build-meb", good, bad_family)
+    assert code == 1 and "INVALID family" in out
+
+
 def test_build_lbw(pinned_files, tmp_path, capsys):
     basis = str(tmp_path / "lbw.json")
     latin, matrix = pinned_files["latin"], pinned_files["matrix"]
@@ -243,6 +312,14 @@ def test_dual_round_trip_via_files(pinned_files, tmp_path, capsys):
     assert_allclose(returned, original, atol=1e-12)
 
 
+def test_dual_rejects_product_states(tmp_path, capsys):
+    path = str(tmp_path / "comp.json")
+    serialize.save_path(path, serialize.to_doc("basis", np.eye(4, dtype=complex)))
+    code, out, _ = run(capsys, "dual", "--to-ueb", path)
+    assert code == 1
+    assert "partial-trace residual" in out
+
+
 def test_dual_rejects_a_state_whose_residual_overflows_to_nan(tmp_path, capsys):
     # M M* of 7.5e307 overflows, and the residual becomes NaN: not within tol
     path = str(tmp_path / "huge.json")
@@ -257,7 +334,43 @@ def test_dual_rejects_a_state_whose_residual_overflows_to_nan(tmp_path, capsys):
     assert not out_path.exists()
 
 
+
+def test_check_ueb_rejects_wrong_count(tmp_path, capsys):
+    members = np.stack([np.eye(2, dtype=complex)] * 3)
+    path = write(tmp_path, "short.json", "matrix-list", members)
+    code, out, _ = run(capsys, "check-ueb", path)
+    assert code == 1 and "INVALID" in out
+
+
+def test_check_mu_ueb(pinned_files, capsys):
+    pa, pb = pinned_files["ueb_a"], pinned_files["ueb_b"]
+    code, out, _ = run(capsys, "check-mu-ueb", pa, pb, "--format", "json-report")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert abs(doc["raw_trace_sq_max"] - 1.0) < 1e-9
+
+    assert run(capsys, "check-mu-ueb", pa, pa)[0] == 1
+
 # ------------------------------------------------------------- obstruction
+
+
+def test_monomial_obstruction_exit_codes(tmp_path, capsys):
+    obstructed = write(tmp_path, "obs.json", "matrix-list", paper_ueb().members)
+    code, out, _ = run(capsys, "monomial-obstruction", obstructed)
+    assert code == 1
+    assert str(PAPER_P_WORST_PAIR) in out
+    verdict = r"\nOBSTRUCTED: not equivalent to a monomial basis \(noise bound \d\.\d{3}e-\d+\)\n$"
+    assert re.search(verdict, out)
+
+    clean = shift_multiply_ueb(
+        validate_qls(computational_grid(CYCLIC3)), constant_family(fourier(3))
+    )
+    clean_path = write(tmp_path, "clean.json", "matrix-list", clean.members)
+    code, out, _ = run(capsys, "monomial-obstruction", clean_path)
+    assert code == 0
+    verdict = r"\nno obstruction proved: worst norm is within the noise bound \d\.\d{3}e-\d+\n$"
+    assert re.search(verdict, out)
 
 
 def test_monomial_obstruction_with_an_infinite_noise_bound_skips_the_sweep(tmp_path, capsys):
@@ -371,6 +484,27 @@ def test_monomial_obstruction_rejects_order_one(tmp_path, capsys):
 # ---------------------------------------------------------------- searches
 
 
+def test_search_commands(capsys):
+    code, out, _ = run(capsys, "search", "latin", "3")
+    assert code == 0 and "12 Latin squares" in out and "recount 12" in out
+
+    code, out, _ = run(capsys, "search", "orth-pairs", "3")
+    assert code == 0 and "72 ordered orthogonal pairs" in out
+
+    code, out, _ = run(capsys, "search", "lemma16", "3", "--format", "json-report")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pairs_checked"] == 144
+    assert doc["positives"] == 72
+    assert doc["disagreements"] == 0
+
+    code, _, err = run(capsys, "search", "latin", "9")
+    assert code == 2 and "out of range" in err
+
+    code, out, _ = run(capsys, "search", "--help")  # the range, before any exit 2
+    assert code == 0 and "1..6; 1..5 for lemma16" in out
+
+
 def test_search_refuses_a_huge_order_before_any_arithmetic():
     # as its own process, so nothing but the command's handling decides the
     # exit status and what reaches stderr; math.factorial overflows at 2**63
@@ -425,6 +559,13 @@ def test_search_lemma16_disagreement_exits_one(capsys, monkeypatch):
 
 
 # ------------------------------------------------------------ reproduction
+
+
+def test_reproduce_appendix_c(capsys):
+    code, out, _ = run(capsys, "reproduce-appendix-c")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "PASS"
+    assert "6561 cross overlaps" in out
 
 
 def test_reproduce_appendix_c_json(capsys, tmp_path):
@@ -595,6 +736,16 @@ def test_non_integer_headers_and_cells_exit_two(tmp_path, capsys, case, fmt, out
     assert not out_path.exists()
 
 
+def test_usage_errors_exit_two(capsys):
+    assert run(capsys)[0] == 2
+    assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "dual")[0] == 2  # missing required direction
+
+
+def test_help_exits_zero(capsys):
+    assert run(capsys, "--help")[0] == 0
+
+
 # ----------------------------------------------------------------- routing
 
 # Positional arguments that parse for each command; the files need not exist.
@@ -666,20 +817,21 @@ def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, argv, ta
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("cause", [errno.ENOSPC, errno.EPIPE], ids=["full disk", "closed pipe"])
 @pytest.mark.parametrize("failing", ["write", "flush"])
 @pytest.mark.parametrize("argv", [["search", "latin", "3"], ["fixtures", "emit", "paper-P"]])
-def test_a_stdout_that_cannot_be_written_exits_two(monkeypatch, argv, failing):
+def test_a_stdout_that_cannot_be_written_exits_two(monkeypatch, argv, failing, cause):
     """A full disk or a closed pipe at stdout, for a report and for an artifact."""
 
-    def full(*_):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    def broken(*_):
+        raise OSError(cause, os.strerror(cause))  # a closed pipe is a BrokenPipeError
 
     stdout, err = type("Stdout", (io.StringIO,), {})(), io.StringIO()
-    monkeypatch.setattr(stdout, failing, full)
+    monkeypatch.setattr(stdout, failing, broken)
     with redirect_stdout(stdout), redirect_stderr(err):
         code = main(argv)
     assert code == 2
-    assert err.getvalue() == "error: cannot write stdout: [Errno 28] No space left on device\n"
+    assert err.getvalue() == f"error: cannot write stdout: [Errno {cause}] {os.strerror(cause)}\n"
 
 
 # The two input kinds of every command that reads two objects of one order.
