@@ -15,7 +15,7 @@ import numpy as np
 
 from .hadamard import HadamardFamily, HadamardMatrix
 from .numerics import DEFAULT_TOL, as_state_vector, first_gram_defect, frobenius_norms, owned
-from .squares import LatinSquare, QuantumLatinSquare
+from .squares import LatinSquare, QuantumLatinSquare, computational_grid, left_conjugate
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +105,13 @@ def _states_of(b) -> np.ndarray:
     return arr
 
 
+def _qls_products(q: QuantumLatinSquare, family: HadamardFamily) -> np.ndarray:
+    # products[i, j, k, p] = H_j[k, i] * <p | grid(j, k)>, which every construction lays out
+    if family.n != q.n:
+        raise ValueError(f"order mismatch: square {q.n}, family {family.n}")
+    return np.einsum("jki,jkp->ijkp", np.stack([h.mat for h in family.members]), q.grid.array)
+
+
 def qls_meb(q: QuantumLatinSquare, family: HadamardFamily) -> BipartiteBasis:
     """Maximally entangled basis from a quantum Latin square and a Hadamard family.
 
@@ -113,15 +120,10 @@ def qls_meb(q: QuantumLatinSquare, family: HadamardFamily) -> BipartiteBasis:
         (1/sqrt(n)) * H_j[k, i] * <p | grid(j, k)>
 
     so row j of the grid supplies the vectors and the j-th family member the
-    phases.  With the family stacked as h[j, k, i] = H_j[k, i], this is
-    einsum("jki,jkp->ijkp"): row i*n + j, column k*n + p.  Requires matching
-    orders.
+    phases: row i*n + j, column k*n + p.  Requires matching orders.
     """
     n = q.n
-    if family.n != n:
-        raise ValueError(f"order mismatch: square {n}, family {family.n}")
-    h = np.stack([member.mat for member in family.members])
-    states = np.einsum("jki,jkp->ijkp", h, q.grid.array)
+    states = _qls_products(q, family)
     states *= 1.0 / math.sqrt(n)
     return BipartiteBasis(n, states.reshape(n * n, n * n))
 
@@ -133,17 +135,15 @@ def lbw_meb(latin: LatinSquare, h: HadamardMatrix) -> BipartiteBasis:
 
         (1/sqrt(n)) * H[i, k] * [cells[p, k] = j]
 
-    placing the k-th phase of row i of H on the unique |k, p> whose cell in
-    column k holds symbol j.  With mask[j, k, p] = [cells[p, k] = j], this is
-    einsum("ik,jkp->ijkp"): row i*n + j, column k*n + p.
+    This is :func:`qls_meb` on the computational grid of the left conjugate,
+    whose entry (j, k) is |p> exactly when cells[p, k] = j, with every family
+    member H^T: Beth and Wocjan's construction is a case of the QLS one.
     """
-    n = latin.n
-    if h.n != n:
-        raise ValueError(f"order mismatch: square {n}, matrix {h.n}")
-    mask = (latin.cells.T == np.arange(n)[:, None, None]).astype(np.complex128)
-    states = np.einsum("ik,jkp->ijkp", h.mat, mask)
-    states *= 1.0 / math.sqrt(n)
-    return BipartiteBasis(n, states.reshape(n * n, n * n))
+    if h.n != latin.n:
+        raise ValueError(f"order mismatch: square {latin.n}, matrix {h.n}")
+    # a computational grid of a Latin square is a QLS, and H^T a Hadamard
+    grid = QuantumLatinSquare(computational_grid(left_conjugate(latin)))
+    return qls_meb(grid, HadamardFamily((HadamardMatrix(h.mat.T, h.tol),) * h.n))
 
 
 def _residuals(m: np.ndarray) -> np.ndarray:

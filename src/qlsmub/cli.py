@@ -12,7 +12,9 @@ JSON document instead.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
@@ -368,6 +370,8 @@ def main(argv=None) -> int:
             if out:
                 with open(out, "w", encoding="utf-8") as fh:
                     fh.write(payload)
+            elif sys.stdout is None:  # as Python starts when fd 1 is closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             else:
                 sys.stdout.write(payload)
                 sys.stdout.flush()  # a full disk or closed pipe shows here, not at exit

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import BipartiteBasis, MubReport, extract_unitaries
+from .bases import BipartiteBasis, MubReport, _qls_products, extract_unitaries
 from .hadamard import HadamardFamily
 from .numerics import DEFAULT_TOL, first_gram_defect, frobenius_norms, owned
 from .squares import QuantumLatinSquare
@@ -137,23 +137,18 @@ def ueb_to_meb(u: UnitaryErrorBasis) -> BipartiteBasis:
     return BipartiteBasis(n, states)
 
 
-def shift_multiply_ueb(
-    q: QuantumLatinSquare, family: HadamardFamily
-) -> UnitaryErrorBasis:
+def shift_multiply_ueb(q: QuantumLatinSquare, family: HadamardFamily) -> UnitaryErrorBasis:
     """Shift-and-multiply basis: member (i, j) = sum_k H_j[k, i] |grid(j, k)><k|.
 
     Column k of the member is the grid vector at (row j, column k) scaled by
-    the (k, i) phase of the j-th family member.  With the family stacked as
-    h[j, k, i] = H_j[k, i], this is einsum("jki,jkp->ijpk"): member i*n + j,
-    entry [p, k].  Coincides with meb_to_ueb(qls_meb(q, family)) entry for
-    entry.
+    the (k, i) phase of the j-th family member: member i*n + j, entry [p, k].
+    These are the products of :func:`qls_meb` before its scaling, so
+    ``ueb_to_meb(shift_multiply_ueb(q, family))`` is ``qls_meb(q, family)``
+    bit for bit.
     """
     n = q.n
-    if family.n != n:
-        raise ValueError(f"order mismatch: square {n}, family {family.n}")
-    h = np.stack([member.mat for member in family.members])
-    members = np.einsum("jki,jkp->ijpk", h, q.grid.array)
-    return UnitaryErrorBasis(n, members.reshape(n * n, n, n))
+    members = _qls_products(q, family).reshape(n * n, n, n).swapaxes(1, 2)
+    return UnitaryErrorBasis(n, members)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ this suite was written and are pinned here.
 import time
 
 import numpy as np
-import pytest
 
 from qlsmub.bases import (
     bases_match_up_to_phase,

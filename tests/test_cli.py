@@ -817,18 +817,24 @@ def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, argv, ta
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("cause", [errno.ENOSPC, errno.EPIPE], ids=["full disk", "closed pipe"])
-@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "failing, cause",
+    [(f, c) for f in ("write", "flush") for c in (errno.ENOSPC, errno.EPIPE)] + [(None, errno.EBADF)],
+    ids=["write-full disk", "write-closed pipe", "flush-full disk", "flush-closed pipe", "closed fd 1"],
+)
 @pytest.mark.parametrize("argv", [["search", "latin", "3"], ["fixtures", "emit", "paper-P"]])
 def test_a_stdout_that_cannot_be_written_exits_two(monkeypatch, argv, failing, cause):
-    """A full disk or a closed pipe at stdout, for a report and for an artifact."""
+    """A full disk or a closed pipe at stdout, for a report and for an artifact,
+    and no stdout at all: Python sets sys.stdout to None when it starts with
+    fd 1 closed."""
 
     def broken(*_):
         raise OSError(cause, os.strerror(cause))  # a closed pipe is a BrokenPipeError
 
     stdout, err = type("Stdout", (io.StringIO,), {})(), io.StringIO()
-    monkeypatch.setattr(stdout, failing, broken)
-    with redirect_stdout(stdout), redirect_stderr(err):
+    if failing:
+        monkeypatch.setattr(stdout, failing, broken)
+    with redirect_stdout(stdout if failing else None), redirect_stderr(err):
         code = main(argv)
     assert code == 2
     assert err.getvalue() == f"error: cannot write stdout: [Errno {cause}] {os.strerror(cause)}\n"

@@ -204,6 +204,7 @@ def test_constructions_are_the_per_label_loops_bit_for_bit(latin, seed):
         (qls_meb(qls, family).states, reference_qls_meb(qls, family).states),
         (lbw_meb(latin, h).states, reference_lbw_meb(latin, h).states),
         (shift_multiply_ueb(qls, family).members, reference_shift_multiply_ueb(qls, family).members),
+        (ueb_to_meb(shift_multiply_ueb(qls, family)).states, qls_meb(qls, family).states),
     ]
     for built, expected in pairs:
         assert built.shape == expected.shape and built.tobytes() == expected.tobytes()
