@@ -83,19 +83,6 @@ class MubReport:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseMatch:
-    """Result of matching two bases state-for-state up to phase.
-
-    When ``matched``, state s of the first basis equals
-    ``phases[s]`` times state ``pairing[s]`` of the second.
-    """
-
-    matched: bool
-    pairing: np.ndarray | None = None
-    phases: np.ndarray | None = None
-
-
 def _states_of(b) -> np.ndarray:
     if isinstance(b, BipartiteBasis):
         return b.states
@@ -166,21 +153,14 @@ def is_maximally_entangled(state, tol: float = DEFAULT_TOL) -> bool:
     return float(_residuals(_square_stack(as_state_vector(state)[None]))[0]) <= tol
 
 
-def extract_unitary(state, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The unitary U with |s> = (1/sqrt(n)) sum_k |k> (x) U|k>.
-
-    Concretely U[p, k] = sqrt(n) * s[k*n + p].  Raises ValueError when the
-    state is not maximally entangled, naming the partial-trace residual.
-    """
-    return extract_unitaries(as_state_vector(state)[None], tol)[0]
-
-
 def extract_unitaries(states: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """:func:`extract_unitary` of every row of a finite (count, n^2) stack of
-    states, as one (count, n, n) stack computed in one batched step.
+    """The unitaries U with |s> = (1/sqrt(n)) sum_k |k> (x) U|k>, one for
+    every row s of a finite (count, n^2) stack of states, as one (count, n, n)
+    stack computed in one batched step: U[p, k] = sqrt(n) * s[k*n + p].
 
-    Raises the error of the first state whose residual is not within tol; a
-    NaN residual, left by an overflow, is not within any tol.
+    Raises ValueError when a state is not maximally entangled, naming the
+    partial-trace residual of the first such state; a NaN residual, left by
+    an overflow, is not within any tol.
     """
     m = _square_stack(states)
     residuals = _residuals(m)
@@ -211,23 +191,3 @@ def check_mub(a, b, tol: float = DEFAULT_TOL) -> MubReport:
     if sa.shape[1] != sb.shape[1]:
         raise ValueError(f"dimension mismatch: {sa.shape[1]} vs {sb.shape[1]}")
     return MubReport.of(np.abs(sa.conj() @ sb.T) ** 2, sa.shape[1], tol)
-
-
-def bases_match_up_to_phase(a, b, tol: float = DEFAULT_TOL) -> PhaseMatch:
-    """Match states of two bases one-to-one up to unimodular factors.
-
-    Succeeds iff the overlap matrix has exactly one unit-modulus entry per row
-    and per column (within tol); the pairing and the unit factors are returned.
-    """
-    sa, sb = _states_of(a), _states_of(b)
-    if sa.shape != sb.shape:
-        raise ValueError(f"shape mismatch: {sa.shape} vs {sb.shape}")
-    overlaps = sa.conj() @ sb.T
-    unit = np.abs(np.abs(overlaps) - 1.0) <= tol
-    if not (np.all(unit.sum(axis=1) == 1) and np.all(unit.sum(axis=0) == 1)):
-        return PhaseMatch(False)
-    pairing = np.argmax(unit, axis=1)
-    # overlaps[s, t] = <a_s|b_t> = conj(factor), so conjugate to make
-    # a_s = phases[s] * b_t hold as documented
-    phases = overlaps[np.arange(len(pairing)), pairing].conj()
-    return PhaseMatch(True, pairing, phases)

@@ -9,7 +9,6 @@ as an integer table ``cells[row, col]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -155,26 +154,6 @@ def left_conjugate(latin: LatinSquare) -> LatinSquare:
     return LatinSquare(np.argsort(latin.cells, axis=0))
 
 
-def transpose(latin: LatinSquare) -> LatinSquare:
-    """Swap rows and columns."""
-    return LatinSquare(latin.cells.T)
-
-
-def orthogonality_map(a: LatinSquare, b: LatinSquare) -> np.ndarray:
-    """The bool matrix sending each cell to its ordered symbol pair.
-
-    Row index r*n + c runs over cells; column index a[r,c]*n + b[r,c] over
-    symbol pairs.  The map is a permutation matrix exactly when all n^2
-    ordered pairs are distinct.
-    """
-    if a.n != b.n:
-        raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    n = a.n
-    mat = np.zeros((n * n, n * n), dtype=bool)
-    mat[np.arange(n * n), a.cells.ravel() * n + b.cells.ravel()] = True
-    return mat
-
-
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     """True iff the n^2 ordered symbol pairs (a[r,c], b[r,c]) are all distinct."""
     if a.n != b.n:
@@ -295,15 +274,3 @@ def weak_orth_witness(q, p, tol: float = DEFAULT_TOL):
         return WeakOrthFailure(i, j, "non-unique-unit", k, complex(value), float(np.abs(value)))
     off_by = float(min(np.abs(value), np.abs(value - 1.0)))
     return WeakOrthFailure(i, j, "stray-value", k, complex(value), off_by)
-
-
-def is_moqls(family, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every unordered pair of grids in the family has a weak
-    orthogonality witness."""
-    grids = [_grid_of(g) for g in family]
-    if len(grids) < 2:
-        raise ValueError("a mutually orthogonal family needs at least two members")
-    for a, b in combinations(grids, 2):
-        if not weak_orth_witness(a, b, tol).ok:
-            return False
-    return True

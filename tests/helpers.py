@@ -38,7 +38,6 @@ from qlsmub.squares import (
     are_orthogonal,
     computational_grid,
     left_conjugate,
-    orthogonality_map,
     validate_qls,
     weak_orth_witness,
 )
@@ -174,6 +173,21 @@ def reference_left_conjugate(latin: LatinSquare) -> LatinSquare:
     return LatinSquare(out)
 
 
+def orthogonality_map(a: LatinSquare, b: LatinSquare) -> np.ndarray:
+    """The bool matrix sending each cell to its ordered symbol pair.
+
+    Row index r*n + c runs over cells; column index a[r,c]*n + b[r,c] over
+    symbol pairs.  The map is a permutation matrix exactly when all n^2
+    ordered pairs are distinct.
+    """
+    if a.n != b.n:
+        raise ValueError(f"order mismatch: {a.n} vs {b.n}")
+    n = a.n
+    mat = np.zeros((n * n, n * n), dtype=bool)
+    mat[np.arange(n * n), a.cells.ravel() * n + b.cells.ravel()] = True
+    return mat
+
+
 def reference_qls_meb(q: QuantumLatinSquare, family: HadamardFamily) -> BipartiteBasis:
     """``qls_meb`` as one block of states per label j, written to rows j::n;
     the array product must match it bit for bit."""
@@ -247,6 +261,19 @@ def as_latin_square(grid: VectorGrid, tol: float = DEFAULT_TOL) -> LatinSquare |
         return LatinSquare(cells)
     except ValueError:
         return None
+
+
+def match_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff the states (rows) of a and b pair off one to one up to
+    unimodular factors: one overlap of modulus 1 (within the default tol)
+    per row and column."""
+    return is_permutation_matrix(np.abs(np.abs(a.conj() @ b.T) - 1) <= DEFAULT_TOL)
+
+
+def weakly_orthogonal_family(family) -> bool:
+    """True iff every unordered pair of the grids, Latin squares or quantum
+    Latin squares has a weak orthogonality witness."""
+    return all(weak_orth_witness(a, b).ok for a, b in combinations(family, 2))
 
 
 def reference_dumps(doc: dict) -> str:

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from qlsmub.bases import (
-    bases_match_up_to_phase,
     check_mub,
     is_maximally_entangled,
     is_orthonormal_basis,
@@ -41,10 +40,9 @@ from qlsmub.search import (
     cross_validate_lemma16,
 )
 from qlsmub.squares import (
+    LatinSquare,
     computational_grid,
-    is_moqls,
     left_conjugate,
-    transpose,
     validate_qls,
     weak_orth_witness,
 )
@@ -60,10 +58,12 @@ from qlsmub.ueb import (
 from helpers import (
     PAPER_P_WORST_NORM,
     PAPER_P_WORST_PAIR,
+    match_up_to_phase,
     paper_ueb,
     random_orthonormal_triple,
     reference_orthogonal_pairs,
     reference_squares,
+    weakly_orthogonal_family,
 )
 
 # Frozen oracle value for criterion 8 (commutator sweep of the fixture
@@ -333,7 +333,7 @@ def test_criterion_08_monomiality_obstruction():
 
 def test_criterion_09_three_member_family():
     default = [fixture("paper-P"), fixture("paper-Q"), fixture("block-square")]
-    ok = is_moqls(default)
+    ok = weakly_orthogonal_family(default)
     names = ("P", "Q", "block")
     for (ia, a), (ib, b) in (((0, default[0]), (1, default[1])),
                              ((0, default[0]), (2, default[2])),
@@ -352,7 +352,7 @@ def test_criterion_09_three_member_family():
             paper_q_grid(triple),
             block_square_grid(triple),
         ]
-        replacements_ok &= is_moqls(family)
+        replacements_ok &= weakly_orthogonal_family(family)
     ok = ok and replacements_ok
     _criterion(
         9,
@@ -368,12 +368,13 @@ def test_criterion_10_single_square_correspondence():
     candidates = {
         "identity+H": (lambda s: s, h),
         "identity+HT": (lambda s: s, ht),
-        "transpose+H": (transpose, h),
-        "transpose+HT": (transpose, ht),
+        "transpose+H": (lambda s: LatinSquare(s.cells.T), h),
+        "transpose+HT": (lambda s: LatinSquare(s.cells.T), ht),
         "left-conjugate+H": (left_conjugate, h),
         "left-conjugate+HT": (left_conjugate, ht),
     }
     surviving = set(candidates)
+    exact = True
     for latin in reference_squares(3):
         via_qls = qls_meb(
             validate_qls(computational_grid(latin)), constant_family(h)
@@ -381,17 +382,19 @@ def test_criterion_10_single_square_correspondence():
         for name in list(surviving):
             square_map, matrix = candidates[name]
             via_lbw = lbw_meb(square_map(latin), matrix)
-            if not bases_match_up_to_phase(via_qls, via_lbw).matched:
+            if not match_up_to_phase(via_qls.states, via_lbw.states):
                 surviving.discard(name)
+        # the stable correspondence holds bit for bit, not just up to phase
+        exact &= np.array_equal(via_qls.states, lbw_meb(left_conjugate(latin), ht).states)
     print(f"surviving correspondences across all 12 squares: {sorted(surviving)}")
     # the left-conjugate route with the transposed matrix is the stable
     # correspondence; with this symmetric matrix its untransposed twin
     # coincides with it
-    ok = surviving == {"left-conjugate+H", "left-conjugate+HT"}
+    ok = surviving == {"left-conjugate+H", "left-conjugate+HT"} and exact
     _criterion(
         10,
         "one correspondence (left conjugate + transposed matrix) matches the "
-        "two constructions on all 12 order-3 squares",
+        "two constructions bit for bit on all 12 order-3 squares",
         ok,
     )
 

@@ -5,10 +5,8 @@ from numpy.testing import assert_allclose
 from qlsmub.bases import (
     BipartiteBasis,
     MubReport,
-    PhaseMatch,
-    bases_match_up_to_phase,
     check_mub,
-    extract_unitary,
+    extract_unitaries,
     is_maximally_entangled,
     is_orthonormal_basis,
     lbw_meb,
@@ -30,7 +28,9 @@ from qlsmub.squares import (
     validate_qls,
 )
 
-from helpers import CYCLIC3, TWISTED3, raises_exactly, random_unitary, reference_squares
+from helpers import (
+    CYCLIC3, TWISTED3, match_up_to_phase, raises_exactly, random_unitary, reference_squares,
+)
 
 CYCLIC2 = LatinSquare([[0, 1], [1, 0]])
 
@@ -157,8 +157,7 @@ def test_extract_unitary_bell_members():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
     expected = [eye, x, z, x @ z]
-    for s, u in zip(BELL, expected):
-        assert_allclose(extract_unitary(s), u, atol=1e-15)
+    assert_allclose(extract_unitaries(BELL), expected, atol=1e-15)
 
 
 def test_extract_unitary_round_trip_random():
@@ -170,7 +169,7 @@ def test_extract_unitary_round_trip_random():
         for k in range(n):
             state[k * n : (k + 1) * n] += u[:, k]
         state /= np.sqrt(n)
-        assert_allclose(extract_unitary(state), u, atol=1e-12)
+        assert_allclose(extract_unitaries(state[None])[0], u, atol=1e-12)
         assert is_maximally_entangled(state)
 
 
@@ -178,14 +177,14 @@ def test_extract_unitary_rejects_product_state():
     product = np.zeros(4, dtype=complex)
     product[0] = 1.0
     with pytest.raises(ValueError, match="partial-trace residual"):
-        extract_unitary(product)
+        extract_unitaries(product[None])
 
 
 def test_bell_state_reduces_to_maximally_mixed():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     assert is_maximally_entangled(bell, tol=1e-15)
-    assert_allclose(extract_unitary(bell, tol=1e-15), np.eye(2), atol=1e-15)
+    assert_allclose(extract_unitaries(bell[None], tol=1e-15)[0], np.eye(2), atol=1e-15)
 
 
 def test_product_state_residual_is_that_of_a_pure_reduced_state():
@@ -195,7 +194,7 @@ def test_product_state_residual_is_that_of_a_pure_reduced_state():
     assert not is_maximally_entangled(product, tol=0.707)
     assert is_maximally_entangled(product, tol=0.708)
     with pytest.raises(ValueError, match="residual 7.071e-01"):
-        extract_unitary(product)
+        extract_unitaries(product[None])
 
 
 def test_reduced_state_keeps_the_schmidt_weights():
@@ -214,7 +213,18 @@ def test_reduced_state_keeps_the_schmidt_weights():
 
 def test_extract_unitary_rejects_non_square_dimension():
     with pytest.raises(ValueError, match="not a perfect square"):
-        extract_unitary(np.ones(6) / np.sqrt(6))
+        extract_unitaries(np.ones((1, 6)) / np.sqrt(6))
+
+
+def test_extract_unitaries_names_the_first_failing_state():
+    # sqrt(w)|00> + sqrt(1-w)|11> is |w - 1/2| * sqrt(2) from I/2, and |00> is
+    # sqrt(1/2) from it: the error names the earlier of the two in the stack
+    uneven = np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], dtype=complex)
+    product = np.array([1, 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError, match="residual 5.657e-01"):
+        extract_unitaries(np.stack([BELL[0], uneven, product]))
+    with pytest.raises(ValueError, match="residual 7.071e-01"):
+        extract_unitaries(np.stack([BELL[0], product, uneven]))
 
 
 def test_spread_unitary_state_is_maximally_entangled_at_order_five():
@@ -224,7 +234,7 @@ def test_spread_unitary_state_is_maximally_entangled_at_order_five():
     u = random_unitary(n, rng)
     state = (u.T / np.sqrt(n)).reshape(-1)
     assert is_maximally_entangled(state, tol=1e-12)
-    assert_allclose(extract_unitary(state, tol=1e-12), u, atol=1e-12)
+    assert_allclose(extract_unitaries(state[None], tol=1e-12)[0], u, atol=1e-12)
 
 
 # ------------------------------------------------------------ orthonormality
@@ -296,20 +306,9 @@ def test_same_square_does_not_give_unbiased_bases():
 
 
 def test_phase_match_identity():
-    m = bases_match_up_to_phase(BELL, BELL)
-    assert m.matched
-    assert m.pairing.tolist() == [0, 1, 2, 3]
-    assert_allclose(m.phases, np.ones(4), atol=1e-12)
-
-
-def test_phase_match_equality_is_identity_and_it_hashes():
-    """A match holds arrays, so ``==`` compares identity rather than raising
-    on the arrays' truth value."""
-    basis = qls_meb(qls_of(CYCLIC3), constant_family(fourier(3)))
-    a, b = bases_match_up_to_phase(basis, basis), bases_match_up_to_phase(basis, basis)
-    assert a.matched and a.pairing.tolist() == b.pairing.tolist()
-    assert a == a and a != b
-    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert match_up_to_phase(BELL, BELL)
+    # each state pairs with itself, with factor 1
+    assert_allclose(BELL.conj() @ BELL.T, np.eye(4), atol=1e-12)
 
 
 def test_phase_match_reconstruction():
@@ -321,20 +320,21 @@ def test_phase_match_reconstruction():
     # state s of a equals factors[s] times state perm[s] of b
     for s in range(4):
         b[perm[s]] = a[s] / factors[s]
-    m = bases_match_up_to_phase(a, b)
-    assert isinstance(m, PhaseMatch) and m.matched
-    assert m.pairing.tolist() == perm.tolist()
-    for s in range(4):
-        assert_allclose(a[s], m.phases[s] * b[m.pairing[s]], atol=1e-12)
+    assert match_up_to_phase(a, b)
+    # <a_s|b_t> = conj(factor), one unit entry per row at the paired state
+    overlaps = a.conj() @ b.T
+    pairing = np.abs(overlaps).argmax(axis=1)
+    assert pairing.tolist() == perm.tolist()
+    assert_allclose(overlaps[np.arange(4), pairing].conj(), factors, atol=1e-12)
 
 
 def test_phase_match_rejects_unbiased_pair():
-    assert not bases_match_up_to_phase(BELL, np.eye(4)).matched
+    assert not match_up_to_phase(BELL, np.eye(4))
 
 
 def test_phase_match_shape_mismatch():
     with pytest.raises(ValueError):
-        bases_match_up_to_phase(np.eye(4), np.eye(3))
+        match_up_to_phase(np.eye(4), np.eye(3))
 
 
 # ------------------------------------------------- single-square duality
@@ -342,17 +342,13 @@ def test_phase_match_shape_mismatch():
 
 def test_single_square_constructions_agree_up_to_phase():
     # the one-square basis of a Latin square equals the one of its left
-    # conjugate built from the transposed Hadamard, exactly
-    h = asymmetric_hadamard_3()
-    ht = validate_hadamard(h.mat.T)
-    for latin in reference_squares(3):
-        via_qls = qls_meb(qls_of(latin), constant_family(h))
-        via_lbw = lbw_meb(left_conjugate(latin), ht)
-        assert_allclose(via_qls.states, via_lbw.states, atol=1e-12)
-        m = bases_match_up_to_phase(via_qls, via_lbw)
-        assert m.matched
-        assert m.pairing.tolist() == list(range(9))
-        assert_allclose(m.phases, np.ones(9), atol=1e-12)
+    # conjugate built from the transposed Hadamard, bit for bit
+    for h in (fourier(3), asymmetric_hadamard_3()):
+        ht = validate_hadamard(h.mat.T)
+        for latin in reference_squares(3):
+            via_qls = qls_meb(qls_of(latin), constant_family(h))
+            via_lbw = lbw_meb(left_conjugate(latin), ht)
+            np.testing.assert_array_equal(via_qls.states, via_lbw.states)
 
 
 def test_single_square_correspondence_needs_the_transpose():
@@ -362,4 +358,4 @@ def test_single_square_correspondence_needs_the_transpose():
     for latin in reference_squares(3)[:4]:
         via_qls = qls_meb(qls_of(latin), constant_family(h))
         via_lbw = lbw_meb(left_conjugate(latin), h)
-        assert not bases_match_up_to_phase(via_qls, via_lbw).matched
+        assert not match_up_to_phase(via_qls.states, via_lbw.states)

@@ -18,12 +18,11 @@ from qlsmub.squares import (
     LatinSquare,
     QuantumLatinSquare,
     VectorGrid,
-    is_moqls,
     validate_qls,
     weak_orth_witness,
 )
 
-from helpers import as_latin_square, random_orthonormal_triple
+from helpers import as_latin_square, random_orthonormal_triple, weakly_orthogonal_family
 
 
 def test_catalog_is_complete():
@@ -124,7 +123,7 @@ def test_block_square_is_not_a_qls():
 
 def test_fixture_family_is_mutually_weakly_orthogonal():
     family = [fixture("paper-P"), fixture("paper-Q"), fixture("block-square")]
-    assert is_moqls(family)
+    assert weakly_orthogonal_family(family)
 
 
 def test_expected_witness_entry():
@@ -149,7 +148,7 @@ def test_grids_accept_replacement_triples():
         blk = block_square_grid(triple)
         assert isinstance(validate_qls(p), QuantumLatinSquare)
         assert isinstance(validate_qls(q), QuantumLatinSquare)
-        assert is_moqls([p, q, blk])
+        assert weakly_orthogonal_family([p, q, blk])
 
 
 # ---------------------------------------------------------------- hadamard

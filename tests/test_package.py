@@ -2,6 +2,61 @@ import types
 
 import qlsmub
 
+# The public API, sorted: a name added to or removed from the package shows
+# up here as a diff.
+PUBLIC = (
+    "BipartiteBasis",
+    "DEFAULT_TOL",
+    "EquivalenceReport",
+    "FIXTURE_NAMES",
+    "GridViolation",
+    "HadamardFamily",
+    "HadamardMatrix",
+    "HadamardViolation",
+    "LatinSquare",
+    "MuUebReport",
+    "MubReport",
+    "ObstructionReport",
+    "QuantumLatinSquare",
+    "UebViolation",
+    "UnitaryErrorBasis",
+    "VectorGrid",
+    "WeakOrthFailure",
+    "WeakOrthWitness",
+    "are_left_orthogonal",
+    "are_orthogonal",
+    "block_square_grid",
+    "check_mu_ueb",
+    "check_mub",
+    "computational_grid",
+    "constant_family",
+    "count_latin",
+    "count_orthogonal_pairs",
+    "cross_validate_lemma16",
+    "fixture",
+    "fourier",
+    "hadamard_9_corrected",
+    "hadamard_family",
+    "is_maximally_entangled",
+    "is_orthonormal_basis",
+    "is_permutation_matrix",
+    "lbw_meb",
+    "left_conjugate",
+    "meb_to_ueb",
+    "monomial_obstruction",
+    "paper_p_grid",
+    "paper_q_grid",
+    "qls_meb",
+    "random_hadamard",
+    "shift_multiply_ueb",
+    "tensor_hadamard",
+    "ueb_to_meb",
+    "validate_hadamard",
+    "validate_qls",
+    "validate_ueb",
+    "weak_orth_witness",
+)
+
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
     public = {
@@ -10,5 +65,6 @@ def test_all_lists_exactly_the_public_names_and_each_resolves():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(qlsmub.__all__) == sorted(public)
+    assert PUBLIC == tuple(sorted(PUBLIC)) == tuple(sorted(qlsmub.__all__))
     for name in qlsmub.__all__:
         assert getattr(qlsmub, name) is not None

