@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import qlsmub
 
@@ -65,6 +70,27 @@ def test_all_lists_exactly_the_public_names_and_each_resolves():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(qlsmub.__all__) == sorted(public)
-    assert PUBLIC == tuple(sorted(PUBLIC)) == tuple(sorted(qlsmub.__all__))
     for name in qlsmub.__all__:
         assert getattr(qlsmub, name) is not None
+
+
+def test_the_public_api_is_the_pinned_sorted_list():
+    assert PUBLIC == tuple(sorted(PUBLIC)) == tuple(sorted(qlsmub.__all__))
+
+
+def test_readme_library_example_prints_its_documented_lines(tmp_path):
+    # README's first python block, run as its own process on the package
+    # alone: the two comment lines under print(check_mub(...)) are its output
+    src = Path(qlsmub.__file__).parents[1]
+    readme = (src.parent / "README.md").read_text()
+    example = re.search(r"^```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    lines = example.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("print(check_mub("))
+    expected = [line.removeprefix("# ") for line in lines[at + 1 : at + 3]]
+    done = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    out = done.stdout.splitlines()
+    assert len(out) == 3 and out[:2] == expected and out[2].startswith("True 4.4785"), out

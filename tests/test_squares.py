@@ -168,6 +168,12 @@ def test_left_conjugate_involution_sampled_order_five():
         assert left_conjugate(left_conjugate(sq)) == sq
 
 
+def test_transpose():
+    # the transpose is LatinSquare(cells.T), as criterion 10 builds it
+    assert LatinSquare(LatinSquare(TWISTED3.cells.T).cells.T) == TWISTED3
+    assert LatinSquare(CYCLIC3.cells.T) == CYCLIC3  # cyclic table is symmetric
+
+
 # ------------------------------------------------------------ orthogonality
 
 
